@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dse.objectives import Evaluation, PerformanceModel
-from repro.dse.pareto import crowding_distance, non_dominated_sort
+from repro.dse.pareto import crowding_distance, non_dominated_sort, pareto_front
 from repro.dse.space import GENOME_SIZE
 from repro.errors import ConfigurationError
 from repro.obs import OBS
@@ -36,9 +36,7 @@ class NSGA2Result:
         feasible = [e for e in self.evaluations if e.feasible]
         if not feasible:
             return []
-        objs = [e.objectives() for e in feasible]
-        fronts = non_dominated_sort(objs)
-        return [feasible[i] for i in fronts[0]]
+        return [feasible[i] for i in pareto_front([e.objectives() for e in feasible])]
 
     def to_dict(self) -> dict:
         """JSON-ready payload; inverse of :meth:`from_dict`.
@@ -144,7 +142,7 @@ class NSGA2:
         hv_proxy = 0.0
         if feasible:
             objs = [e.objectives() for e in feasible]
-            front = non_dominated_sort(objs)[0]
+            front = pareto_front(objs)
             front_size = len(front)
             hv_proxy = 1.0
             for axis in range(len(objs[0])):

@@ -2,18 +2,34 @@
 
 All objective vectors are *minimization* tuples (the performance model
 negates sampling frequency).  The implementations follow Deb's NSGA-II
-paper: fast non-dominated sort in O(M N^2) and the standard boundary-
-infinite crowding distance.
+paper: fast non-dominated sort and the standard boundary-infinite
+crowding distance.
+
+The sorts are vectorized: dominance between whole blocks of points is
+one set of numpy comparisons per objective, never a Python call per
+pair.  Blocks hold at most :data:`BLOCK_PAIRS` point pairs, so the
+working memory is a few megabytes whatever the input size; nothing
+builds the N x N dominance matrix of a large input.  The results equal
+the pairwise algorithm's exactly — the same fronts, each in the same
+index order — which ``tests/dse/test_pareto_kernel.py`` checks against
+the pure-Python original kept in ``tests/oracles/pareto.py``.
+Objectives are compared as float64.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
 Objectives = Tuple[float, ...]
+
+#: Most point pairs one dominance block compares: each of the kernel's
+#: working arrays holds this many booleans (1 MiB).
+BLOCK_PAIRS = 1 << 20
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -30,36 +46,84 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return better_somewhere
 
 
+def _as_matrix(objectives: Sequence[Objectives]) -> np.ndarray:
+    """``objectives`` as an (N, M) float64 array."""
+    try:
+        points = np.asarray(objectives, dtype=np.float64)
+    except (TypeError, ValueError):
+        points = None
+    if points is None or points.ndim != 2:
+        raise ConfigurationError("objective vectors must be numeric and of one length")
+    return points
+
+
+def _dominance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``out[i, j]`` is ``dominates(a[i], b[j])``.  A NaN compares as
+    neither better nor worse, as in :func:`dominates`."""
+    worse = np.zeros((len(a), len(b)), dtype=bool)
+    better = np.zeros_like(worse)
+    scratch = np.empty_like(worse)
+    for m in range(a.shape[1]):
+        x, y = a[:, m, None], b[None, :, m]
+        worse |= np.greater(x, y, out=scratch)
+        better |= np.less(x, y, out=scratch)
+    return np.greater(better, worse, out=better)
+
+
+def _row_blocks(rows: int, cols: int) -> Iterator[slice]:
+    """Row slices of a ``rows`` x ``cols`` comparison, each at most
+    :data:`BLOCK_PAIRS` pairs (but at least one row)."""
+    step = max(1, BLOCK_PAIRS // max(cols, 1))
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
+
+
+def _dominated(by: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """For each of ``points``: does any row of ``by`` dominate it?"""
+    hit = np.zeros(len(points), dtype=bool)
+    for rows in _row_blocks(len(by), len(points)):
+        hit |= _dominance(by[rows], points).any(axis=0)
+    return hit
+
+
 def non_dominated_sort(objectives: Sequence[Objectives]) -> List[List[int]]:
-    """Partition indices into fronts; front 0 is the Pareto set."""
+    """Partition indices into fronts; front 0 is the Pareto set.
+
+    Front 0 lists its members in ascending index order.  A member of
+    front k+1 becomes free when the last of its dominators in front k is
+    peeled, so front k+1 is ordered by that dominator's position in
+    front k, ties in ascending index order — the order Deb's algorithm
+    appends them in.
+    """
     n = len(objectives)
-    dominated_by: List[List[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts: List[List[int]] = [[]]
+    if n == 0:
+        return []
+    points = _as_matrix(objectives)
+    counts = np.zeros(n, dtype=np.int64)
+    for rows in _row_blocks(n, n):
+        counts += _dominance(points[rows], points).sum(axis=0)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(objectives[i], objectives[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(objectives[j], objectives[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    for i in range(n):
-        if domination_count[i] == 0:
-            fronts[0].append(i)
-
-    current = 0
-    while fronts[current]:
-        nxt: List[int] = []
-        for i in fronts[current]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    nxt.append(j)
-        current += 1
-        fronts.append(nxt)
-    fronts.pop()  # trailing empty front
+    fronts: List[List[int]] = []
+    front = np.flatnonzero(counts == 0)
+    pending = np.flatnonzero(counts)
+    while front.size:
+        fronts.append(front.tolist())
+        if not pending.size:
+            break
+        peeled = np.zeros(len(pending), dtype=np.int64)
+        last = np.zeros(len(pending), dtype=np.int64)
+        candidates = points[pending]
+        for rows in _row_blocks(len(front), len(pending)):
+            block = _dominance(points[front[rows]], candidates)
+            peeled += block.sum(axis=0)
+            # Position in ``front`` of each column's last dominator in
+            # this block; later blocks sit later in the front.
+            from_end = np.argmax(block[::-1], axis=0)
+            last = np.where(block.any(axis=0), rows.start + len(block) - 1 - from_end, last)
+        counts[pending] -= peeled
+        free = counts[pending] == 0
+        front = pending[free][np.argsort(last[free], kind="stable")]
+        pending = pending[~free]
     return fronts
 
 
@@ -88,7 +152,12 @@ def crowding_distance(objectives: Sequence[Objectives], front: Sequence[int]) ->
 
 
 def pareto_front(objectives: Sequence[Objectives]) -> List[int]:
-    """Indices of the non-dominated subset (front 0)."""
-    if not objectives:
+    """Indices of the non-dominated subset (front 0), ascending.
+
+    Equals ``non_dominated_sort(objectives)[0]`` without building the
+    other fronts.
+    """
+    if len(objectives) == 0:
         return []
-    return non_dominated_sort(objectives)[0]
+    points = _as_matrix(objectives)
+    return np.flatnonzero(~_dominated(points, points)).tolist()

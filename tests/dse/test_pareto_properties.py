@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.dse import dominates, non_dominated_sort, pareto_front
+from tests.oracles.pareto import non_dominated_sort as oracle_sort
 
 objective_vectors = st.lists(
     st.tuples(
@@ -12,6 +13,13 @@ objective_vectors = st.lists(
     ),
     min_size=1,
     max_size=40,
+)
+
+#: Any float, including infinities and NaN.
+hostile_vectors = st.lists(
+    st.tuples(st.floats(), st.floats(), st.floats()),
+    min_size=0,
+    max_size=30,
 )
 
 
@@ -57,3 +65,11 @@ def test_dominance_irreflexive_and_antisymmetric(objs, idx):
     for j in range(len(objs)):
         if dominates(objs[i], objs[j]):
             assert not dominates(objs[j], objs[i])
+
+
+@settings(max_examples=80)
+@given(hostile_vectors)
+def test_fronts_and_order_match_pairwise_oracle(objs):
+    expected = oracle_sort(objs)
+    assert non_dominated_sort(objs) == expected
+    assert pareto_front(objs) == (expected[0] if expected else [])
