@@ -31,7 +31,7 @@ SCALAR_ENGINES = ("fast", "reference")
 
 #: Keep the deployed checkpoint threshold strictly below turn-on after
 #: policy padding; without head-room the device would checkpoint at
-#: boot.  (Shared with :mod:`repro.fleet.runner`.)
+#: boot.
 MIN_RUN_WINDOW_V = 0.05
 
 
@@ -44,8 +44,8 @@ def apply_policy_margin(simulator, margin: float) -> None:
     pre-1.5 ``min()``-only clamp did exactly that on tight run windows
     (``v_on - MIN_RUN_WINDOW_V < v_ckpt``): a "guarded" policy made the
     device checkpoint *later* than its calibration demanded, i.e. the
-    safety margin increased risk.  Shared by :meth:`Scenario.
-    build_simulator` and the fleet runner's per-device path.
+    safety margin increased risk.  Applied by :meth:`Scenario.
+    build_simulator`.
     """
     if margin <= 0.0:
         return

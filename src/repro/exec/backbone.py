@@ -1,9 +1,9 @@
 """The parallel execution backbone: :func:`run_tasks`.
 
 Every fan-out in this repository routes through this one function:
-``batch.evaluate_many`` chunks, both :class:`~repro.fleet.runner.
-FleetRunner` paths, charlib's cache-miss characterization, and the
-experiments runner.  One layer owns the policies the call sites used to
+``batch.evaluate_many`` chunks, :class:`~repro.fleet.runner.
+FleetRunner` device chunks, charlib's cache-miss characterization, and
+the experiments runner.  One layer owns the policies the call sites used to
 hand-roll separately:
 
 * **worker-count resolution** — ``parallel=None/0/1`` run in-process;
@@ -11,8 +11,8 @@ hand-roll separately:
 * **chunking** — ``chunk="even"`` slices the items into one contiguous
   chunk per worker (ceil division; what the lockstep kernel wants,
   since its throughput grows with lane count), ``chunk=n`` into
-  contiguous chunks of ``n`` (many small chunks, the load-balancing
-  policy the fleet's scalar path uses);
+  contiguous chunks of ``n`` (many small chunks, which load-balance
+  heterogeneous per-item costs);
 * **deterministic stitching** — one result per item, in item order,
   whatever the backend or chunk policy; serial and process runs are
   bit-identical;

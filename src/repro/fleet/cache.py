@@ -27,12 +27,10 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.analog.divider import VoltageDivider
 from repro.core.config import FSConfig
 from repro.core.monitor import FailureSentinels
 from repro.errors import ConfigurationError
 from repro.obs import OBS
-from repro.spice.charlib import DividerSweep, characterize_many
 from repro.harvest.monitors import (
     ADCMonitor,
     ComparatorMonitor,
@@ -67,54 +65,8 @@ class CalibrationRecord:
         return tuple(v for _count, v in self.curve)
 
 
-def _enrollment_crosscheck(config: FSConfig, engine: str = "auto") -> None:
-    """Device-level sanity probe on a cold enrollment.
-
-    Characterizes the divider netlist through the shared
-    :mod:`repro.spice.charlib` cache and compares the tap voltage
-    against the analytic model enrollment used — a fleet deploying one
-    monitor design on one technology pays for exactly one solve, ever.
-    Runs only when observability is on — it is a data-quality check
-    riding the trace, not part of enrollment itself — and never fails
-    the enrollment: a non-converged solve is itself a finding worth
-    recording.  ``engine`` follows ``characterize_many``: with a
-    certified surrogate covering the divider (e.g. after
-    :func:`~repro.spice.surrogate.fit_variation_family` enrollment
-    warm-up), ``"auto"`` answers in microseconds per device.
-    """
-    if not OBS.enabled:
-        return
-    # Unit upper width: the widened production divider intentionally
-    # sits off the ideal ratio (enrollment absorbs that), so the
-    # ratio-vs-netlist comparison is only meaningful at width 1.
-    divider = VoltageDivider(config.tech, upper_width=1.0)
-    sweep = DividerSweep(
-        tech=config.tech,
-        voltages=(V_TYPICAL,),
-        tap=divider.tap,
-        total=divider.total,
-        upper_width=divider.upper_width,
-    )
-    v_analytic = divider.nominal_output(V_TYPICAL)
-    with OBS.tracer.span("spice.crosscheck", tech=config.tech.name) as span:
-        [result] = characterize_many([sweep], engine=engine)
-        v_spice = result.tap[0]
-        if v_spice <= 0.0:
-            # charlib records a non-converged point as a zero tap.
-            span.set(converged=False)
-            OBS.metrics.incr("fleet.crosscheck_failures")
-            return
-        error = abs(v_spice - v_analytic) / max(v_analytic, 1e-12)
-        span.set(v_spice=v_spice, v_analytic=v_analytic, rel_error=error)
-    OBS.metrics.observe("fleet.crosscheck_rel_error", error)
-
-
-def build_record(key: Tuple, characterize_engine: str = "auto") -> CalibrationRecord:
-    """Cold enrollment: build the record for a calibration key.
-
-    ``characterize_engine`` routes the enrollment cross-check's divider
-    characterization (see :func:`_enrollment_crosscheck`).
-    """
+def build_record(key: Tuple) -> CalibrationRecord:
+    """Cold enrollment: build the record for a calibration key."""
     tech_name, kind, params = key
     if kind == "ideal":
         return CalibrationRecord(key=key, model=IdealMonitor())
@@ -151,7 +103,6 @@ def build_record(key: Tuple, characterize_engine: str = "auto") -> CalibrationRe
         fs = FailureSentinels(config)
         table = fs.enroll()
         span.set(entries=len(table.points))
-        _enrollment_crosscheck(config, engine=characterize_engine)
     OBS.metrics.incr("fleet.enrollments")
     model = MonitorModel(
         name=name,
@@ -178,19 +129,11 @@ class CalibrationCache:
 
     ``enabled=False`` turns every lookup into a cold build — the
     cache-off baseline the fleet benchmark measures against.
-    ``characterize_engine`` routes cold enrollments' divider
-    cross-checks through ``characterize_many(engine=)``.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        cache_dir: Optional[str] = None,
-        characterize_engine: str = "auto",
-    ):
+    def __init__(self, enabled: bool = True, cache_dir: Optional[str] = None):
         self.enabled = enabled
         self.cache_dir = cache_dir
-        self.characterize_engine = characterize_engine
         self._records: Dict[Tuple, CalibrationRecord] = {}
         self.stats = CacheStats()
         if cache_dir:
@@ -201,7 +144,7 @@ class CalibrationCache:
         """The record for ``key`` — memoized, disk-backed, or cold."""
         if not self.enabled:
             self.stats.misses += 1
-            return build_record(key, characterize_engine=self.characterize_engine)
+            return build_record(key)
         record = self._records.get(key)
         if record is not None:
             self.stats.hits += 1
@@ -211,7 +154,7 @@ class CalibrationCache:
             self.stats.disk_hits += 1
         else:
             self.stats.misses += 1
-            record = build_record(key, characterize_engine=self.characterize_engine)
+            record = build_record(key)
             self._store_disk(key, record)
         self._records[key] = record
         return record

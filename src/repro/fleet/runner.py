@@ -6,15 +6,19 @@
 1. resolve every unique calibration key through the shared
    :class:`~repro.fleet.cache.CalibrationCache` *in the parent process*
    (devices sharing a tech node + monitor design enroll exactly once);
-2. fan the per-device work out through the
-   :mod:`repro.exec` backbone when ``parallel > 1``, or run the same
-   code path serially when ``parallel <= 1`` (the deterministic mode
-   tests use) — either way :func:`repro.exec.run_tasks` owns chunking,
-   worker-count resolution, and worker metrics merging;
+2. hand the devices to :func:`simulate_devices` in one contiguous chunk
+   per worker through the :mod:`repro.exec` backbone — serially when
+   ``parallel <= 1`` (the deterministic mode tests use) — so chunks of
+   at least :data:`~repro.batch.dispatch.AUTO_BATCH_MIN` fast-engine
+   devices vectorize through the batch kernel;
 3. aggregate results in device-id order, so serial and parallel runs
    produce byte-identical reports.
 
-The worker functions are module-level and their payloads are all frozen
+Observability never changes this path: with :mod:`repro.obs` on or
+off the same code runs, and the ``fleet.*`` spans and metrics it emits
+are no-ops when observability is off.
+
+The worker function is module-level and its payloads are all frozen
 dataclasses of primitives, which is what makes the fan-out picklable.
 """
 
@@ -25,54 +29,15 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.batch import ENGINES as EVAL_ENGINES
-from repro.batch import (
-    MIN_RUN_WINDOW_V as _MIN_RUN_WINDOW_V,
-    Scenario,
-    apply_policy_margin,
-    evaluate_many,
-)
+from repro.batch import ENGINES as EVAL_ENGINES, Scenario, evaluate_many
 from repro.errors import ConfigurationError
 from repro.exec import run_tasks
 from repro.fleet.cache import CalibrationCache, CalibrationRecord
 from repro.fleet.report import DeviceResult, FleetReport
 from repro.fleet.spec import DeviceSpec, FleetSpec
-from repro.harvest.fast import FastIntermittentSimulator
 from repro.harvest.monitors import MonitorModel
-from repro.harvest.panel import SolarPanel
-from repro.harvest.simulator import IntermittentSimulator
 from repro.obs import OBS
 from repro.trace.format import payload_digest
-
-_ENGINES = {
-    "fast": FastIntermittentSimulator,
-    "reference": IntermittentSimulator,
-}
-
-# _MIN_RUN_WINDOW_V (imported above) keeps the deployed threshold
-# strictly below turn-on after policy padding; the clamp itself lives
-# in :func:`repro.batch.apply_policy_margin`, shared with Scenario.
-
-
-def _simulate_device(work: Tuple[DeviceSpec, MonitorModel]) -> DeviceResult:
-    """Replay one device's trace.  Top-level so executors can pickle it."""
-    device, monitor = work
-    engine_cls = _ENGINES[device.engine]
-    simulator = engine_cls(
-        monitor,
-        panel=SolarPanel(area_cm2=device.panel_area_cm2),
-        capacitance=device.capacitance,
-    )
-    # Shared with Scenario.build_simulator: padding never lowers the
-    # threshold below its calibrated value, even on tight run windows.
-    apply_policy_margin(simulator, device.policy_margin())
-    report = simulator.run(device.build_trace(), dt=device.dt)
-    return DeviceResult.from_report(
-        device_id=device.device_id,
-        policy=device.policy,
-        engine=device.engine,
-        report=report,
-    )
 
 
 def simulate_devices(
@@ -98,35 +63,6 @@ def simulate_devices(
         )
         for (device, _monitor), report in zip(work, reports)
     ]
-
-
-def _simulate_chunk(work, engine: str = "auto") -> List[DeviceResult]:
-    """Chunk worker for the parallel batch path (runs under
-    :func:`repro.exec.run_tasks`; top-level so it pickles)."""
-    return simulate_devices(work, engine=engine)
-
-
-def _simulate_device_obs(work: Tuple[DeviceSpec, MonitorModel]) -> DeviceResult:
-    """Observability-aware worker: same simulation, plus telemetry.
-
-    Runs under :func:`repro.exec.run_tasks`, which re-arms tracing and
-    metrics inside the worker and merges the task-local metrics snapshot
-    back into the parent — the span and counters here are never dropped,
-    and aggregation stays double-count-free regardless of how the
-    executor schedules or reuses workers.
-    """
-    device, monitor = work
-    start = time.perf_counter()
-    with OBS.tracer.span(
-        "fleet.device",
-        device=device.device_id,
-        engine=device.engine,
-        policy=device.policy,
-    ):
-        result = _simulate_device((device, monitor))
-    OBS.metrics.incr("fleet.devices")
-    OBS.metrics.observe("fleet.device_seconds", time.perf_counter() - start)
-    return result
 
 
 @dataclass
@@ -159,7 +95,6 @@ class FleetRunner:
         parallel: int = 1,
         cache: Optional[CalibrationCache] = None,
         eval_engine: str = "auto",
-        characterize_engine: str = "auto",
     ):
         if eval_engine not in EVAL_ENGINES:
             raise ConfigurationError(
@@ -169,24 +104,20 @@ class FleetRunner:
             raise ConfigurationError("parallel must be >= 1")
         self.fleet = fleet
         self.parallel = parallel
-        # characterize_engine routes enrollment divider cross-checks
-        # through characterize_many(engine=) — surrogate-aware when a
-        # certified model covers the fleet's tech cards.  A caller's own
-        # cache keeps its configured engine.
-        self.cache = (
-            cache
-            if cache is not None
-            else CalibrationCache(characterize_engine=characterize_engine)
-        )
+        self.cache = cache if cache is not None else CalibrationCache()
         self.eval_engine = eval_engine
-        self.characterize_engine = characterize_engine
 
     # ------------------------------------------------------------------
     def resolve_calibrations(self) -> Dict[Tuple, CalibrationRecord]:
         """Enroll every unique monitor design once, in the parent."""
         return {key: self.cache.get(key) for key in self.fleet.calibration_keys()}
 
-    def _work_items(self) -> List[Tuple[DeviceSpec, MonitorModel]]:
+    def work_items(self) -> List[Tuple[DeviceSpec, MonitorModel]]:
+        """One ``(device, monitor)`` pair per device, in device order.
+
+        The payload :func:`simulate_devices` takes; enrollment happens
+        here, in the caller's process, through :attr:`cache`.
+        """
         if self.cache.enabled:
             records = self.resolve_calibrations()
             return [
@@ -212,16 +143,6 @@ class FleetRunner:
         (``repro replay <trace> --device ID``).
         """
         start = time.perf_counter()
-        if not OBS.enabled:
-            # Observability off: chunked batch evaluation — devices
-            # sharing an engine vectorize through the lockstep kernel.
-            # (Observability runs keep the per-device scalar workers
-            # below, which emit one fleet.device span per device; batch
-            # and scalar results are bit-identical, so the two paths
-            # produce the same report.)
-            work = self._work_items()
-            results = self._execute_batched(work)
-            return self._finish(results, start, record=record)
         hits0, misses0 = self.cache.stats.hits, self.cache.stats.misses
         with OBS.tracer.span(
             "fleet.run",
@@ -229,36 +150,17 @@ class FleetRunner:
             devices=len(self.fleet.devices),
             parallel=self.parallel,
         ) as span:
-            work = self._work_items()
-            results = self._execute(_simulate_device_obs, work)
+            results = self._execute_batched(self.work_items())
             run_result = self._finish(results, start, record=record)
-            span.set(
-                elapsed=run_result.elapsed,
-                cache_hits=self.cache.stats.hits - hits0,
-                cache_misses=self.cache.stats.misses - misses0,
-            )
+            hits = self.cache.stats.hits - hits0
+            misses = self.cache.stats.misses - misses0
+            span.set(elapsed=run_result.elapsed, cache_hits=hits, cache_misses=misses)
         OBS.metrics.incr("fleet.runs")
+        OBS.metrics.incr("fleet.devices", len(results))
         OBS.metrics.observe("fleet.elapsed", run_result.elapsed)
-        OBS.metrics.incr("fleet.cache_hits", self.cache.stats.hits - hits0)
-        OBS.metrics.incr("fleet.cache_misses", self.cache.stats.misses - misses0)
+        OBS.metrics.incr("fleet.cache_hits", hits)
+        OBS.metrics.incr("fleet.cache_misses", misses)
         return run_result
-
-    def _execute(self, worker, work: List) -> List:
-        # Scalar per-device path: many small chunks (a quarter of an
-        # even split per worker) so the pool load-balances ragged
-        # device runtimes; the backbone preserves result order and
-        # merges each chunk's metrics snapshot.
-        if self.parallel <= 1 or len(work) <= 1:
-            chunk: object = "even"
-        else:
-            chunk = max(1, len(work) // (4 * self.parallel))
-        return run_tasks(
-            worker,
-            work,
-            parallel=self.parallel,
-            chunk=chunk,
-            label="fleet.devices",
-        )
 
     def run_streaming(
         self,
@@ -303,11 +205,11 @@ class FleetRunner:
         )
 
     def _execute_batched(self, work: List) -> List[DeviceResult]:
-        # One contiguous chunk per worker (not the scalar path's small
-        # chunks): the kernel's throughput grows with lane count, so
-        # each worker should see the biggest batch load-balancing allows.
+        # One contiguous chunk per worker: the kernel's throughput grows
+        # with lane count, so each worker should see the biggest batch
+        # load-balancing allows.
         return run_tasks(
-            functools.partial(_simulate_chunk, engine=self.eval_engine),
+            functools.partial(simulate_devices, engine=self.eval_engine),
             work,
             parallel=self.parallel,
             chunked=True,
@@ -372,13 +274,8 @@ def run_fleet(
     parallel: int = 1,
     cache: Optional[CalibrationCache] = None,
     eval_engine: str = "auto",
-    characterize_engine: str = "auto",
 ) -> FleetRunResult:
     """Convenience wrapper: build a runner and run it."""
     return FleetRunner(
-        fleet,
-        parallel=parallel,
-        cache=cache,
-        eval_engine=eval_engine,
-        characterize_engine=characterize_engine,
+        fleet, parallel=parallel, cache=cache, eval_engine=eval_engine
     ).run()

@@ -34,7 +34,7 @@ from repro.harvest.traces import (
 #: parameters through ``monitor_params``; the rest are parameter-free.
 MONITOR_KINDS = ("ideal", "fs_lp", "fs_hp", "fs", "comparator", "adc")
 
-#: Simulation engines (resolved in :mod:`repro.fleet.runner`).
+#: Simulation engines (resolved by :meth:`repro.batch.Scenario.from_device`).
 ENGINES = ("fast", "reference")
 
 #: Runtime checkpoint policies, expressed as the extra voltage margin

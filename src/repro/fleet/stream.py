@@ -736,7 +736,7 @@ def stream_fleet(
     """
     # Late import: runner imports us lazily for run_streaming, so the
     # module-level dependency must point one way only.
-    from repro.fleet.runner import _simulate_chunk
+    from repro.fleet.runner import simulate_devices
 
     if parallel < 1:
         raise ConfigurationError("parallel must be >= 1")
@@ -759,7 +759,7 @@ def stream_fleet(
                 "capacity": capacity,
             },
         )
-    worker = functools.partial(_simulate_chunk, engine=eval_engine)
+    worker = functools.partial(simulate_devices, engine=eval_engine)
     start = time.perf_counter()
     shards = 0
     iterator = iter(devices)

@@ -75,7 +75,7 @@ class Metrics:
             hist[_MAX] = max(hist[_MAX], value)
 
     def timer(self, name: str):
-        """``with metrics.timer("fleet.device_seconds"): ...``"""
+        """``with metrics.timer("fleet.elapsed"): ...``"""
         return _Timer(self, name)
 
     # ------------------------------------------------------------------

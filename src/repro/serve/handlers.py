@@ -60,7 +60,7 @@ from repro.dse.pareto import non_dominated_sort
 from repro.dse.space import DesignSpace
 from repro.errors import ConfigurationError
 from repro.fleet.report import FleetReport
-from repro.fleet.runner import FleetRunner, _simulate_chunk, record_fleet_run
+from repro.fleet.runner import FleetRunner, record_fleet_run, simulate_devices
 from repro.fleet.spec import FleetSpec
 from repro.fleet.stream import (
     DEFAULT_RESERVOIR_CAPACITY,
@@ -123,13 +123,13 @@ def handle_fleet(context: JobContext, request: Dict) -> Dict:
         eval_engine=eval_engine,
     )
     context.emit("fleet", name=fleet.name, devices=len(fleet))
-    work = runner._work_items()
+    work = runner.work_items()
 
     def on_item(index: int, outcome) -> None:
         context.emit("device", index=index, result=outcome.to_dict())
 
     results = context.wave_run(
-        functools.partial(_simulate_chunk, engine=eval_engine),
+        functools.partial(simulate_devices, engine=eval_engine),
         work,
         parallel=parallel,
         chunked=True,

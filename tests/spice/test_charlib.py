@@ -18,7 +18,8 @@ from repro.spice.charlib import (
     fingerprint,
 )
 from repro.exec import BACKEND_ENV, backbone
-from repro.tech import TECH_90NM, TECH_65NM
+from repro.fleet.cache import V_TYPICAL
+from repro.tech import TECH_130NM, TECH_90NM, TECH_65NM
 import repro.obs as obs
 
 VOLTS = (0.8, 1.0)
@@ -69,12 +70,19 @@ class TestRingSweep:
 
 
 class TestDividerSweep:
-    def test_tap_near_nominal_ratio(self):
+    @pytest.mark.parametrize(
+        "tech", [TECH_65NM, TECH_90NM, TECH_130NM], ids=["65nm", "90nm", "130nm"]
+    )
+    def test_tap_near_nominal_ratio(self, tech):
+        # The netlist-vs-analytic divider oracle, at every node and at
+        # the supply fleet enrollment quotes currents at (V_TYPICAL).
+        # Unit upper width: the widened production divider sits off the
+        # ideal ratio on purpose (enrollment absorbs that).
         sweep = DividerSweep(
-            tech=TECH_90NM, voltages=(1.8, 2.7, 3.6), upper_width=1.0
+            tech=tech, voltages=(1.8, 2.7, V_TYPICAL, 3.6), upper_width=1.0
         )
         [result] = characterize_many([sweep], cache=no_cache())
-        divider = VoltageDivider(TECH_90NM, upper_width=1.0)
+        divider = VoltageDivider(tech, upper_width=1.0)
         for v, tap in zip(result.voltages, result.tap):
             assert tap == pytest.approx(divider.nominal_output(v), rel=0.08)
         assert all(i > 0 for i in result.current)
