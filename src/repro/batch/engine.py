@@ -20,7 +20,15 @@ operation for operation in IEEE-754 double precision:
   and CPython;
 * the only transcendental on the path — the panel's low-light-knee
   exponential — is factored into :meth:`SolarPanel.power_curve`, which
-  every engine shares, so per-segment input powers are bit-identical.
+  every engine shares, so per-segment input powers are bit-identical;
+* every step picks its segment like the scalar engine, with one
+  ``floor(t / trace_dt + 1e-9)`` index for both the input power and
+  the segment end;
+* the running phase takes the scalar engine's three step sizes: the
+  v_ckpt-crossing jump while the load outdraws the harvest, the rest
+  of the segment while harvest covers the load on a full capacitor
+  (``v == v_full``, the voltage ``BufferCapacitor.apply_power``
+  clamps to), and ``20 * dt`` otherwise.  Step counts match too.
 
 In practice batch reports match the scalar engine bit-for-bit; the
 documented tolerance (:data:`repro.batch.BATCH_RTOL`) covers one known
@@ -109,6 +117,10 @@ class BatchHarvestEngine:
         von03 = 0.3 * v_on
         v_max = as_f([cap.v_max for cap in caps])
         e_max = half_c * v_max**2
+        # The voltage apply_power returns when it clamps at v_max: a
+        # running lane there whose harvest covers its load is at a fixed
+        # point until its segment ends.
+        v_full = np.sqrt((2.0 * e_max) / C)
         e_target = half_c * v_on**2
         v_ckpt = as_f([sim.v_ckpt for sim in sims])
         e_ckpt = half_c * v_ckpt**2
@@ -224,9 +236,9 @@ class BatchHarvestEngine:
 
                 # Quantities both branches derive identically from the
                 # current lane clocks/voltages.
-                seg_idx = t / trace_dt
-                raw_seg = (floor(seg_idx + 1e-9) + 1.0) * trace_dt
-                idx = minimum(seg_idx.astype(np.int64), last_seg)
+                seg = floor(t / trace_dt + 1e-9)
+                raw_seg = (seg + 1.0) * trace_dt
+                idx = minimum(seg.astype(np.int64), last_seg)
                 p_in = power_flat[pbase + idx]
                 energy = half_c * (v * v)
 
@@ -296,7 +308,7 @@ class BatchHarvestEngine:
                         harv += p_in * spanz
                         s_leak += where(off_m, leak_j, 0.0)
 
-                # ---- ON: fine integration (restore/run/checkpoint) ---
+                # ---- ON: restore/run (jumps)/checkpoint -------------
                 if n_on:
                     is_run = state == _RUNNING
                     n_run = cnz(is_run)
@@ -310,16 +322,18 @@ class BatchHarvestEngine:
                     p_net_out = pout - p_in
                     if n_run:
                         # Running: jump toward the v_ckpt crossing, but
-                        # never across a trace segment boundary.
+                        # never across a trace segment boundary; on a
+                        # full capacitor with surplus, to the segment end.
                         t_cross = (energy - e_ckpt) / p_net_out
                         gap = raw_seg - t
+                        left = end - t
                         step_run = where(
                             p_net_out > 0.0,
                             minimum(
-                                minimum(maximum(t_cross, dt_on), end - t),
+                                minimum(maximum(t_cross, dt_on), left),
                                 maximum(gap, dt_on),
                             ),
-                            maximum(minimum(gap, dt20), dt_on),
+                            maximum(minimum(gap, where(v == v_full, left, dt20)), dt_on),
                         )
                     if all_run:
                         # step_run is finite on every lane (the discarded

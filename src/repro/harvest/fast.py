@@ -11,8 +11,18 @@ day-scale studies (diurnal harvesting, duty-cycle planning) impractical
   microwatts against the harvest, so within a segment we treat the
   leak at the segment's mean voltage and advance energy linearly —
   the error is bounded by the leak's share of the step (< 1%).
-* **Running/checkpoint** phases are short (sub-second) and use the
-  same fine integration as the reference engine.
+* **Restore/checkpoint** phases are short (sub-second) and take
+  ``dt`` steps, like the reference engine.
+* **Running** jumps instead of stepping.  While the load outdraws the
+  harvest, one step lands on the v_ckpt crossing (or the segment end).
+  While harvest covers the load on a full capacitor, the state is a
+  fixed point until the segment ends, so one step takes the rest of
+  the segment.  Otherwise, with surplus still filling the capacitor,
+  it advances ``20 * dt`` at a time.  A day in daylight therefore costs
+  one step per trace segment, not one per ``20 * dt``.
+* Every phase reads a segment's power through one index,
+  ``floor(t / trace.dt + 1e-9)``, the same one that places the segment
+  end: a step that starts on a boundary reads the segment it starts.
 
 The result is validated against :class:`IntermittentSimulator` by the
 cross-check tests: identical platform, same trace, matching app time
@@ -62,17 +72,22 @@ class FastIntermittentSimulator(IntermittentSimulator):
         # so the two agree bit-for-bit on p_in.
         power = self.panel.power_curve(trace.values)
         last_seg = len(power) - 1
+        # The voltage apply_power returns when it clamps at v_max, with
+        # its exact operation order: the running phase's fixed point.
+        e_max = 0.5 * self.capacitance * (cap.v_max * cap.v_max)
+        v_full = math.sqrt(2.0 * e_max / self.capacitance)
 
         while t < end:
             # ---- OFF: closed-form charge to v_on, segment by segment --
             while t < end and cap.voltage < self.v_on:
                 steps += 1
-                seg_end = min(end, (math.floor(t / trace.dt + 1e-9) + 1) * trace.dt)
+                seg = math.floor(t / trace.dt + 1e-9)
+                seg_end = min(end, (seg + 1) * trace.dt)
                 if seg_end - t <= 1e-12:
                     seg_end = min(end, seg_end + trace.dt)
                 if seg_end - t <= 1e-12:
                     break  # at the very end of the trace
-                p_in = power[min(int(t / trace.dt), last_seg)] if last_seg >= 0 else 0.0
+                p_in = power[min(seg, last_seg)] if last_seg >= 0 else 0.0
                 v = cap.voltage
                 p_leak = self.leakage * max(v, 0.3 * self.v_on)  # segment-mean-ish
                 p_net = p_in - p_leak
@@ -111,7 +126,7 @@ class FastIntermittentSimulator(IntermittentSimulator):
             if t >= end:
                 break
 
-            # ---- ON: fine integration (restore -> run -> checkpoint) --
+            # ---- ON: restore -> run (jumps) -> checkpoint -----------
             state = "restore"
             phase_left = self.checkpoint.restore_time
             OBS.tracer.event("harvest.power_on", t=t, v=cap.voltage)
@@ -119,7 +134,8 @@ class FastIntermittentSimulator(IntermittentSimulator):
                 rec.event("power_on", t=t, v=cap.voltage)
             while t < end and state != "off":
                 steps += 1
-                p_in = power[min(int(t / trace.dt), last_seg)] if last_seg >= 0 else 0.0
+                seg = math.floor(t / trace.dt + 1e-9)
+                p_in = power[min(seg, last_seg)] if last_seg >= 0 else 0.0
                 v = cap.voltage
                 if state == "restore":
                     draw = {
@@ -139,7 +155,7 @@ class FastIntermittentSimulator(IntermittentSimulator):
                     # Jump toward the threshold crossing, but never
                     # across a trace segment boundary (irradiance, and
                     # hence the discharge rate, changes there).
-                    seg_end = (math.floor(t / trace.dt + 1e-9) + 1) * trace.dt
+                    seg_end = (seg + 1) * trace.dt
                     i_total = sum(draw.values())
                     # Energy-based crossing time, matching apply_power's
                     # constant-power-per-step semantics exactly so the
@@ -149,6 +165,11 @@ class FastIntermittentSimulator(IntermittentSimulator):
                         e_ckpt = 0.5 * self.capacitance * (self.v_ckpt * self.v_ckpt)
                         t_cross = (cap.energy - e_ckpt) / p_net_out
                         step = min(max(t_cross, dt), end - t, max(seg_end - t, dt))
+                    elif v == v_full:
+                        # Harvest covers the load and the capacitor is
+                        # clamped full: every further step in this
+                        # segment is identical, so take them as one.
+                        step = max(min(seg_end - t, end - t), dt)
                     else:
                         step = max(min(seg_end - t, dt * 20), dt)
                     report.app_time += step

@@ -21,7 +21,12 @@ from repro.harvest.monitors import (
     fs_low_power_monitor,
 )
 from repro.harvest.panel import SolarPanel
-from repro.harvest.traces import nyc_pedestrian_night
+from repro.harvest.traces import (
+    IrradianceTrace,
+    constant_trace,
+    diurnal_trace,
+    nyc_pedestrian_night,
+)
 
 MONITORS = [
     IdealMonitor(),
@@ -71,6 +76,33 @@ def make_scenarios(n):
             )
         )
     out.append(livelock_scenario())
+    return out
+
+
+def full_capacitor_scenarios():
+    """Lanes that reach a full capacitor under surplus harvest.
+
+    The night traces above never fill the buffer, so they never take the
+    running phase's jump to the segment end.  These do: a compressed day
+    (dawn, noon and dusk in 6 h of 60 s segments), a bright constant
+    trace, and bright/dark alternation at 0.1 s segments, which also
+    crosses many segment boundaries in both phases.  Returns
+    ``(scenario, bright)`` pairs; bright lanes spend most of their time
+    full.
+    """
+    day = diurnal_trace(duration=6 * 3600.0, sunrise=3600.0, sunset=5 * 3600.0)
+    bright = constant_trace(600.0, 600.0, dt=1.0)
+    alternating = IrradianceTrace(0.1, ([300.0] * 30 + [0.0] * 20) * 40)
+    out = []
+    for trace in (day, bright, alternating):
+        for i, monitor in enumerate(MONITORS):
+            scenario = Scenario(
+                monitor=monitor,
+                trace=trace,
+                capacitance=[47e-6, 100e-6, 22e-6][i % 3],
+                v_initial=[0.0, 3.6][i % 2],
+            )
+            out.append((scenario, trace is not alternating))
     return out
 
 
@@ -145,3 +177,20 @@ class TestScalarBatchEquivalence:
         results = evaluate_many(scenarios, engine="auto")
         expected = [s.run_scalar() for s in scenarios]
         assert_reports_equal(expected, results)
+
+    def test_full_capacitor_lanes_bit_exact_and_jump(self):
+        """Surplus harvest on a full capacitor jumps to the segment end
+        in both engines, with identical arithmetic."""
+        pairs = full_capacitor_scenarios()
+        scenarios = [s for s, _ in pairs]
+        scalar = [s.run_scalar() for s in scenarios]
+        batch = evaluate_many(scenarios, engine="batch")
+        assert_reports_equal(scalar, batch)
+        for (scenario, bright), report in zip(pairs, scalar):
+            crawl = scenario.trace.duration / (20 * scenario.dt)
+            # A 20*dt crawl through the full-capacitor hours would take
+            # `crawl` steps; the jump takes about one per segment.
+            assert report.steps < (crawl / 10 if bright else crawl / 2), (
+                scenario.monitor.name,
+                report.steps,
+            )

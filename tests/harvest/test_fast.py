@@ -13,8 +13,10 @@ from repro.harvest import (
     fs_low_power_monitor,
     nyc_pedestrian_night,
 )
+from repro.batch import Scenario, evaluate_many
 from repro.harvest.fast import FastIntermittentSimulator
 from repro.harvest.simulator import IntermittentSimulator
+from repro.harvest.traces import IrradianceTrace
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +124,75 @@ class TestDayScale:
 
     def test_no_power_failures(self, day_report):
         assert day_report.power_failures == 0
+
+    def test_full_capacitor_daylight_costs_no_steps(self, day_report):
+        # Under abundant harvest the capacitor sits clamped full and the
+        # engine takes one step per 60 s trace segment, not one per
+        # 20 ms: a day is thousands of steps, not millions.
+        assert day_report.steps < 10_000
+
+
+#: Segment indices k where ``int(k * dt / dt) == k - 1`` (43 at 0.1 s, 29
+#: at 0.01 s) next to ones where truncation happens to land right; 60 s
+#: segments never misround and keep the check honest on day traces.
+BOUNDARY_CASES = [
+    (0.1, k) for k in (1, 43, 81, 86, 100)
+] + [
+    (0.01, k) for k in (1, 29, 58, 116, 205)
+] + [
+    (60.0, k) for k in (1, 43, 100)
+]
+
+
+class TestSegmentBoundary:
+    """A step starting on a segment boundary reads that segment's power.
+
+    A dark prefix leaves the capacitor empty and lands the clock exactly
+    on ``k * dt``; the lone bright segment after it must then replay
+    exactly like the same segment at ``t = 0``.  Truncating ``t / dt``
+    instead reads segment ``k - 1`` and skips the whole bright segment
+    as dark.
+    """
+
+    @pytest.mark.parametrize("trace_dt,k", BOUNDARY_CASES)
+    def test_boundary_step_reads_its_own_segment(self, trace_dt, k):
+        monitor = fs_low_power_monitor()
+        alone = FastIntermittentSimulator(monitor).run(
+            IrradianceTrace(trace_dt, [2.0]), dt=1e-3
+        )
+        trace = IrradianceTrace(trace_dt, [0.0] * k + [2.0])
+        report = FastIntermittentSimulator(monitor).run(trace, dt=1e-3)
+        assert alone.energy_harvested > 0.0
+        assert report.energy_harvested == pytest.approx(alone.energy_harvested, rel=1e-9)
+        assert report.energy_in_capacitor == pytest.approx(
+            alone.energy_in_capacitor, rel=1e-9
+        )
+        assert report.app_time == pytest.approx(alone.app_time, rel=1e-9, abs=1e-9)
+        # The batch kernel indexes segments the same way.
+        (batch,) = evaluate_many([Scenario(monitor=monitor, trace=trace)], engine="batch")
+        assert batch.energy_harvested == report.energy_harvested
+        assert batch.steps == report.steps
+
+    @pytest.mark.parametrize("trace_dt,irradiance,monitor_factory", [
+        (0.9034502448534333, 57.881289392254594, IdealMonitor),
+        (0.9390093472699145, 38.17104985742099, fs_low_power_monitor),
+        (1.6581749094398048, 22.184770313859882, fs_low_power_monitor),
+    ])
+    def test_full_capacitor_jump_stops_at_trace_end(
+        self, trace_dt, irradiance, monitor_factory
+    ):
+        """On these one-segment traces the jump to the segment end lands
+        one ulp short of it; the next step's floored index then points
+        past the trace, so without the ``end - t`` bound the engine runs
+        a whole phantom segment."""
+        monitor = monitor_factory()
+        trace = IrradianceTrace(trace_dt, [irradiance])
+        report = FastIntermittentSimulator(monitor).run(trace, dt=1e-3)
+        (batch,) = evaluate_many([Scenario(monitor=monitor, trace=trace)], engine="batch")
+        for r in (report, batch):
+            accounted = r.app_time + r.restore_time + r.off_time + r.checkpoint_time
+            assert accounted <= trace.duration + 1e-3 + 1e-12
+        assert batch.app_time == report.app_time
 
 
 class TestFastEngineGrid:
