@@ -32,6 +32,7 @@ from repro.errors import ConfigurationError
 from repro.exec import resolve_workers, run_tasks
 from repro.obs import OBS
 from repro.batch.scenario import Scenario
+from repro.harvest.simulator import count_runs
 from repro.trace.recorder import LaneSink
 
 try:  # numpy is an optional runtime dependency; scalar is the fallback
@@ -176,15 +177,7 @@ def evaluate_many(
             )
     metrics = OBS.metrics
     if metrics.enabled and reports:
-        # The scalar path's instrumented run() keeps these aggregates;
-        # the kernel reports the same totals for its lanes so invariants
-        # like harvest.runs == fleet.devices hold under batching.
-        metrics.incr("harvest.runs", len(reports))
-        metrics.incr("harvest.steps", sum(r.steps for r in reports))
-        metrics.incr("harvest.checkpoints", sum(r.checkpoints for r in reports))
-        metrics.incr("harvest.power_failures", sum(r.power_failures for r in reports))
-        for report in reports:
-            metrics.observe("harvest.duty", report.duty)
+        count_runs(reports)
         metrics.incr("batch.runs")
         metrics.incr("batch.lanes", len(reports))
         metrics.incr("batch.iterations", kernel.last_iterations)

@@ -36,16 +36,15 @@ measure-zero divergence: when a lane lands within 1e-12 s of the trace
 end while still charging, the scalar engine takes one spurious
 sub-nanosecond restore step while the kernel retires the lane.
 
-State-machine differences that do *not* change numbers: per-lane *obs*
-events (``harvest.power_on`` etc.) are not emitted — the dispatcher
-reports aggregate metrics instead.  Recording is different: with a
-``record=`` sink (the :mod:`repro.trace` seam) the kernel extracts one
-event per lane transition from the commit masks — ``promote`` is a
-lane's power_on, ``to_ck`` its checkpoint, ``died_ck`` its power
-failure, ``ck_off`` its power_off — tagged with the caller's lane
-index, at the post-step time/voltage the fast scalar engine would
-report.  The extraction only runs when recording, so the record-off
-hot loop is unchanged.
+Events: the kernel extracts one event per lane transition from the
+commit masks — ``promote`` is a lane's power_on, ``to_ck`` its
+checkpoint, ``died_ck`` its power failure, ``ck_off`` its power_off —
+tagged with the caller's lane index, at the post-step time/voltage the
+fast scalar engine would report.  They go through
+:func:`repro.obs.emitter`, so a ``record=`` sink (the
+:mod:`repro.trace` seam) and the obs tracer see the same events.  The
+extraction only runs when one of them is on, so the hot loop is
+otherwise unchanged.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.harvest.capacitor import BufferCapacitor
 from repro.harvest.simulator import SimulationReport
+from repro.obs import emitter
 
 _OFF, _RESTORE, _RUNNING, _CHECKPOINT, _DONE = 0, 1, 2, 3, 4
 
@@ -87,7 +87,7 @@ class BatchHarvestEngine:
         scenarios = list(scenarios)
         if not scenarios:
             return []
-        rec = record
+        emit = emitter("harvest", record)
         lane_ids = list(lanes) if lanes is not None else list(range(len(scenarios)))
         if len(lane_ids) != len(scenarios):
             raise ConfigurationError("lanes must map every scenario to a lane index")
@@ -211,9 +211,9 @@ class BatchHarvestEngine:
                 # scalar engine's `while ... voltage < v_on` guard.
                 promote = off_m & (v >= v_on)
                 if cnz(promote):
-                    if rec is not None:
+                    if emit is not None:
                         for i in np.nonzero(promote)[0]:
-                            rec.event(
+                            emit(
                                 "power_on",
                                 t=float(t[i]),
                                 lane=lane_ids[i],
@@ -392,9 +392,9 @@ class BatchHarvestEngine:
                     to_ck = is_run & (v_new <= v_ckpt)
                     n_ck = cnz(to_ck)
                     if n_ck:
-                        if rec is not None:
+                        if emit is not None:
                             for i in np.nonzero(to_ck)[0]:
-                                rec.event(
+                                emit(
                                     "checkpoint",
                                     t=float(t_next[i]),
                                     lane=lane_ids[i],
@@ -416,16 +416,16 @@ class BatchHarvestEngine:
                         to_run = (is_rest & ~lowv) & pl_le
                         died_ck = is_ck & lowv
                         ck_off = (is_ck & ~lowv) & pl_le
-                        if rec is not None:
+                        if emit is not None:
                             for i in np.nonzero(died_ck)[0]:
-                                rec.event(
+                                emit(
                                     "power_failure",
                                     t=float(t_next[i]),
                                     lane=lane_ids[i],
                                     v=float(v_new[i]),
                                 )
                             for i in np.nonzero(ck_off)[0]:
-                                rec.event(
+                                emit(
                                     "power_off",
                                     t=float(t_next[i]),
                                     lane=lane_ids[i],

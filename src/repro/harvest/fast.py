@@ -37,7 +37,6 @@ from typing import Optional
 
 from repro.errors import SimulationError
 from repro.harvest.capacitor import BufferCapacitor
-from repro.obs import OBS
 from repro.harvest.simulator import IntermittentSimulator, SimulationReport
 from repro.harvest.traces import IrradianceTrace
 
@@ -51,7 +50,7 @@ class FastIntermittentSimulator(IntermittentSimulator):
 
     engine_name = "fast"
 
-    def _run_impl(self, trace: IrradianceTrace, dt: float, v_initial: float) -> SimulationReport:
+    def _run_impl(self, trace: IrradianceTrace, dt: float, v_initial: float, emit) -> SimulationReport:
         """Replay ``trace``; ``dt`` bounds only the *active* phases."""
         if dt <= 0:
             raise SimulationError("dt must be positive")
@@ -67,7 +66,6 @@ class FastIntermittentSimulator(IntermittentSimulator):
         t = 0.0
         end = trace.duration
         steps = 0
-        rec = self._record
         # One power value per trace segment, shared with the batch engine
         # so the two agree bit-for-bit on p_in.
         power = self.panel.power_curve(trace.values)
@@ -129,9 +127,8 @@ class FastIntermittentSimulator(IntermittentSimulator):
             # ---- ON: restore -> run (jumps) -> checkpoint -----------
             state = "restore"
             phase_left = self.checkpoint.restore_time
-            OBS.tracer.event("harvest.power_on", t=t, v=cap.voltage)
-            if rec is not None:
-                rec.event("power_on", t=t, v=cap.voltage)
+            if emit is not None:
+                emit("power_on", t=t, v=cap.voltage)
             while t < end and state != "off":
                 steps += 1
                 seg = math.floor(t / trace.dt + 1e-9)
@@ -201,22 +198,19 @@ class FastIntermittentSimulator(IntermittentSimulator):
                         state = "checkpoint"
                         phase_left = self.checkpoint.checkpoint_time
                         report.checkpoints += 1
-                        OBS.tracer.event("harvest.checkpoint", t=t, v=cap.voltage)
-                        if rec is not None:
-                            rec.event("checkpoint", t=t, v=cap.voltage)
+                        if emit is not None:
+                            emit("checkpoint", t=t, v=cap.voltage)
                 elif state == "checkpoint":
                     phase_left -= step
                     if cap.voltage < self.checkpoint.v_min:
                         report.power_failures += 1
                         state = "off"
-                        OBS.tracer.event("harvest.power_failure", t=t, v=cap.voltage)
-                        if rec is not None:
-                            rec.event("power_failure", t=t, v=cap.voltage)
+                        if emit is not None:
+                            emit("power_failure", t=t, v=cap.voltage)
                     elif phase_left <= 0:
                         state = "off"
-                        OBS.tracer.event("harvest.power_off", t=t, v=cap.voltage)
-                        if rec is not None:
-                            rec.event("power_off", t=t, v=cap.voltage)
+                        if emit is not None:
+                            emit("power_off", t=t, v=cap.voltage)
 
         report.steps = steps
         report.energy_by_sink = sinks

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.harvest.capacitor import BufferCapacitor
-from repro.obs import OBS
+from repro.obs import OBS, emitter
 from repro.harvest.checkpoint import CheckpointModel
 from repro.harvest.loads import MCULoad, PeripheralLoad, MSP430FR5969, ADXL362, SYSTEM_LEAKAGE
 from repro.harvest.monitors import MonitorModel
@@ -109,6 +109,20 @@ class SimulationReport:
         return "\n".join(lines)
 
 
+def count_runs(reports: Sequence[SimulationReport]) -> None:
+    """Add finished harvest runs to the ``harvest.*`` metrics, whichever
+    engine produced them, so ``harvest.runs`` counts every device."""
+    metrics = OBS.metrics
+    if not metrics.enabled:
+        return
+    metrics.incr("harvest.runs", len(reports))
+    metrics.incr("harvest.steps", sum(r.steps for r in reports))
+    metrics.incr("harvest.checkpoints", sum(r.checkpoints for r in reports))
+    metrics.incr("harvest.power_failures", sum(r.power_failures for r in reports))
+    for report in reports:
+        metrics.observe("harvest.duty", report.duty)
+
+
 class IntermittentSimulator:
     """One platform configuration, replayable against many traces."""
 
@@ -150,9 +164,6 @@ class IntermittentSimulator:
                 f"checkpoint voltage {self.v_ckpt:.3f} V reaches the turn-on "
                 "threshold; no room to run"
             )
-        #: Active trace sink while a recorded ``run()`` is in flight
-        #: (the ``record=`` seam; see :mod:`repro.trace`).
-        self._record = None
 
     #: Engine label used in trace spans and reports.
     engine_name = "reference"
@@ -175,41 +186,31 @@ class IntermittentSimulator:
         ``record`` is the :mod:`repro.trace` seam: any
         :class:`~repro.trace.TraceSink` receives the run's header
         (config sufficient to re-execute it), one event per engine
-        decision (power_on/checkpoint/power_failure/power_off), and the
-        final report payload.  Replaying such a recording reproduces
-        this report byte-identically (``docs/replay.md``).
+        decision (power_on/checkpoint/power_failure/power_off, traced as
+        ``harvest.<kind>``), and the final report payload.  Replaying such
+        a recording reproduces this report byte-identically (``docs/replay.md``).
         """
         if record is not None:
             record.begin(
                 "harvest", self.engine_name, self._record_config(trace, dt, v_initial)
             )
-        self._record = record
-        try:
-            with OBS.tracer.span(
-                "harvest.run",
-                engine=self.engine_name,
-                monitor=self.monitor.name,
-                duration=trace.duration,
-                dt=dt,
-            ) as span:
-                report = self._run_impl(trace, dt, v_initial)
-                span.set(
-                    steps=report.steps,
-                    checkpoints=report.checkpoints,
-                    power_failures=report.power_failures,
-                    duty=report.duty,
-                )
-        finally:
-            self._record = None
+        with OBS.tracer.span(
+            "harvest.run",
+            engine=self.engine_name,
+            monitor=self.monitor.name,
+            duration=trace.duration,
+            dt=dt,
+        ) as span:
+            report = self._run_impl(trace, dt, v_initial, emitter("harvest", record))
+            span.set(
+                steps=report.steps,
+                checkpoints=report.checkpoints,
+                power_failures=report.power_failures,
+                duty=report.duty,
+            )
         if record is not None:
             record.finish(report.to_dict())
-        metrics = OBS.metrics
-        if metrics.enabled:
-            metrics.incr("harvest.runs")
-            metrics.incr("harvest.steps", report.steps)
-            metrics.incr("harvest.checkpoints", report.checkpoints)
-            metrics.incr("harvest.power_failures", report.power_failures)
-            metrics.observe("harvest.duty", report.duty)
+        count_runs([report])
         return report
 
     def _record_config(self, trace: IrradianceTrace, dt: float, v_initial: float) -> Dict[str, object]:
@@ -239,7 +240,7 @@ class IntermittentSimulator:
         )
         return {"scenario": scenario.to_dict(), "v_ckpt": self.v_ckpt}
 
-    def _run_impl(self, trace: IrradianceTrace, dt: float, v_initial: float) -> SimulationReport:
+    def _run_impl(self, trace: IrradianceTrace, dt: float, v_initial: float, emit) -> SimulationReport:
         if dt <= 0:
             raise SimulationError("dt must be positive")
         cap = BufferCapacitor(capacitance=self.capacitance, voltage=v_initial)
@@ -254,7 +255,6 @@ class IntermittentSimulator:
         state = "off"
         phase_left = 0.0  # remaining seconds in restore/checkpoint
         harvested = 0.0
-        rec = self._record
         steps = int(round(trace.duration / dt))
         # Per-segment input power, shared with the fast and batch engines.
         power = self.panel.power_curve(trace.values)
@@ -316,9 +316,8 @@ class IntermittentSimulator:
                 if v >= self.v_on:
                     state = "restore"
                     phase_left = self.checkpoint.restore_time
-                    OBS.tracer.event("harvest.power_on", t=t, v=v)
-                    if rec is not None:
-                        rec.event("power_on", t=t, v=v)
+                    if emit is not None:
+                        emit("power_on", t=t, v=v)
             elif state == "restore":
                 phase_left -= dt
                 if v < self.checkpoint.v_min:
@@ -330,9 +329,8 @@ class IntermittentSimulator:
                 if v <= self.v_ckpt:
                     state = "checkpoint"
                     report.checkpoints += 1
-                    OBS.tracer.event("harvest.checkpoint", t=t, v=v)
-                    if rec is not None:
-                        rec.event("checkpoint", t=t, v=v)
+                    if emit is not None:
+                        emit("checkpoint", t=t, v=v)
                     # Split the step at the threshold crossing: a discrete
                     # step overshoots the threshold by up to I*dt/C volts,
                     # which would make even the ideal monitor look "late"
@@ -354,14 +352,12 @@ class IntermittentSimulator:
                 if v < self.checkpoint.v_min:
                     report.power_failures += 1
                     state = "off"
-                    OBS.tracer.event("harvest.power_failure", t=t, v=v)
-                    if rec is not None:
-                        rec.event("power_failure", t=t, v=v)
+                    if emit is not None:
+                        emit("power_failure", t=t, v=v)
                 elif phase_left <= 0:
                     state = "off"
-                    OBS.tracer.event("harvest.power_off", t=t, v=v)
-                    if rec is not None:
-                        rec.event("power_off", t=t, v=v)
+                    if emit is not None:
+                        emit("power_off", t=t, v=v)
 
         report.steps = steps
         report.energy_by_sink = sinks

@@ -44,6 +44,7 @@ __all__ = [
     "read_jsonl",
     "configure",
     "configure_from_spec",
+    "emitter",
     "reset",
     "spec",
 ]
@@ -121,3 +122,26 @@ def configure_from_spec(obs_spec: ObsSpec) -> None:
     if OBS._spec == obs_spec:
         return
     configure(trace_path=obs_spec.trace_path, metrics=obs_spec.metrics_enabled)
+
+
+def emitter(layer: str, record):
+    """The one emission path for an engine run's decisions.
+
+    Called once per run.  Returns ``None`` when tracing is off and no
+    trace sink was passed, so each event site costs one ``None`` test.
+    Otherwise returns ``emit(kind, t=None, **payload)``, which writes
+    the ``f"{layer}.{kind}"`` obs event when tracing is on and
+    ``record.event(kind, t=t, **payload)`` when ``record`` is given.
+    """
+    if not OBS.tracer.enabled:
+        return None if record is None else record.event
+    trace_event = OBS.tracer.event
+    prefix = layer + "."
+    record_event = None if record is None else record.event
+
+    def emit(kind: str, t: Optional[float] = None, **payload) -> None:
+        trace_event(prefix + kind, t=t, **payload)
+        if record_event is not None:
+            record_event(kind, t=t, **payload)
+
+    return emit

@@ -23,7 +23,7 @@ from repro.harvest.capacitor import BufferCapacitor
 from repro.harvest.loads import MCULoad, MSP430FR5969, SYSTEM_LEAKAGE
 from repro.harvest.panel import SolarPanel
 from repro.harvest.traces import IrradianceTrace, constant_trace
-from repro.obs import OBS
+from repro.obs import OBS, emitter
 from repro.riscv.cpu import CPU
 from repro.riscv.engine import FastEngine, resolve_engine
 from repro.riscv.fs_device import FSDevice
@@ -152,7 +152,6 @@ class IntermittentMachine:
         # objects (they carry arbitrary state the header cannot encode).
         self._custom_fs_device = fs_device is not None
         self._custom_policy = policy is not None
-        self._record = None
 
         self.run_current = self.mcu.core_current + self.fs_device.monitor.mean_current(3.0) + leakage
         self.memory = MemoryMap()
@@ -254,11 +253,9 @@ class IntermittentMachine:
             v_threshold=self.v_threshold,
             engine=self.engine,
         ) as span:
-            self._record = record
-            try:
-                result = self._run_traced(trace, max_wall_time, max_instructions)
-            finally:
-                self._record = None
+            result = self._run_traced(
+                trace, max_wall_time, max_instructions, emitter("riscv", record)
+            )
             span.set(
                 completed=result.completed,
                 instructions=result.instructions,
@@ -293,10 +290,10 @@ class IntermittentMachine:
         trace: IrradianceTrace,
         max_wall_time: float,
         max_instructions: int,
+        emit,
     ) -> IntermittentRunResult:
         result = IntermittentRunResult(completed=False)
         cap = BufferCapacitor(capacitance=self.capacitance, voltage=0.0)
-        rec = self._record  # trace seam; `record` names CheckpointRecords below
         self.fs_device.power_cycle()
         self.runtime.invalidate()
 
@@ -318,8 +315,8 @@ class IntermittentMachine:
             restored = self._boot()
             if restored:
                 result.restores += 1
-            if rec is not None:
-                rec.event("power_on", t=t, v=cap.voltage, restored=restored)
+            if emit is not None:
+                emit("power_on", t=t, v=cap.voltage, restored=restored)
             # Pay the restore cost in time and charge.
             restore_time = self.runtime.restore_cycles() / self.clock_hz
             cap.apply_power(
@@ -366,14 +363,8 @@ class IntermittentMachine:
                     # last checkpoint.
                     result.power_failures += 1
                     self.policy.on_power_failure(view)
-                    OBS.tracer.event(
-                        "riscv.power_failure",
-                        t=t,
-                        v=cap.voltage,
-                        lost_instructions=instructions_since_ckpt,
-                    )
-                    if rec is not None:
-                        rec.event(
+                    if emit is not None:
+                        emit(
                             "power_failure",
                             t=t,
                             v=cap.voltage,
@@ -392,14 +383,8 @@ class IntermittentMachine:
                     result.checkpoints += 1
                     result.checkpoint_time += ckpt_time
                     self.policy.on_checkpoint(view)
-                    OBS.tracer.event(
-                        "riscv.checkpoint",
-                        t=t,
-                        v=cap.voltage,
-                        instructions=instructions_since_ckpt,
-                    )
-                    if rec is not None:
-                        rec.event(
+                    if emit is not None:
+                        emit(
                             "checkpoint",
                             t=t,
                             v=cap.voltage,

@@ -2,19 +2,21 @@
 
 Every engine run loop accepts ``record=`` — any object implementing the
 three-method :class:`TraceSink` protocol.  Engines never import this
-module; they just call ``record.begin(...)`` / ``record.event(...)`` /
-``record.finish(...)`` behind an ``is not None`` guard, so record-off
-overhead is one pointer test per event site.
+module: they call ``record.begin(...)`` / ``record.finish(...)`` behind
+an ``is not None`` guard and emit every decision through
+:func:`repro.obs.emitter`, the one emission path, which forwards it to
+``record.event(...)`` and to the obs tracer.  With both off, an event
+site costs one pointer test.
 
 :class:`TraceRecorder` is the standard sink: it accumulates a
 :class:`~repro.trace.format.Recording` in memory and/or streams JSONL
 lines straight to disk (``path=``), which is how a 10^7-device fleet
-records without ever holding its event stream.  :class:`LaneSink` tags
-every event with a lane index and swallows ``begin``/``finish`` — the
-adapter that lets the batch dispatcher run per-scenario simulators
-against one shared recorder.  :class:`CountingRandom` counts draws at
-RNG consumption sites so recordings can carry ``rng`` events with real
-draw counts.
+records without ever holding its event stream.  :class:`LaneSink`
+forwards events (tagged with a lane index unless ``lane=None``) and
+swallows ``begin``/``finish``, for simulators running inside a
+recording someone else owns: batch lanes, one isolated fleet device.
+:class:`CountingRandom` counts draws at RNG consumption sites so
+recordings can carry ``rng`` events with real draw counts.
 """
 
 from __future__ import annotations
@@ -97,6 +99,9 @@ class TraceRecorder(TraceSink):
     def event(self, kind: str, t: Optional[float] = None, **payload: Any) -> None:
         if self.header is None:
             raise ConfigurationError("recorder.event() before begin()")
+        if self._finished:
+            # The result digest already covers the events so far.
+            raise ConfigurationError("recorder.event() after finish()")
         ev = TraceEvent(seq=self._seq, kind=kind, t=t, payload=payload)
         self._seq += 1
         if self._keep:
@@ -152,19 +157,22 @@ class TraceRecorder(TraceSink):
 
 
 class LaneSink(TraceSink):
-    """Forward events to a shared recorder, tagged with a lane index.
+    """Forward events to a recording someone else opened.
 
-    ``begin``/``finish`` are swallowed: the owning dispatcher already
-    opened the recording for the whole batch, and per-lane simulators
-    must not re-open or close it.
+    ``begin``/``finish`` are swallowed: the owner (the batch dispatcher,
+    the device-isolation runner) writes the header and the result.
+    Events are tagged with ``lane`` unless it is ``None``.
     """
 
-    def __init__(self, recorder: TraceSink, lane: int) -> None:
+    def __init__(self, recorder: TraceSink, lane: Optional[int] = None) -> None:
         self._recorder = recorder
         self._lane = lane
 
     def event(self, kind: str, t: Optional[float] = None, **payload: Any) -> None:
-        self._recorder.event(kind, t=t, lane=self._lane, **payload)
+        if self._lane is None:
+            self._recorder.event(kind, t=t, **payload)
+        else:
+            self._recorder.event(kind, t=t, lane=self._lane, **payload)
 
 
 class CountingRandom(random.Random):

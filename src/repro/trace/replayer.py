@@ -34,7 +34,7 @@ from typing import Any, Dict, Optional, Union
 from repro.errors import ConfigurationError, SimulationError
 from repro.trace.diff import TraceDiff, diff_recordings
 from repro.trace.format import Recording, payload_digest
-from repro.trace.recorder import CountingRandom, TraceRecorder, TraceSink
+from repro.trace.recorder import CountingRandom, LaneSink, TraceRecorder
 
 
 class ReplayMismatch(SimulationError):
@@ -66,17 +66,6 @@ class ReplayResult:
         if self.identical:
             return f"replay OK: {head}; re-execution is byte-identical"
         return f"replay MISMATCH: {head}\n  {self.diff.render()}"
-
-
-class _EventsOnly(TraceSink):
-    """Forward events to an already-open recorder; the caller owns the
-    header and result lines (the device-isolation runner does)."""
-
-    def __init__(self, recorder: TraceSink) -> None:
-        self._recorder = recorder
-
-    def event(self, kind: str, t: Optional[float] = None, **payload: Any) -> None:
-        self._recorder.event(kind, t=t, **payload)
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +112,7 @@ def record_device(spec, record, cache=None):
     )
     rng.note()
     report = simulator.run(
-        trace, dt=spec.dt, v_initial=scenario.v_initial, record=_EventsOnly(record)
+        trace, dt=spec.dt, v_initial=scenario.v_initial, record=LaneSink(record)
     )
     result = DeviceResult.from_report(
         device_id=spec.device_id,

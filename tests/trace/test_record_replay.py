@@ -253,3 +253,16 @@ class TestLoadErrors:
 
         with pytest.raises(ConfigurationError, match="cannot read"):
             Recording.load(str(tmp_path / "missing.jsonl"))
+
+
+class TestRecorderLifecycle:
+    def test_event_after_finish_rejected(self):
+        """The result digest covers the events before finish(); a later
+        event would sit in the recording unaccounted for."""
+        rec = TraceRecorder()
+        rec.begin("harvest", "fast", {})
+        rec.event("checkpoint", t=1.0, v=2.0)
+        rec.finish({"x": 1})
+        with pytest.raises(ConfigurationError, match="after finish"):
+            rec.event("checkpoint", t=2.0, v=2.0)
+        assert len(rec.recording.events) == 1
