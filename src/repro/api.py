@@ -121,16 +121,16 @@ def compare_monitors(
     dt: float = 5e-4,
     *,
     engine: str = "auto",
-    scalar_engine: str = "reference",
+    scalar_engine: str = "fast",
     parallel: Optional[int] = None,
     v_initial: float = 0.0,
     **platform,
 ) -> List[SimulationReport]:
     """Replay the same platform/trace once per monitor.
 
-    ``scalar_engine`` picks the simulation semantics: ``"reference"``
-    (fixed-step; the pre-1.1 default, always evaluated scalar) or
-    ``"fast"`` (adaptive-step, eligible for the batch kernel).
+    ``scalar_engine`` picks the simulation semantics: ``"fast"`` (the
+    default: exact constant-current intervals, eligible for the batch
+    kernel) or ``"reference"`` (fixed-step, always evaluated scalar).
     ``engine`` is :func:`evaluate_many`'s dispatch choice.  Remaining
     keyword arguments (``panel``, ``capacitance``, ``mcu``,
     ``peripherals``, ``checkpoint``, ``v_on``, ``leakage``) describe the

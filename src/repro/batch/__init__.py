@@ -17,8 +17,8 @@ behind a single engine-selecting entry point:
 
 Numerical contract: batch reports match the scalar
 :class:`~repro.harvest.fast.FastIntermittentSimulator` within
-:data:`BATCH_RTOL` (bit-identical in practice; see
-:mod:`repro.batch.engine` for the one measure-zero edge case).
+:data:`BATCH_RTOL` (bit-identical in practice, ``steps`` included; see
+:mod:`repro.batch.engine`).
 """
 
 from repro.batch.dispatch import (

@@ -11,30 +11,35 @@ count, not the sum.
 Numerical contract
 ------------------
 The kernel replicates :class:`~repro.harvest.fast.FastIntermittentSimulator`
-operation for operation in IEEE-754 double precision:
+operation for operation in IEEE-754 double precision, so its reports
+equal the scalar engine's bit for bit, ``steps`` included:
 
-* every per-step expression (capacitor energy update, closed-form
-  charge spans, threshold-crossing jumps, sink accounting) is written
-  with the scalar engine's exact association order, and ``+ - * /
-  sqrt floor min max`` are all correctly rounded identically by numpy
-  and CPython;
-* the only transcendental on the path — the panel's low-light-knee
-  exponential — is factored into :meth:`SolarPanel.power_curve`, which
-  every engine shares, so per-segment input powers are bit-identical;
-* every step picks its segment like the scalar engine, with one
-  ``floor(t / trace_dt + 1e-9)`` index for both the input power and
-  the segment end;
-* the running phase takes the scalar engine's three step sizes: the
-  v_ckpt-crossing jump while the load outdraws the harvest, the rest
-  of the segment while harvest covers the load on a full capacitor
-  (``v == v_full``, the voltage ``BufferCapacitor.apply_power``
-  clamps to), and ``20 * dt`` otherwise.  Step counts match too.
+* OFF and running lanes take one exact constant-current interval per
+  step through the numpy forms of :mod:`repro.harvest.segment`
+  (``voltage_after_np``, ``crossing_time_np``, and ``load_energy``'s
+  arithmetic), which perform the scalar forms' operations in the same
+  order; a handful of crossings use the scalar form itself.  ``+ - * /
+  sqrt floor min max`` round identically in numpy and CPython, and the
+  solver's logarithms and exponentials are numpy's in both engines
+  (``np.log`` on a Python float): libm differs from numpy by an ulp on
+  some inputs, numpy's scalar and array calls never do;
+* an interval ends at the next *power change*, looked up in the table
+  of :func:`~repro.harvest.segment.power_changes` that the scalar
+  engine bisects, and every step picks its segment through the same
+  ``floor(t / trace_dt + 1e-9)`` index;
+* the panel's low-light-knee exponential is factored into
+  :meth:`SolarPanel.power_curve`, which every engine shares;
+* restore and checkpoint lanes take the scalar engine's ``dt`` steps
+  with :meth:`BufferCapacitor.apply_power`'s exact arithmetic.
 
-In practice batch reports match the scalar engine bit-for-bit; the
-documented tolerance (:data:`repro.batch.BATCH_RTOL`) covers one known
-measure-zero divergence: when a lane lands within 1e-12 s of the trace
-end while still charging, the scalar engine takes one spurious
-sub-nanosecond restore step while the kernel retires the lane.
+:data:`repro.batch.BATCH_RTOL` stays the documented tolerance, but the
+equivalence tests assert exact equality.
+
+Cost: lanes finish at very different step counts, so the kernel
+retires finished lanes (:func:`_compact`) once a fifth of them are
+done.  Each iteration solves every interval whole in one numpy call,
+and the crossing solve runs only on lanes whose interval ends past a
+threshold.  Loop constants are 0-d arrays.
 
 Events: the kernel extracts one event per lane transition from the
 commit masks — ``promote`` is a lane's power_on, ``to_ck`` its
@@ -49,16 +54,28 @@ otherwise unchanged.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.harvest.capacitor import BufferCapacitor
+from repro.harvest.segment import (
+    crossing_time,
+    crossing_time_np,
+    power_changes,
+    voltage_after_np,
+)
 from repro.harvest.simulator import SimulationReport
 from repro.obs import emitter
 
-_OFF, _RESTORE, _RUNNING, _CHECKPOINT, _DONE = 0, 1, 2, 3, 4
+#: Lane states; ``state <= _RUNNING`` selects the exact-interval phases.
+_OFF, _RUNNING, _RESTORE, _CHECKPOINT, _DONE = 0, 1, 2, 3, 4
+
+#: Loop constants as 0-d arrays, which numpy does not convert per call
+#: the way it converts a Python float (see repro.harvest.segment).
+_ZERO, _TWO, _EPS = np.array(0.0), np.array(2.0), np.array(1e-9)
 
 
 class BatchHarvestEngine:
@@ -111,376 +128,334 @@ class BatchHarvestEngine:
         ]
 
         as_f = lambda xs: np.array(xs, dtype=np.float64)  # noqa: E731
-        C = as_f([s.capacitance for s in scenarios])
-        half_c = 0.5 * C
-        v_on = as_f([sim.v_on for sim in sims])
-        von03 = 0.3 * v_on
+        # Every per-lane array lives on `ln`, so retiring finished lanes
+        # (see _compact) shrinks all of them together.
+        ln = SimpleNamespace()
+        ln.pos = np.arange(n)
+        ln.C = as_f([s.capacitance for s in scenarios])
+        ln.half_c = 0.5 * ln.C
+        ln.v_on = as_f([sim.v_on for sim in sims])
         v_max = as_f([cap.v_max for cap in caps])
-        e_max = half_c * v_max**2
+        ln.v_on_land = np.minimum(ln.v_on, v_max)
+        ln.e_max = ln.half_c * (v_max * v_max)
         # The voltage apply_power returns when it clamps at v_max: a
         # running lane there whose harvest covers its load is at a fixed
-        # point until its segment ends.
-        v_full = np.sqrt((2.0 * e_max) / C)
-        e_target = half_c * v_on**2
-        v_ckpt = as_f([sim.v_ckpt for sim in sims])
-        e_ckpt = half_c * v_ckpt**2
-        v_min = as_f([sim.checkpoint.v_min for sim in sims])
-        restore_time = as_f([sim.checkpoint.restore_time for sim in sims])
-        ckpt_time = as_f([sim.checkpoint.checkpoint_time for sim in sims])
-        leak = as_f([sim.leakage for sim in sims])
+        # point until its interval ends.
+        ln.v_full = np.sqrt((2.0 * ln.e_max) / ln.C)
+        ln.v_ckpt = as_f([sim.v_ckpt for sim in sims])
+        ln.v_min = as_f([sim.checkpoint.v_min for sim in sims])
+        ln.restore_time = as_f([sim.checkpoint.restore_time for sim in sims])
+        ln.ckpt_time = as_f([sim.checkpoint.checkpoint_time for sim in sims])
+        ln.leak = as_f([sim.leakage for sim in sims])
+        # Restore/checkpoint draw in the scalar engine's exact order:
+        # (core + monitor) + leakage; running draws system_current.
         i_core = as_f([sim.mcu.core_current for sim in sims])
-        i_per = as_f([sim.peripheral_current for sim in sims])
         i_mon = as_f([sim.monitor.current for sim in sims])
-        # Draw-dict sums in the scalar engine's exact insertion order:
-        # restore/checkpoint = (core + monitor) + leakage,
-        # running = ((core + peripheral) + monitor) + leakage.
-        i_rc = (i_core + i_mon) + leak
-        i_run = ((i_core + i_per) + i_mon) + leak
-        dt_on = as_f([s.dt for s in scenarios])
-        dt20 = dt_on * 20.0
-
-        trace_dt = as_f([s.trace.dt for s in scenarios])
+        ln.i_rc = (i_core + i_mon) + ln.leak
+        ln.i_run = as_f([sim.system_current for sim in sims])
+        ln.dt_on = as_f([s.dt for s in scenarios])
+        ln.trace_dt = as_f([s.trace.dt for s in scenarios])
         end = as_f([s.trace.dt * len(s.trace.values) for s in scenarios])
-        powers = [s.panel.power_curve(s.trace.values) for s in scenarios]
-        nseg = np.array([len(p) for p in powers], dtype=np.int64)
-        last_seg = np.maximum(nseg - 1, 0)
-        # One flat per-lane-offset power table: `flat[pbase + seg]` is a
-        # 1-D gather, much cheaper per iteration than 2-D fancy indexing.
+        ln.end = end
+        nseg = np.array([len(s.trace.values) for s in scenarios], dtype=np.int64)
+        ln.last_seg = np.maximum(nseg - 1, 0)
+        # Flat per-lane-offset tables: `flat[pbase + seg]` is a 1-D
+        # gather, much cheaper per iteration than 2-D fancy indexing.
+        # `next_flat` holds each segment's next power change (a lane-local
+        # segment index), expanded from the power_changes table the
+        # scalar engine bisects, so both end intervals identically.  Lanes
+        # convert one at a time, so only one lane's power list is ever
+        # alive next to the flat tables.
         slots = np.maximum(nseg, 1)
-        pbase = np.concatenate(([0], np.cumsum(slots)[:-1]))
+        ln.pbase = np.concatenate(([0], np.cumsum(slots)[:-1]))
         power_flat = np.zeros(int(slots.sum()), dtype=np.float64)
-        for i, p in enumerate(powers):
-            if p:
-                power_flat[int(pbase[i]) : int(pbase[i]) + len(p)] = p
+        next_flat = np.ones(int(slots.sum()), dtype=np.int32)
+        for i, s in enumerate(scenarios):
+            if nseg[i]:
+                lo = int(ln.pbase[i])
+                power = power_flat[lo : lo + int(nseg[i])]
+                power[:] = s.panel.power_curve(s.trace.values)
+                changes = power_changes(power)
+                next_flat[lo : lo + int(nseg[i])] = np.repeat(
+                    changes, np.diff(changes, prepend=0)
+                )
 
-        # Mutable lane state.  ``state`` is float64, not int8: the hot
-        # loop compares it four times per iteration and numpy's float
-        # compare loops are measurably faster than the int8 ones.
-        t = np.zeros(n, dtype=np.float64)
-        v = as_f([cap.voltage for cap in caps])
-        phase_left = np.zeros(n, dtype=np.float64)
-        state = np.full(n, _OFF, dtype=np.float64)
-        state[end <= 0.0] = _DONE
-
-        app_t = np.zeros(n)
-        ckpt_t = np.zeros(n)
-        rest_t = np.zeros(n)
-        off_t = np.zeros(n)
-        s_core = np.zeros(n)
-        s_per = np.zeros(n)
-        s_mon = np.zeros(n)
-        s_leak = np.zeros(n)
-        harv = np.zeros(n)
-        steps = np.zeros(n, dtype=np.int64)
-        checkpoints = np.zeros(n, dtype=np.int64)
-        power_failures = np.zeros(n, dtype=np.int64)
+        # Mutable lane state and the per-lane report accumulators.
+        ln.t = np.zeros(n)
+        ln.phase_left = np.zeros(n)
+        ln.state = np.full(n, _OFF, dtype=np.int64)
+        ln.state[end <= 0.0] = _DONE
+        for name in _RESULTS:
+            setattr(ln, name, np.zeros(n, dtype=_RESULTS[name]))
+        ln.v = as_f([cap.voltage for cap in caps])
+        out = {name: np.zeros(n, dtype=dtype) for name, dtype in _RESULTS.items()}
 
         # Safety valve far above any legitimate step count (the scalar
-        # engine takes ~end/dt active steps plus ~one step per segment).
-        max_iters = int(4.0 * float(np.max(end / dt_on + 2.0 * nseg))) + 64
+        # engine takes ~end/dt active steps plus ~two per interval).
+        max_iters = int(4.0 * float(np.max(end / ln.dt_on + 2.0 * nseg))) + 64
         iterations = 0
 
-        # Hot-loop locals: at a few hundred lanes every numpy call is
-        # overhead-bound, so the loop is written to minimize call count,
-        # not element work.
         where = np.where
         minimum = np.minimum
-        maximum = np.maximum
-        floor = np.floor
-        sqrt = np.sqrt
-        copyto = np.copyto
         cnz = np.count_nonzero
 
-        # The loop works full-width: every expression is evaluated for
-        # all N lanes; results are committed through boolean masks, and
-        # masked values reach accumulators via np.where sanitization
-        # (selected lanes see the scalar engine's exact value, everyone
-        # else contributes literal 0.0 — never the inf/nan garbage an
-        # unselected lane may compute under the errstate block).
-        #
-        # Fleet/DSE batches are highly phase-coherent — lanes sharing a
-        # trace charge, restore, and run together — so the branches
-        # below specialize the all-charging / all-discharging /
-        # all-running iterations, which skips most of the per-iteration
-        # numpy call overhead on typical workloads.
+        def lanes_emit(kind, mask, times, volts):
+            for i in np.nonzero(mask)[0]:
+                emit(kind, t=float(times[i]), lane=lane_ids[ln.pos[i]], v=float(volts[i]))
+
+        # The loop works full-width over the live lanes: every expression
+        # is evaluated for all of them and committed through boolean
+        # masks; accumulators receive np.where-sanitized values (a
+        # selected lane sees the scalar engine's exact value, everyone
+        # else literal 0.0 — never the inf/nan an unselected lane may
+        # compute under errstate).  An iteration with no restore or
+        # checkpoint lane skips that block, and one with no OFF or
+        # running lane never calls the interval solver.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             while True:
-                off_m = state == _OFF
                 # Lanes that left an ON phase charged (or started with
                 # v_initial >= v_on) skip OFF entirely, exactly like the
                 # scalar engine's `while ... voltage < v_on` guard.
-                promote = off_m & (v >= v_on)
+                off_m = ln.state == _OFF
+                promote = off_m & (ln.v >= ln.v_on)
                 if cnz(promote):
                     if emit is not None:
-                        for i in np.nonzero(promote)[0]:
-                            emit(
-                                "power_on",
-                                t=float(t[i]),
-                                lane=lane_ids[i],
-                                v=float(v[i]),
-                            )
-                    state[promote] = _RESTORE
-                    copyto(phase_left, restore_time, where=promote)
+                        lanes_emit("power_on", promote, ln.t, ln.v)
+                    ln.state[promote] = _RESTORE
+                    np.copyto(ln.phase_left, ln.restore_time, where=promote)
                     off_m &= ~promote
-                on_m = (state != _OFF) & (state != _DONE)
-                n_off = cnz(off_m)
-                n_on = cnz(on_m)
-                if not n_off and not n_on:
+                active = ln.state != _DONE
+                n_active = cnz(active)
+                if not n_active:
                     break
+                if 5 * n_active <= 4 * len(active):
+                    off_m = off_m[active]
+                    _compact(ln, active, out)
+                    active = np.ones(n_active, dtype=bool)
                 iterations += 1
                 if iterations > max_iters:
                     raise SimulationError(
                         f"batch kernel exceeded {max_iters} iterations; "
                         "a lane failed to make progress"
                     )
+                t = ln.t
+                v = ln.v
+                state = ln.state
+                run_m = state == _RUNNING
+                int_m = state <= _RUNNING
+                n_int = cnz(int_m)
 
-                # Quantities both branches derive identically from the
-                # current lane clocks/voltages.
-                seg = floor(t / trace_dt + 1e-9)
-                raw_seg = (seg + 1.0) * trace_dt
-                idx = minimum(seg.astype(np.int64), last_seg)
-                p_in = power_flat[pbase + idx]
-                energy = half_c * (v * v)
+                # floor() of a non-negative value: astype truncates alike.
+                idx = minimum((t / ln.trace_dt + _EPS).astype(np.int64), ln.last_seg)
+                at = ln.pbase + idx
+                p_in = power_flat[at]
+                e0 = ln.half_c * (v * v)
+                t_next = t
+                v_new = v
 
-                # ---- OFF: closed-form charge, segment by segment -----
-                if n_off:
-                    seg_end = minimum(end, raw_seg)
-                    tiny = off_m & ((seg_end - t) <= 1e-12)
-                    if cnz(tiny):
-                        seg_end = where(tiny, minimum(end, seg_end + trace_dt), seg_end)
-                        dead = tiny & ((seg_end - t) <= 1e-12)
-                        if cnz(dead):
-                            # Scalar takes one spurious sub-ns restore
-                            # step here; the kernel retires the lane
-                            # (the documented tolerance case).
-                            state[dead] = _DONE
-                            off_m &= ~dead
-                            n_off = cnz(off_m)
-                if n_off:
-                    p_leak = leak * maximum(v, von03)
-                    p_net = p_in - p_leak
-                    span_seg = seg_end - t
-                    chg = off_m & (p_net > 0.0)
-                    n_chg = cnz(chg)
-                    if n_chg:
-                        # Charge: jump to min(segment end, v_on).
-                        t_reach = (e_target - energy) / p_net
-                        span_chg = minimum(span_seg, t_reach)
-                        stuck = chg & (span_chg <= 0.0)
-                        if cnz(stuck):
-                            span_chg = where(
-                                stuck, maximum(minimum(span_seg, 1e-6), 1e-9), span_chg
-                            )
-                        e_chg = energy + (p_in - p_leak) * span_chg
-                    if n_chg < n_off:
-                        # Discharge (p_net <= 0): leak down.  The scalar
-                        # form is E + (0.0 - drained/span) * span; with
-                        # both operands nonnegative that is bit-equal to
-                        # the one-op-shorter E - (drained/span) * span.
-                        drained = minimum(energy, -p_net * span_seg)
-                        e_dis = energy - (drained / span_seg) * span_seg
-                    if n_chg == n_off:
-                        span = span_chg
-                        e_off = e_chg
-                        off_tn = t + span_chg
-                        leak_j = p_leak * span_chg
-                    elif n_chg == 0:
-                        span = span_seg
-                        e_off = e_dis
-                        off_tn = seg_end
-                        leak_j = p_in * span_seg + drained
-                    else:
-                        span = where(chg, span_chg, span_seg)
-                        e_off = where(chg, e_chg, e_dis)
-                        off_tn = where(chg, t + span_chg, seg_end)
-                        leak_j = where(chg, p_leak * span_chg, p_in * span_seg + drained)
-                    if n_off == n:
-                        # Every lane is OFF this iteration: span/leak_j
-                        # are the selected (finite) values everywhere, so
-                        # the where-sanitization is a no-op — skip it.
-                        spanz = span
-                        off_t += spanz
-                        harv += p_in * spanz
-                        s_leak += leak_j
-                    else:
-                        spanz = where(off_m, span, 0.0)
-                        off_t += spanz
-                        harv += p_in * spanz
-                        s_leak += where(off_m, leak_j, 0.0)
+                # ---- OFF and running: one exact interval step --------
+                if n_int:
+                    seg_end = next_flat[at] * ln.trace_dt
+                    span = seg_end - t
+                    # Lanes outside an interval get the OFF current: their
+                    # results are discarded, and OFF-like lanes keep the
+                    # solver's array all-charging more often (one branch).
+                    i_int = where(run_m, ln.i_run, ln.leak)
+                    # Solve every interval whole (full width: other lanes'
+                    # results are discarded), then find crossing times
+                    # only where an interval ends past a threshold, with
+                    # the scalar engine's priorities.
+                    v_end = minimum(voltage_after_np(v, span, p_in, i_int, ln.C), ln.v_full)
+                    hit_on = off_m & (v_end >= ln.v_on)
+                    hit_ck = run_m & (v_end <= ln.v_ckpt)
+                    hit = hit_on | hit_ck
+                    full = run_m & (v == ln.v_full)
+                    top = run_m & (v_end >= ln.v_full)
+                    n_full = cnz(full)
+                    fixed = None
+                    if n_full or cnz(top):
+                        v_eq = p_in / i_int
+                        fixed = full & (v_eq >= ln.v_full)
+                        hit |= (top & ~fixed) & (v_eq > ln.v_full)
+                    # `step`, `t_next` and `v_new` are fresh arrays: the
+                    # few crossing lanes are written into them in place.
+                    step = span
+                    t_next = seg_end
+                    v_new = v_end
+                    ix = np.flatnonzero(hit)
+                    if len(ix):
+                        step_ix, v_ix = _crossings(ix, v, p_in, i_int, span, off_m, hit_ck, ln)
+                        step[ix] = step_ix
+                        t_next[ix] = t[ix] + step_ix
+                        v_new[ix] = v_ix
+                    # load_energy's arithmetic, sharing E(v) with the
+                    # restore/checkpoint block.
+                    gain = p_in * step
+                    load = gain + (e0 - ln.half_c * (v_new * v_new))
+                    if fixed is not None and cnz(fixed):
+                        # Full capacitor with surplus: a fixed point, the
+                        # charger rejects what the load does not take.
+                        v_new = where(fixed, v, v_new)
+                        load = where(fixed, (ln.i_run * v) * step, load)
+                        gain = where(fixed, load, gain)
+                    ln.harv += where(int_m, gain, _ZERO)
+                    ln.off_t += where(off_m, step, _ZERO)
+                    ln.leak_off += where(off_m, load, _ZERO)
+                    ln.app_t += where(run_m, step, _ZERO)
+                    ln.vdt_run += where(run_m, load / ln.i_run, _ZERO)
 
-                # ---- ON: restore/run (jumps)/checkpoint -------------
-                if n_on:
-                    is_run = state == _RUNNING
-                    n_run = cnz(is_run)
-                    all_run = n_run == n_on
-                    if all_run:
-                        pout = i_run * v
-                    else:
-                        is_rest = state == _RESTORE
-                        is_ck = state == _CHECKPOINT
-                        pout = where(is_run, i_run, i_rc) * v
-                    p_net_out = pout - p_in
-                    if n_run:
-                        # Running: jump toward the v_ckpt crossing, but
-                        # never across a trace segment boundary; on a
-                        # full capacitor with surplus, to the segment end.
-                        t_cross = (energy - e_ckpt) / p_net_out
-                        gap = raw_seg - t
-                        left = end - t
-                        step_run = where(
-                            p_net_out > 0.0,
-                            minimum(
-                                minimum(maximum(t_cross, dt_on), left),
-                                maximum(gap, dt_on),
-                            ),
-                            maximum(minimum(gap, where(v == v_full, left, dt20)), dt_on),
-                        )
-                    if all_run:
-                        # step_run is finite on every lane (the discarded
-                        # where-branch absorbs any inf/nan), so at full
-                        # occupancy it needs no masking at all.
-                        stepz = step_run if n_on == n else where(on_m, step_run, 0.0)
-                        step_r = stepz
-                        app_t += stepz
-                    elif n_run == 0:
-                        stepz = where(on_m, minimum(dt_on, phase_left), 0.0)
-                        step_r = None
-                        rest_t += where(is_rest, stepz, 0.0)
-                        ckpt_t += where(is_ck, stepz, 0.0)
-                    else:
-                        step = where(is_run, step_run, minimum(dt_on, phase_left))
-                        stepz = where(on_m, step, 0.0)
-                        step_r = where(is_run, stepz, 0.0)
-                        rest_t += where(is_rest, stepz, 0.0)
-                        app_t += step_r
-                        ckpt_t += where(is_ck, stepz, 0.0)
+                # ---- restore/checkpoint: fixed dt steps --------------
+                n_rc = n_active - n_int
+                if n_rc:
+                    rc_m = active & ~int_m
+                    is_rest = state == _RESTORE
+                    is_ck = state == _CHECKPOINT
+                    # phase_left means nothing outside these phases (it is
+                    # set on entry), so it ticks down on every lane.
+                    step_rc = minimum(ln.dt_on, ln.phase_left)
+                    ln.rest_t += where(is_rest, step_rc, _ZERO)
+                    ln.ckpt_t += where(is_ck, step_rc, _ZERO)
+                    ln.vdt_rc += where(rc_m, v * step_rc, _ZERO)
+                    pout = ln.i_rc * v
+                    e_rc = minimum(np.maximum(e0 + (p_in - pout) * step_rc, _ZERO), ln.e_max)
+                    v_rc = np.sqrt((_TWO * e_rc) / ln.C)
+                    # The capacitor stores voltage, so harvest accounting
+                    # sees the sqrt round-tripped energy.
+                    dh = (ln.half_c * (v_rc * v_rc) - e0) + pout * step_rc
+                    ln.harv += where(rc_m, dh, _ZERO)
+                    t_next = where(rc_m, t + step_rc, t_next)
+                    v_new = where(rc_m, v_rc, v_new)
+                    ln.phase_left = ln.phase_left - step_rc
+                    low = v_rc < ln.v_min
+                    done_ok = ~low & (ln.phase_left <= _ZERO)
+                    died_ck = is_ck & low
+                    ck_off = is_ck & done_ok
+                    to_run = is_rest & done_ok
 
-                    s_core += (i_core * v) * stepz
-                    if step_r is not None:
-                        s_per += (i_per * v) * step_r
-                    s_mon += (i_mon * v) * stepz
-                    s_leak += (leak * v) * stepz
-
-                    e_on = energy + (p_in - pout) * stepz
-                    on_tn = t + stepz
-
-                # ---- shared tail: energy -> voltage, then commit -----
-                if n_off and n_on:
-                    active = off_m | on_m
-                    e_sel = where(off_m, e_off, e_on)
-                    t_next = where(off_m, off_tn, on_tn)
-                elif n_off:
-                    active = off_m
-                    e_sel = e_off
-                    t_next = off_tn
+                # ---- commit ------------------------------------------
+                to_ck = run_m & (v_new <= ln.v_ckpt)
+                if emit is not None:
+                    lanes_emit("checkpoint", to_ck, t_next, v_new)
+                    if n_rc:
+                        lanes_emit("power_failure", died_ck, t_next, v_new)
+                        lanes_emit("power_off", ck_off, t_next, v_new)
+                if n_rc:
+                    state[(rc_m & low) | ck_off] = _OFF
+                    state[to_run] = _RUNNING
+                    ln.power_failures += died_ck
+                if cnz(to_ck):
+                    state[to_ck] = _CHECKPOINT
+                    ln.checkpoints += to_ck
+                    np.copyto(ln.phase_left, ln.ckpt_time, where=to_ck)
+                if n_active == len(active):
+                    ln.steps += 1
+                    ln.t = t_next
+                    ln.v = v_new
                 else:
-                    active = on_m
-                    e_sel = e_on
-                    t_next = on_tn
-                e_sel = minimum(maximum(e_sel, 0.0), e_max)
-                v_new = sqrt((2.0 * e_sel) / C)
-                if n_off and n_chg:
-                    snap = (chg & (span_chg >= t_reach)) & (v_new < v_on)
-                    if cnz(snap):
-                        v_new = where(snap, minimum(v_on, v_max), v_new)
-                if n_on:
-                    # The capacitor stores voltage; its energy property
-                    # round-trips through the sqrt, so harvest accounting
-                    # sees that round-tripped energy, not e_on.
-                    dh = (half_c * (v_new * v_new) - energy) + pout * stepz
-                    harv += dh if n_on == n else where(on_m, dh, 0.0)
-                    to_ck = is_run & (v_new <= v_ckpt)
-                    n_ck = cnz(to_ck)
-                    if n_ck:
-                        if emit is not None:
-                            for i in np.nonzero(to_ck)[0]:
-                                emit(
-                                    "checkpoint",
-                                    t=float(t_next[i]),
-                                    lane=lane_ids[i],
-                                    v=float(v_new[i]),
-                                )
-                        state[to_ck] = _CHECKPOINT
-                        checkpoints += to_ck
-                    if not all_run:
-                        # Restore/checkpoint phases tick down; running
-                        # does not (stepz - step_r is exactly `step`
-                        # there, 0.0 for running and inactive lanes).
-                        if step_r is None:
-                            pl_new = phase_left - stepz
-                        else:
-                            pl_new = phase_left - (stepz - step_r)
-                        lowv = v_new < v_min
-                        pl_le = pl_new <= 0.0
-                        died_rest = is_rest & lowv
-                        to_run = (is_rest & ~lowv) & pl_le
-                        died_ck = is_ck & lowv
-                        ck_off = (is_ck & ~lowv) & pl_le
-                        if emit is not None:
-                            for i in np.nonzero(died_ck)[0]:
-                                emit(
-                                    "power_failure",
-                                    t=float(t_next[i]),
-                                    lane=lane_ids[i],
-                                    v=float(v_new[i]),
-                                )
-                            for i in np.nonzero(ck_off)[0]:
-                                emit(
-                                    "power_off",
-                                    t=float(t_next[i]),
-                                    lane=lane_ids[i],
-                                    v=float(v_new[i]),
-                                )
-                        go_off = (died_rest | died_ck) | ck_off
-                        if cnz(go_off):
-                            state[go_off] = _OFF
-                        if cnz(to_run):
-                            state[to_run] = _RUNNING
-                        phase_left = pl_new
-                        power_failures += died_ck
-                    if n_ck:
-                        copyto(phase_left, ckpt_time, where=to_ck)
+                    ln.steps += active
+                    ln.t = where(active, t_next, t)
+                    ln.v = where(active, v_new, v)
+                state[active & (ln.t >= ln.end)] = _DONE
 
-                if n_off + n_on == n:
-                    # Full occupancy: the masked commits degenerate to
-                    # plain rebinds (t_next/v_new are the selected values
-                    # on every lane).
-                    steps += 1
-                    t = t_next
-                    v = v_new
-                    done = t_next >= end
-                else:
-                    steps += active
-                    copyto(t, t_next, where=active)
-                    copyto(v, v_new, where=active)
-                    done = active & (t_next >= end)
-                if cnz(done):
-                    state[done] = _DONE
-
+        _compact(ln, np.zeros(len(ln.pos), dtype=bool), out)
         self.last_iterations = iterations
         reports = []
         for i, sim in enumerate(sims):
+            vdt_run = float(out["vdt_run"][i])
+            vdt_on = vdt_run + float(out["vdt_rc"][i])
             reports.append(
                 SimulationReport(
                     monitor_name=sim.monitor.name,
                     duration=float(end[i]),
-                    app_time=float(app_t[i]),
-                    checkpoint_time=float(ckpt_t[i]),
-                    restore_time=float(rest_t[i]),
-                    off_time=float(off_t[i]),
-                    checkpoints=int(checkpoints[i]),
-                    power_failures=int(power_failures[i]),
-                    steps=int(steps[i]),
+                    app_time=float(out["app_t"][i]),
+                    checkpoint_time=float(out["ckpt_t"][i]),
+                    restore_time=float(out["rest_t"][i]),
+                    off_time=float(out["off_t"][i]),
+                    checkpoints=int(out["checkpoints"][i]),
+                    power_failures=int(out["power_failures"][i]),
+                    steps=int(out["steps"][i]),
                     v_checkpoint=sim.v_ckpt,
                     system_current=sim.system_current,
+                    # The scalar engine's sink split, from the same sums.
                     energy_by_sink={
-                        "core": float(s_core[i]),
-                        "peripheral": float(s_per[i]),
-                        "monitor": float(s_mon[i]),
-                        "leakage": float(s_leak[i]),
+                        "core": sim.mcu.core_current * vdt_on,
+                        "peripheral": sim.peripheral_current * vdt_run,
+                        "monitor": sim.monitor.current * vdt_on,
+                        "leakage": float(out["leak_off"][i]) + sim.leakage * vdt_on,
                     },
-                    energy_harvested=float(harv[i]),
-                    energy_in_capacitor=float(half_c[i] * (v[i] * v[i])),
+                    energy_harvested=float(out["harv"][i]),
+                    energy_in_capacitor=float(0.5 * sim.capacitance * (out["v"][i] * out["v"][i])),
                 )
             )
         return reports
+
+
+#: Per-lane report accumulators (and the final voltage), with dtypes.
+_RESULTS = {
+    "app_t": np.float64,
+    "ckpt_t": np.float64,
+    "rest_t": np.float64,
+    "off_t": np.float64,
+    "vdt_run": np.float64,
+    "vdt_rc": np.float64,
+    "leak_off": np.float64,
+    "harv": np.float64,
+    "v": np.float64,
+    "steps": np.int64,
+    "checkpoints": np.int64,
+    "power_failures": np.int64,
+}
+
+
+def _compact(ln: SimpleNamespace, keep, out) -> None:
+    """Retire every lane not in ``keep``: flush its results into ``out``
+    (indexed by original lane position) and shrink all lane arrays.
+
+    Lanes finish at very different step counts, so most of a long run
+    has few live lanes; compacting keeps every numpy call sized to
+    them."""
+    gone = ~keep
+    where_gone = ln.pos[gone]
+    for name in _RESULTS:
+        out[name][where_gone] = getattr(ln, name)[gone]
+    for name, arr in list(vars(ln).items()):
+        setattr(ln, name, arr[keep])
+
+
+#: Below this many lanes the scalar crossing solve (bit-identical to the
+#: numpy form) beats the numpy form's fixed per-call cost.
+_SCALAR_CROSSINGS = 24
+
+
+def _crossings(ix, v, p_in, i_int, span, off_m, hit_ck, ln):
+    """Step and landing voltage of the lanes ``ix``, whose interval ends
+    past a threshold: v_on (OFF), v_ckpt (``hit_ck``) or v_full.  The
+    step is the crossing time capped at the span, or 0 for a lane that
+    starts at or below v_ckpt, as in the scalar engine."""
+    if len(ix) <= _SCALAR_CROSSINGS:
+        steps, volts = [], []
+        for i in ix.tolist():
+            vi = float(v[i])
+            if off_m[i]:
+                target = float(ln.v_on[i])
+                land = float(ln.v_on_land[i])
+            elif hit_ck[i]:
+                target = float(ln.v_ckpt[i])
+                land = min(vi, target)
+                if vi <= target:
+                    steps.append(0.0)
+                    volts.append(land)
+                    continue
+            else:
+                target = land = float(ln.v_full[i])
+            t = crossing_time(vi, target, float(p_in[i]), float(i_int[i]), float(ln.C[i]))
+            steps.append(t if t < span[i] else float(span[i]))
+            volts.append(land)
+        return steps, volts
+    v_ix, off_ix, ck_ix, span_ix = v[ix], off_m[ix], hit_ck[ix], span[ix]
+    target = np.where(off_ix, ln.v_on[ix], np.where(ck_ix, ln.v_ckpt[ix], ln.v_full[ix]))
+    t = crossing_time_np(v_ix, target, p_in[ix], i_int[ix], ln.C[ix])
+    t = np.where(t < span_ix, t, span_ix)
+    steps = np.where(ck_ix & (v_ix <= target), 0.0, t)
+    volts = np.where(off_ix, ln.v_on_land[ix], np.where(ck_ix, np.minimum(v_ix, target), target))
+    return steps, volts

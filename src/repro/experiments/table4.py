@@ -47,7 +47,7 @@ def run() -> ExperimentResult:
     for monitor in monitors:
         # Derive the operating point from the same Scenario the batch
         # evaluator uses, so the table reflects the deployed platform.
-        sim = Scenario(monitor=monitor, scalar_engine="reference").build_simulator()
+        sim = Scenario(monitor=monitor).build_simulator()
         paper = PAPER.get(monitor.name, (None, None, None, None))
         result.rows.append(
             {
@@ -62,9 +62,7 @@ def run() -> ExperimentResult:
             }
         )
 
-    lp_sim = Scenario(
-        monitor=fs_low_power_monitor(), scalar_engine="reference"
-    ).build_simulator()
+    lp_sim = Scenario(monitor=fs_low_power_monitor()).build_simulator()
     margin = lp_sim.checkpoint.sampling_margin(
         lp_sim.system_current, lp_sim.capacitance, lp_sim.monitor
     )

@@ -16,6 +16,7 @@ generators in :mod:`repro.harvest.traces`.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -123,6 +124,9 @@ class DeviceSpec:
             )
         if self.engine not in ENGINES:
             raise ConfigurationError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
+        for name in ("trace_duration", "dt", "capacitance", "panel_area_cm2", "trace_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.panel_area_cm2 <= 0 or self.capacitance <= 0:
             raise ConfigurationError("panel area and capacitance must be positive")
         if self.trace_duration <= 0 or self.dt <= 0:

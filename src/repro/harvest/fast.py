@@ -1,42 +1,50 @@
-"""A fast, semi-analytic intermittent-system simulator.
+"""A fast, exact-interval intermittent-system simulator.
 
 The fixed-step engine (:mod:`repro.harvest.simulator`) integrates at
-~1 ms, which is exact enough for Figure 8's 300 s traces but makes
-day-scale studies (diurnal harvesting, duty-cycle planning) impractical
-(~10^8 steps).  This engine exploits the system's structure:
+~1 ms: 300,000 steps for one Figure 8 replay, ~10^8 for a day.  This
+engine exploits the system's structure instead:
 
-* **Charging** dominates wall-clock time and has a closed form per
-  piecewise-constant trace segment: with constant input power ``P`` and
-  only leakage drawing, ``dE/dt = P - I_leak * V``.  Leakage is
-  microwatts against the harvest, so within a segment we treat the
-  leak at the segment's mean voltage and advance energy linearly —
-  the error is bounded by the leak's share of the step (< 1%).
-* **Restore/checkpoint** phases are short (sub-second) and take
+* **Intervals are exact.**  Between two changes of input power the
+  capacitor sees constant power ``P`` and a constant-current load ``I``
+  (leakage alone while OFF, the whole system while running), so
+  ``C·v·dv/dt = P − I·v`` has a closed form (:mod:`repro.harvest.segment`).
+  One step jumps to the first of: the threshold crossing, a full
+  capacitor, or the next power change.  A crossing of ``v`` exists only
+  if the equilibrium ``v_eq = P/I`` lies beyond it: OFF reaches v_on only
+  if ``v_eq > v_on``, running reaches v_ckpt only if ``v_eq < v_ckpt``.
+  Load and leakage energy are exact too: ``I·∫v dt = P·span + E0 − E1``.
+* **A full capacitor is a fixed point.**  Surplus harvest charges to
+  ``v_full`` at its exact crossing time; from there, while harvest
+  covers the load, the state does not change until the power does.
+* **Steps end where the input power changes**, not at every trace
+  segment boundary: an exact interval gives the same answer however it
+  is split.  :func:`~repro.harvest.segment.power_changes` builds the one
+  table of change indices this engine and the batch kernel share.  A
+  segment's power is read through one index, ``floor(t / trace.dt +
+  1e-9)``, which every engine uses.
+* **Restore/checkpoint** phases are short (milliseconds) and take
   ``dt`` steps, like the reference engine.
-* **Running** jumps instead of stepping.  While the load outdraws the
-  harvest, one step lands on the v_ckpt crossing (or the segment end).
-  While harvest covers the load on a full capacitor, the state is a
-  fixed point until the segment ends, so one step takes the rest of
-  the segment.  Otherwise, with surplus still filling the capacitor,
-  it advances ``20 * dt`` at a time.  A day in daylight therefore costs
-  one step per trace segment, not one per ``20 * dt``.
-* Every phase reads a segment's power through one index,
-  ``floor(t / trace.dt + 1e-9)``, the same one that places the segment
-  end: a step that starts on a boundary reads the segment it starts.
 
-The result is validated against :class:`IntermittentSimulator` by the
-cross-check tests: identical platform, same trace, matching app time
-and checkpoint counts within a small tolerance.
+Against :class:`IntermittentSimulator` on Figure 8's trace, every
+monitor gets identical checkpoint and power-failure counts and app time
+within 0.1% (``tests/harvest/test_fast.py``), in ~3,400 steps instead
+of 300,000.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from bisect import bisect_right
 
 from repro.errors import SimulationError
 from repro.harvest.capacitor import BufferCapacitor
+from repro.harvest.segment import (
+    crossing_time,
+    equilibrium,
+    load_energy,
+    power_changes,
+    voltage_after,
+)
 from repro.harvest.simulator import IntermittentSimulator, SimulationReport
 from repro.harvest.traces import IrradianceTrace
 
@@ -51,7 +59,7 @@ class FastIntermittentSimulator(IntermittentSimulator):
     engine_name = "fast"
 
     def _run_impl(self, trace: IrradianceTrace, dt: float, v_initial: float, emit) -> SimulationReport:
-        """Replay ``trace``; ``dt`` bounds only the *active* phases."""
+        """Replay ``trace``; ``dt`` bounds only the restore/checkpoint phases."""
         if dt <= 0:
             raise SimulationError("dt must be positive")
         cap = BufferCapacitor(capacitance=self.capacitance, voltage=v_initial)
@@ -61,159 +69,153 @@ class FastIntermittentSimulator(IntermittentSimulator):
             v_checkpoint=self.v_ckpt,
             system_current=self.system_current,
         )
-        sinks = {"core": 0.0, "peripheral": 0.0, "monitor": 0.0, "leakage": 0.0}
         harvested = 0.0
+        # ∫v dt while running and while restoring/checkpointing, and the
+        # OFF leakage energy: each sink's share is its current times the
+        # integral of the phases it draws in.
+        vdt_run = vdt_rc = leak_off = 0.0
         t = 0.0
         end = trace.duration
         steps = 0
-        # One power value per trace segment, shared with the batch engine
-        # so the two agree bit-for-bit on p_in.
+        c = self.capacitance
+        half_c = 0.5 * c
+        v_on = self.v_on
+        v_ckpt = self.v_ckpt
+        leak = self.leakage
+        i_run = self.system_current
+        i_rc = (self.mcu.core_current + self.monitor.current) + leak
+        # One power value per trace segment and one table of power
+        # changes, shared with the batch engine so the two agree
+        # bit-for-bit on p_in and on every interval end.
         power = self.panel.power_curve(trace.values)
         last_seg = len(power) - 1
+        changes = power_changes(power).tolist()
         # The voltage apply_power returns when it clamps at v_max, with
         # its exact operation order: the running phase's fixed point.
-        e_max = 0.5 * self.capacitance * (cap.v_max * cap.v_max)
-        v_full = math.sqrt(2.0 * e_max / self.capacitance)
+        e_max = half_c * (cap.v_max * cap.v_max)
+        v_full = math.sqrt(2.0 * e_max / c)
+        v_on_land = min(v_on, cap.v_max)
 
         while t < end:
-            # ---- OFF: closed-form charge to v_on, segment by segment --
-            while t < end and cap.voltage < self.v_on:
+            # ---- OFF: leak-only interval, closed form up to v_on -------
+            while t < end and cap.voltage < v_on:
                 steps += 1
-                seg = math.floor(t / trace.dt + 1e-9)
-                seg_end = min(end, (seg + 1) * trace.dt)
-                if seg_end - t <= 1e-12:
-                    seg_end = min(end, seg_end + trace.dt)
-                if seg_end - t <= 1e-12:
-                    break  # at the very end of the trace
-                p_in = power[min(seg, last_seg)] if last_seg >= 0 else 0.0
+                seg = min(math.floor(t / trace.dt + 1e-9), last_seg)
+                p_in = power[seg]
+                seg_end = changes[bisect_right(changes, seg)] * trace.dt
                 v = cap.voltage
-                p_leak = self.leakage * max(v, 0.3 * self.v_on)  # segment-mean-ish
-                p_net = p_in - p_leak
-                # Multiplicative square: keeps the closed forms
-                # bit-identical to the numpy batch kernel.
-                e_target = 0.5 * self.capacitance * (self.v_on * self.v_on)
-                if p_net <= 0:
-                    # Not charging this segment: leak down (bounded).
-                    span = seg_end - t
-                    drained = min(cap.energy, -p_net * span)
-                    leak_joules = p_in * span + drained
-                    sinks["leakage"] += leak_joules
-                    harvested += p_in * span
-                    cap.apply_power(0.0, drained / span if span > 0 else 0.0, span or 1e-12)
-                    report.off_time += span
+                span = seg_end - t
+                # Solve the whole interval; only if it ends at or above
+                # v_on is the crossing time needed.
+                v_end = min(voltage_after(v, span, p_in, leak, c), v_full)
+                if v_end >= v_on:
+                    # Land on the v_on crossing itself: the capacitor
+                    # stores voltage, and re-deriving it from energy can
+                    # land an ulp short of v_on (a livelock at 100 uF).
+                    t_hit = crossing_time(v, v_on, p_in, leak, c)
+                    span = t_hit if t_hit < span else span
+                    v_new = v_on_land
+                    t = t + span
+                else:
+                    v_new = v_end
                     t = seg_end
-                    continue
-                t_reach = (e_target - cap.energy) / p_net
-                span = min(seg_end - t, t_reach)
-                if span <= 0:
-                    span = max(min(seg_end - t, 1e-6), 1e-9)
-                sinks["leakage"] += p_leak * span
+                leak_off += load_energy(v, v_new, span, p_in, half_c)
                 harvested += p_in * span
-                cap.apply_power(p_in, p_leak, span)
-                if span >= t_reach and cap.voltage < self.v_on:
-                    # We integrated through the computed v_on crossing, so
-                    # the voltage *is* v_on; snap it there.  The capacitor
-                    # stores voltage, and for some capacitances the
-                    # energy->voltage->energy round-trip loses the last
-                    # ulp, leaving v just under v_on and the loop re-adding
-                    # slivers of energy the sqrt round-trip discards — a
-                    # livelock (seen at 100 uF).
-                    cap.voltage = min(self.v_on, cap.v_max)
                 report.off_time += span
-                t += span
+                cap.voltage = v_new
             if t >= end:
                 break
 
-            # ---- ON: restore -> run (jumps) -> checkpoint -----------
+            # ---- ON: restore -> run (closed form) -> checkpoint -------
             state = "restore"
             phase_left = self.checkpoint.restore_time
             if emit is not None:
                 emit("power_on", t=t, v=cap.voltage)
             while t < end and state != "off":
                 steps += 1
-                seg = math.floor(t / trace.dt + 1e-9)
-                p_in = power[min(seg, last_seg)] if last_seg >= 0 else 0.0
+                seg = min(math.floor(t / trace.dt + 1e-9), last_seg)
+                p_in = power[seg]
                 v = cap.voltage
-                if state == "restore":
-                    draw = {
-                        "core": self.mcu.core_current,
-                        "monitor": self.monitor.current,
-                        "leakage": self.leakage,
-                    }
-                    step = min(dt, phase_left)
-                    report.restore_time += step
-                elif state == "running":
-                    draw = {
-                        "core": self.mcu.core_current,
-                        "peripheral": self.peripheral_current,
-                        "monitor": self.monitor.current,
-                        "leakage": self.leakage,
-                    }
-                    # Jump toward the threshold crossing, but never
-                    # across a trace segment boundary (irradiance, and
-                    # hence the discharge rate, changes there).
-                    seg_end = (seg + 1) * trace.dt
-                    i_total = sum(draw.values())
-                    # Energy-based crossing time, matching apply_power's
-                    # constant-power-per-step semantics exactly so the
-                    # jump lands on the threshold without overshoot.
-                    p_net_out = i_total * v - p_in
-                    if p_net_out > 0:
-                        e_ckpt = 0.5 * self.capacitance * (self.v_ckpt * self.v_ckpt)
-                        t_cross = (cap.energy - e_ckpt) / p_net_out
-                        step = min(max(t_cross, dt), end - t, max(seg_end - t, dt))
-                    elif v == v_full:
-                        # Harvest covers the load and the capacitor is
-                        # clamped full: every further step in this
-                        # segment is identical, so take them as one.
-                        step = max(min(seg_end - t, end - t), dt)
+                if state == "running":
+                    # One step runs to the first of: the v_ckpt crossing,
+                    # a full capacitor, or the interval end.  The interval
+                    # is solved whole; a crossing time is only needed when
+                    # its end lies past a threshold.
+                    seg_end = changes[bisect_right(changes, seg)] * trace.dt
+                    span = seg_end - t
+                    v_eq = equilibrium(p_in, i_run)
+                    if v == v_full and v_eq >= v_full:
+                        # Harvest covers the load on a full capacitor: a
+                        # fixed point, the charger rejects the surplus.
+                        step = span
+                        v_new = v
+                        t = seg_end
+                        load = i_run * v * step
+                        harvested += load
                     else:
-                        step = max(min(seg_end - t, dt * 20), dt)
+                        v_end = min(voltage_after(v, span, p_in, i_run, c), v_full)
+                        if v_end <= v_ckpt:
+                            t_hit = crossing_time(v, v_ckpt, p_in, i_run, c) if v > v_ckpt else 0.0
+                            step = t_hit if t_hit < span else span
+                            v_new = min(v, v_ckpt)
+                            t = t + step
+                        elif v_eq > v_full and v_end >= v_full:
+                            t_hit = crossing_time(v, v_full, p_in, i_run, c)
+                            step = t_hit if t_hit < span else span
+                            v_new = v_full
+                            t = t + step
+                        else:
+                            step = span
+                            v_new = v_end
+                            t = seg_end
+                        load = load_energy(v, v_new, step, p_in, half_c)
+                        harvested += p_in * step
+                    vdt_run += load / i_run
                     report.app_time += step
-                else:  # checkpoint
-                    draw = {
-                        "core": self.mcu.core_current,
-                        "monitor": self.monitor.current,
-                        "leakage": self.leakage,
-                    }
-                    step = min(dt, phase_left)
-                    report.checkpoint_time += step
-
-                i_total = sum(draw.values())
-                e_before = cap.energy
-                for sink, amps in draw.items():
-                    sinks[sink] += amps * v * step
-                cap.apply_power(p_in, i_total * v, step)
-                harvested += (cap.energy - e_before) + i_total * v * step
-                t += step
-
-                if state == "restore":
-                    phase_left -= step
-                    if cap.voltage < self.checkpoint.v_min:
-                        state = "off"
-                    elif phase_left <= 0:
-                        state = "running"
-                elif state == "running":
-                    if cap.voltage <= self.v_ckpt:
+                    cap.voltage = v_new
+                    if v_new <= v_ckpt:
                         state = "checkpoint"
                         phase_left = self.checkpoint.checkpoint_time
                         report.checkpoints += 1
                         if emit is not None:
-                            emit("checkpoint", t=t, v=cap.voltage)
-                elif state == "checkpoint":
-                    phase_left -= step
-                    if cap.voltage < self.checkpoint.v_min:
-                        report.power_failures += 1
-                        state = "off"
-                        if emit is not None:
-                            emit("power_failure", t=t, v=cap.voltage)
-                    elif phase_left <= 0:
-                        state = "off"
-                        if emit is not None:
-                            emit("power_off", t=t, v=cap.voltage)
+                            emit("checkpoint", t=t, v=v_new)
+                    continue
 
+                # Restore and checkpoint: short phases, fixed dt steps.
+                step = min(dt, phase_left)
+                if state == "restore":
+                    report.restore_time += step
+                else:
+                    report.checkpoint_time += step
+                e_before = cap.energy
+                vdt_rc += v * step
+                cap.apply_power(p_in, i_rc * v, step)
+                harvested += (cap.energy - e_before) + i_rc * v * step
+                t += step
+                phase_left -= step
+                if state == "restore":
+                    if cap.voltage < self.checkpoint.v_min:
+                        state = "off"
+                    elif phase_left <= 0:
+                        state = "running"
+                elif cap.voltage < self.checkpoint.v_min:
+                    report.power_failures += 1
+                    state = "off"
+                    if emit is not None:
+                        emit("power_failure", t=t, v=cap.voltage)
+                elif phase_left <= 0:
+                    state = "off"
+                    if emit is not None:
+                        emit("power_off", t=t, v=cap.voltage)
+
+        vdt_on = vdt_run + vdt_rc
         report.steps = steps
-        report.energy_by_sink = sinks
+        report.energy_by_sink = {
+            "core": self.mcu.core_current * vdt_on,
+            "peripheral": self.peripheral_current * vdt_run,
+            "monitor": self.monitor.current * vdt_on,
+            "leakage": leak_off + leak * vdt_on,
+        }
         report.energy_harvested = harvested
         report.energy_in_capacitor = cap.energy
         return report

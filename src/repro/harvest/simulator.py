@@ -262,7 +262,7 @@ class IntermittentSimulator:
 
         for step in range(steps):
             t = step * dt
-            p_in = power[min(int(t / trace.dt), last_seg)] if last_seg >= 0 else 0.0
+            p_in = power[min(math.floor(t / trace.dt + 1e-9), last_seg)] if last_seg >= 0 else 0.0
             # Harvest accounting: energy actually accepted by the
             # capacitor (clamped at v_max, the charger stops charging).
             e_before = cap.energy

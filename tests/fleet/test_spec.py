@@ -40,6 +40,14 @@ class TestDeviceSpec:
         with pytest.raises(ConfigurationError):
             DeviceSpec(device_id=0, capacitance=-1e-6)
 
+    @pytest.mark.parametrize(
+        "field", ["trace_duration", "dt", "capacitance", "panel_area_cm2", "trace_scale"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            DeviceSpec(device_id=0, **{field: value})
+
     def test_trace_build_respects_scale(self):
         base = DeviceSpec(device_id=0, trace_seed=9, trace_duration=30.0)
         scaled = DeviceSpec(device_id=0, trace_seed=9, trace_duration=30.0, trace_scale=2.0)

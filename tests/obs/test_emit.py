@@ -80,14 +80,14 @@ class TestParity:
         assert traced == recorded
 
     def test_batch_fleet(self):
-        """A 64-device, 60 s fleet on the kernel: 1259 lane-tagged
+        """A 64-device, 60 s fleet on the kernel: 1240 lane-tagged
         events, and the same (kind, t, v) events the scalar engine
         traces for the same devices."""
         scenarios = _fleet_scenarios(64, 60.0)
         traced, recorded = _traced(
             "harvest", lambda rec: evaluate_many(scenarios, engine="batch", record=rec)
         )
-        assert len(recorded) == 1259
+        assert len(recorded) == 1240
         assert traced == recorded
         assert all("lane" in payload for _, _, payload in traced)
 

@@ -38,14 +38,14 @@ class TestFacadeSurface:
     def test_evaluate_many_importable_from_api(self):
         from repro.api import evaluate_many  # noqa: F401 - the headline import
 
-    def test_compare_monitors_default_is_reference_engine(self):
-        # The pre-1.1 entry point always ran the reference simulator;
-        # the facade's default must keep those semantics.
+    def test_compare_monitors_default_is_fast_engine(self):
+        # The exact-interval fast engine matches the reference engine's
+        # counts (tests/harvest/test_fast.py), so it is the default.
         trace = nyc_pedestrian_night(duration=60.0, seed=7)
         monitors = [IdealMonitor(), fs_low_power_monitor()]
         reports = api.compare_monitors(monitors, trace, dt=1e-3)
         explicit = api.compare_monitors(
-            monitors, trace, dt=1e-3, scalar_engine="reference", engine="scalar"
+            monitors, trace, dt=1e-3, scalar_engine="fast", engine="scalar"
         )
         assert reports == explicit
 

@@ -127,6 +127,15 @@ class TestFleetCLI:
             assert excinfo.value.code == 2
             assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_fleet_non_finite_duration_exits_cleanly(self, capsys, duration):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--devices", "4", "--duration", duration, "--no-plan"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace_duration must be finite")
+        assert err.count("\n") == 1
+
 
 class TestReplayCLI:
     def _record(self, tmp_path, name="a.jsonl", devices="3", seed="1"):
