@@ -10,7 +10,7 @@ the design-space exploration and system simulator consume.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.analog.divider import VoltageDivider
 from repro.analog.level_shifter import LevelShifter
@@ -144,14 +144,18 @@ class FailureSentinels:
         strategy: str = "linear",
         n_points: Optional[int] = None,
         voltages: Optional[Sequence[float]] = None,
+        count_of_voltage: Optional[Callable[[float], int]] = None,
     ) -> EnrollmentTable:
         """Factory characterization against known supply voltages.
 
         Samples this device's own transfer function (which includes its
         process variation and divider droop) at ``n_points`` evenly
         spaced voltages — or an explicit list — and builds the lookup
-        table in NVM.
+        table in NVM.  ``count_of_voltage`` stands in for
+        :meth:`count_at` when the caller holds an exact equivalent (the
+        SoC peripheral passes its count-step table).
         """
+        count = count_of_voltage or self.count_at
         try:
             table_cls = _STRATEGIES[strategy]
         except KeyError:
@@ -163,9 +167,9 @@ class FailureSentinels:
             n = n_points if n_points is not None else self.config.nvm_entries
             if strategy == "full":
                 # One voltage per achievable count: dense sweep.
-                n = max(n, 4 * (self.count_at(v_hi) - self.count_at(v_lo) + 1))
+                n = max(n, 4 * (count(v_hi) - count(v_lo) + 1))
             voltages = evenly_spaced_voltages(v_lo, v_hi, n)
-        points = enroll_points(self.count_at, voltages)
+        points = enroll_points(count, voltages)
         self.table = table_cls(points, entry_bits=self.config.entry_bits, v_range=(v_lo, v_hi))
         return self.table
 

@@ -16,9 +16,11 @@ standalone CPU tests a fixed voltage works fine.
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import FSConfig
+from repro.core.count_steps import CountSteps
 from repro.core.monitor import FailureSentinels
 from repro.errors import ConfigurationError
 from repro.riscv.memory import MMIODevice
@@ -39,17 +41,37 @@ def default_fs_config() -> FSConfig:
     return FSConfig(tech=TECH_90NM, ro_length=21, counter_bits=8, t_enable=4e-6, f_sample=5e3)
 
 
+#: Count-step tables shared by every device in the process, keyed by
+#: (config, temperature).  ``None`` records a transfer function that is
+#: not monotone over the supply range; those devices use the physics.
+_COUNT_STEPS: Dict[Tuple[FSConfig, float], Optional[CountSteps]] = {}
+
+
+def count_steps(monitor: FailureSentinels) -> Optional[CountSteps]:
+    """The step table of ``monitor.count_at`` over its supply range,
+    built on first use for each (config, temperature)."""
+    key = (monitor.config, monitor.temp_k)
+    if key not in _COUNT_STEPS:
+        _COUNT_STEPS[key] = CountSteps.build(monitor.count_at, monitor.config.v_supply_range)
+    return _COUNT_STEPS[key]
+
+
 class FSDevice(MMIODevice):
     """The monitor peripheral.
 
     ``sample()`` is called by the platform at the configured sampling
     rate (hardware autonomously samples; software only reads results).
+    Counts, in sampling and in enrollment, come from the monitor's
+    shared count-step table (:func:`count_steps`), which agrees with
+    ``monitor.count_at`` everywhere.
     """
 
     def __init__(self, config: Optional[FSConfig] = None, v_supply: float = 3.0):
         self.monitor = FailureSentinels(config or default_fs_config())
-        self.monitor.enroll()
-        self.v_supply = v_supply
+        steps = count_steps(self.monitor)
+        self._count_at = self.monitor.count_at if steps is None else steps.count
+        self.monitor.enroll(count_of_voltage=self._count_at)
+        self.set_supply(v_supply)
         self.enabled = False
         self.threshold_count = 0
         self.last_count = 0
@@ -59,15 +81,17 @@ class FSDevice(MMIODevice):
     # Hardware-side behaviour
     # ------------------------------------------------------------------
     def set_supply(self, v_supply: float) -> None:
-        if v_supply < 0:
-            raise ConfigurationError("supply voltage cannot be negative")
+        if not math.isfinite(v_supply) or v_supply < 0:
+            raise ConfigurationError(
+                f"supply voltage must be finite and non-negative, got {v_supply}"
+            )
         self.v_supply = v_supply
 
     def sample(self) -> int:
         """One autonomous enable window (no-op while disabled)."""
         if not self.enabled:
             return self.last_count
-        self.last_count = self.monitor.count_at(self.v_supply)
+        self.last_count = self._count_at(self.v_supply)
         if self.threshold_count and self.last_count <= self.threshold_count:
             self.irq_pending = True
         return self.last_count

@@ -41,6 +41,11 @@ Job types:
     a :mod:`repro.trace` recording server-side and report whether the
     re-execution is byte-identical (plus the first divergence if not).
 
+A handler may carry a ``validate(request)`` attribute; the job manager
+calls it at submit, so a request it rejects never queues (the HTTP
+front end answers 400).  ``fleet`` uses it to build its
+:class:`~repro.fleet.spec.FleetSpec` up front.
+
 Handlers fan heavy work out through
 :meth:`~repro.serve.jobs.JobContext.wave_run`, so every job type honors
 cancellation at wave granularity and streams as waves complete.  A
@@ -84,6 +89,7 @@ __all__ = [
     "handle_experiments",
     "handle_fleet",
     "handle_replay",
+    "fleet_spec",
     "sweep_from_dict",
     "sweep_to_dict",
 ]
@@ -107,11 +113,20 @@ def _wave(request: Dict):
 # ----------------------------------------------------------------------
 # fleet
 # ----------------------------------------------------------------------
-def handle_fleet(context: JobContext, request: Dict) -> Dict:
-    """Replay a fleet, streaming per-device results as they land."""
+def fleet_spec(request: Dict) -> FleetSpec:
+    """The fleet a ``fleet`` job runs; a malformed payload raises
+    :class:`ConfigurationError`."""
     if "fleet" not in request:
         raise ConfigurationError('fleet job needs a "fleet" payload')
-    fleet = FleetSpec.from_dict(request["fleet"])
+    try:
+        return FleetSpec.from_dict(request["fleet"])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed fleet payload: {exc}") from None
+
+
+def handle_fleet(context: JobContext, request: Dict) -> Dict:
+    """Replay a fleet, streaming per-device results as they land."""
+    fleet = fleet_spec(request)
     parallel = _parallel(request)
     eval_engine = request.get("eval_engine", "auto")
     if request.get("stream"):
@@ -197,6 +212,11 @@ def _handle_fleet_stream(
     if recorder is not None:
         context.emit("trace", recording=recorder.recording.to_dict())
     return outcome.report.to_dict()
+
+
+# The job manager builds the same spec at submit, so a malformed fleet
+# request is refused up front instead of failing once it runs.
+handle_fleet.validate = fleet_spec
 
 
 # ----------------------------------------------------------------------

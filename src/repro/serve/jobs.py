@@ -328,14 +328,18 @@ class JobManager:
 
     # ------------------------------------------------------------------
     def submit(self, kind: str, request: Dict) -> Job:
-        """Enqueue one job; raises when the kind is unknown or the
-        bounded queue is full."""
+        """Enqueue one job; raises when the kind is unknown, the
+        handler's ``validate`` rejects the request, or the bounded queue
+        is full."""
         if kind not in self.handlers:
             raise ConfigurationError(
                 f"unknown job type {kind!r}; choose from {sorted(self.handlers)}"
             )
         if not isinstance(request, dict):
             raise ConfigurationError("job request must be a JSON object")
+        validate = getattr(self.handlers[kind], "validate", None)
+        if validate is not None:
+            validate(request)
         with self._cond:
             if self._shutdown:
                 raise QueueFullError("the service is shutting down")

@@ -75,6 +75,17 @@ class TestDeviceBehaviour:
         with pytest.raises(ConfigurationError):
             device.set_supply(-1.0)
 
+    @pytest.mark.parametrize("v", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_supply_rejected(self, device, v):
+        """A NaN supply used to sample as count 0, at or below any armed
+        threshold, and so fired the checkpoint interrupt."""
+        device.insn_fsen(device.monitor.count_at(2.0))
+        with pytest.raises(ConfigurationError, match="finite"):
+            device.set_supply(v)
+        assert device.v_supply == 3.0
+        device.sample()
+        assert not device.irq_pending
+
     def test_negative_threshold_rejected(self, device):
         with pytest.raises(ConfigurationError):
             device.insn_fsen(-1)

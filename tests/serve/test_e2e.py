@@ -65,9 +65,29 @@ class TestService:
             client._expect("POST", "/jobs", {"no_type": True}, ok=(202,))
         assert excinfo.value.status == 400
 
+    def test_malformed_fleet_refused_at_submit(self, client):
+        """A fleet request that cannot build its FleetSpec is a 400 with a
+        one-line message, and never becomes a job."""
+        before = len(client.jobs())
+        good = synthesize_fleet(2, seed=3, duration=30.0).to_dict()
+        bad_device = json.loads(json.dumps(good))
+        bad_device["devices"][0]["trace_duration"] = float("nan")
+        not_a_fleet = {"fleet": {"devices": [{"no_such_field": 1}]}}
+        messages = []
+        for request in ({"duration": float("nan")}, {"fleet": bad_device}, not_a_fleet):
+            with pytest.raises(ServeError) as excinfo:
+                client.submit("fleet", request)
+            assert excinfo.value.status == 400
+            messages.append(str(excinfo.value))
+        assert all("\n" not in message for message in messages)
+        assert '"fleet" payload' in messages[0]
+        assert "trace_duration" in messages[1]
+        assert "malformed fleet payload" in messages[2]
+        assert len(client.jobs()) == before
+
     def test_result_of_unfinished_job_conflicts(self, client):
         # A failed job: /result answers 409 with the error, not 200.
-        job = client.submit("fleet", {})  # missing the "fleet" payload
+        job = client.submit("dse", {"tech": "4nm"})  # unknown node: fails when run
         final = client.wait(job["id"])
         assert final["state"] == "failed"
         with pytest.raises(ServeError) as excinfo:
