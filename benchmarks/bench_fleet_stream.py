@@ -28,7 +28,6 @@ def synthetic_results(n: int, seed: int = 0):
             device_id=i,
             monitor_name=MONITORS[i % len(MONITORS)],
             policy=("jit", "guarded")[i % 2],
-            engine="fast",
             duration=duration,
             app_time=app_time,
             checkpoint_time=rng.uniform(0.0, 2.0),

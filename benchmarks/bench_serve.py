@@ -56,7 +56,7 @@ def test_serve_warm_cache_speedup(benchmark, results_dir):
         speedup = cold_s / warm_s
 
         assert cold["cache"]["misses"] == len(N_STAGES)
-        assert warm["cache"] == {"hits": len(N_STAGES), "misses": 0}
+        assert warm["cache"] == {"hits": len(N_STAGES), "misses": 0, "surrogate_hits": 0}
         # Warm results are the same bytes the cold run produced.
         assert warm["results"] == cold["results"]
 

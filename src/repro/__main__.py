@@ -155,7 +155,6 @@ def cmd_fleet(args) -> None:
             seed=args.seed,
             duration=args.duration,
             trace=args.irradiance,
-            engine=args.engine,
         )
         result = stream_fleet(
             devices,
@@ -191,7 +190,6 @@ def cmd_fleet(args) -> None:
         seed=args.seed,
         duration=args.duration,
         trace=args.irradiance,
-        engine=args.engine,
     )
     runner = FleetRunner(
         fleet, parallel=args.jobs, cache=cache, eval_engine=args.eval_engine
@@ -472,7 +470,6 @@ def main(argv=None) -> None:
         choices=["nyc_pedestrian_night", "diurnal", "rfid_reader", "thermal_gradient", "constant"],
         help="irradiance trace shape replayed by every device",
     )
-    flt.add_argument("--engine", default="fast", choices=["fast", "reference"])
     flt.add_argument(
         "--eval-engine", default="auto", choices=["auto", "scalar", "batch"],
         help="per-device evaluation dispatch (default auto: batch when numpy "

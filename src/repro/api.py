@@ -4,10 +4,11 @@ Everything a downstream user needs lives behind this one module, with
 semantics guaranteed across 1.x releases (see ``docs/api.md``):
 
 * **the monitor** — :class:`FailureSentinels` / :class:`FSConfig`;
-* **single-scenario simulation** — :class:`IntermittentSimulator`
-  (reference engine) and :class:`FastIntermittentSimulator`;
+* **single-scenario simulation** — :class:`FastIntermittentSimulator`,
+  the harvest engine, over the :class:`IntermittentSimulator` platform
+  model;
 * **bulk evaluation** — :class:`Scenario` + :func:`evaluate_many`, the
-  engine-selecting front door over the scalar engines and the
+  engine-selecting front door over the scalar engine and the
   numpy-vectorized lockstep kernel (:mod:`repro.batch`);
 * **circuit characterization** — :class:`RingSweep` /
   :class:`DividerSweep` + :func:`characterize_many`, the cached SPICE
@@ -121,16 +122,12 @@ def compare_monitors(
     dt: float = 5e-4,
     *,
     engine: str = "auto",
-    scalar_engine: str = "fast",
     parallel: Optional[int] = None,
     v_initial: float = 0.0,
     **platform,
 ) -> List[SimulationReport]:
     """Replay the same platform/trace once per monitor.
 
-    ``scalar_engine`` picks the simulation semantics: ``"fast"`` (the
-    default: exact constant-current intervals, eligible for the batch
-    kernel) or ``"reference"`` (fixed-step, always evaluated scalar).
     ``engine`` is :func:`evaluate_many`'s dispatch choice.  Remaining
     keyword arguments (``panel``, ``capacitance``, ``mcu``,
     ``peripherals``, ``checkpoint``, ``v_on``, ``leakage``) describe the
@@ -144,7 +141,6 @@ def compare_monitors(
             trace=trace,
             dt=dt,
             v_initial=v_initial,
-            scalar_engine=scalar_engine,
             **platform,
         )
         for monitor in monitors

@@ -30,7 +30,6 @@ from repro.batch.dispatch import (
 )
 from repro.batch.scenario import (
     MIN_RUN_WINDOW_V,
-    SCALAR_ENGINES,
     Scenario,
     apply_policy_margin,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "ENGINES",
     "HAS_NUMPY",
     "MIN_RUN_WINDOW_V",
-    "SCALAR_ENGINES",
     "Scenario",
     "apply_policy_margin",
     "evaluate_many",

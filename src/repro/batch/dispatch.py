@@ -3,19 +3,17 @@
 One entry point covers both evaluation families:
 
 * **harvest scenarios** (:class:`~repro.batch.scenario.Scenario`) —
-  dispatched to the vectorized lockstep kernel or the scalar engines;
+  dispatched to the vectorized lockstep kernel or the scalar engine;
 * **DSE design points** (pass ``model=PerformanceModel(...)``) —
   dispatched to the model's vectorized ``evaluate_many``.
 
 Engine-selection rules (documented in ``docs/api.md``):
 
-* ``"scalar"`` — always the per-scenario scalar engines;
-* ``"batch"`` — force the numpy kernel; raises if numpy is missing or
-  a scenario requires reference-engine semantics;
+* ``"scalar"`` — always the per-scenario scalar engine;
+* ``"batch"`` — force the numpy kernel; raises if numpy is missing;
 * ``"auto"`` (default) — the batch kernel when numpy is importable and
-  at least :data:`AUTO_BATCH_MIN` fast-engine scenarios are queued;
-  reference-engine scenarios always run scalar.  Results are returned
-  in input order regardless of how the work was split.
+  at least :data:`AUTO_BATCH_MIN` scenarios are queued.  Results are
+  returned in input order regardless of how the work was split.
 
 ``parallel=k`` additionally shards the scenario list over ``k`` worker
 processes through :func:`repro.exec.run_tasks` (one contiguous chunk
@@ -45,7 +43,7 @@ except ImportError:  # pragma: no cover - exercised in numpy-free installs
 
 ENGINES = ("auto", "scalar", "batch")
 
-#: Below this many fast-engine scenarios, "auto" stays scalar: the
+#: Below this many scenarios, "auto" stays scalar: the
 #: kernel's per-iteration numpy overhead only pays off in bulk.
 AUTO_BATCH_MIN = 32
 
@@ -56,17 +54,11 @@ def resolve_engine(scenarios: Sequence[Scenario], engine: str = "auto") -> str:
         raise ConfigurationError(f"unknown engine {engine!r}; choose from {ENGINES}")
     if engine == "scalar":
         return "scalar"
-    fast = [s for s in scenarios if s.scalar_engine == "fast"]
     if engine == "batch":
         if not HAS_NUMPY:
             raise ConfigurationError("engine='batch' requires numpy")
-        if len(fast) != len(list(scenarios)):
-            raise ConfigurationError(
-                "engine='batch' cannot evaluate reference-engine scenarios; "
-                "use engine='auto' or 'scalar'"
-            )
         return "batch"
-    if HAS_NUMPY and len(fast) >= AUTO_BATCH_MIN:
+    if HAS_NUMPY and len(scenarios) >= AUTO_BATCH_MIN:
         return "batch"
     return "scalar"
 
@@ -155,32 +147,18 @@ def evaluate_many(
         record.finish({"reports": [r.to_dict() for r in results]})
         return results
 
-    # Batch path: fast-engine lanes through the kernel, any
-    # reference-engine scenarios (engine="auto" only) through scalar,
-    # stitched back in input order.
-    batch_idx = [i for i, s in enumerate(items) if s.scalar_engine == "fast"]
-    scalar_idx = [i for i, s in enumerate(items) if s.scalar_engine != "fast"]
-    results: List = [None] * len(items)
     kernel = BatchHarvestEngine()
     with OBS.tracer.span(
-        "batch.evaluate_many", scenarios=len(items), engine="batch", lanes=len(batch_idx)
+        "batch.evaluate_many", scenarios=len(items), engine="batch", lanes=len(items)
     ) as span:
-        reports = kernel.run(
-            [items[i] for i in batch_idx], record=record, lanes=batch_idx
-        )
+        reports = kernel.run(items, record=record)
         span.set(iterations=kernel.last_iterations)
-        for i, report in zip(batch_idx, reports):
-            results[i] = report
-        for i in scalar_idx:
-            results[i] = items[i].run_scalar(
-                record=None if record is None else LaneSink(record, i)
-            )
     metrics = OBS.metrics
-    if metrics.enabled and reports:
+    if metrics.enabled:
         count_runs(reports)
         metrics.incr("batch.runs")
         metrics.incr("batch.lanes", len(reports))
         metrics.incr("batch.iterations", kernel.last_iterations)
     if record is not None:
-        record.finish({"reports": [r.to_dict() for r in results]})
-    return results
+        record.finish({"reports": [r.to_dict() for r in reports]})
+    return reports

@@ -55,7 +55,7 @@ otherwise unchanged.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -90,38 +90,27 @@ class BatchHarvestEngine:
         self,
         scenarios: Sequence,
         record=None,
-        lanes: Optional[Sequence[int]] = None,
     ) -> List[SimulationReport]:
         """Advance every scenario to its trace end; reports in input order.
 
         ``record`` is the :mod:`repro.trace` sink receiving per-lane
-        transition events; ``lanes`` maps kernel lane positions to the
-        caller's lane indices (the dispatcher's input order), so a
-        recording of a mixed batch/scalar evaluation tags every event
-        with one consistent lane numbering.
+        transition events, each tagged with its scenario's input
+        position.
         """
         self.last_iterations = 0
         scenarios = list(scenarios)
         if not scenarios:
             return []
         emit = emitter("harvest", record)
-        lane_ids = list(lanes) if lanes is not None else list(range(len(scenarios)))
-        if len(lane_ids) != len(scenarios):
-            raise ConfigurationError("lanes must map every scenario to a lane index")
         for scenario in scenarios:
             if scenario.trace is None:
                 raise ConfigurationError("scenario has no trace to replay")
-            if scenario.scalar_engine != "fast":
-                raise ConfigurationError(
-                    "the batch kernel implements the fast engine's semantics; "
-                    f"scenario asks for {scenario.scalar_engine!r}"
-                )
 
         n = len(scenarios)
         # Constructing the scalar simulator per lane is cheap and
         # guarantees identical derived platform values (v_ckpt,
         # system_current, validation errors) to the scalar path.
-        sims = [s.build_simulator("fast") for s in scenarios]
+        sims = [s.build_simulator() for s in scenarios]
         caps = [
             BufferCapacitor(capacitance=s.capacitance, voltage=s.v_initial)
             for s in scenarios
@@ -201,7 +190,7 @@ class BatchHarvestEngine:
 
         def lanes_emit(kind, mask, times, volts):
             for i in np.nonzero(mask)[0]:
-                emit(kind, t=float(times[i]), lane=lane_ids[ln.pos[i]], v=float(volts[i]))
+                emit(kind, t=float(times[i]), lane=int(ln.pos[i]), v=float(volts[i]))
 
         # The loop works full-width over the live lanes: every expression
         # is evaluated for all of them and committed through boolean

@@ -6,10 +6,10 @@ checkpoint model, trace, integration step — as a frozen, picklable
 value.  It is the unit the batch kernel vectorizes over and the payload
 the parallel dispatcher ships to worker processes.
 
-The scalar engines remain the semantic reference: ``build_simulator()``
-constructs exactly the simulator the fleet runner has always built
-(including the policy margin clamp), and ``run_scalar()`` replays the
-scenario through it.
+The scalar engine is the kernel's semantic reference:
+``build_simulator()`` constructs exactly the simulator the fleet runner
+has always built (including the policy margin clamp), and
+``run_scalar()`` replays the scenario through it.
 """
 
 from __future__ import annotations
@@ -19,15 +19,12 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.harvest.checkpoint import CheckpointModel
-from repro.harvest.fast import FastIntermittentSimulator
+from repro.harvest.fast import ENGINE_ID, FastIntermittentSimulator, check_engine_id
 from repro.harvest.loads import ADXL362, MCULoad, MSP430FR5969, PeripheralLoad, SYSTEM_LEAKAGE
 from repro.harvest.monitors import MonitorModel
 from repro.harvest.panel import SolarPanel
-from repro.harvest.simulator import DEFAULT_V_ON, IntermittentSimulator, SimulationReport
+from repro.harvest.simulator import DEFAULT_V_ON, SimulationReport
 from repro.harvest.traces import IrradianceTrace
-
-#: Scalar engines a scenario can name for its reference semantics.
-SCALAR_ENGINES = ("fast", "reference")
 
 #: Keep the deployed checkpoint threshold strictly below turn-on after
 #: policy padding; without head-room the device would checkpoint at
@@ -57,9 +54,6 @@ def apply_policy_margin(simulator, margin: float) -> None:
 class Scenario:
     """A self-contained harvest/intermittent evaluation request.
 
-    ``scalar_engine`` names the semantics the scenario expects:
-    ``"fast"`` (the adaptive-step engine the batch kernel replicates) or
-    ``"reference"`` (the fixed-step engine; always evaluated scalar).
     ``v_ckpt_margin`` is the runtime policy's extra voltage padding on
     the monitor-derived checkpoint threshold, applied exactly the way
     the fleet runner applies it.
@@ -72,7 +66,6 @@ class Scenario:
     dt: float = 1e-3
     v_initial: float = 0.0
     v_ckpt_margin: float = 0.0
-    scalar_engine: str = "fast"
     mcu: MCULoad = MSP430FR5969
     peripherals: Tuple[PeripheralLoad, ...] = (ADXL362,)
     checkpoint: CheckpointModel = CheckpointModel()
@@ -80,10 +73,6 @@ class Scenario:
     leakage: float = SYSTEM_LEAKAGE
 
     def __post_init__(self) -> None:
-        if self.scalar_engine not in SCALAR_ENGINES:
-            raise ConfigurationError(
-                f"unknown scalar engine {self.scalar_engine!r}; choose from {SCALAR_ENGINES}"
-            )
         if self.dt <= 0:
             raise ConfigurationError("scenario dt must be positive")
         if self.v_ckpt_margin < 0:
@@ -104,7 +93,6 @@ class Scenario:
             capacitance=device.capacitance,
             dt=device.dt,
             v_ckpt_margin=device.policy_margin(),
-            scalar_engine=device.engine,
         )
 
     # ------------------------------------------------------------------
@@ -116,7 +104,8 @@ class Scenario:
         infinite sample rate rides the stdlib ``Infinity`` policy).
         This is the config unit :mod:`repro.trace` headers embed for
         harvest and batch recordings: a scenario rebuilt from it
-        replays bit-identically.
+        replays bit-identically.  ``scalar_engine`` is a constant kept
+        so payloads stay byte-identical to those of earlier releases.
         """
         return {
             "monitor": asdict(self.monitor),
@@ -128,7 +117,7 @@ class Scenario:
             "dt": self.dt,
             "v_initial": self.v_initial,
             "v_ckpt_margin": self.v_ckpt_margin,
-            "scalar_engine": self.scalar_engine,
+            "scalar_engine": ENGINE_ID,
             "mcu": asdict(self.mcu),
             "peripherals": [asdict(p) for p in self.peripherals],
             "checkpoint": asdict(self.checkpoint),
@@ -138,6 +127,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "Scenario":
+        check_engine_id(data.get("scalar_engine", ENGINE_ID), "scalar_engine")
         trace = data.get("trace")
         return cls(
             monitor=MonitorModel(**data["monitor"]),
@@ -149,7 +139,6 @@ class Scenario:
             dt=data.get("dt", 1e-3),
             v_initial=data.get("v_initial", 0.0),
             v_ckpt_margin=data.get("v_ckpt_margin", 0.0),
-            scalar_engine=data.get("scalar_engine", "fast"),
             mcu=MCULoad(**data["mcu"]) if "mcu" in data else MSP430FR5969,
             peripherals=tuple(PeripheralLoad(**p) for p in data["peripherals"])
             if "peripherals" in data
@@ -162,15 +151,9 @@ class Scenario:
         )
 
     # ------------------------------------------------------------------
-    def build_simulator(self, engine: Optional[str] = None) -> IntermittentSimulator:
+    def build_simulator(self) -> FastIntermittentSimulator:
         """The scalar simulator this scenario describes (margin applied)."""
-        name = engine or self.scalar_engine
-        if name not in SCALAR_ENGINES:
-            raise ConfigurationError(
-                f"unknown scalar engine {name!r}; choose from {SCALAR_ENGINES}"
-            )
-        cls = FastIntermittentSimulator if name == "fast" else IntermittentSimulator
-        simulator = cls(
+        simulator = FastIntermittentSimulator(
             self.monitor,
             panel=self.panel,
             capacitance=self.capacitance,
@@ -184,7 +167,7 @@ class Scenario:
         return simulator
 
     def run_scalar(self, record=None) -> SimulationReport:
-        """Replay the scenario through its scalar reference engine.
+        """Replay the scenario through the scalar engine.
 
         ``record`` forwards to the simulator's :mod:`repro.trace` seam
         (a :class:`~repro.trace.LaneSink` when the batch dispatcher is

@@ -39,16 +39,14 @@ def run(
     seed: int = 42,
     dt: float = 1e-3,
     engine: str = "auto",
-    scalar_engine: str = "fast",
 ) -> ExperimentResult:
     """Regenerate Figure 8.
 
-    ``scalar_engine``/``engine`` forward to
-    :func:`repro.api.compare_monitors`.  The default fast engine solves
-    each constant-current interval exactly and matches the fixed-step
-    reference engine's checkpoint and power-failure counts, with app
-    time within 0.1% (``tests/harvest/test_fast.py``), at a fraction of
-    its cost; ``scalar_engine="reference"`` replays the 1 ms steps.
+    ``engine`` forwards to :func:`repro.api.compare_monitors`.  The
+    harvest engine solves each constant-current interval exactly and
+    matches a 1 ms fixed-step integrator's checkpoint and power-failure
+    counts, with app time within 0.1% (``tests/harvest/test_fast.py``),
+    at a fraction of its cost.
     """
     trace = trace or nyc_pedestrian_night(duration=duration, seed=seed)
     monitors = [
@@ -58,9 +56,7 @@ def run(
         ComparatorMonitor(),
         ADCMonitor(),
     ]
-    reports = compare_monitors(
-        monitors, trace, dt=dt, engine=engine, scalar_engine=scalar_engine
-    )
+    reports = compare_monitors(monitors, trace, dt=dt, engine=engine)
     normalized = normalized_app_time(reports)
 
     result = ExperimentResult(

@@ -32,7 +32,6 @@ from repro.fleet.runner import (
 )
 from repro.fleet.spec import (
     DeviceSpec,
-    ENGINES,
     FleetSpec,
     MONITOR_KINDS,
     POLICY_MARGINS,
@@ -65,7 +64,6 @@ __all__ = [
     "run_fleet",
     "simulate_devices",
     "DeviceSpec",
-    "ENGINES",
     "FleetSpec",
     "MONITOR_KINDS",
     "POLICY_MARGINS",

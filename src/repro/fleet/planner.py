@@ -133,7 +133,6 @@ class DeploymentPlanner:
         assignments: Sequence[SiteAssignment],
         duration: float = 300.0,
         trace: str = "nyc_pedestrian_night",
-        engine: str = "fast",
         name: str = "planned-fleet",
     ) -> FleetSpec:
         """Materialize a plan as a runnable fleet (one device per site)."""
@@ -162,7 +161,6 @@ class DeploymentPlanner:
                     trace_duration=duration,
                     trace_scale=site.trace_scale,
                     policy=site.policy,
-                    engine=engine,
                 )
             )
         return FleetSpec(devices=tuple(devices), name=name)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.harvest.fast import ENGINE_ID, check_engine_id
 from repro.harvest.simulator import SimulationReport
 
 #: Metrics the report aggregates, with how to print them.
@@ -76,7 +77,6 @@ class DeviceResult:
     device_id: int
     monitor_name: str
     policy: str
-    engine: str
     duration: float
     app_time: float
     checkpoint_time: float
@@ -93,14 +93,12 @@ class DeviceResult:
         cls,
         device_id: int,
         policy: str,
-        engine: str,
         report: SimulationReport,
     ) -> "DeviceResult":
         return cls(
             device_id=device_id,
             monitor_name=report.monitor_name,
             policy=policy,
-            engine=engine,
             duration=report.duration,
             app_time=report.app_time,
             checkpoint_time=report.checkpoint_time,
@@ -124,12 +122,14 @@ class DeviceResult:
         return 100.0 * self.duty
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready payload; inverse of :meth:`from_dict`."""
+        """JSON-ready payload; inverse of :meth:`from_dict`.  ``engine``
+        is a constant kept so fleet reports and recording digests stay
+        byte-identical to those of earlier releases."""
         return {
             "device_id": self.device_id,
             "monitor_name": self.monitor_name,
             "policy": self.policy,
-            "engine": self.engine,
+            "engine": ENGINE_ID,
             "duration": self.duration,
             "app_time": self.app_time,
             "checkpoint_time": self.checkpoint_time,
@@ -145,6 +145,7 @@ class DeviceResult:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DeviceResult":
         payload = dict(data)
+        check_engine_id(payload.pop("engine", ENGINE_ID), "engine")
         # Construction sorts the sink tuple, so a dict round-trip is
         # order-exact.
         payload["energy_by_sink"] = tuple(

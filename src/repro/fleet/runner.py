@@ -47,10 +47,10 @@ def simulate_devices(
 
     Builds one :class:`~repro.batch.Scenario` per device and hands the
     lot to :func:`repro.batch.evaluate_many`; with ``engine="auto"``
-    large homogeneous chunks vectorize through the numpy kernel while
-    small or reference-engine chunks fall back to the scalar engines —
-    either way the results are bit-identical to the one-device scalar
-    path (the kernel's equivalence contract).
+    large chunks vectorize through the numpy kernel while small ones
+    fall back to the scalar engine — either way the results are
+    bit-identical to the one-device scalar path (the kernel's
+    equivalence contract).
     """
     scenarios = [Scenario.from_device(device, monitor) for device, monitor in work]
     reports = evaluate_many(scenarios, engine=engine)
@@ -58,7 +58,6 @@ def simulate_devices(
         DeviceResult.from_report(
             device_id=device.device_id,
             policy=device.policy,
-            engine=device.engine,
             report=report,
         )
         for (device, _monitor), report in zip(work, reports)

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.harvest.fast import ENGINE_ID, check_engine_id
 from repro.harvest.traces import (
     IrradianceTrace,
     constant_trace,
@@ -34,9 +35,6 @@ from repro.harvest.traces import (
 #: Monitor kinds a device can name.  ``fs`` takes custom design
 #: parameters through ``monitor_params``; the rest are parameter-free.
 MONITOR_KINDS = ("ideal", "fs_lp", "fs_hp", "fs", "comparator", "adc")
-
-#: Simulation engines (resolved by :meth:`repro.batch.Scenario.from_device`).
-ENGINES = ("fast", "reference")
 
 #: Runtime checkpoint policies, expressed as the extra voltage margin
 #: software pads onto the monitor-derived checkpoint threshold.  ``jit``
@@ -104,7 +102,6 @@ class DeviceSpec:
     #: Site irradiance multiplier (shaded courtyard vs. storefront).
     trace_scale: float = 1.0
     policy: str = "jit"
-    engine: str = "fast"
     dt: float = 1e-3
 
     def __post_init__(self) -> None:
@@ -122,8 +119,6 @@ class DeviceSpec:
             raise ConfigurationError(
                 f"unknown policy {self.policy!r}; choose from {sorted(POLICY_MARGINS)}"
             )
-        if self.engine not in ENGINES:
-            raise ConfigurationError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
         for name in ("trace_duration", "dt", "capacitance", "panel_area_cm2", "trace_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -140,6 +135,8 @@ class DeviceSpec:
 
         This is the per-device wire format for ``fleet`` jobs in
         :mod:`repro.serve` (api v1.1.0 ``to_dict`` convention).
+        ``engine`` is a constant kept so payloads stay byte-identical to
+        those of earlier releases.
         """
         return {
             "device_id": self.device_id,
@@ -153,13 +150,14 @@ class DeviceSpec:
             "trace_duration": self.trace_duration,
             "trace_scale": self.trace_scale,
             "policy": self.policy,
-            "engine": self.engine,
+            "engine": ENGINE_ID,
             "dt": self.dt,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DeviceSpec":
         payload = dict(data)
+        check_engine_id(payload.pop("engine", ENGINE_ID), "engine")
         payload["monitor_params"] = tuple(
             (k, v) for k, v in payload.get("monitor_params", ())
         )
@@ -209,12 +207,6 @@ class FleetSpec:
             seen.setdefault(device.calibration_key(), None)
         return list(seen)
 
-    def with_engine(self, engine: str) -> "FleetSpec":
-        return FleetSpec(
-            devices=tuple(replace(d, engine=engine) for d in self.devices),
-            name=self.name,
-        )
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready payload; inverse of :meth:`from_dict` (the
         ``fleet`` job wire format in :mod:`repro.serve`)."""
@@ -236,7 +228,6 @@ def iter_synthesized_devices(
     seed: int = 1,
     duration: float = 300.0,
     trace: str = "nyc_pedestrian_night",
-    engine: str = "fast",
     monitors: Sequence[str] = ("fs_lp", "fs_hp", "comparator", "adc"),
     policies: Sequence[str] = ("jit", "guarded"),
 ) -> Iterator[DeviceSpec]:
@@ -263,7 +254,6 @@ def iter_synthesized_devices(
             trace_duration=duration,
             trace_scale=round(rng.uniform(0.5, 2.0), 3),
             policy=policies[i % len(policies)],
-            engine=engine,
         )
 
 
@@ -272,7 +262,6 @@ def synthesize_fleet(
     seed: int = 1,
     duration: float = 300.0,
     trace: str = "nyc_pedestrian_night",
-    engine: str = "fast",
     monitors: Sequence[str] = ("fs_lp", "fs_hp", "comparator", "adc"),
     policies: Sequence[str] = ("jit", "guarded"),
     name: Optional[str] = None,
@@ -294,7 +283,6 @@ def synthesize_fleet(
             seed=seed,
             duration=duration,
             trace=trace,
-            engine=engine,
             monitors=monitors,
             policies=policies,
         )

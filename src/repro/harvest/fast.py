@@ -1,8 +1,8 @@
-"""A fast, exact-interval intermittent-system simulator.
+"""The harvest engine: an exact-interval intermittent-system simulator.
 
-The fixed-step engine (:mod:`repro.harvest.simulator`) integrates at
-~1 ms: 300,000 steps for one Figure 8 replay, ~10^8 for a day.  This
-engine exploits the system's structure instead:
+A fixed-step integrator at ~1 ms takes 300,000 steps for one Figure 8
+replay and ~10^8 for a day.  This engine exploits the system's
+structure instead:
 
 * **Intervals are exact.**  Between two changes of input power the
   capacitor sees constant power ``P`` and a constant-current load ``I``
@@ -23,12 +23,12 @@ engine exploits the system's structure instead:
   segment's power is read through one index, ``floor(t / trace.dt +
   1e-9)``, which every engine uses.
 * **Restore/checkpoint** phases are short (milliseconds) and take
-  ``dt`` steps, like the reference engine.
+  ``dt`` steps.
 
-Against :class:`IntermittentSimulator` on Figure 8's trace, every
-monitor gets identical checkpoint and power-failure counts and app time
-within 0.1% (``tests/harvest/test_fast.py``), in ~3,400 steps instead
-of 300,000.
+Against the fixed-step oracle (``tests/oracles/harvest.py``) on Figure
+8's trace, every monitor gets identical checkpoint and power-failure
+counts and app time within 0.1% (``tests/harvest/test_fast.py``), in
+~3,400 steps instead of 300,000.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.harvest.capacitor import BufferCapacitor
 from repro.harvest.segment import (
     crossing_time,
@@ -48,15 +48,26 @@ from repro.harvest.segment import (
 from repro.harvest.simulator import IntermittentSimulator, SimulationReport
 from repro.harvest.traces import IrradianceTrace
 
+#: The engine id recordings and scenario/fleet payloads carry.
+ENGINE_ID = "fast"
+
+
+def check_engine_id(value: object, key: str) -> None:
+    """Refuse a payload whose ``key`` names any engine but this one."""
+    if value != ENGINE_ID:
+        raise ConfigurationError(
+            f"{key} {value!r} is not supported: the only harvest engine is {ENGINE_ID!r}"
+        )
+
 
 class FastIntermittentSimulator(IntermittentSimulator):
-    """Drop-in accelerated engine (same constructor/report types).
+    """The harvest engine every library path builds.
 
-    Inherits the instrumented ``run()`` template from the reference
-    engine; only the integration strategy differs.
+    Adds the integration strategy to the :class:`IntermittentSimulator`
+    platform model, whose instrumented ``run()`` template it inherits.
     """
 
-    engine_name = "fast"
+    engine_name = ENGINE_ID
 
     def _run_impl(self, trace: IrradianceTrace, dt: float, v_initial: float, emit) -> SimulationReport:
         """Replay ``trace``; ``dt`` bounds only the restore/checkpoint phases."""

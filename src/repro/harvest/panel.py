@@ -63,8 +63,9 @@ class SolarPanel:
     def power_curve(self, values) -> list:
         """Electrical power per sample of a piecewise-constant trace.
 
-        Every simulation engine — reference, fast, and batch — reads its
-        per-segment input power from this one function, so engines agree
+        The scalar engine, the batch kernel and the fixed-step test
+        oracle read their per-segment input power from this one
+        function, so engines agree
         bit-for-bit on ``p_in`` (the only transcendental in the harvest
         path is the low-light-knee exponential, evaluated here exactly
         once per segment instead of once per step).  Returns a plain list

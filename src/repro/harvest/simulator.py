@@ -1,8 +1,9 @@
-"""Event-driven intermittent-execution simulator (Section V-D).
+"""The intermittent platform model (Section V-D) and its run report.
 
-Replays an irradiance trace against the paper's system model — panel,
+An :class:`IntermittentSimulator` is the paper's system model — panel,
 47 uF buffer capacitor, MSP430-class core, accelerometer, and a chosen
-voltage monitor — through the charge / run / checkpoint cycle:
+voltage monitor — replayed against an irradiance trace through the
+charge / run / checkpoint cycle:
 
 * **OFF**: everything but leakage is off; the capacitor charges until
   the 3.5 V turn-on threshold.
@@ -12,6 +13,12 @@ voltage monitor — through the charge / run / checkpoint cycle:
   core writes volatile state to FRAM (8.192 ms worst case) and shuts
   down.
 
+This module holds the platform model the engine builds on: the derived
+currents and checkpoint threshold, the instrumented
+:meth:`~IntermittentSimulator.run` template, and the report.  The
+engine that replays traces is
+:class:`repro.harvest.fast.FastIntermittentSimulator`.
+
 The report splits wall-clock time and energy by destination, which is
 exactly what Figure 8 (application time, normalized to the ideal
 monitor) and the 59-77% / 24-45% energy-overhead claims need.
@@ -19,12 +26,10 @@ monitor) and the 59-77% / 24-45% energy-overhead claims need.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.harvest.capacitor import BufferCapacitor
+from repro.errors import ConfigurationError
 from repro.obs import OBS, emitter
 from repro.harvest.checkpoint import CheckpointModel
 from repro.harvest.loads import MCULoad, PeripheralLoad, MSP430FR5969, ADXL362, SYSTEM_LEAKAGE
@@ -48,8 +53,8 @@ class SimulationReport:
     off_time: float = 0.0
     checkpoints: int = 0
     power_failures: int = 0
-    #: Integration steps the engine actually took (fixed for the
-    #: reference engine, adaptive for the fast one).
+    #: Steps the engine took: one per exact constant-current interval,
+    #: plus one per ``dt`` in restore and checkpoint phases.
     steps: int = 0
     v_checkpoint: float = 0.0
     system_current: float = 0.0
@@ -110,8 +115,9 @@ class SimulationReport:
 
 
 def count_runs(reports: Sequence[SimulationReport]) -> None:
-    """Add finished harvest runs to the ``harvest.*`` metrics, whichever
-    engine produced them, so ``harvest.runs`` counts every device."""
+    """Add finished harvest runs to the ``harvest.*`` metrics, from the
+    scalar engine or the batch kernel, so ``harvest.runs`` counts every
+    device."""
     metrics = OBS.metrics
     if not metrics.enabled:
         return
@@ -124,7 +130,10 @@ def count_runs(reports: Sequence[SimulationReport]) -> None:
 
 
 class IntermittentSimulator:
-    """One platform configuration, replayable against many traces."""
+    """One platform configuration, replayable against many traces.
+
+    Engines subclass it and supply ``engine_name`` and ``_run_impl``.
+    """
 
     def __init__(
         self,
@@ -165,8 +174,8 @@ class IntermittentSimulator:
                 "threshold; no room to run"
             )
 
-    #: Engine label used in trace spans and reports.
-    engine_name = "reference"
+    #: Engine label used in trace spans and recording headers.
+    engine_name = ""
 
     # ------------------------------------------------------------------
     def run(
@@ -231,7 +240,6 @@ class IntermittentSimulator:
             capacitance=self.capacitance,
             dt=dt,
             v_initial=v_initial,
-            scalar_engine="fast" if self.engine_name == "fast" else "reference",
             mcu=self.mcu,
             peripherals=tuple(self.peripherals),
             checkpoint=self.checkpoint,
@@ -241,129 +249,10 @@ class IntermittentSimulator:
         return {"scenario": scenario.to_dict(), "v_ckpt": self.v_ckpt}
 
     def _run_impl(self, trace: IrradianceTrace, dt: float, v_initial: float, emit) -> SimulationReport:
-        if dt <= 0:
-            raise SimulationError("dt must be positive")
-        cap = BufferCapacitor(capacitance=self.capacitance, voltage=v_initial)
-        report = SimulationReport(
-            monitor_name=self.monitor.name,
-            duration=trace.duration,
-            v_checkpoint=self.v_ckpt,
-            system_current=self.system_current,
+        raise NotImplementedError(
+            "IntermittentSimulator is the platform model; replay traces "
+            "with FastIntermittentSimulator"
         )
-        sinks = {"core": 0.0, "peripheral": 0.0, "monitor": 0.0, "leakage": 0.0}
-
-        state = "off"
-        phase_left = 0.0  # remaining seconds in restore/checkpoint
-        harvested = 0.0
-        steps = int(round(trace.duration / dt))
-        # Per-segment input power, shared with the fast and batch engines.
-        power = self.panel.power_curve(trace.values)
-        last_seg = len(power) - 1
-
-        for step in range(steps):
-            t = step * dt
-            p_in = power[min(math.floor(t / trace.dt + 1e-9), last_seg)] if last_seg >= 0 else 0.0
-            # Harvest accounting: energy actually accepted by the
-            # capacitor (clamped at v_max, the charger stops charging).
-            e_before = cap.energy
-            v = cap.voltage
-
-            if state == "off":
-                draw = {"leakage": self.leakage}
-                report.off_time += dt
-            elif state == "restore":
-                draw = {"core": self.mcu.core_current, "monitor": self.monitor.current, "leakage": self.leakage}
-                report.restore_time += dt
-            elif state == "running":
-                draw = {
-                    "core": self.mcu.core_current,
-                    "peripheral": self.peripheral_current,
-                    "monitor": self.monitor.current,
-                    "leakage": self.leakage,
-                }
-                report.app_time += dt
-            elif state == "checkpoint":
-                draw = {"core": self.mcu.core_current, "monitor": self.monitor.current, "leakage": self.leakage}
-            else:  # pragma: no cover - state machine is closed
-                raise SimulationError(f"unknown state {state}")
-
-            if state == "checkpoint":
-                # The checkpoint rarely ends on a step boundary; split the
-                # final step so thin-margin monitors (the ADC's margin is
-                # ~1 mV) are not killed by step quantization.
-                t_active = min(dt, phase_left)
-                report.checkpoint_time += t_active
-                report.off_time += dt - t_active
-                i_total = sum(draw.values())
-                for sink, amps in draw.items():
-                    sinks[sink] += amps * v * t_active
-                sinks["leakage"] += self.leakage * v * (dt - t_active)
-                consumed = (i_total * t_active + self.leakage * (dt - t_active)) * v
-                cap.apply_power(p_in, consumed / dt, dt)
-            else:
-                i_total = sum(draw.values())
-                for sink, amps in draw.items():
-                    sinks[sink] += amps * v * dt
-                consumed = i_total * v * dt
-                cap.apply_power(p_in, i_total * v, dt)
-            # Energy the capacitor actually accepted (offered input minus
-            # what the full-capacitor clamp rejected).
-            harvested += (cap.energy - e_before) + consumed
-
-            # ---- transitions ------------------------------------------
-            v = cap.voltage
-            if state == "off":
-                if v >= self.v_on:
-                    state = "restore"
-                    phase_left = self.checkpoint.restore_time
-                    if emit is not None:
-                        emit("power_on", t=t, v=v)
-            elif state == "restore":
-                phase_left -= dt
-                if v < self.checkpoint.v_min:
-                    # Died mid-restore; checkpoint in NVM is intact.
-                    state = "off"
-                elif phase_left <= 0:
-                    state = "running"
-            elif state == "running":
-                if v <= self.v_ckpt:
-                    state = "checkpoint"
-                    report.checkpoints += 1
-                    if emit is not None:
-                        emit("checkpoint", t=t, v=v)
-                    # Split the step at the threshold crossing: a discrete
-                    # step overshoots the threshold by up to I*dt/C volts,
-                    # which would make even the ideal monitor look "late"
-                    # (an artifact of dt, not of the monitor — real
-                    # monitor latency is already in v_ckpt's margins).
-                    # Credit the overshoot time to the checkpoint phase
-                    # and refund the capacitor the overshoot energy at
-                    # the lower checkpoint current.
-                    overshoot_v = self.v_ckpt - v
-                    i_run = self.system_current
-                    t_over = min(dt, overshoot_v * self.capacitance / i_run)
-                    refund_joules = (i_run - self.checkpoint_current) * v * t_over
-                    cap.apply_power(refund_joules, 0.0, 1.0)
-                    report.app_time -= t_over
-                    report.checkpoint_time += t_over
-                    phase_left = self.checkpoint.checkpoint_time - t_over
-            elif state == "checkpoint":
-                phase_left -= dt
-                if v < self.checkpoint.v_min:
-                    report.power_failures += 1
-                    state = "off"
-                    if emit is not None:
-                        emit("power_failure", t=t, v=v)
-                elif phase_left <= 0:
-                    state = "off"
-                    if emit is not None:
-                        emit("power_off", t=t, v=v)
-
-        report.steps = steps
-        report.energy_by_sink = sinks
-        report.energy_harvested = harvested
-        report.energy_in_capacitor = cap.energy
-        return report
 
     # ------------------------------------------------------------------
     def analytic_cycle(self) -> Dict[str, float]:

@@ -11,7 +11,8 @@ implementation's opinion.
 Per-kind runners (lazy engine imports keep this module import-light):
 
 * ``harvest`` — rebuild the scenario, restore the effective ``v_ckpt``,
-  rerun the scalar engine named in the header;
+  rerun the scalar engine (a payload naming any engine but ``"fast"``
+  is refused with a :class:`~repro.errors.ConfigurationError`);
 * ``batch``  — rebuild every scenario, rerun ``evaluate_many``;
 * ``riscv``  — rebuild the machine (default device/policy by
   construction — recording enforces it), rerun;
@@ -98,7 +99,6 @@ def record_device(spec, record, cache=None):
         capacitance=spec.capacitance,
         dt=spec.dt,
         v_ckpt_margin=spec.policy_margin(),
-        scalar_engine=spec.engine,
     )
     simulator = scenario.build_simulator()
     record.begin(
@@ -117,7 +117,6 @@ def record_device(spec, record, cache=None):
     result = DeviceResult.from_report(
         device_id=spec.device_id,
         policy=spec.policy,
-        engine=spec.engine,
         report=report,
     )
     record.finish(result.to_dict())

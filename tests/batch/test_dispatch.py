@@ -43,28 +43,6 @@ class TestResolveEngine:
         scenarios = fast_scenarios(AUTO_BATCH_MIN)
         assert resolve_engine(scenarios, engine="auto") == "batch"
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="batch kernel needs numpy")
-    def test_batch_rejects_reference_scenarios(self):
-        scenarios = fast_scenarios(2) + [
-            Scenario(
-                monitor=IdealMonitor(),
-                trace=nyc_pedestrian_night(10.0, seed=5),
-                scalar_engine="reference",
-            )
-        ]
-        with pytest.raises(ConfigurationError):
-            resolve_engine(scenarios, engine="batch")
-
-    def test_auto_tolerates_reference_scenarios(self):
-        scenarios = [
-            Scenario(
-                monitor=IdealMonitor(),
-                trace=nyc_pedestrian_night(10.0, seed=5),
-                scalar_engine="reference",
-            )
-        ]
-        assert resolve_engine(scenarios, engine="auto") == "scalar"
-
 
 class TestEvaluateMany:
     def test_empty_input(self):

@@ -12,7 +12,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.batch import Scenario, evaluate_many
+from repro.batch import AUTO_BATCH_MIN, Scenario, evaluate_many, resolve_engine
 from repro.harvest.monitors import (
     ADCMonitor,
     ComparatorMonitor,
@@ -162,18 +162,11 @@ class TestScalarBatchEquivalence:
         chunked = evaluate_many(scenarios, engine="batch", parallel=3)
         assert_reports_equal(serial, chunked)
 
-    def test_auto_stitches_reference_lanes_in_order(self):
-        """engine='auto' runs reference lanes scalar, others batched,
-        and returns everything in input order."""
-        scenarios = make_scenarios(4)
-        scenarios.insert(
-            2,
-            Scenario(
-                monitor=IdealMonitor(),
-                trace=nyc_pedestrian_night(60.0, seed=77),
-                scalar_engine="reference",
-            ),
-        )
+    def test_auto_batches_in_input_order(self):
+        """engine='auto' sends an AUTO_BATCH_MIN-lane evaluation to the
+        kernel and returns every report in input order."""
+        scenarios = make_scenarios(AUTO_BATCH_MIN - 1)
+        assert resolve_engine(scenarios, engine="auto") == "batch"
         results = evaluate_many(scenarios, engine="auto")
         expected = [s.run_scalar() for s in scenarios]
         assert_reports_equal(expected, results)

@@ -14,7 +14,6 @@ def make_result(device_id: int, app_time: float, checkpoints: int = 5, monitor="
         device_id=device_id,
         monitor_name=monitor,
         policy="jit",
-        engine="fast",
         duration=100.0,
         app_time=app_time,
         checkpoint_time=1.0,

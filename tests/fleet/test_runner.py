@@ -198,10 +198,3 @@ class TestValidation:
     def test_parallel_must_be_positive(self, small_fleet):
         with pytest.raises(ConfigurationError):
             FleetRunner(small_fleet, parallel=0)
-
-    def test_reference_engine_supported(self):
-        device = DeviceSpec(
-            device_id=0, engine="reference", trace_seed=3, trace_duration=20.0
-        )
-        outcome = run_fleet(FleetSpec(devices=(device,), name="ref"))
-        assert outcome.report.results[0].engine == "reference"

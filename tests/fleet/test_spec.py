@@ -27,8 +27,11 @@ class TestDeviceSpec:
             DeviceSpec(device_id=0, policy="yolo")
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DeviceSpec(device_id=0, engine="quantum")
+        # "fast" is the only engine; payloads may still name it.
+        assert DeviceSpec.from_dict({"device_id": 0, "engine": "fast"}) == DeviceSpec(device_id=0)
+        for engine in ("quantum", "reference"):
+            with pytest.raises(ConfigurationError):
+                DeviceSpec.from_dict({"device_id": 0, "engine": engine})
 
     def test_params_only_for_custom_fs(self):
         with pytest.raises(ConfigurationError):
@@ -77,13 +80,6 @@ class TestFleetSpec:
             )
         )
         assert fleet.calibration_keys() == [("90nm", "fs_lp", ()), ("90nm", "adc", ())]
-
-    def test_with_engine_swaps_every_device(self):
-        fleet = synthesize_fleet(4, seed=2, duration=10.0)
-        swapped = fleet.with_engine("reference")
-        assert all(d.engine == "reference" for d in swapped.devices)
-        # Everything else is untouched.
-        assert [d.trace_seed for d in swapped.devices] == [d.trace_seed for d in fleet.devices]
 
 
 class TestSynthesizeFleet:

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from repro.harvest import (
     ADCMonitor,
     ComparatorMonitor,
+    FastIntermittentSimulator,
     IdealMonitor,
-    IntermittentSimulator,
     constant_trace,
     nyc_pedestrian_night,
 )
@@ -33,24 +33,24 @@ def balance_error(report) -> float:
 class TestConservationFixedCases:
     @pytest.mark.parametrize("monitor_factory", [IdealMonitor, ComparatorMonitor, ADCMonitor])
     def test_constant_light(self, monitor_factory):
-        sim = IntermittentSimulator(monitor_factory())
+        sim = FastIntermittentSimulator(monitor_factory())
         report = sim.run(constant_trace(1.0, 60.0), dt=1e-3)
         assert balance_error(report) < 0.01
 
     def test_realistic_trace(self):
-        sim = IntermittentSimulator(IdealMonitor())
+        sim = FastIntermittentSimulator(IdealMonitor())
         report = sim.run(nyc_pedestrian_night(duration=60.0, seed=3), dt=1e-3)
         assert balance_error(report) < 0.01
 
     def test_darkness(self):
-        sim = IntermittentSimulator(IdealMonitor())
+        sim = FastIntermittentSimulator(IdealMonitor())
         report = sim.run(constant_trace(0.0, 10.0), dt=1e-3)
         assert report.energy_harvested == pytest.approx(0.0, abs=1e-12)
 
     def test_clamp_rejects_energy(self):
         """Under blazing light with the system mostly off, the capacitor
         clamps at v_max: accepted energy must be far below offered."""
-        sim = IntermittentSimulator(IdealMonitor())
+        sim = FastIntermittentSimulator(IdealMonitor())
         trace = constant_trace(1000.0, 10.0)
         report = sim.run(trace, dt=1e-3)
         offered = sim.panel.electrical_power(1000.0) * trace.duration
@@ -74,7 +74,7 @@ class TestConservationProperty:
             sample_rate=rate_hz,
         )
         try:
-            sim = IntermittentSimulator(monitor)
+            sim = FastIntermittentSimulator(monitor)
         except Exception:
             # Monitors whose margins leave no run window are rejected at
             # construction — not a conservation question.

@@ -1,4 +1,4 @@
-"""The fast semi-analytic engine against the reference simulator."""
+"""The harvest engine against the fixed-step oracle (tests/oracles/harvest.py)."""
 
 import pytest
 
@@ -18,6 +18,7 @@ from repro.batch import Scenario, evaluate_many
 from repro.harvest.fast import FastIntermittentSimulator
 from repro.harvest.simulator import IntermittentSimulator
 from repro.harvest.traces import IrradianceTrace
+from tests.oracles.harvest import FixedStepSimulator
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ class TestCrossValidation:
     )
     def test_matches_reference_engine(self, monitor_factory, night_trace):
         monitor = monitor_factory()
-        reference = IntermittentSimulator(monitor).run(night_trace, dt=1e-3)
+        reference = FixedStepSimulator(monitor).run(night_trace, dt=1e-3)
         fast = FastIntermittentSimulator(monitor).run(night_trace, dt=1e-3)
         assert fast.checkpoints == reference.checkpoints
         # Exact intervals leave only the reference engine's own 1 ms
@@ -43,6 +44,10 @@ class TestCrossValidation:
     def test_same_constructor_and_report_type(self):
         fast = FastIntermittentSimulator(IdealMonitor())
         assert fast.v_ckpt == IntermittentSimulator(IdealMonitor()).v_ckpt
+
+    def test_platform_model_does_not_replay(self):
+        with pytest.raises(NotImplementedError, match="FastIntermittentSimulator"):
+            IntermittentSimulator(IdealMonitor()).run(constant_trace(1.0, 1.0))
 
     def test_no_light_all_off(self):
         fast = FastIntermittentSimulator(IdealMonitor())
@@ -70,7 +75,7 @@ class TestSeededCrossValidation:
     )
     def test_identical_checkpoint_counts(self, monitor_factory, seeded_trace):
         monitor = monitor_factory()
-        reference = IntermittentSimulator(monitor).run(seeded_trace, dt=1e-3)
+        reference = FixedStepSimulator(monitor).run(seeded_trace, dt=1e-3)
         fast = FastIntermittentSimulator(monitor).run(seeded_trace, dt=1e-3)
         assert fast.checkpoints == reference.checkpoints
         assert fast.power_failures == reference.power_failures
@@ -91,7 +96,7 @@ class TestDuskEquilibrium:
         day = diurnal_trace()
         dusk = IrradianceTrace(day.dt, day.values[18 * 60 : 21 * 60])
         monitor = IdealMonitor()
-        reference = IntermittentSimulator(monitor).run(dusk, dt=2e-3)
+        reference = FixedStepSimulator(monitor).run(dusk, dt=2e-3)
         fast = FastIntermittentSimulator(monitor).run(dusk, dt=2e-3)
         assert fast.checkpoints == reference.checkpoints
         assert fast.power_failures == reference.power_failures
@@ -256,7 +261,7 @@ class TestFastEngineGrid:
     def test_matches_reference_on_constant_traces(self, irradiance, cap_uf):
         monitor = fs_low_power_monitor()
         trace = constant_trace(irradiance, 40.0)
-        ref = IntermittentSimulator(monitor, capacitance=cap_uf * 1e-6).run(trace, dt=1e-3)
+        ref = FixedStepSimulator(monitor, capacitance=cap_uf * 1e-6).run(trace, dt=1e-3)
         fast = FastIntermittentSimulator(monitor, capacitance=cap_uf * 1e-6).run(trace, dt=1e-3)
         # The reference engine's 1 ms steps are the only difference left;
         # they weigh most on 10 uF buffers (~0.3% of app time).

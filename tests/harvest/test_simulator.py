@@ -6,8 +6,8 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.harvest import (
     ADCMonitor,
     ComparatorMonitor,
+    FastIntermittentSimulator,
     IdealMonitor,
-    IntermittentSimulator,
     constant_trace,
     fs_high_performance_monitor,
     fs_low_power_monitor,
@@ -37,28 +37,28 @@ def reports(night_trace):
 
 class TestConstruction:
     def test_system_current_matches_table4_ideal(self):
-        sim = IntermittentSimulator(IdealMonitor())
+        sim = FastIntermittentSimulator(IdealMonitor())
         # 110 (core) + 1.8 (accel) + 0.5 (leak) = 112.3 uA.
         assert sim.system_current == pytest.approx(micro(112.3), rel=1e-3)
 
     def test_system_current_adc(self):
-        sim = IntermittentSimulator(ADCMonitor())
+        sim = FastIntermittentSimulator(ADCMonitor())
         assert sim.system_current == pytest.approx(micro(377.3), rel=1e-3)
 
     def test_v_ckpt_ordering(self):
-        v_ideal = IntermittentSimulator(IdealMonitor()).v_ckpt
-        v_lp = IntermittentSimulator(fs_low_power_monitor()).v_ckpt
+        v_ideal = FastIntermittentSimulator(IdealMonitor()).v_ckpt
+        v_lp = FastIntermittentSimulator(fs_low_power_monitor()).v_ckpt
         assert v_ideal < v_lp  # resolution margin raises the threshold
         assert v_ideal == pytest.approx(1.82, abs=5e-3)
 
     def test_bad_turn_on(self):
         with pytest.raises(ConfigurationError):
-            IntermittentSimulator(IdealMonitor(), v_on=1.5)
+            FastIntermittentSimulator(IdealMonitor(), v_on=1.5)
 
     def test_impossible_monitor_rejected(self):
         hopeless = MonitorModel(name="x", current=0.0, resolution=2.0, sample_rate=1e3)
         with pytest.raises(ConfigurationError, match="turn-on"):
-            IntermittentSimulator(hopeless)
+            FastIntermittentSimulator(hopeless)
 
 
 class TestEnergyConservation:
@@ -66,7 +66,7 @@ class TestEnergyConservation:
         """Under constant weak light, cycle cadence follows the
         closed-form charge/discharge times (corrected for the power
         still arriving during discharge)."""
-        sim = IntermittentSimulator(IdealMonitor())
+        sim = FastIntermittentSimulator(IdealMonitor())
         trace = constant_trace(1.0, 120.0)
         report = sim.run(trace, dt=1e-3)
         assert report.checkpoints > 1
@@ -78,7 +78,7 @@ class TestEnergyConservation:
         assert per_cycle_app == pytest.approx(expected_run, rel=0.15)
 
     def test_no_light_no_run(self):
-        sim = IntermittentSimulator(IdealMonitor())
+        sim = FastIntermittentSimulator(IdealMonitor())
         report = sim.run(constant_trace(0.0, 30.0), dt=1e-3)
         assert report.app_time == 0.0
         assert report.checkpoints == 0
@@ -91,7 +91,7 @@ class TestEnergyConservation:
             assert r.energy_by_sink["core"] > r.energy_by_sink["leakage"]
 
     def test_bad_dt(self):
-        sim = IntermittentSimulator(IdealMonitor())
+        sim = FastIntermittentSimulator(IdealMonitor())
         with pytest.raises(SimulationError):
             sim.run(constant_trace(1.0, 1.0), dt=0.0)
 
@@ -140,7 +140,7 @@ class TestPICPlatform:
     def test_pic_system_current(self):
         from repro.harvest.loads import PIC16LF15386
 
-        sim = IntermittentSimulator(IdealMonitor(), mcu=PIC16LF15386)
+        sim = FastIntermittentSimulator(IdealMonitor(), mcu=PIC16LF15386)
         # 90 (core) + 1.8 (accel) + 0.5 (leak) = 92.3 uA.
         assert sim.system_current == pytest.approx(92.3e-6, rel=1e-3)
 
@@ -149,7 +149,7 @@ class TestPICPlatform:
 
         reports = []
         for monitor in (IdealMonitor(), fs_low_power_monitor(), ADCMonitor()):
-            sim = IntermittentSimulator(monitor, mcu=PIC16LF15386)
+            sim = FastIntermittentSimulator(monitor, mcu=PIC16LF15386)
             reports.append(sim.run(night_trace, dt=1e-3))
         norm = normalized_app_time(reports)
         assert norm["FS (LP)"] > 0.97

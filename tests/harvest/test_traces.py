@@ -144,9 +144,9 @@ class TestThermalTrace:
 
     def test_sustains_intermittent_system(self):
         """A thermal trickle should produce regular charge/run cycles."""
-        from repro.harvest import IdealMonitor, IntermittentSimulator, thermal_gradient_trace
+        from repro.harvest import FastIntermittentSimulator, IdealMonitor, thermal_gradient_trace
 
-        sim = IntermittentSimulator(IdealMonitor())
+        sim = FastIntermittentSimulator(IdealMonitor())
         report = sim.run(thermal_gradient_trace(duration=120.0, dt=1.0), dt=1e-3)
         assert report.checkpoints >= 2
         assert report.app_time > 0

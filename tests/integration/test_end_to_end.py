@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import FailureSentinels
 from repro.dse import DesignSpace, PerformanceModel, grid_explore
-from repro.harvest import IntermittentSimulator, nyc_pedestrian_night
+from repro.harvest import FastIntermittentSimulator, nyc_pedestrian_night
 from repro.harvest.monitors import FSMonitor, IdealMonitor
 from repro.api import normalized_app_time
 from repro.riscv import IntermittentMachine, assemble
@@ -45,7 +45,7 @@ class TestDSEToSystem:
         monitor = FSMonitor(pareto_config, name="FS (DSE)")
         reports = []
         for m in (IdealMonitor(), monitor):
-            reports.append(IntermittentSimulator(m).run(trace, dt=1e-3))
+            reports.append(FastIntermittentSimulator(m).run(trace, dt=1e-3))
         norm = normalized_app_time(reports)
         assert norm["FS (DSE)"] > 0.95
         assert all(r.power_failures == 0 for r in reports)

@@ -4,8 +4,8 @@ Each engine decision is emitted once, through :func:`repro.obs.emitter`,
 which feeds both the obs tracer (``<layer>.<kind>``) and the
 :mod:`repro.trace` sink.  With both on, the obs events — stripped of
 the layer prefix and the wall-clock fields — must be exactly the
-recorded ``(kind, t, payload)`` sequence, for the reference, fast and
-batch harvest engines and for the RISC-V machine.
+recorded ``(kind, t, payload)`` sequence, for the fast and batch
+harvest engines, the fixed-step oracle, and the RISC-V machine.
 """
 
 from collections import Counter
@@ -15,12 +15,14 @@ import pytest
 import repro.obs as obs
 from repro.batch import Scenario, evaluate_many
 from repro.fleet import CalibrationCache, FleetRunner, synthesize_fleet
+from repro.harvest.fast import FastIntermittentSimulator
 from repro.harvest.monitors import fs_low_power_monitor
 from repro.harvest.traces import nyc_pedestrian_night
 from repro.obs import MemorySink, emitter
 from repro.riscv import IntermittentMachine
 from repro.riscv.workloads import WORKLOADS
 from repro.trace import TraceRecorder
+from tests.oracles.harvest import FixedStepSimulator
 
 
 @pytest.fixture(autouse=True)
@@ -63,18 +65,14 @@ class TestEmitter:
 
 
 class TestParity:
-    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize(
+        "engine", [FixedStepSimulator, FastIntermittentSimulator], ids=["reference", "fast"]
+    )
     def test_scalar_harvest(self, engine):
-        scenario = Scenario(
-            monitor=fs_low_power_monitor(),
-            trace=nyc_pedestrian_night(20.0, seed=101),
-            scalar_engine=engine,
-        )
+        trace = nyc_pedestrian_night(20.0, seed=101)
         traced, recorded = _traced(
             "harvest",
-            lambda rec: scenario.build_simulator().run(
-                scenario.trace, dt=scenario.dt, v_initial=scenario.v_initial, record=rec
-            ),
+            lambda rec: engine(fs_low_power_monitor()).run(trace, dt=1e-3, record=rec),
         )
         assert {kind for kind, _, _ in recorded} >= {"power_on", "checkpoint"}
         assert traced == recorded

@@ -73,8 +73,16 @@ class TestService:
         bad_device = json.loads(json.dumps(good))
         bad_device["devices"][0]["trace_duration"] = float("nan")
         not_a_fleet = {"fleet": {"devices": [{"no_such_field": 1}]}}
+        retired_engine = json.loads(json.dumps(good))
+        retired_engine["devices"][1]["engine"] = "reference"
         messages = []
-        for request in ({"duration": float("nan")}, {"fleet": bad_device}, not_a_fleet):
+        requests = (
+            {"duration": float("nan")},
+            {"fleet": bad_device},
+            not_a_fleet,
+            {"fleet": retired_engine},
+        )
+        for request in requests:
             with pytest.raises(ServeError) as excinfo:
                 client.submit("fleet", request)
             assert excinfo.value.status == 400
@@ -83,6 +91,7 @@ class TestService:
         assert '"fleet" payload' in messages[0]
         assert "trace_duration" in messages[1]
         assert "malformed fleet payload" in messages[2]
+        assert "'reference'" in messages[3]
         assert len(client.jobs()) == before
 
     def test_result_of_unfinished_job_conflicts(self, client):

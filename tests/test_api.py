@@ -39,14 +39,14 @@ class TestFacadeSurface:
         from repro.api import evaluate_many  # noqa: F401 - the headline import
 
     def test_compare_monitors_default_is_fast_engine(self):
-        # The exact-interval fast engine matches the reference engine's
-        # counts (tests/harvest/test_fast.py), so it is the default.
+        # The exact-interval fast engine matches the fixed-step oracle's
+        # counts (tests/harvest/test_fast.py); it is the only engine.
         trace = nyc_pedestrian_night(duration=60.0, seed=7)
         monitors = [IdealMonitor(), fs_low_power_monitor()]
         reports = api.compare_monitors(monitors, trace, dt=1e-3)
-        explicit = api.compare_monitors(
-            monitors, trace, dt=1e-3, scalar_engine="fast", engine="scalar"
-        )
+        explicit = [
+            api.FastIntermittentSimulator(m).run(trace, dt=1e-3) for m in monitors
+        ]
         assert reports == explicit
 
 

@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -127,6 +129,12 @@ class TestFleetCLI:
             assert excinfo.value.code == 2
             assert capsys.readouterr().err.startswith("error: ")
 
+    def test_fleet_engine_flag_retired(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--devices", "2", "--engine", "reference"])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
     @pytest.mark.parametrize("duration", ["nan", "inf"])
     def test_fleet_non_finite_duration_exits_cleanly(self, capsys, duration):
         with pytest.raises(SystemExit) as excinfo:
@@ -188,3 +196,41 @@ class TestReplayCLI:
             main(["riscv", "--continuous", "--record", str(tmp_path / "x.jsonl")])
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("payload", ["scenario", "device", "fleet"])
+    def test_retired_engine_exits_cleanly(self, tmp_path, capsys, payload):
+        """A recording whose scenario or device payload names the retired
+        fixed-step engine is refused in one line, exit 2."""
+        from repro.batch import Scenario
+        from repro.fleet import DeviceSpec
+        from repro.harvest import IdealMonitor, constant_trace
+
+        scenario = Scenario(monitor=IdealMonitor(), trace=constant_trace(2.0, 1.0)).to_dict()
+        device = DeviceSpec(device_id=0, trace_duration=5.0).to_dict()
+        retired_scenario = dict(scenario, scalar_engine="reference")
+        retired_device = dict(device, engine="reference")
+        harvest = {"kind": "harvest", "engine": "reference"}
+        header = {
+            "scenario": dict(harvest, config={"scenario": retired_scenario, "v_ckpt": 2.0}),
+            "device": dict(
+                harvest,
+                config={"device": retired_device, "scenario": scenario, "v_ckpt": 2.0},
+            ),
+            "fleet": {
+                "kind": "fleet",
+                "engine": "auto",
+                "config": {
+                    "mode": "run",
+                    "eval_engine": "auto",
+                    "fleet": {"name": "retired", "devices": [retired_device]},
+                },
+            },
+        }[payload]
+        path = tmp_path / "retired.jsonl"
+        path.write_text(json.dumps({"header": header}) + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'reference'" in err

@@ -18,6 +18,7 @@ import pytest
 from repro.dse.nsga2 import NSGA2Result
 from repro.dse.objectives import Evaluation
 from repro.dse.space import DesignPoint
+from repro.errors import ConfigurationError
 from repro.experiments.tables import ExperimentResult
 from repro.fleet.report import DeviceResult, FleetReport
 from repro.fleet.spec import DeviceSpec, FleetSpec
@@ -69,7 +70,6 @@ def _device_result(rng, device_id=None):
         device_id=device_id if device_id is not None else rng.randrange(0, 10**6),
         monitor_name=rng.choice(["FS-LP", "FS-HP", "Comparator"]),
         policy=rng.choice(["jit", "guarded", "paranoid"]),
-        engine=rng.choice(["fast", "reference"]),
         duration=rng.uniform(1.0, 600.0),
         app_time=rng.uniform(0.0, 300.0),
         checkpoint_time=rng.uniform(0.0, 10.0),
@@ -147,7 +147,6 @@ def _device_spec(rng, device_id):
         trace_duration=rng.uniform(10.0, 600.0),
         trace_scale=rng.uniform(0.1, 2.0),
         policy=rng.choice(["jit", "guarded", "paranoid"]),
-        engine=rng.choice(["fast", "reference"]),
         dt=rng.choice([1e-3, 5e-4]),
     )
 
@@ -231,6 +230,39 @@ class TestInfinityOnTheWire:
         restored = Evaluation.from_dict(json.loads(wire))
         assert restored == evaluation
         assert math.isinf(restored.mean_current)
+
+
+class TestEngineIdOnTheWire:
+    """Payloads still name the one harvest engine, ``"fast"``; reading
+    one that names any other engine is a one-line ConfigurationError."""
+
+    @staticmethod
+    def _payloads():
+        from repro.batch import Scenario
+        from repro.harvest.monitors import IdealMonitor
+
+        rng = random.Random(0)
+        return [
+            (Scenario(monitor=IdealMonitor()), "scalar_engine"),
+            (_device_spec(rng, 0), "engine"),
+            (_device_result(rng), "engine"),
+        ]
+
+    def test_constant_written_and_optional_on_read(self):
+        for obj, key in self._payloads():
+            wire = json.loads(json.dumps(obj.to_dict()))
+            assert wire[key] == "fast"
+            assert type(obj).from_dict(wire) == obj
+            del wire[key]
+            assert type(obj).from_dict(wire) == obj
+
+    @pytest.mark.parametrize("engine", ["reference", "auto", None])
+    def test_other_engine_refused(self, engine):
+        for obj, key in self._payloads():
+            wire = dict(obj.to_dict(), **{key: engine})
+            with pytest.raises(ConfigurationError, match=repr(engine)) as excinfo:
+                type(obj).from_dict(wire)
+            assert "\n" not in str(excinfo.value)
 
 
 class TestRealArtifacts:

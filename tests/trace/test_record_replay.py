@@ -4,10 +4,11 @@ every engine family behind the ``record=`` seam (docs/replay.md).
 Replay re-executes the header's declarative config with a fresh
 recorder — the engines *are* the replayer — so identity here means the
 engines are deterministic functions of their recorded inputs, per
-engine family: scalar harvest (both engines), the batch lockstep
+engine family: scalar harvest, the batch lockstep
 kernel, both RISC-V interpreters (full-image and differential
 checkpoints), fleet runs, streaming fleets, and one fleet device
-replayed in isolation.
+replayed in isolation.  Recordings of the fixed-step oracle carry the
+retired ``"reference"`` engine id and are refused.
 """
 
 import pytest
@@ -17,19 +18,19 @@ from repro.errors import ConfigurationError
 from repro.harvest.monitors import IdealMonitor
 from repro.harvest.traces import constant_trace
 from repro.trace import ReplayMismatch, TraceRecorder, record_device, replay
+from tests.oracles.harvest import FixedStepSimulator
 
 
-def _scenario(engine="fast", duration=5.0):
+def _scenario(duration=5.0):
     return Scenario(
         monitor=IdealMonitor(),
         trace=constant_trace(2.0, duration),
         capacitance=22e-6,
-        scalar_engine=engine,
     )
 
 
-def _record_scenario(engine="fast"):
-    scenario = _scenario(engine)
+def _record_scenario():
+    scenario = _scenario()
     rec = TraceRecorder()
     scenario.build_simulator().run(
         scenario.trace, dt=scenario.dt, v_initial=scenario.v_initial, record=rec
@@ -38,14 +39,28 @@ def _record_scenario(engine="fast"):
 
 
 class TestHarvestReplay:
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_byte_identical(self, engine):
-        recording = _record_scenario(engine)
+    def test_byte_identical(self):
+        recording = _record_scenario()
         assert recording.header.kind == "harvest"
+        assert recording.header.engine == "fast"
         assert recording.events, "run recorded no events"
         outcome = replay(recording)
         assert outcome.identical
         assert outcome.replayed.result_digest == recording.result_digest
+
+    def test_fixed_step_recording_refused(self):
+        """The library has no fixed-step engine to re-execute a
+        ``"reference"`` recording with; replay says so in one line."""
+        scenario = _scenario()
+        rec = TraceRecorder()
+        FixedStepSimulator(scenario.monitor, capacitance=scenario.capacitance).run(
+            scenario.trace, dt=scenario.dt, record=rec
+        )
+        assert rec.recording.header.engine == "reference"
+        assert rec.recording.events, "run recorded no events"
+        with pytest.raises(ConfigurationError, match="'reference'") as excinfo:
+            replay(rec.recording)
+        assert "\n" not in str(excinfo.value)
 
     def test_replay_checks_by_default(self):
         recording = _record_scenario()
@@ -73,7 +88,7 @@ class TestBatchReplay:
     def test_byte_identical(self):
         from repro.batch.dispatch import evaluate_many
 
-        scenarios = [_scenario("fast", duration=3.0 + i) for i in range(3)]
+        scenarios = [_scenario(duration=3.0 + i) for i in range(3)]
         rec = TraceRecorder()
         evaluate_many(scenarios, engine="batch", record=rec)
         recording = rec.recording
