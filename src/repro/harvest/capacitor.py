@@ -23,10 +23,10 @@ class BufferCapacitor:
     voltage: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.capacitance <= 0:
-            raise ConfigurationError("capacitance must be positive")
-        if self.v_max <= 0:
-            raise ConfigurationError("v_max must be positive")
+        if not (math.isfinite(self.capacitance) and self.capacitance > 0):
+            raise ConfigurationError(f"capacitance must be positive and finite (got {self.capacitance!r})")
+        if not (math.isfinite(self.v_max) and self.v_max > 0):
+            raise ConfigurationError(f"v_max must be positive and finite (got {self.v_max!r})")
         if not 0 <= self.voltage <= self.v_max:
             raise ConfigurationError("initial voltage out of range")
 

@@ -12,7 +12,8 @@ so the claim can be measured:
   (Mementos-style every-N-instructions), adaptive timer (Chinchilla),
   and the timer augmented with Failure Sentinels energy queries;
 * :mod:`repro.runtimes.scheduler` — energy-aware task scheduling over
-  the harvesting simulator: an oracle-free baseline that starts tasks
+  the harvesting model, replayed event to event on exact
+  constant-current intervals: an oracle-free baseline that starts tasks
   blindly versus a scheduler that polls the monitor first.
 """
 

@@ -17,13 +17,19 @@ Two schedulers over the same capacitor/harvester model:
   best-fit); sleeps when nothing fits, letting the capacitor refill.
 
 :func:`run_schedule` drives either against an irradiance trace and
-reports completions, kills, and energy efficiency.
+reports completions, kills, and energy efficiency.  Every phase is a
+constant-current interval of the buffer capacitor — leakage alone while
+OFF or asleep, task + monitor + leakage while a task runs — so it jumps
+from event to event on the closed forms of :mod:`repro.harvest.segment`
+instead of stepping through time.  The fixed-step loop it replaced is
+the test oracle ``tests/oracles/scheduler.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
@@ -31,7 +37,18 @@ from repro.harvest.capacitor import BufferCapacitor
 from repro.harvest.loads import SYSTEM_LEAKAGE
 from repro.harvest.monitors import MonitorModel
 from repro.harvest.panel import SolarPanel
+from repro.harvest.segment import (
+    crossing_time,
+    equilibrium,
+    load_energy,
+    power_changes,
+    voltage_after,
+)
 from repro.harvest.traces import IrradianceTrace
+
+
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -48,8 +65,10 @@ class Task:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.current <= 0 or self.duration <= 0:
-            raise ConfigurationError(f"task {self.name}: current/duration must be positive")
+        if not (_positive_finite(self.current) and _positive_finite(self.duration)):
+            raise ConfigurationError(
+                f"task {self.name}: current/duration must be positive and finite"
+            )
 
     def energy_at(self, voltage: float) -> float:
         """Worst-case energy to finish, priced at the given rail voltage."""
@@ -80,6 +99,10 @@ class BlindScheduler:
         self._next += 1
         return task
 
+    def wake_voltage(self, capacitance: float, v_floor: float) -> float:
+        """Never sleeps: ``pick`` returns a task at any voltage."""
+        return 0.0
+
 
 class EnergyAwareScheduler:
     """Best-fit against the monitor's energy reading.
@@ -101,19 +124,52 @@ class EnergyAwareScheduler:
         return max(0.0, true_voltage - self.monitor.resolution)
 
     def pick(self, capacitor: BufferCapacitor, v_floor: float) -> Optional[Task]:
-        v_meas = self.measured_voltage(capacitor.voltage)
+        return self._fit(capacitor.voltage, capacitor.capacitance, v_floor)
+
+    def _fit(self, voltage: float, capacitance: float, v_floor: float) -> Optional[Task]:
+        v_meas = self.measured_voltage(voltage)
         if v_meas <= v_floor:
             return None
-        budget = 0.5 * capacitor.capacitance * (v_meas**2 - v_floor**2)
+        budget = 0.5 * capacitance * (v_meas**2 - v_floor**2)
         for task in self.tasks:  # largest first: best fit
             if task.energy_at(v_meas) <= budget:
                 return task
         return None
 
+    def wake_voltage(self, capacitance: float, v_floor: float) -> float:
+        """The lowest true rail voltage at which :meth:`pick` returns a task.
+
+        A task fits once ``I·d·v_m <= ½C(v_m² − v_floor²)``; the measured
+        voltage ``v_m`` where that holds with equality is the positive
+        root of the quadratic, smallest for the cheapest task.  The root
+        is then walked to the exact float where ``pick``'s own arithmetic
+        first says yes, so a sleeping system that lands here always
+        wakes with a task (no round-off livelock).
+        """
+        charge = min(task.current * task.duration for task in self.tasks)
+        root = (charge + math.sqrt(charge * charge + (capacitance * v_floor) ** 2)) / capacitance
+        v = root + self.monitor.resolution
+        if not math.isfinite(v):
+            return math.inf  # a reading no voltage can pass: never wakes
+        for _ in range(64):
+            below = math.nextafter(v, 0.0)
+            if self._fit(v, capacitance, v_floor) is None:
+                v = math.nextafter(v, math.inf)
+            elif self._fit(below, capacitance, v_floor) is not None:
+                v = below
+            else:
+                return v
+        raise SimulationError(f"no wake voltage near {root + self.monitor.resolution!r} V")
+
 
 @dataclass
 class SchedulerRun:
-    """Outcome of one trace replay under a scheduler."""
+    """Outcome of one trace replay under a scheduler.
+
+    ``monitor_energy`` is the monitor's draw over the tasks that ended
+    (completed or killed), the same tasks ``stats`` prices; a task still
+    running when the trace ends counts in neither.
+    """
 
     scheduler_name: str
     stats: TaskStats
@@ -131,6 +187,16 @@ class SchedulerRun:
         return self.stats.useful_energy / total if total > 0 else 0.0
 
 
+def _check_schedule(cap: BufferCapacitor, v_on, v_floor, monitor_current, leakage) -> None:
+    if not math.isfinite(v_on) or v_on > cap.v_max:
+        raise ConfigurationError(f"v_on must be finite and at most v_max = {cap.v_max} V (got {v_on!r})")
+    if not (_positive_finite(v_floor) and v_floor < v_on):
+        raise ConfigurationError(f"v_floor must be positive and below v_on = {v_on} V (got {v_floor!r})")
+    for name, value in (("monitor_current", monitor_current), ("leakage", leakage)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigurationError(f"{name} must be finite and non-negative (got {value!r})")
+
+
 def run_schedule(
     scheduler,
     trace: IrradianceTrace,
@@ -140,66 +206,114 @@ def run_schedule(
     v_on: float = 3.5,
     v_floor: float = 1.8,
     leakage: float = SYSTEM_LEAKAGE,
-    dt: float = 1e-3,
 ) -> SchedulerRun:
     """Replay ``trace``: charge, pick tasks, run or die, repeat.
 
-    ``monitor_current`` is the voltage monitor's draw while the system
-    is awake (zero for the blind scheduler, which has none).
+    ``monitor_current`` is the voltage monitor's draw while a task runs
+    (zero for the blind scheduler, which has none).
+
+    The system is OFF until the capacitor charges to ``v_on``; awake, it
+    asks ``scheduler.pick`` for a task and sleeps when there is none;
+    falling below ``v_floor`` kills a running task (its energy is
+    wasted) or sends a sleeping system OFF.  Each step solves one
+    constant-current interval exactly and ends at the first of: the
+    next power change, task completion, the ``v_floor`` crossing, the
+    ``v_on`` crossing (OFF), the scheduler's wake voltage (asleep), or a
+    full capacitor, which holds while harvest covers the load.  A
+    task's energy is ``task.current·∫v dt`` and the monitor's is
+    ``monitor_current·∫v dt`` over the same run.
     """
-    if dt <= 0:
-        raise SimulationError("dt must be positive")
-    panel = panel or SolarPanel()
     cap = BufferCapacitor(capacitance=capacitance)
+    _check_schedule(cap, v_on, v_floor, monitor_current, leakage)
+    panel = panel or SolarPanel()
     stats = TaskStats()
     monitor_energy = 0.0
 
+    c = capacitance
+    half_c = 0.5 * c
+    # One power value per trace segment and the table of power changes,
+    # read exactly as the harvest engine reads them.
+    power = panel.power_curve(trace.values)
+    last_seg = len(power) - 1
+    changes = power_changes(power).tolist()
+    # The voltage apply_power returns when it clamps at v_max, with its
+    # exact operation order: a fixed point while harvest covers the load.
+    v_full = math.sqrt(2.0 * (half_c * (cap.v_max * cap.v_max)) / c)
+    v_wake = scheduler.wake_voltage(c, v_floor)
+
     t = 0.0
-    awake = False
+    end = trace.duration
+    off = True
     task: Optional[Task] = None
-    task_left = 0.0
-    task_spent = 0.0
+    task_left = task_vdt = 0.0
 
-    steps = int(round(trace.duration / dt))
-    for step in range(steps):
-        t = step * dt
-        p_in = panel.electrical_power(trace.at(t))
-        v = cap.voltage
-
-        if not awake:
-            cap.apply_power(p_in, leakage * v, dt)
-            if cap.voltage >= v_on:
-                awake = True
-            continue
-
-        if task is None:
+    while t < end:
+        if task is None and not off:
             task = scheduler.pick(cap, v_floor)
-            if task is None:
-                # Nothing fits: sleep one step and let the cap refill.
-                cap.apply_power(p_in, leakage * v, dt)
-                if cap.voltage < v_floor:
-                    awake = False
-                continue
-            task_left = task.duration
-            task_spent = 0.0
+            if task is not None:
+                task_left = task.duration
+                task_vdt = 0.0
+        load = leakage if task is None else task.current + monitor_current + leakage
+        seg = min(math.floor(t / trace.dt + 1e-9), last_seg)
+        p_in = power[seg]
+        seg_end = changes[bisect_right(changes, seg)] * trace.dt
+        span = seg_end - t
+        if task is not None and task_left < span:
+            span = task_left
+        v = cap.voltage
+        v_eq = equilibrium(p_in, load)
+        dies = held = False
+        if v == v_full and v_eq >= v_full:
+            # Harvest covers the load on a full capacitor: the charger
+            # rejects the surplus and the state holds.
+            v_new = v
+            held = True
+        else:
+            v_new = min(voltage_after(v, span, p_in, load, c), v_full)
+            # The threshold the interval crosses first, if any.
+            if off:
+                v_hit = v_on if v_new >= v_on else None
+            elif v_new < v_floor:
+                v_hit = v_floor
+                dies = True
+            elif task is None and v < v_wake <= v_new:
+                v_hit = v_wake
+            elif v_eq > v_full and v_new >= v_full:
+                v_hit = v_full
+            else:
+                v_hit = None
+            if v_hit is not None:
+                t_hit = crossing_time(v, v_hit, p_in, load, c)
+                if t_hit < span:
+                    span = t_hit
+                # Land on the threshold itself: re-deriving it from the
+                # trajectory can stop an ulp short, and only the exact
+                # wake voltage is sure to make pick accept.
+                v_new = v_hit
+        t = seg_end if span == seg_end - t else t + span
+        cap.voltage = v_new
 
-        draw = (task.current + monitor_current + leakage) * v
-        cap.apply_power(p_in, draw, dt)
-        spent_now = draw * dt
-        task_spent += task.current * v * dt
-        monitor_energy += monitor_current * v * dt
-        task_left -= dt
-
-        if cap.voltage < v_floor:
+        if off:
+            off = v_new < v_on
+            continue
+        off = dies
+        if task is None:
+            continue
+        # A task's energy is task.current·∫v dt, the monitor's
+        # monitor_current·∫v dt, over the task's whole run.
+        task_vdt += v * span if held else load_energy(v, v_new, span, p_in, half_c) / load
+        task_left -= span
+        if dies:
             # Power failure mid-task: the task's energy is wasted.
             stats.killed += 1
-            stats.wasted_energy += task_spent
-            task = None
-            awake = False
+            stats.wasted_energy += task.current * task_vdt
         elif task_left <= 0:
             stats.completed += 1
-            stats.useful_energy += task_spent
-            task = None
+            stats.useful_energy += task.current * task_vdt
+        else:
+            continue
+        monitor_energy += monitor_current * task_vdt
+        task = None
 
     return SchedulerRun(
         scheduler_name=scheduler.name,
