@@ -1,8 +1,9 @@
 """RISC-V engine speedup: the ``repro.riscv.engine`` acceptance benchmark.
 
 Runs table4-style workloads (the paper's Section IV-B kernels) through
-the legacy per-step interpreter and the fast predecoded basic-block
-engine on identical intermittent scenarios, asserting
+the per-step interpreter oracle (``tests/oracles/riscv.py``) and the
+fast predecoded basic-block engine on identical intermittent scenarios,
+asserting
 
 * **byte-identical results** — every ``IntermittentRunResult`` field,
   plus the runtime's checkpoint/restore counters, must match exactly;
@@ -20,6 +21,7 @@ import time
 
 from repro.harvest.traces import constant_trace
 from repro.riscv import IntermittentMachine, get_workload
+from tests.oracles.riscv import step_machine
 
 SPEEDUP_FLOOR = 5.0
 
@@ -36,10 +38,10 @@ TRACE_SECONDS = 7200.0
 
 
 def _run(workload, capacitance, engine, differential=False):
-    machine = IntermittentMachine(
+    build = IntermittentMachine if engine == "fast" else step_machine
+    machine = build(
         workload.assemble(),
         capacitance=capacitance,
-        engine=engine,
         differential_checkpoints=differential,
     )
     trace = constant_trace(1.0, TRACE_SECONDS)

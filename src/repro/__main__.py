@@ -20,7 +20,7 @@ Subcommands:
   switches to the sharded constant-memory mode (``--shard-size``,
   ``--sample``, ``--sample-seed``, ``--reservoir``), which scales to
   million-device fleets (``docs/fleet_scale.md``);
-* ``riscv [--workload NAME] [--engine fast|legacy]`` — run a named
+* ``riscv [--workload NAME]`` — run a named
   RV32IM workload on the intermittent machine; ``--differential``
   switches the checkpoint runtime to dirty-page mode, ``--continuous``
   runs on stable power, ``--list-workloads`` prints the kernel names
@@ -292,7 +292,6 @@ def cmd_riscv(args) -> None:
         capacitance=args.capacitance * 1e-6,
         clock_hz=args.clock,
         volatile_bytes=args.volatile_bytes,
-        engine=args.engine,
         differential_checkpoints=args.differential,
     )
     recorder = None
@@ -315,16 +314,15 @@ def cmd_riscv(args) -> None:
         if recorder is not None:
             print(f"(wrote the replay trace to {args.record})")
     mode = "differential" if args.differential else "full-image"
-    print(f"{workload.name} [{machine.engine} engine, {mode} checkpoints]")
+    print(f"{workload.name} [fast engine, {mode} checkpoints]")
     print(f"  {result.summary()}")
     expected = workload.expected_exit_code()
     verdict = "matches" if result.exit_code == expected else "MISMATCH vs"
     print(f"  exit code {verdict} the Python reference ({expected})")
-    if machine._fast is not None:
-        print(
-            f"  blocks compiled: {machine._fast.blocks_compiled}, "
-            f"cache hits: {machine._fast.block_hits}"
-        )
+    print(
+        f"  blocks compiled: {machine.interpreter.blocks_compiled}, "
+        f"cache hits: {machine.interpreter.block_hits}"
+    )
     if result.checkpoints:
         print(
             f"  checkpoint time: {result.checkpoint_time * 1e3:.3f} ms over "
@@ -500,8 +498,6 @@ def main(argv=None) -> None:
                      help="workload name (default crc32; see --list-workloads)")
     rsv.add_argument("--list-workloads", action="store_true",
                      help="print the available kernels and exit")
-    rsv.add_argument("--engine", default=None, choices=["fast", "legacy"],
-                     help="interpreter engine (default fast; REPRO_RISCV_ENGINE overrides)")
     rsv.add_argument("--differential", action="store_true",
                      help="dirty-page differential checkpoints instead of full images")
     rsv.add_argument("--continuous", action="store_true",

@@ -27,10 +27,9 @@ semantics guaranteed across 1.x releases (see ``docs/api.md``):
 * **design-space exploration** — :func:`explore_grid` and
   :func:`nsga2` over a :class:`PerformanceModel`;
 * **the ISA-level machine** — :class:`IntermittentMachine` /
-  :func:`run_workload` over the named :data:`WORKLOADS`, with
-  ``engine="fast"|"legacy"`` interpreter dispatch (``REPRO_RISCV_ENGINE``
-  env override, :func:`resolve_riscv_engine`) and opt-in
-  ``differential_checkpoints`` (``docs/performance.md``);
+  :func:`run_workload` over the named :data:`WORKLOADS`, on the
+  block-compiled interpreter with opt-in ``differential_checkpoints``
+  (``docs/performance.md``);
 * **the paper's evaluation** — :func:`run_experiments`;
 * **the job service** — :class:`ReproServer` / :class:`ServeClient`,
   the long-lived HTTP front door over all of the above
@@ -80,9 +79,6 @@ from repro.harvest.monitors import MonitorModel
 from repro.harvest.simulator import IntermittentSimulator, SimulationReport
 from repro.harvest.traces import IrradianceTrace
 from repro.riscv import WORKLOADS, IntermittentMachine, IntermittentRunResult, Workload, get_workload
-from repro.riscv.engine import ENGINE_ENV as RISCV_ENGINE_ENV
-from repro.riscv.engine import ENGINES as RISCV_ENGINES
-from repro.riscv.engine import resolve_engine as resolve_riscv_engine
 from repro.serve import ReproServer, ServeClient, ServeError, ServerThread
 from repro.spice.charlib import (
     CHARLIB_RTOL,
@@ -172,7 +168,6 @@ def nsga2(model_or_space, **kwargs) -> NSGA2Result:
 def run_workload(
     name: str,
     *,
-    engine: Optional[str] = None,
     differential_checkpoints: bool = False,
     trace: Optional[IrradianceTrace] = None,
     max_wall_time: float = 3600.0,
@@ -187,7 +182,6 @@ def run_workload(
     workload = get_workload(name)
     machine = IntermittentMachine(
         workload.assemble(),
-        engine=engine,
         differential_checkpoints=differential_checkpoints,
         **machine_kwargs,
     )
@@ -252,8 +246,6 @@ __all__ = [
     "NSGA2",
     "NSGA2Result",
     "PerformanceModel",
-    "RISCV_ENGINES",
-    "RISCV_ENGINE_ENV",
     "Recording",
     "ReplayMismatch",
     "ReplayResult",
@@ -278,7 +270,6 @@ __all__ = [
     "nsga2",
     "replay",
     "resolve_engine",
-    "resolve_riscv_engine",
     "get_workload",
     "iter_synthesized_devices",
     "run_experiments",

@@ -12,9 +12,9 @@ threshold.  This package is the software-visible equivalent:
 * :mod:`repro.riscv.csr` — machine-mode CSRs and interrupt state;
 * :mod:`repro.riscv.fs_device` — the monitor as an SoC peripheral plus
   the two custom instructions;
-* :mod:`repro.riscv.cpu` — the RV32IM core (the legacy step engine);
-* :mod:`repro.riscv.engine` — the fast predecoded basic-block engine
-  and the ``fast``/``legacy`` selection front door;
+* :mod:`repro.riscv.cpu` — the RV32IM core and its step interpreter;
+* :mod:`repro.riscv.engine` — the predecoded basic-block engine every
+  machine runs on;
 * :mod:`repro.riscv.runtime` — the library-level checkpoint/restore
   handler the paper links unmodified software against;
 * :mod:`repro.riscv.intermittent` — couples the core to the harvesting
@@ -22,7 +22,7 @@ threshold.  This package is the software-visible equivalent:
 """
 
 from repro.riscv.cpu import CPU, CPUState
-from repro.riscv.engine import ENGINE_ENV, ENGINES, FastEngine, resolve_engine
+from repro.riscv.engine import FastEngine
 from repro.riscv.memory import MemoryMap, RAM_BASE, RAM_SIZE, NVM_BASE, NVM_SIZE, MMIO_BASE
 from repro.riscv.assembler import assemble
 from repro.riscv.fs_device import FSDevice
@@ -35,10 +35,7 @@ from repro.riscv.intermittent import IntermittentMachine, IntermittentRunResult
 __all__ = [
     "CPU",
     "CPUState",
-    "ENGINE_ENV",
-    "ENGINES",
     "FastEngine",
-    "resolve_engine",
     "MemoryMap",
     "RAM_BASE",
     "RAM_SIZE",

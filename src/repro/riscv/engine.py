@@ -1,6 +1,6 @@
 """The fast RV32IM interpreter engine: predecode + basic-block cache.
 
-The legacy core (:meth:`repro.riscv.cpu.CPU.step`) fetches, decodes, and
+The step interpreter (:meth:`repro.riscv.cpu.CPU.step`) fetches, decodes, and
 dispatches every instruction on every step — correct, readable, and the
 reference the fast engine is cross-checked against.  This module removes
 the per-step costs without changing a single architectural outcome:
@@ -29,16 +29,13 @@ the per-step costs without changing a single architectural outcome:
   engine drops its cache before the next dispatch — self-modifying code
   executes exactly as it does under the legacy fetch-decode loop.
 
-Engine selection mirrors :mod:`repro.exec`: ``engine="fast"`` is the
-default, ``"legacy"`` keeps the step interpreter, and the
-``REPRO_RISCV_ENGINE`` environment variable overrides both (enforced in
-CI, where the whole riscv + integration suite re-runs under
-``REPRO_RISCV_ENGINE=legacy``).
+It is the only engine :class:`~repro.riscv.intermittent.IntermittentMachine`
+drives; the step interpreter survives as its fallback for non-RAM code
+and as the test oracle it is cross-checked against.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -46,12 +43,8 @@ from repro.errors import ConfigurationError, CPUError, IllegalInstructionError
 from repro.riscv import csr as csrdef
 from repro.riscv.encoding import Decoded, decode, to_s32, to_u32
 
-#: Environment variable forcing an interpreter engine for every
-#: :class:`~repro.riscv.intermittent.IntermittentMachine` in the process
-#: (it wins over the constructor's ``engine=`` argument).
-ENGINE_ENV = "REPRO_RISCV_ENGINE"
-
-ENGINES = ("fast", "legacy")
+#: Engine id riscv recordings carry in their header and config.
+ENGINE_ID = "fast"
 
 #: Straight-line run length cap per compiled block.
 MAX_BLOCK_OPS = 64
@@ -63,31 +56,12 @@ _pack32 = struct.Struct("<I").pack_into
 _pack16 = struct.Struct("<H").pack_into
 
 
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """The interpreter engine a machine will use: env override, arg, default."""
-    env = os.environ.get(ENGINE_ENV)
-    if env:
-        env = env.strip().lower()
-        if env not in ENGINES:
-            raise ConfigurationError(
-                f"{ENGINE_ENV}={env!r} is not an engine; choose from {ENGINES}"
-            )
-        return env
-    if engine is None:
-        return "fast"
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown riscv engine {engine!r}; choose from {ENGINES}"
-        )
-    return engine
-
-
 def decode_for_step(word: int, pc: int) -> Decoded:
-    """Per-step decode for the legacy interpreter.
+    """Per-step decode for the step interpreter (:meth:`CPU.step`).
 
     The repo lint forbids per-step ``decode(`` calls outside this module
-    and :mod:`repro.riscv.encoding`; the legacy engine is the sanctioned
-    exception and routes through here.
+    and :mod:`repro.riscv.encoding`; the step interpreter is the
+    sanctioned exception and routes through here.
     """
     return decode(word, pc)
 

@@ -25,7 +25,7 @@ from repro.harvest.panel import SolarPanel
 from repro.harvest.traces import IrradianceTrace, constant_trace
 from repro.obs import OBS, emitter
 from repro.riscv.cpu import CPU
-from repro.riscv.engine import FastEngine, resolve_engine
+from repro.riscv.engine import ENGINE_ID, FastEngine
 from repro.riscv.fs_device import FSDevice
 from repro.riscv.memory import MemoryMap, RAM_BASE
 from repro.riscv.runtime import CheckpointRuntime
@@ -103,17 +103,16 @@ class IntermittentMachine:
         the continuous and adaptive-timer alternatives; JIT-family
         policies power the system down after a checkpoint (the supply
         is dying), the others checkpoint and keep running.
-    engine:
-        Interpreter engine: ``"fast"`` (default; predecoded basic-block
-        cache, bit-identical results) or ``"legacy"`` (per-step
-        fetch/decode reference).  The ``REPRO_RISCV_ENGINE`` environment
-        variable overrides this argument process-wide.
     differential_checkpoints:
         When True the checkpoint runtime persists only dirty 256 B
         pages (plus header and page table) instead of streaming the
         full volatile image, charging FRAM cycles to bytes actually
         written.  Default False keeps the paper's cost model
         byte-for-byte.
+
+    ``interpreter`` is the :class:`FastEngine` executing the program,
+    one ``run(budget)`` call per monitor sample quantum; the step
+    oracle in ``tests/oracles/riscv.py`` stands in for it in tests.
     """
 
     def __init__(
@@ -130,7 +129,6 @@ class IntermittentMachine:
         volatile_bytes: int = 8 * 1024,
         leakage: float = SYSTEM_LEAKAGE,
         policy: Optional[CheckpointPolicy] = None,
-        engine: Optional[str] = None,
         differential_checkpoints: bool = False,
     ):
         if v_min >= v_threshold or v_threshold >= v_on:
@@ -161,8 +159,7 @@ class IntermittentMachine:
             volatile_bytes=volatile_bytes,
             differential=differential_checkpoints,
         )
-        self.engine = resolve_engine(engine)
-        self._fast = FastEngine(self.cpu) if self.engine == "fast" else None
+        self.interpreter = FastEngine(self.cpu)
 
     # ------------------------------------------------------------------
     def _boot(self) -> bool:
@@ -208,7 +205,7 @@ class IntermittentMachine:
             "v_min": self.v_min,
             "volatile_bytes": self.volatile_bytes,
             "leakage": self.leakage,
-            "engine": self.engine,
+            "engine": ENGINE_ID,
             "differential_checkpoints": self.runtime.differential,
             "trace": {"dt": trace.dt, "values": list(trace.values)},
             "max_wall_time": max_wall_time,
@@ -239,19 +236,19 @@ class IntermittentMachine:
                 )
             record.begin(
                 "riscv",
-                self.engine,
+                ENGINE_ID,
                 self._record_config(trace, max_wall_time, max_instructions),
             )
-        fast = self._fast
-        blocks_before = fast.blocks_compiled if fast is not None else 0
-        hits_before = fast.block_hits if fast is not None else 0
+        interpreter = self.interpreter
+        blocks_before = interpreter.blocks_compiled
+        hits_before = interpreter.block_hits
         dirty_before = self.runtime.dirty_pages_written
         with OBS.tracer.span(
             "riscv.run",
             policy=type(self.policy).__name__,
             clock_hz=self.clock_hz,
             v_threshold=self.v_threshold,
-            engine=self.engine,
+            engine=ENGINE_ID,
         ) as span:
             result = self._run_traced(
                 trace, max_wall_time, max_instructions, emitter("riscv", record)
@@ -270,13 +267,12 @@ class IntermittentMachine:
             OBS.metrics.incr("riscv.checkpoints", result.checkpoints)
             OBS.metrics.incr("riscv.power_failures", result.power_failures)
             OBS.metrics.observe("riscv.wall_time", result.wall_time)
-            if fast is not None:
-                OBS.metrics.incr(
-                    "riscv.blocks_compiled", fast.blocks_compiled - blocks_before
-                )
-                OBS.metrics.incr(
-                    "riscv.decode_cache_hits", fast.block_hits - hits_before
-                )
+            OBS.metrics.incr(
+                "riscv.blocks_compiled", interpreter.blocks_compiled - blocks_before
+            )
+            OBS.metrics.incr(
+                "riscv.decode_cache_hits", interpreter.block_hits - hits_before
+            )
             OBS.metrics.incr(
                 "riscv.dirty_pages",
                 self.runtime.dirty_pages_written - dirty_before,
@@ -301,6 +297,7 @@ class IntermittentMachine:
         charge_dt = 1e-3
         # Instruction quantum between monitor samples.
         quantum = max(1, int(self.clock_hz * self.fs_device.sample_period))
+        interpret = self.interpreter.run
 
         while t < max_wall_time and result.instructions < max_instructions:
             # ---- charge until turn-on ---------------------------------
@@ -332,13 +329,7 @@ class IntermittentMachine:
             time_of_last_ckpt = t
             while not self.cpu.halted:
                 before = self.cpu.instructions_retired
-                if self._fast is not None:
-                    self._fast.run(quantum)
-                else:
-                    for _ in range(quantum):
-                        self.cpu.step()
-                        if self.cpu.halted:
-                            break
+                interpret(quantum)
                 executed = self.cpu.instructions_retired - before
                 dt = executed / self.clock_hz if executed else self.fs_device.sample_period
                 p_in = self.panel.electrical_power(trace.at(t))
@@ -424,14 +415,11 @@ class IntermittentMachine:
         self.memory.load_program(self.program)
         self.cpu.reset()
         self.runtime.invalidate()
-        if self._fast is not None:
-            executed = 0
-            while not self.cpu.halted and executed < max_instructions:
-                executed += self._fast.run(max_instructions - executed)
-            if not self.cpu.halted and executed >= max_instructions:
-                raise CPUError(f"instruction budget ({max_instructions}) exhausted")
-        else:
-            executed = self.cpu.run(max_instructions=max_instructions)
+        executed = 0
+        while not self.cpu.halted and executed < max_instructions:
+            executed += self.interpreter.run(max_instructions - executed)
+        if not self.cpu.halted and executed >= max_instructions:
+            raise CPUError(f"instruction budget ({max_instructions}) exhausted")
         return IntermittentRunResult(
             completed=self.cpu.halted,
             exit_code=self.cpu.exit_code,

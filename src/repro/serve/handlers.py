@@ -41,10 +41,12 @@ Job types:
     a :mod:`repro.trace` recording server-side and report whether the
     re-execution is byte-identical (plus the first divergence if not).
 
-A handler may carry a ``validate(request)`` attribute; the job manager
-calls it at submit, so a request it rejects never queues (the HTTP
-front end answers 400).  ``fleet`` uses it to build its
-:class:`~repro.fleet.spec.FleetSpec` up front.
+Every handler carries a ``validate(request)`` attribute; the job
+manager calls it at submit, so a request it rejects never queues (the
+HTTP front end answers 400 with a one-line message).  Each validator
+is the parser its handler runs first: it builds the
+:class:`~repro.fleet.spec.FleetSpec`, the sweeps, the DSE tech node,
+the experiment list or the :class:`~repro.trace.Recording`.
 
 Handlers fan heavy work out through
 :meth:`~repro.serve.jobs.JobContext.wave_run`, so every job type honors
@@ -74,7 +76,10 @@ from repro.fleet.stream import (
 )
 from repro.serve.jobs import JobContext
 from repro.trace import Recording, TraceRecorder, replay
+from repro.trace.replayer import check_riscv
 from repro.spice.charlib import (
+    CHAR_ENGINES,
+    JACOBIAN_ID,
     DividerSweep,
     RingSweep,
     SweepRequest,
@@ -222,6 +227,21 @@ handle_fleet.validate = fleet_spec
 # ----------------------------------------------------------------------
 # replay
 # ----------------------------------------------------------------------
+def replay_recording(request: Dict) -> Recording:
+    """The recording a ``replay`` job re-executes; a malformed payload,
+    or a ``riscv`` one naming a retired engine, raises
+    :class:`ConfigurationError`."""
+    if "recording" not in request:
+        raise ConfigurationError('replay job needs a "recording" payload')
+    try:
+        recording = Recording.from_dict(request["recording"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed recording payload: {exc!r}") from None
+    if recording.header.kind == "riscv":
+        check_riscv(recording)
+    return recording
+
+
 def handle_replay(context: JobContext, request: Dict) -> Dict:
     """Re-execute a recording server-side and verify byte-identity.
 
@@ -231,9 +251,7 @@ def handle_replay(context: JobContext, request: Dict) -> Dict:
     verdict plus the first divergence; the replayed event stream itself
     is summarized by digest so 10^7-device verdicts stay small.
     """
-    if "recording" not in request:
-        raise ConfigurationError('replay job needs a "recording" payload')
-    recording = Recording.from_dict(request["recording"])
+    recording = replay_recording(request)
     device = request.get("device")
     context.emit(
         "replay",
@@ -255,6 +273,9 @@ def handle_replay(context: JobContext, request: Dict) -> Dict:
     }
 
 
+handle_replay.validate = replay_recording
+
+
 # ----------------------------------------------------------------------
 # dse
 # ----------------------------------------------------------------------
@@ -266,14 +287,21 @@ def _pareto_front(evaluations) -> List[Dict]:
     return [feasible[i].to_dict() for i in fronts[0]]
 
 
+def dse_request(request: Dict):
+    """``(tech card, NSGA2 kwargs)`` for a ``dse`` job; an unknown tech
+    or a non-integer field raises :class:`ConfigurationError`."""
+    tech = get_technology(request.get("tech", "90nm"))
+    keys = [key for key in ("population_size", "generations", "seed") if key in request]
+    try:
+        return tech, {key: int(request[key]) for key in keys}
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed dse request: {exc}") from None
+
+
 def handle_dse(context: JobContext, request: Dict) -> Dict:
     """NSGA-II exploration with generation-by-generation Pareto fronts."""
-    tech = get_technology(request.get("tech", "90nm"))
+    tech, kwargs = dse_request(request)
     model = PerformanceModel(DesignSpace(tech))
-    kwargs = {}
-    for key in ("population_size", "generations", "seed"):
-        if key in request:
-            kwargs[key] = int(request[key])
 
     def on_generation(generation: int, evaluations) -> None:
         context.check_cancelled()
@@ -291,13 +319,17 @@ def handle_dse(context: JobContext, request: Dict) -> Dict:
     return result.to_dict()
 
 
+handle_dse.validate = dse_request
+
+
 # ----------------------------------------------------------------------
 # experiments
 # ----------------------------------------------------------------------
-def handle_experiments(context: JobContext, request: Dict) -> Dict:
-    """Regenerate paper tables/figures, streaming each as it finishes."""
+def experiment_names(request: Dict) -> List[str]:
+    """The experiments an ``experiments`` job runs; unknown names raise
+    :class:`ConfigurationError`."""
     # Late import: pulls in every experiment driver (the whole library).
-    from repro.experiments.runner import EXPERIMENTS, _run_one
+    from repro.experiments.runner import EXPERIMENTS
 
     names = list(request.get("names") or EXPERIMENTS)
     unknown = [name for name in names if name not in EXPERIMENTS]
@@ -305,6 +337,14 @@ def handle_experiments(context: JobContext, request: Dict) -> Dict:
         raise ConfigurationError(
             f"unknown experiments {unknown}; choose from {list(EXPERIMENTS)}"
         )
+    return names
+
+
+def handle_experiments(context: JobContext, request: Dict) -> Dict:
+    """Regenerate paper tables/figures, streaming each as it finishes."""
+    from repro.experiments.runner import _run_one
+
+    names = experiment_names(request)
 
     def on_item(index: int, outcome) -> None:
         result, elapsed = outcome
@@ -323,11 +363,19 @@ def handle_experiments(context: JobContext, request: Dict) -> Dict:
     return {"results": [result.to_dict() for result, _elapsed in outcomes]}
 
 
+handle_experiments.validate = experiment_names
+
+
 # ----------------------------------------------------------------------
 # characterize
 # ----------------------------------------------------------------------
 #: Wire names for the sweep request dataclasses.
 _SWEEP_KINDS = {"ring": RingSweep, "divider": DividerSweep}
+
+
+#: The field each kind's constant ``"jacobian"`` entry follows on the
+#: wire, where the retired sweep field used to sit.
+_JACOBIAN_AFTER = {"ring": "load_cap", "divider": "temp_k"}
 
 
 def sweep_to_dict(request: SweepRequest) -> Dict:
@@ -339,6 +387,8 @@ def sweep_to_dict(request: SweepRequest) -> Dict:
             continue
         value = getattr(request, field.name)
         payload[field.name] = list(value) if isinstance(value, tuple) else value
+        if field.name == _JACOBIAN_AFTER[kind]:
+            payload["jacobian"] = JACOBIAN_ID
     return payload
 
 
@@ -349,6 +399,11 @@ def sweep_from_dict(data: Dict) -> SweepRequest:
     if kind not in _SWEEP_KINDS:
         raise ConfigurationError(
             f"unknown sweep kind {kind!r}; choose from {sorted(_SWEEP_KINDS)}"
+        )
+    jacobian = payload.pop("jacobian", JACOBIAN_ID)
+    if jacobian != JACOBIAN_ID:
+        raise ConfigurationError(
+            f"jacobian {jacobian!r} is not supported: the only one is {JACOBIAN_ID!r}"
         )
     cls = _SWEEP_KINDS[kind]
     tech = get_technology(payload.pop("tech", "90nm"))
@@ -361,6 +416,24 @@ def sweep_from_dict(data: Dict) -> SweepRequest:
     return cls(tech=tech, **payload)
 
 
+def characterize_request(request: Dict):
+    """``(sweeps, engine, tolerance)`` for a ``characterize`` job; a
+    malformed sweep, an unknown engine or a non-numeric tolerance
+    raises :class:`ConfigurationError`."""
+    tolerance = request.get("tolerance")
+    try:
+        sweeps = [sweep_from_dict(s) for s in request.get("sweeps", [])]
+        tolerance = None if tolerance is None else float(tolerance)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed characterize request: {exc}") from None
+    if not sweeps:
+        raise ConfigurationError('characterize job needs a non-empty "sweeps" list')
+    engine = request.get("engine", "auto")
+    if engine not in CHAR_ENGINES:
+        raise ConfigurationError(f"unknown characterization engine {engine!r}")
+    return sweeps, engine, tolerance
+
+
 def handle_characterize(context: JobContext, request: Dict) -> Dict:
     """Cached SPICE characterization against the shared warm cache.
 
@@ -369,14 +442,8 @@ def handle_characterize(context: JobContext, request: Dict) -> Dict:
     process-lifetime cache also holds certified surrogate models, so a
     fitted node's curves answer without touching the solver.
     """
-    sweeps = [sweep_from_dict(s) for s in request.get("sweeps", [])]
-    if not sweeps:
-        raise ConfigurationError('characterize job needs a non-empty "sweeps" list')
+    sweeps, engine, tolerance = characterize_request(request)
     parallel = _parallel(request)
-    engine = request.get("engine", "auto")
-    tolerance = request.get("tolerance")
-    if tolerance is not None:
-        tolerance = float(tolerance)
     cache = context.manager.characterization_cache
     wave = _wave(request) or max(1, parallel) * 4
     results = []
@@ -407,6 +474,9 @@ def handle_characterize(context: JobContext, request: Dict) -> Dict:
             "surrogate_hits": cache.stats.surrogate_hits - surrogate0,
         },
     }
+
+
+handle_characterize.validate = characterize_request
 
 
 #: The default job-type registry a :class:`JobManager` starts from.

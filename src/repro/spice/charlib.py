@@ -81,6 +81,11 @@ CHARLIB_RTOL = 0.02
 #: Environment variable overriding the default on-disk cache location.
 CACHE_ENV = "REPRO_CHARLIB_CACHE"
 
+#: The solver's one Jacobian assembly (device stamps).  Fingerprints,
+#: sweep payloads and surrogate structures still carry it as
+#: ``"jacobian"``, so caches and payloads written before stay valid.
+JACOBIAN_ID = "stamp"
+
 #: Valid values for ``characterize_many(engine=)``.
 CHAR_ENGINES = ("auto", "exact", "surrogate")
 
@@ -111,7 +116,6 @@ class RingSweep:
     points_per_period: int = 64
     temp_k: float = ROOM_TEMP_K
     load_cap: Optional[float] = None
-    jacobian: str = "stamp"
     early_exit: bool = True
     period_rtol: float = 5e-3
 
@@ -134,7 +138,6 @@ class DividerSweep:
     upper_width: float = 4.0
     load_resistance: Optional[float] = None
     temp_k: float = ROOM_TEMP_K
-    jacobian: str = "stamp"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "voltages", tuple(float(v) for v in self.voltages))
@@ -215,9 +218,12 @@ def fingerprint(request: SweepRequest) -> str:
             for f in dataclasses.fields(request.tech)
         },
         "request": {
-            f.name: getattr(request, f.name)
-            for f in dataclasses.fields(request)
-            if f.name != "tech"
+            "jacobian": JACOBIAN_ID,
+            **{
+                f.name: getattr(request, f.name)
+                for f in dataclasses.fields(request)
+                if f.name != "tech"
+            },
         },
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -311,7 +317,6 @@ def _characterize_ring(request: RingSweep, fp: str) -> SweepResult:
                 dt=guess / request.points_per_period,
                 probes={"i_vdd": supply.through},
                 initial=staggered_initial_condition(request.n_stages, vdd),
-                jacobian=request.jacobian,
                 until=until,
             )
         except ConvergenceError:
@@ -350,9 +355,7 @@ def _characterize_divider(request: DividerSweep, fp: str) -> SweepResult:
         try:
             # Warm-start from the previous point: adjacent sweep
             # voltages have nearby operating points.
-            op = solver.dc_operating_point(
-                circuit, initial=previous, jacobian=request.jacobian
-            )
+            op = solver.dc_operating_point(circuit, initial=previous)
         except ConvergenceError:
             OBS.metrics.incr("spice.charlib_dead_points")
             taps.append(0.0)

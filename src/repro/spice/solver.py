@@ -2,31 +2,23 @@
 
 The circuits this library simulates are small (a divider stack, a ring of
 a dozen inverters, a level shifter), but they sit on the hot path of every
-circuit-level workload, so the solver has a fast default and a simple
-fallback:
-
-* ``jacobian="stamp"`` (default) — devices assemble their residual and
-  analytic Jacobian directly into preallocated numpy arrays through an
-  integer node-index map (:class:`_System`).  Linear devices are folded
-  into a conductance matrix once per Newton solve; only the nonlinear
-  devices are revisited per iteration.
-* ``jacobian="fd"`` — the original path: residuals from the devices' KCL
-  dicts and a whole-circuit finite-difference Jacobian.  Kept as a
-  cross-check and for exotic hand-written devices.
+circuit-level workload.  Devices assemble their residual and analytic
+Jacobian directly into preallocated numpy arrays through an integer
+node-index map (:class:`_System`).  Linear devices are folded into a
+conductance matrix once per Newton solve; only the nonlinear devices are
+revisited per iteration.  A device that defines only ``currents`` still
+solves through :meth:`Device.stamp`'s per-device finite-difference
+fallback.
 
 Damped Newton with automatic source-stepping fallback handles the
 strongly nonlinear MOSFET stacks; source stepping scales the sources
 through the solve (``_System.vsrc_scale``) instead of writing the device
 objects, so concurrent solves sharing a circuit cannot race.
 
-The transient supports fixed-step backward Euler (the original
-semantics, including the recorded restart-from-zeros recovery) and an
-adaptive mode (``adaptive=True``) that grows/shrinks dt on Newton
-iteration count and *rejects* failed steps — retrying the same step at a
-smaller dt — instead of restarting from zeros.  An optional ``until``
-callable ends the run early (used by ring-oscillator characterization to
-stop once the extracted period converges; see
-:mod:`repro.spice.charlib`).
+The transient is fixed-step backward Euler with a recorded
+restart-from-zeros recovery.  An optional ``until`` callable ends the
+run early (used by ring-oscillator characterization to stop once the
+extracted period converges; see :mod:`repro.spice.charlib`).
 """
 
 from __future__ import annotations
@@ -37,7 +29,7 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.obs import OBS
 from repro.spice.netlist import Circuit, Device, GROUND
 from repro.spice.devices import (
@@ -53,18 +45,6 @@ from repro.spice.waveform import TransientResult
 RESIDUAL_TOL = 1e-9
 UPDATE_TOL = 1e-7
 MAX_ITERATIONS = 120
-JACOBIAN_EPS = 1e-6
-
-#: Jacobian assembly modes accepted by the solver entry points.
-JACOBIAN_MODES = ("stamp", "fd")
-
-# Adaptive-dt policy: grow the step after an easy solve, shrink it after
-# a laboured one, halve it (bounded by dt_min) on a rejected step.
-GROW_ITERATIONS = 8
-SHRINK_ITERATIONS = 24
-DT_GROWTH = 2.0
-DT_MIN_FRACTION = 1.0 / 64.0
-DT_MAX_FACTOR = 8.0
 
 
 @dataclass
@@ -87,22 +67,6 @@ def _voltage_map(nodes: List[str], x: np.ndarray) -> Dict[str, float]:
     return volts
 
 
-def _residual_vector(circuit: Circuit, nodes: List[str], x: np.ndarray) -> np.ndarray:
-    res = circuit.residual(_voltage_map(nodes, x))
-    return np.array([res[n] for n in nodes])
-
-
-def _jacobian(circuit: Circuit, nodes: List[str], x: np.ndarray, f0: np.ndarray) -> np.ndarray:
-    n = len(nodes)
-    jac = np.zeros((n, n))
-    for j in range(n):
-        xp = x.copy()
-        xp[j] += JACOBIAN_EPS
-        fj = _residual_vector(circuit, nodes, xp)
-        jac[:, j] = (fj - f0) / JACOBIAN_EPS
-    return jac
-
-
 class _System:
     """A circuit compiled for repeated Newton solves.
 
@@ -117,13 +81,8 @@ class _System:
     objects.
     """
 
-    def __init__(self, circuit: Circuit, jacobian: str = "stamp"):
-        if jacobian not in JACOBIAN_MODES:
-            raise ConfigurationError(
-                f"unknown jacobian mode {jacobian!r}; expected one of {JACOBIAN_MODES}"
-            )
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.jacobian_mode = jacobian
         self.vsrc_scale = 1.0
         self.nodes = circuit.nodes()
         n = len(self.nodes)
@@ -143,13 +102,10 @@ class _System:
             or type(dev).commit_step is not base.commit_step
         ]
         self._linear: list = []
-        self._sources: list = []
         self._nonlinear: list = []
         for dev, idx in zip(self.devices, self._idx):
             if isinstance(dev, (Resistor, Switch, Capacitor, CurrentSource, VoltageSource)):
                 self._linear.append((dev, idx))
-                if isinstance(dev, VoltageSource):
-                    self._sources.append((dev, idx))
             else:
                 self._nonlinear.append((dev, idx))
         self._x_ext = np.zeros(n + 1)
@@ -165,8 +121,6 @@ class _System:
         source-stepping scale may all have changed since the last solve,
         but none of them change *within* one.
         """
-        if self.jacobian_mode != "stamp":
-            return
         g = self._g
         b = self._b
         g[:] = 0.0
@@ -216,30 +170,6 @@ class _System:
             dev.stamp(xe, idx, jac, res)
         return res[:n], jac[:n, :n]
 
-    # ------------------------------------------------------------------
-    def residual_vector(self, x: np.ndarray) -> np.ndarray:
-        """Legacy dict-path residual (fd mode), source scale applied."""
-        f = _residual_vector(self.circuit, self.nodes, x)
-        scale = self.vsrc_scale
-        if scale != 1.0:
-            n = self.n
-            for dev, (ipos, ineg) in self._sources:
-                shift = (1.0 - scale) * dev.voltage * dev.conductance
-                if ipos < n:
-                    f[ipos] += shift
-                if ineg < n:
-                    f[ineg] -= shift
-        return f
-
-    def fd_jacobian(self, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
-        n = len(self.nodes)
-        jac = np.zeros((n, n))
-        for j in range(n):
-            xp = x.copy()
-            xp[j] += JACOBIAN_EPS
-            jac[:, j] = (self.residual_vector(xp) - f0) / JACOBIAN_EPS
-        return jac
-
 
 @dataclass
 class NewtonOutcome:
@@ -263,20 +193,13 @@ def _newton(circuit, nodes: List[str], x0: np.ndarray, max_iter: int = MAX_ITERA
     """
     system = circuit if isinstance(circuit, _System) else _System(circuit)
     system.prepare()
-    use_stamp = system.jacobian_mode == "stamp"
     x = x0.copy()
     residual_norm = math.inf
     for iteration in range(max_iter):
-        if use_stamp:
-            f0, jac = system.stamp(x)
-        else:
-            f0 = system.residual_vector(x)
-            jac = None
+        f0, jac = system.stamp(x)
         residual_norm = float(np.max(np.abs(f0)))
         if residual_norm < RESIDUAL_TOL:
             return NewtonOutcome(x, iteration, residual_norm)
-        if jac is None:
-            jac = system.fd_jacobian(x, f0)
         try:
             dx = np.linalg.solve(jac, -f0)
         except np.linalg.LinAlgError:
@@ -299,18 +222,14 @@ def _newton(circuit, nodes: List[str], x0: np.ndarray, max_iter: int = MAX_ITERA
 def dc_operating_point(
     circuit: Circuit,
     initial: Optional[Mapping[str, float]] = None,
-    *,
-    jacobian: str = "stamp",
 ) -> DCSolution:
     """Solve the DC operating point with Newton + source stepping.
 
     ``initial`` optionally seeds node voltages (e.g. from a previous
     nearby solve, which dramatically speeds voltage sweeps).
-    ``jacobian`` selects analytic device stamps (default) or the
-    finite-difference fallback.
     """
     circuit.validate()
-    system = _System(circuit, jacobian=jacobian)
+    system = _System(circuit)
     nodes = system.nodes
     x0 = np.zeros(len(nodes))
     if initial:
@@ -330,9 +249,8 @@ def dc_operating_point(
             outcome = _source_stepping(system, nodes, x0)
             iterations += outcome.iterations
         OBS.metrics.incr("spice.dc_solves")
-        OBS.metrics.incr(f"spice.dc_solves_{system.jacobian_mode}")
         OBS.metrics.incr("spice.newton_iterations", iterations)
-        sp.set(iterations=iterations, jacobian=system.jacobian_mode)
+        sp.set(iterations=iterations)
         if not outcome.converged:
             OBS.metrics.incr("spice.dc_convergence_failures")
             raise ConvergenceError(
@@ -374,50 +292,36 @@ def transient(
     initial: Optional[Mapping[str, float]] = None,
     on_step: Optional[Callable[[float, Mapping[str, float]], None]] = None,
     *,
-    jacobian: str = "stamp",
-    adaptive: bool = False,
-    dt_min: Optional[float] = None,
-    dt_max: Optional[float] = None,
     until: Optional[Callable[[float, Mapping[str, float]], bool]] = None,
 ) -> TransientResult:
-    """Backward-Euler transient analysis.
+    """Fixed-step backward-Euler transient analysis.
 
     Parameters
     ----------
     t_stop, dt:
-        Simulation horizon and step size (s).  With ``adaptive=False``
-        (default) ``dt`` is fixed, exactly as before.
+        Simulation horizon and step size (s).
     probes:
         Optional named callables evaluated on the node-voltage map at
-        every accepted step (e.g. a source's delivered current).  The
-        map is built once per accepted step and shared between probes,
-        ``on_step`` and ``until``.
+        every step (e.g. a source's delivered current).  The map is
+        built once per step and shared between probes, ``on_step`` and
+        ``until``.
     initial:
         Node voltages at t=0.  When omitted, a DC operating point is
         computed first.  Pass explicit voltages to start an oscillator
         out of equilibrium.
     on_step:
-        Callback after each accepted step — used by enable-sequencing
-        helpers to toggle switches mid-run.
-    jacobian:
-        ``"stamp"`` (analytic device stamps, default) or ``"fd"``.
-    adaptive:
-        Adaptive time-stepping: dt grows after easy Newton solves
-        (≤ :data:`GROW_ITERATIONS` iterations), shrinks after laboured
-        ones, and a failed step is *rejected* — retried at a smaller dt
-        down to ``dt_min`` — instead of restarting from zeros.
-        ``dt_min``/``dt_max`` default to ``dt/64`` and ``dt*8``.
+        Callback after each step — used by enable-sequencing helpers to
+        toggle switches mid-run.
     until:
         Optional early-exit predicate called as ``until(t, volts)``
-        after each accepted step; returning True ends the run.
+        after each step; returning True ends the run.
     """
     circuit.validate()
-    system = _System(circuit, jacobian=jacobian)
+    system = _System(circuit)
     nodes = system.nodes
 
     if initial is None:
-        op = dc_operating_point(circuit, jacobian=jacobian)
-        volts = dict(op.voltages)
+        volts = dict(dc_operating_point(circuit).voltages)
     else:
         volts = {GROUND: 0.0}
         for node in nodes:
@@ -432,26 +336,6 @@ def transient(
     vmap = _voltage_map(nodes, x)
     result.record(0.0, vmap, {k: f(vmap) for k, f in probes.items()})
 
-    if adaptive:
-        return _transient_adaptive(
-            system, result, x, t_stop, dt, dt_min, dt_max, probes, on_step, until
-        )
-    return _transient_fixed(system, result, x, t_stop, dt, probes, on_step, until)
-
-
-def _transient_fixed(
-    system: _System,
-    result: TransientResult,
-    x: np.ndarray,
-    t_stop: float,
-    dt: float,
-    probes: Dict[str, Callable],
-    on_step: Optional[Callable],
-    until: Optional[Callable],
-) -> TransientResult:
-    """Fixed-dt loop with the recorded restart-from-zeros recovery."""
-    circuit = system.circuit
-    nodes = system.nodes
     steps = int(round(t_stop / dt))
     newton_iterations = 0
     accepted = 0
@@ -503,91 +387,10 @@ def _transient_fixed(
             if until is not None and until(t, vmap):
                 break
         OBS.metrics.incr("spice.transient_steps", accepted)
-        OBS.metrics.incr(f"spice.transient_solves_{system.jacobian_mode}", accepted)
         OBS.metrics.incr("spice.newton_iterations", newton_iterations)
         sp.set(
             iterations=newton_iterations,
             restarts=len(result.restarts),
             accepted=accepted,
-            jacobian=system.jacobian_mode,
-        )
-    return result
-
-
-def _transient_adaptive(
-    system: _System,
-    result: TransientResult,
-    x: np.ndarray,
-    t_stop: float,
-    dt: float,
-    dt_min: Optional[float],
-    dt_max: Optional[float],
-    probes: Dict[str, Callable],
-    on_step: Optional[Callable],
-    until: Optional[Callable],
-) -> TransientResult:
-    """Adaptive-dt loop: grow/shrink on iteration count, reject failures."""
-    circuit = system.circuit
-    nodes = system.nodes
-    dt_min = dt * DT_MIN_FRACTION if dt_min is None else dt_min
-    dt_max = dt * DT_MAX_FACTOR if dt_max is None else dt_max
-    if not 0.0 < dt_min <= dt <= dt_max:
-        raise ConfigurationError(
-            f"need 0 < dt_min <= dt <= dt_max, got {dt_min} <= {dt} <= {dt_max}"
-        )
-    h = dt
-    t = 0.0
-    accepted = rejected = 0
-    newton_iterations = 0
-    with OBS.tracer.span(
-        "spice.transient",
-        circuit=circuit.title,
-        t_stop=t_stop,
-        dt=dt,
-        adaptive=True,
-    ) as sp:
-        while t < t_stop * (1.0 - 1e-12):
-            h_step = min(h, t_stop - t)
-            for dev in system.dynamic:
-                dev.begin_step(h_step)
-            outcome = _newton(system, nodes, x)
-            newton_iterations += outcome.iterations
-            if not outcome.converged:
-                rejected += 1
-                OBS.metrics.incr("spice.rejected_steps")
-                if h_step <= dt_min * (1.0 + 1e-12):
-                    OBS.metrics.incr("spice.transient_aborts")
-                    raise ConvergenceError(
-                        f"transient step failed for {circuit.title!r} at minimum dt",
-                        t=t + h_step,
-                        iterations=outcome.iterations,
-                        residual_norm=outcome.residual_norm,
-                    )
-                h = max(h_step / 2.0, dt_min)
-                continue
-            t += h_step
-            accepted += 1
-            x = outcome.x
-            vmap = _voltage_map(nodes, x)
-            for dev in system.dynamic:
-                dev.commit_step(vmap)
-            result.record(t, vmap, {k: f(vmap) for k, f in probes.items()})
-            if on_step is not None:
-                on_step(t, vmap)
-            if until is not None and until(t, vmap):
-                break
-            if outcome.iterations <= GROW_ITERATIONS:
-                h = min(h * DT_GROWTH, dt_max)
-            elif outcome.iterations >= SHRINK_ITERATIONS:
-                h = max(h / DT_GROWTH, dt_min)
-        result.rejected_steps = rejected
-        OBS.metrics.incr("spice.transient_steps", accepted)
-        OBS.metrics.incr(f"spice.transient_solves_{system.jacobian_mode}", accepted)
-        OBS.metrics.incr("spice.newton_iterations", newton_iterations)
-        sp.set(
-            iterations=newton_iterations,
-            accepted=accepted,
-            rejected=rejected,
-            jacobian=system.jacobian_mode,
         )
     return result

@@ -89,6 +89,8 @@ QUANTITIES = {
 #: Request fields that select *which circuit/recipe* is being swept —
 #: everything except the query axes (voltages, temp_k).  Models only
 #: cover requests whose structural fields match their template exactly.
+#: ``"jacobian"`` always reads :data:`~repro.spice.charlib.JACOBIAN_ID`,
+#: kept in place so persisted models keep their fingerprints.
 _STRUCTURE_FIELDS = {
     "RingSweep": (
         "n_stages", "periods", "points_per_period", "load_cap",
@@ -100,7 +102,8 @@ _STRUCTURE_FIELDS = {
 }
 
 _STRUCTURE_GETTERS = {
-    kind: attrgetter(*names) for kind, names in _STRUCTURE_FIELDS.items()
+    kind: attrgetter(*(name for name in names if name != "jacobian"))
+    for kind, names in _STRUCTURE_FIELDS.items()
 }
 
 
@@ -180,8 +183,11 @@ def pchip_eval(x, y, d, xq):
 # ----------------------------------------------------------------------
 def _structure_pairs(request: SweepRequest) -> Tuple[Tuple[str, object], ...]:
     kind = type(request).__name__
-    names = _STRUCTURE_FIELDS[kind]
-    return tuple(zip(names, _STRUCTURE_GETTERS[kind](request)))
+    values = iter(_STRUCTURE_GETTERS[kind](request))
+    return tuple(
+        (name, charlib.JACOBIAN_ID if name == "jacobian" else next(values))
+        for name in _STRUCTURE_FIELDS[kind]
+    )
 
 
 def model_fingerprint(

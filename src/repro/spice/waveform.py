@@ -86,23 +86,16 @@ class TransientResult:
     """Node waveforms plus any per-device probe waveforms.
 
     ``restarts`` lists the times at which a failed Newton step was
-    recovered by re-solving from a flat (all-zero) start (fixed-dt mode
-    only).  A restart can settle on a different DC branch than the
-    trajectory it replaced, so consumers that care about waveform
-    continuity (oscillator frequency measurements, monotonic ramps)
-    should treat a non-empty list as a data-quality warning rather than
-    silently trusting the waveform.
-
-    ``rejected_steps`` counts steps the adaptive integrator rejected and
-    retried at a smaller dt (``transient(..., adaptive=True)``); the
-    waveform itself only contains accepted steps, so rejections are an
-    efficiency signal, not a correctness one.
+    recovered by re-solving from a flat (all-zero) start.  A restart can
+    settle on a different DC branch than the trajectory it replaced, so
+    consumers that care about waveform continuity (oscillator frequency
+    measurements, monotonic ramps) should treat a non-empty list as a
+    data-quality warning rather than silently trusting the waveform.
     """
 
     node_waveforms: Dict[str, Waveform] = field(default_factory=dict)
     probe_waveforms: Dict[str, Waveform] = field(default_factory=dict)
     restarts: List[float] = field(default_factory=list)
-    rejected_steps: int = 0
 
     def node(self, name: str) -> Waveform:
         try:

@@ -15,7 +15,8 @@ Per-kind runners (lazy engine imports keep this module import-light):
   is refused with a :class:`~repro.errors.ConfigurationError`);
 * ``batch``  — rebuild every scenario, rerun ``evaluate_many``;
 * ``riscv``  — rebuild the machine (default device/policy by
-  construction — recording enforces it), rerun;
+  construction — recording enforces it), rerun (a recording naming
+  any interpreter but ``"fast"`` is refused, see :func:`check_riscv`);
 * ``fleet``  — ``mode: run`` rebuilds the fleet spec from the header;
   ``mode: stream`` rebuilds the device stream from the recording's own
   ``device``/``skip`` events.
@@ -158,12 +159,25 @@ def _replay_batch(recording: Recording) -> Recording:
     return rec.recording
 
 
+def check_riscv(recording: Recording) -> None:
+    """Refuse a ``riscv`` recording whose header or config names any
+    interpreter engine but the library's one (:class:`ConfigurationError`)."""
+    from repro.riscv.engine import ENGINE_ID
+
+    for value in (recording.header.engine, recording.header.config.get("engine", ENGINE_ID)):
+        if value != ENGINE_ID:
+            raise ConfigurationError(
+                f"engine {value!r} is not supported: the only riscv engine is {ENGINE_ID!r}"
+            )
+
+
 def _replay_riscv(recording: Recording) -> Recording:
     from repro.harvest.loads import MCULoad
     from repro.harvest.panel import SolarPanel
     from repro.harvest.traces import IrradianceTrace
     from repro.riscv.intermittent import IntermittentMachine
 
+    check_riscv(recording)
     cfg = recording.header.config
     machine = IntermittentMachine(
         program=list(cfg["program"]),
@@ -176,7 +190,6 @@ def _replay_riscv(recording: Recording) -> Recording:
         v_min=cfg["v_min"],
         volatile_bytes=cfg["volatile_bytes"],
         leakage=cfg["leakage"],
-        engine=cfg["engine"],
         differential_checkpoints=cfg["differential_checkpoints"],
     )
     trace = IrradianceTrace(

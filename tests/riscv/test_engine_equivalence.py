@@ -1,7 +1,8 @@
-"""Fast-engine equivalence: the block interpreter vs. the step reference.
+"""Fast-engine equivalence: the block interpreter vs. the step oracle.
 
 Randomized assembler workloads (ALU soup, memory traffic, console MMIO,
-div-by-zero corners) run through both engines and must agree on every
+div-by-zero corners) run through the fast engine and the legacy step
+interpreter (``tests/oracles/riscv.py``) and must agree on every
 architectural observable: registers, pc, retired-instruction counts,
 cycle counter, console bytes, and — across power failures on the
 intermittent machine — the entire ``IntermittentRunResult`` including
@@ -10,16 +11,30 @@ block-cache invalidation rule, and the interrupt scenarios pin trap
 delivery at block boundaries.
 """
 
+import copy
 import random
 
 import pytest
 
+import repro.obs as obs
 from repro.errors import ConfigurationError
-from repro.harvest.traces import constant_trace
-from repro.riscv import CPU, FastEngine, IntermittentMachine, MemoryMap, assemble
+from repro.harvest.traces import constant_trace, nyc_pedestrian_night
+from repro.riscv import (
+    CPU,
+    WORKLOADS,
+    ComparatorDevice,
+    FastEngine,
+    IntermittentMachine,
+    MemoryMap,
+    assemble,
+    get_workload,
+)
 from repro.riscv.csr import CAUSE_MACHINE_EXTERNAL
-from repro.riscv.engine import ENGINES, resolve_engine
 from repro.riscv.fs_device import FSDevice
+from repro.runtimes.policies import AdaptiveTimerPolicy, ContinuousPolicy
+from repro.trace import Recording, TraceRecorder, replay
+from repro.trace.format import canonical_json
+from tests.oracles.riscv import StepEngine, step_machine
 
 MMIO_CONSOLE = 0x1000_0000
 
@@ -120,8 +135,8 @@ class TestRandomizedWorkloads:
         program = assemble(random_program(random.Random(seed), iterations=9000))
         results = {}
         counters = {}
-        for engine in ENGINES:
-            machine = IntermittentMachine(program, capacitance=10e-6, engine=engine)
+        for engine, build in (("fast", IntermittentMachine), ("legacy", step_machine)):
+            machine = build(program, capacitance=10e-6)
             results[engine] = machine.run(
                 constant_trace(1.0, 7200.0), max_wall_time=7200.0
             )
@@ -188,27 +203,22 @@ class TestInterruptEquivalence:
 
     def _pair(self):
         machines = []
-        for engine in ENGINES:
+        for engine in (FastEngine, StepEngine):
             fs = FSDevice(v_supply=3.0)
             memory = MemoryMap()
             memory.load_program(assemble(HANDLER_PROGRAM))
             cpu = CPU(memory, fs_device=fs)
-            driver = FastEngine(cpu) if engine == "fast" else None
-            machines.append((cpu, fs, driver))
+            machines.append((cpu, fs, engine(cpu)))
         return machines
 
     @staticmethod
     def _advance(cpu, driver, slots):
-        if driver is not None:
-            done = 0
-            while done < slots:
-                consumed = driver.run(slots - done)
-                if consumed == 0:  # halted
-                    break
-                done += consumed
-        else:
-            for _ in range(slots):
-                cpu.step()
+        done = 0
+        while done < slots:
+            consumed = driver.run(slots - done)
+            if consumed == 0:  # halted
+                break
+            done += consumed
 
     def test_vectoring_state_identical(self):
         (cpu_f, fs_f, drv_f), (cpu_l, fs_l, drv_l) = self._pair()
@@ -230,22 +240,117 @@ class TestInterruptEquivalence:
 
 
 class TestEngineSelection:
+    """One interpreter: no constructor argument, no environment override."""
+
+    @staticmethod
+    def _assert_drives_fast_engine():
+        machine = IntermittentMachine([0x00000073])
+        assert type(machine.interpreter) is FastEngine
+        rec = TraceRecorder()
+        machine.run(constant_trace(5.0, 10.0), max_wall_time=10.0, record=rec)
+        assert rec.recording.header.engine == "fast"
+        assert rec.recording.header.config["engine"] == "fast"
+
     def test_resolve_defaults_to_fast(self, monkeypatch):
         monkeypatch.delenv("REPRO_RISCV_ENGINE", raising=False)
-        assert resolve_engine() == "fast"
-        assert resolve_engine("legacy") == "legacy"
+        self._assert_drives_fast_engine()
 
-    def test_env_override_wins(self, monkeypatch):
+    def test_machine_always_drives_fast_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_RISCV_ENGINE", "legacy")
-        assert resolve_engine("fast") == "legacy"
-        machine = IntermittentMachine([0x00000073], engine="fast")
-        assert machine.engine == "legacy"
-        assert machine._fast is None
+        self._assert_drives_fast_engine()
 
-    def test_bad_engine_rejected(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RISCV_ENGINE", raising=False)
-        with pytest.raises(ConfigurationError):
-            resolve_engine("turbo")
-        monkeypatch.setenv("REPRO_RISCV_ENGINE", "warp")
-        with pytest.raises(ConfigurationError):
-            resolve_engine()
+    def test_bad_engine_rejected(self):
+        with pytest.raises(TypeError):
+            IntermittentMachine([0x00000073], engine="legacy")
+        rec = TraceRecorder()
+        IntermittentMachine([0x00000073]).run(
+            constant_trace(5.0, 10.0), max_wall_time=10.0, record=rec
+        )
+        named_in_header = copy.deepcopy(rec.recording.to_dict())
+        named_in_header["header"]["engine"] = "legacy"
+        named_in_config = copy.deepcopy(rec.recording.to_dict())
+        named_in_config["header"]["config"]["engine"] = "legacy"
+        for payload in (named_in_header, named_in_config):
+            with pytest.raises(ConfigurationError, match="'legacy'"):
+                replay(Recording.from_dict(payload))
+
+
+# ----------------------------------------------------------------------
+# The oracle matrix: the paper's checkpoint paths, fast vs step
+# ----------------------------------------------------------------------
+MATRIX_SECONDS = 3600.0
+
+
+@pytest.fixture(scope="module")
+def night_trace():
+    return nyc_pedestrian_night(duration=MATRIX_SECONDS, seed=1)
+
+
+def _run_both(night_trace, workload, record=True, stateful=dict, **machine_kwargs):
+    """(result, NVM bytes, recording JSON or riscv obs events) per engine.
+
+    ``stateful()`` builds the keyword arguments each machine needs its
+    own copy of (policies and devices carry state across a run)."""
+    outputs = []
+    for build in (IntermittentMachine, step_machine):
+        machine = build(
+            get_workload(workload).assemble(), **machine_kwargs, **stateful()
+        )
+        rec = TraceRecorder() if record else None
+        sink = None if record else obs.MemorySink()
+        if sink is not None:
+            obs.configure(sink=sink)
+        try:
+            result = machine.run(night_trace, max_wall_time=MATRIX_SECONDS, record=rec)
+        finally:
+            obs.reset()
+        if record:
+            decisions = canonical_json(rec.recording.to_dict())
+        else:
+            decisions = [
+                (r["name"], r.get("attrs"))
+                for r in sink.records
+                if r["type"] == "event" and r["name"].startswith("riscv.")
+            ]
+        outputs.append((result, machine.memory.nvm_bytes_written, decisions))
+    fast, step = outputs
+    assert fast[0].completed, fast[0].summary()
+    assert fast[0].exit_code == get_workload(workload).expected_exit_code()
+    assert canonical_json(fast[0].to_dict()) == canonical_json(step[0].to_dict())
+    assert fast[1:] == step[1:]
+    return fast[0]
+
+
+class TestOracleMatrix:
+    """Every workload x {4.7, 10} uF x {full, differential} checkpoints
+    on one seeded 3600 s night trace: result, NVM bytes written and
+    recording byte-identical between the fast engine and the step
+    oracle.  Three more runs cover the continuous and adaptive-timer
+    policies and the comparator device, which cannot be recorded; their
+    obs event streams must match instead."""
+
+    @pytest.mark.parametrize("differential", [False, True], ids=["full", "diff"])
+    @pytest.mark.parametrize("capacitance", [4.7e-6, 10e-6], ids=["4u7", "10u"])
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_recorded_run_identical(self, night_trace, workload, capacitance, differential):
+        _run_both(
+            night_trace, workload,
+            capacitance=capacitance, differential_checkpoints=differential,
+        )
+
+    # The shortest workload that still power-cycles under each variant.
+    @pytest.mark.parametrize("variant, workload", [
+        ("continuous", "bitcount"),
+        ("adaptive_timer", "fletcher"),
+        ("comparator", "bitcount"),
+    ])
+    def test_policy_and_device_variants_identical(self, night_trace, variant, workload):
+        stateful = {
+            "continuous": lambda: {"policy": ContinuousPolicy()},
+            "adaptive_timer": lambda: {"policy": AdaptiveTimerPolicy()},
+            "comparator": lambda: {"fs_device": ComparatorDevice(threshold_v=1.9)},
+        }[variant]
+        result = _run_both(
+            night_trace, workload, record=False, stateful=stateful, capacitance=4.7e-6
+        )
+        assert result.power_cycles >= 2, "variant was not intermittent"

@@ -94,9 +94,30 @@ class TestService:
         assert "'reference'" in messages[3]
         assert len(client.jobs()) == before
 
+    def test_malformed_jobs_refused_at_submit(self, client):
+        """Every job type validates at submit: one bad input each is a
+        400 with a one-line message, and never becomes a job."""
+        before = len(client.jobs())
+        sweep = sweep_to_dict(RingSweep(get_technology("90nm"), 5, (1.0,)))
+        legacy = {"kind": "riscv", "engine": "legacy", "config": {"engine": "legacy"}}
+        requests = (
+            ("dse", {"tech": "7nm"}, "'7nm'"),
+            ("characterize", {"sweeps": [dict(sweep, jacobian="fd")]}, "'fd'"),
+            ("experiments", {"names": ["fig99"]}, "fig99"),
+            ("replay", {"recording": {"header": legacy}}, "'legacy'"),
+        )
+        for kind, request, needle in requests:
+            with pytest.raises(ServeError) as excinfo:
+                client.submit(kind, request)
+            assert excinfo.value.status == 400
+            message = str(excinfo.value)
+            assert "\n" not in message and needle in message
+        assert len(client.jobs()) == before
+
     def test_result_of_unfinished_job_conflicts(self, client):
         # A failed job: /result answers 409 with the error, not 200.
-        job = client.submit("dse", {"tech": "4nm"})  # unknown node: fails when run
+        # An odd population parses at submit but fails when run.
+        job = client.submit("dse", {"tech": "90nm", "population_size": 3})
         final = client.wait(job["id"])
         assert final["state"] == "failed"
         with pytest.raises(ServeError) as excinfo:

@@ -11,6 +11,7 @@ from repro.spice.charlib import (
     CHARLIB_RTOL,
     CharacterizationCache,
     DividerSweep,
+    PeriodProbe,
     RingSweep,
     SweepResult,
     characterize_many,
@@ -100,7 +101,6 @@ class TestFingerprint:
         base = fingerprint(ring_sweep())
         assert fingerprint(ring_sweep(n_stages=7)) != base
         assert fingerprint(ring_sweep(voltages=(0.8, 1.1))) != base
-        assert fingerprint(ring_sweep(jacobian="fd")) != base
         assert fingerprint(ring_sweep(early_exit=False)) != base
 
     def test_editing_tech_card_busts_cache(self):
@@ -113,6 +113,52 @@ class TestFingerprint:
         ring = RingSweep(tech=TECH_90NM, n_stages=5, voltages=(1.0,))
         div = DividerSweep(tech=TECH_90NM, voltages=(1.0,))
         assert fingerprint(ring) != fingerprint(div)
+
+    def test_default_digests_pinned(self):
+        # Persisted charlib entries and surrogate models are keyed by
+        # these digests; they still hash the retired "jacobian" field's
+        # only value, so caches written before it left keep hitting.
+        assert fingerprint(ring_sweep()) == (
+            "d3ccd9ae567b70004ba52b362b3a46533ea3035e9db19a37efba321c63bdcaf0"
+        )
+        assert fingerprint(DividerSweep(tech=TECH_90NM, voltages=VOLTS)) == (
+            "5aeaa5d7119d3f83c2ce30dad9796a2d6e435cf9bf24e8884491cd70596ab917"
+        )
+
+
+class TestPeriodProbe:
+    def test_period_probe_converges_on_ring(self):
+        from repro.analog.ring_oscillator import (
+            build_ro_circuit,
+            staggered_initial_condition,
+        )
+        from repro.spice import transient
+
+        vdd, n = 1.0, 5
+        guess = RingOscillator(TECH_90NM, n).period(vdd)
+        circuit = build_ro_circuit(TECH_90NM, n, vdd)
+        probe = PeriodProbe("s0", vdd / 2, rtol=5e-3)
+        res = transient(
+            circuit, t_stop=30 * guess, dt=guess / 64,
+            initial=staggered_initial_condition(n, vdd), until=probe,
+        )
+        assert probe.converged
+        # Early exit cut the horizon well short of the 30-period bound.
+        assert res.node("s0").times[-1] < 15 * guess
+        # And the frequency it measured is still the settled one.
+        full = transient(
+            build_ro_circuit(TECH_90NM, n, vdd), t_stop=30 * guess, dt=guess / 64,
+            initial=staggered_initial_condition(n, vdd),
+        )
+        f_early = res.node("s0").frequency(vdd / 2)
+        f_full = full.node("s0").frequency(vdd / 2)
+        assert f_early == pytest.approx(f_full, rel=0.02)
+
+    def test_period_probe_validates_parameters(self):
+        with pytest.raises(ConfigurationError):
+            PeriodProbe("s0", 0.5, rtol=0.0)
+        with pytest.raises(ConfigurationError):
+            PeriodProbe("s0", 0.5, window=1)
 
 
 class TestCache:

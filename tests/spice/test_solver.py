@@ -20,6 +20,7 @@ from repro.spice import (
 from repro.tech import TECH_90NM
 import repro.obs as obs
 from repro.spice import solver
+from tests.oracles.spice import fd_jacobian, fd_newton
 
 
 def resistor_divider(v=3.0, r1=1e3, r2=2e3):
@@ -117,6 +118,21 @@ class TestTransient:
         assert w.final() == pytest.approx(1.0, rel=0.05)
 
 
+class TestEarlyExit:
+    def test_until_stops_fixed_run(self):
+        c = Circuit("rc-until")
+        c.add(VoltageSource("V1", "in", GROUND, 1.0))
+        c.add(Resistor("R", "in", "out", 1e3))
+        c.add(Capacitor("C", "out", GROUND, 1e-6))
+        res = transient(
+            c, t_stop=5e-3, dt=1e-5,
+            initial={"in": 1.0, "out": 0.0},
+            until=lambda t, volts: volts["out"] >= 0.5,
+        )
+        assert res.node("out").final() == pytest.approx(0.5, abs=0.02)
+        assert res.node("out").times[-1] < 1e-3  # ~0.69 tau, far short of 5 tau
+
+
 class TestSourceStepping:
     def test_stiff_diode_stack_converges_via_stepping(self):
         """A tall diode-connected stack from a cold start is the case
@@ -173,19 +189,22 @@ class TestSourceStepping:
         assert state["voltages_seen"] and all(v == 3.0 for v in state["voltages_seen"])
 
     def test_fd_mode_stepping_matches_stamp_mode(self, monkeypatch):
-        real = solver._newton
-        calls = {"n": 0}
+        def failing_first(real):
+            calls = {"n": 0}
 
-        def flaky(circuit, nodes, x0, max_iter=solver.MAX_ITERATIONS):
-            calls["n"] += 1
-            if calls["n"] in (1, 8):  # first plain attempt of each solve
-                return solver.NewtonOutcome(None, 5, 1.0)
-            return real(circuit, nodes, x0, max_iter)
+            def flaky(circuit, nodes, x0, max_iter=solver.MAX_ITERATIONS):
+                calls["n"] += 1
+                if calls["n"] == 1:  # the plain attempt: force stepping
+                    return solver.NewtonOutcome(None, 5, 1.0)
+                return real(circuit, nodes, x0, max_iter)
 
-        monkeypatch.setattr(solver, "_newton", flaky)
+            return flaky
+
         c = resistor_divider(v=3.0)
-        via_stamp = dc_operating_point(c, jacobian="stamp")
-        via_fd = dc_operating_point(c, jacobian="fd")
+        monkeypatch.setattr(solver, "_newton", failing_first(solver._newton))
+        via_stamp = dc_operating_point(c)
+        monkeypatch.setattr(solver, "_newton", failing_first(fd_newton))
+        via_fd = dc_operating_point(c)
         assert via_fd["mid"] == pytest.approx(via_stamp["mid"], abs=1e-9)
 
 
@@ -223,11 +242,17 @@ class TestVoltageMapSharing:
 
 
 class TestJacobianModes:
+    """The stamped solver against the finite-difference oracle."""
+
     def test_unknown_mode_rejected(self):
         from repro.errors import ConfigurationError
+        from repro.serve.handlers import sweep_from_dict
 
-        with pytest.raises(ConfigurationError):
-            dc_operating_point(resistor_divider(), jacobian="symbolic")
+        with pytest.raises(TypeError):
+            dc_operating_point(resistor_divider(), jacobian="fd")
+        sweep = {"kind": "divider", "voltages": [3.0], "jacobian": "symbolic"}
+        with pytest.raises(ConfigurationError, match="symbolic"):
+            sweep_from_dict(sweep)
 
     def test_dc_fd_matches_stamp_on_mosfet_stack(self):
         c = Circuit()
@@ -235,8 +260,9 @@ class TestJacobianModes:
         c.add(DiodeConnectedMOSFET("M1", "vdd", "n2", TECH_90NM))
         c.add(DiodeConnectedMOSFET("M2", "n2", "n1", TECH_90NM))
         c.add(DiodeConnectedMOSFET("M3", "n1", GROUND, TECH_90NM))
-        fast = dc_operating_point(c, jacobian="stamp")
-        slow = dc_operating_point(c, jacobian="fd")
+        fast = dc_operating_point(c)
+        with fd_jacobian():
+            slow = dc_operating_point(c)
         for node in ("n1", "n2"):
             assert fast[node] == pytest.approx(slow[node], abs=1e-8)
 
@@ -249,9 +275,8 @@ class TestJacobianModes:
             return c
 
         fast = transient(rc(), t_stop=1e-3, dt=2e-5, initial={"in": 1.0, "out": 0.0})
-        slow = transient(
-            rc(), t_stop=1e-3, dt=2e-5, initial={"in": 1.0, "out": 0.0}, jacobian="fd"
-        )
+        with fd_jacobian():
+            slow = transient(rc(), t_stop=1e-3, dt=2e-5, initial={"in": 1.0, "out": 0.0})
         for a, b in zip(fast.node("out").values, slow.node("out").values):
             assert a == pytest.approx(b, abs=1e-9)
 

@@ -221,6 +221,22 @@ class TestModelIdentity:
 
         assert fp(0.02) != fp(0.01)
 
+    def test_default_structure_digests_pinned(self):
+        # Persisted models are keyed by these digests; the structure
+        # still carries ("jacobian", "stamp") in its original slot.
+        ring = RingSweep(tech=TECH_90NM, n_stages=5, voltages=(0.8, 1.0))
+        digests = {
+            kind: model_fingerprint(
+                kind, TECH_90NM, surrogate_mod._structure_pairs(request),
+                (0.8, 1.0), (300.0,), 0.01, 5, 6,
+            )
+            for kind, request in (("RingSweep", ring), ("DividerSweep", div_sweep()))
+        }
+        assert digests == {
+            "RingSweep": "2ac63b883becc84d8e49150af534e48175ab8ad16a8177c8d983fa4f4d946410",
+            "DividerSweep": "8e4d0fa98e97728d239143b8dac4080ae5e930730177bc0393e058e5fd429c40",
+        }
+
     def test_tightened_tolerance_never_served_stale_model(self, tmp_path):
         """Satellite bugfix regression: fit at 2%, then request 0.5% —
         the looser model must be a cache miss (fresh fit, tighter

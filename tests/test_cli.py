@@ -234,3 +234,22 @@ class TestReplayCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'reference'" in err
+
+    def test_retired_riscv_engine_exits_cleanly(self, tmp_path, capsys):
+        """A hand-built riscv recording naming the retired step
+        interpreter is refused in one line, exit 2."""
+        header = {"kind": "riscv", "engine": "legacy", "config": {"engine": "legacy"}}
+        path = tmp_path / "legacy.jsonl"
+        path.write_text(json.dumps({"header": header}) + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'legacy'" in err
+
+    def test_riscv_engine_flag_retired(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["riscv", "--engine", "fast"])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err

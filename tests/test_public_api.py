@@ -78,8 +78,9 @@ def test_workload_registry_consistent():
 
 class TestSolverSignatureStability:
     """The fast-path rework must not move the public solver entry
-    points: positional call shapes from pre-1.2 code keep working, and
-    the new knobs are keyword-only."""
+    points: positional call shapes from pre-1.2 code keep working, the
+    early-exit knob is keyword-only, and the retired Jacobian and
+    adaptive-step selectors stay gone."""
 
     def test_dc_operating_point_signature(self):
         import inspect
@@ -87,10 +88,8 @@ class TestSolverSignatureStability:
         from repro.spice import dc_operating_point
 
         params = inspect.signature(dc_operating_point).parameters
-        assert list(params)[:2] == ["circuit", "initial"]
+        assert list(params) == ["circuit", "initial"]
         assert params["initial"].default is None
-        assert params["jacobian"].kind is inspect.Parameter.KEYWORD_ONLY
-        assert params["jacobian"].default == "stamp"
 
     def test_transient_signature(self):
         import inspect
@@ -101,9 +100,8 @@ class TestSolverSignatureStability:
         assert list(params)[:6] == [
             "circuit", "t_stop", "dt", "probes", "initial", "on_step",
         ]
-        for new in ("jacobian", "adaptive", "dt_min", "dt_max", "until"):
-            assert params[new].kind is inspect.Parameter.KEYWORD_ONLY
-        assert params["adaptive"].default is False
+        assert list(params)[6:] == ["until"]
+        assert params["until"].kind is inspect.Parameter.KEYWORD_ONLY
 
     def test_newton_internal_shim_signature(self):
         # tests and downstream instrumentation monkeypatch/wrap
