@@ -36,8 +36,8 @@ from repro.core.calibration import (
 )
 from repro.core.config import FSConfig
 from repro.core.sensitivity import (
-    frequency_function,
     monitor_frequency,
+    monitor_frequency_array,
     supply_relative_sensitivity,
     supply_sensitivity,
 )
@@ -111,9 +111,10 @@ def evaluate_error_budget(
     temperature = thermal_fraction / rel if rel > 0 else float("inf")
 
     v_lo, v_hi = config.v_supply_range
-    freq = frequency_function(ro, divider, temp_k)
     try:
-        f_min, f_max, _max_dv, max_d2v = voltage_of_frequency_derivatives(freq, v_lo, v_hi)
+        f_min, f_max, _max_dv, max_d2v = voltage_of_frequency_derivatives(
+            lambda volts: monitor_frequency_array(ro, divider, volts, temp_k), v_lo, v_hi
+        )
         h = (f_max - f_min) / config.nvm_entries
         interpolation = piecewise_linear_error_bound(max_d2v, h)
     except CalibrationError:

@@ -22,7 +22,7 @@ from repro.core.calibration import (
     piecewise_linear_error_bound,
     voltage_of_frequency_derivatives,
 )
-from repro.core.sensitivity import frequency_function
+from repro.core.sensitivity import frequency_function, monitor_frequency_array
 from repro.errors import CalibrationError
 from repro.tech import TECH_90NM
 
@@ -41,6 +41,12 @@ def make_transfer(n_stages=21):
     return freq, count_of
 
 
+def grid_frequencies(volts, n_stages=21):
+    """``make_transfer``'s frequency over a voltage array, the form the
+    derivative machinery sweeps."""
+    return monitor_frequency_array(RingOscillator(TECH_90NM, n_stages), VoltageDivider(TECH_90NM), volts)
+
+
 class TestErrorBoundsHold:
     """Equations 3/4 are upper bounds on real tables (plus the count
     quantization residual)."""
@@ -48,8 +54,8 @@ class TestErrorBoundsHold:
     @settings(max_examples=12, deadline=None)
     @given(entries=st.integers(min_value=6, max_value=96))
     def test_linear_bound_holds(self, entries):
-        freq, count_of = make_transfer()
-        f_lo, f_hi, _dv, d2v = voltage_of_frequency_derivatives(freq, V_LO, V_HI)
+        _freq, count_of = make_transfer()
+        f_lo, f_hi, _dv, d2v = voltage_of_frequency_derivatives(grid_frequencies, V_LO, V_HI)
         h = (f_hi - f_lo) / entries
         bound = piecewise_linear_error_bound(d2v, h)
         table = PiecewiseLinear(enroll_points(count_of, evenly_spaced_voltages(V_LO, V_HI, entries)))
@@ -60,8 +66,8 @@ class TestErrorBoundsHold:
     @settings(max_examples=12, deadline=None)
     @given(entries=st.integers(min_value=6, max_value=96))
     def test_constant_bound_holds(self, entries):
-        freq, count_of = make_transfer()
-        f_lo, f_hi, dv, _d2v = voltage_of_frequency_derivatives(freq, V_LO, V_HI)
+        _freq, count_of = make_transfer()
+        f_lo, f_hi, dv, _d2v = voltage_of_frequency_derivatives(grid_frequencies, V_LO, V_HI)
         h = (f_hi - f_lo) / entries
         bound = piecewise_constant_error_bound(dv, h)
         table = PiecewiseConstant(enroll_points(count_of, evenly_spaced_voltages(V_LO, V_HI, entries)))
@@ -116,16 +122,12 @@ class TestDerivativeMachinery:
         # declines: the inverse map is undefined.
         ro = RingOscillator(TECH_90NM, 21)
 
-        def f(v):
-            return ro.frequency(v)
-
         with pytest.raises(CalibrationError, match="monotonic"):
-            voltage_of_frequency_derivatives(f, 0.3, 3.6)
+            voltage_of_frequency_derivatives(ro.frequency_array, 0.3, 3.6)
 
     def test_needs_enough_samples(self):
-        freq, _ = make_transfer()
         with pytest.raises(CalibrationError):
-            voltage_of_frequency_derivatives(freq, V_LO, V_HI, samples=3)
+            voltage_of_frequency_derivatives(grid_frequencies, V_LO, V_HI, samples=3)
 
     def test_negative_spacing_rejected(self):
         with pytest.raises(CalibrationError):
