@@ -20,17 +20,10 @@ import statistics
 from typing import Sequence
 
 from repro.core import FailureSentinels, FSConfig
+from repro.core.calibration import sweep_max_error
 from repro.experiments.tables import ExperimentResult
 from repro.tech import ProcessVariation, TECH_90NM
 from repro.units import frange, micro
-
-
-def _worst_error(reader, truth_monitor, v_lo: float, v_hi: float) -> float:
-    worst = 0.0
-    for v in frange(v_lo, v_hi, 0.05):
-        estimate = reader(truth_monitor.count_at(v))
-        worst = max(worst, abs(estimate - v))
-    return worst
 
 
 def run(
@@ -48,9 +41,10 @@ def run(
     enrolled_errors = []
     for chip in variation.population(TECH_90NM, population, base_seed=base_seed):
         fs = FailureSentinels(FSConfig(tech=chip.card, **config_kwargs))
-        nominal_errors.append(_worst_error(golden.read_voltage, fs, v_lo, v_hi))
+        sweep = [(v, fs.count_at(v)) for v in frange(v_lo, v_hi, 0.05)]
+        nominal_errors.append(sweep_max_error(golden.read_voltage, sweep))
         fs.enroll()
-        enrolled_errors.append(_worst_error(fs.read_voltage, fs, v_lo, v_hi))
+        enrolled_errors.append(sweep_max_error(fs.read_voltage, sweep))
 
     def stats(errors):
         ordered = sorted(errors)

@@ -8,10 +8,13 @@ from repro.core.calibration import (
     PiecewiseConstant,
     PiecewiseLinear,
     PolynomialCalibration,
+    count_sweep,
     enroll_points,
     entry_precision_floor,
     evenly_spaced_voltages,
+    measured_max_error,
     quantize_voltage,
+    sweep_max_error,
 )
 from repro.errors import CalibrationError
 
@@ -169,3 +172,43 @@ class TestEnrollmentDrivers:
     def test_evenly_spaced_zero_rejected(self):
         with pytest.raises(CalibrationError):
             evenly_spaced_voltages(1.8, 3.6, 0)
+
+
+class TestCountSweep:
+    """One sweep per device, scored against many tables."""
+
+    @staticmethod
+    def count_of(v):
+        return int(12.5 * v * v)
+
+    def test_probes_each_voltage_once(self):
+        probed = []
+
+        def count(v):
+            probed.append(v)
+            return self.count_of(v)
+
+        sweep = count_sweep(count, 1.8, 3.6, samples=50)
+        assert [v for v, _ in sweep] == probed
+        assert len(set(probed)) == 50
+        assert probed[0] == 1.8 and probed[-1] == 3.6
+        assert all(c == self.count_of(v) for v, c in sweep)
+
+    def test_scores_equal_a_fresh_sweep_per_table(self):
+        def fresh_sweep_error(table, v_lo, v_hi, samples):
+            worst = 0.0
+            for i in range(samples):
+                v = v_lo + i * (v_hi - v_lo) / (samples - 1)
+                worst = max(worst, abs(table.lookup(self.count_of(v)) - v))
+            return worst
+
+        points = enroll_points(self.count_of, evenly_spaced_voltages(1.8, 3.6, 9))
+        sweep = count_sweep(self.count_of, 1.8, 3.6, samples=137)
+        for table in (PiecewiseConstant(points), PiecewiseLinear(points), PolynomialCalibration(points)):
+            want = fresh_sweep_error(table, 1.8, 3.6, 137)
+            assert want > 0
+            assert sweep_max_error(table.lookup, sweep) == want
+            assert measured_max_error(table, self.count_of, 1.8, 3.6, samples=137) == want
+
+    def test_empty_sweep_scores_zero(self):
+        assert sweep_max_error(lambda c: 0.0, []) == 0.0

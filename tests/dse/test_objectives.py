@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.analog import LevelShifter
 from repro.core import FailureSentinels
 from repro.dse import DesignSpace, PerformanceModel
 from repro.dse.space import DesignPoint
@@ -42,6 +43,17 @@ class TestEvaluation:
         # Mean current: the DSE averages over supply; compare mid-supply.
         assert e.mean_current == pytest.approx(fs.mean_current(2.7), rel=0.35)
 
+    @pytest.mark.parametrize("ro_length", [7, 21, 73])
+    def test_transistor_count_matches_monitor(self, model, ro_length):
+        """The per-length part of the count is cached with the physics;
+        the total must still be the monitor's device count."""
+        for bits in (8, 12, 16):
+            point = DesignPoint(ro_length, 1e3, bits, 1e-6, 16, 8)
+            expected = FailureSentinels(model.to_config(point)).transistor_count()
+            assert model._transistor_count(point, model._ring_physics(ro_length)) == expected
+            e = model.evaluate(point)
+            assert e.transistor_count == (expected if e.feasible else 0)
+
     def test_physics_cache_reused(self, model):
         model.evaluate(GOOD)
         assert 7 in model._physics
@@ -52,6 +64,21 @@ class TestEvaluation:
 
 
 class TestRejection:
+    @pytest.mark.parametrize("ro_length", [3, 7, 21, 73])
+    def test_cached_shifter_verdict(self, model, ro_length):
+        phys = model._ring_physics(ro_length)
+        v_lo, _v_hi = model.space.v_supply_range
+        assert phys.shifter_follows == LevelShifter(TECH_90NM).can_follow(phys.f_max, v_lo)
+
+    def test_fast_ring_rejected_by_shifter_after_counter_check(self, model):
+        """A 3-stage 90 nm ring outruns the shifter; the cascade still
+        reports a counter overflow first."""
+        assert not model._ring_physics(3).shifter_follows
+        fits = model.evaluate(DesignPoint(3, 1e3, 16, 1e-6, 16, 8))
+        overflows = model.evaluate(DesignPoint(3, 1e3, 4, 100e-6, 16, 8))
+        assert fits.reject_reason == "level shifter cannot follow ring at minimum core voltage"
+        assert overflows.reject_reason == "counter overflow over enable window"
+
     def test_counter_overflow(self, model):
         e = model.evaluate(DesignPoint(7, 5e3, 4, 20e-6, 49, 8))
         assert not e.feasible
