@@ -52,7 +52,7 @@ def main() -> None:
         )
 
     print("\nreplaying the night once per monitor...")
-    reports = compare_monitors(monitors, trace, dt=1e-3)
+    reports = compare_monitors(monitors, trace)
     norm = normalized_app_time(reports)
 
     print(f"\nresults (Figure 8):")

@@ -115,7 +115,6 @@ explore_grid = grid_explore
 def compare_monitors(
     monitors: Sequence[MonitorModel],
     trace: IrradianceTrace,
-    dt: float = 5e-4,
     *,
     engine: str = "auto",
     parallel: Optional[int] = None,
@@ -135,7 +134,6 @@ def compare_monitors(
         Scenario(
             monitor=monitor,
             trace=trace,
-            dt=dt,
             v_initial=v_initial,
             **platform,
         )

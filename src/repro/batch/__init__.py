@@ -24,7 +24,6 @@ Numerical contract: batch reports match the scalar
 from repro.batch.dispatch import (
     AUTO_BATCH_MIN,
     ENGINES,
-    HAS_NUMPY,
     evaluate_many,
     resolve_engine,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "AUTO_BATCH_MIN",
     "BATCH_RTOL",
     "ENGINES",
-    "HAS_NUMPY",
     "MIN_RUN_WINDOW_V",
     "Scenario",
     "apply_policy_margin",

@@ -10,9 +10,9 @@ One entry point covers both evaluation families:
 Engine-selection rules (documented in ``docs/api.md``):
 
 * ``"scalar"`` — always the per-scenario scalar engine;
-* ``"batch"`` — force the numpy kernel; raises if numpy is missing;
-* ``"auto"`` (default) — the batch kernel when numpy is importable and
-  at least :data:`AUTO_BATCH_MIN` scenarios are queued.  Results are
+* ``"batch"`` — force the numpy kernel;
+* ``"auto"`` (default) — the batch kernel when at least
+  :data:`AUTO_BATCH_MIN` scenarios are queued.  Results are
   returned in input order regardless of how the work was split.
 
 ``parallel=k`` additionally shards the scenario list over ``k`` worker
@@ -33,13 +33,7 @@ from repro.batch.scenario import Scenario
 from repro.harvest.simulator import count_runs
 from repro.trace.recorder import LaneSink
 
-try:  # numpy is an optional runtime dependency; scalar is the fallback
-    from repro.batch.engine import BatchHarvestEngine
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised in numpy-free installs
-    BatchHarvestEngine = None
-    HAS_NUMPY = False
+from repro.batch.engine import BatchHarvestEngine
 
 ENGINES = ("auto", "scalar", "batch")
 
@@ -55,10 +49,8 @@ def resolve_engine(scenarios: Sequence[Scenario], engine: str = "auto") -> str:
     if engine == "scalar":
         return "scalar"
     if engine == "batch":
-        if not HAS_NUMPY:
-            raise ConfigurationError("engine='batch' requires numpy")
         return "batch"
-    if HAS_NUMPY and len(scenarios) >= AUTO_BATCH_MIN:
+    if len(scenarios) >= AUTO_BATCH_MIN:
         return "batch"
     return "scalar"
 

@@ -2,7 +2,7 @@
 
 A :class:`Scenario` bundles everything :func:`repro.batch.evaluate_many`
 needs to replay one device-night — monitor, panel, capacitor, loads,
-checkpoint model, trace, integration step — as a frozen, picklable
+checkpoint model, trace — as a frozen, picklable
 value.  It is the unit the batch kernel vectorizes over and the payload
 the parallel dispatcher ships to worker processes.
 
@@ -63,7 +63,6 @@ class Scenario:
     trace: Optional[IrradianceTrace] = None
     panel: SolarPanel = SolarPanel()
     capacitance: float = 47e-6
-    dt: float = 1e-3
     v_initial: float = 0.0
     v_ckpt_margin: float = 0.0
     mcu: MCULoad = MSP430FR5969
@@ -73,8 +72,6 @@ class Scenario:
     leakage: float = SYSTEM_LEAKAGE
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ConfigurationError("scenario dt must be positive")
         if self.v_ckpt_margin < 0:
             raise ConfigurationError("v_ckpt_margin cannot be negative")
 
@@ -91,7 +88,6 @@ class Scenario:
             trace=device.build_trace(),
             panel=SolarPanel(area_cm2=device.panel_area_cm2),
             capacitance=device.capacitance,
-            dt=device.dt,
             v_ckpt_margin=device.policy_margin(),
         )
 
@@ -105,7 +101,8 @@ class Scenario:
         This is the config unit :mod:`repro.trace` headers embed for
         harvest and batch recordings: a scenario rebuilt from it
         replays bit-identically.  ``scalar_engine`` is a constant kept
-        so payloads stay byte-identical to those of earlier releases.
+        from earlier releases' payloads; :meth:`from_dict` ignores their
+        ``dt`` key (the engine has no step size).
         """
         return {
             "monitor": asdict(self.monitor),
@@ -114,7 +111,6 @@ class Scenario:
             else {"dt": self.trace.dt, "values": list(self.trace.values)},
             "panel": asdict(self.panel),
             "capacitance": self.capacitance,
-            "dt": self.dt,
             "v_initial": self.v_initial,
             "v_ckpt_margin": self.v_ckpt_margin,
             "scalar_engine": ENGINE_ID,
@@ -136,7 +132,6 @@ class Scenario:
             else IrradianceTrace(dt=trace["dt"], values=list(trace["values"])),
             panel=SolarPanel(**data["panel"]) if "panel" in data else SolarPanel(),
             capacitance=data.get("capacitance", 47e-6),
-            dt=data.get("dt", 1e-3),
             v_initial=data.get("v_initial", 0.0),
             v_ckpt_margin=data.get("v_ckpt_margin", 0.0),
             mcu=MCULoad(**data["mcu"]) if "mcu" in data else MSP430FR5969,
@@ -176,5 +171,5 @@ class Scenario:
         if self.trace is None:
             raise ConfigurationError("scenario has no trace to replay")
         return self.build_simulator().run(
-            self.trace, dt=self.dt, v_initial=self.v_initial, record=record
+            self.trace, v_initial=self.v_initial, record=record
         )

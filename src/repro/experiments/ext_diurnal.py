@@ -54,7 +54,7 @@ def run(trace: Optional[IrradianceTrace] = None) -> ExperimentResult:
     reports = []
     for monitor in monitors:
         sim = FastIntermittentSimulator(monitor)
-        reports.append(sim.run(trace, dt=2e-3))
+        reports.append(sim.run(trace))
 
     ideal_app = reports[0].app_time
     for report in reports:

@@ -37,7 +37,6 @@ def run(
     trace: Optional[IrradianceTrace] = None,
     duration: float = 300.0,
     seed: int = 42,
-    dt: float = 1e-3,
     engine: str = "auto",
 ) -> ExperimentResult:
     """Regenerate Figure 8.
@@ -56,7 +55,7 @@ def run(
         ComparatorMonitor(),
         ADCMonitor(),
     ]
-    reports = compare_monitors(monitors, trace, dt=dt, engine=engine)
+    reports = compare_monitors(monitors, trace, engine=engine)
     normalized = normalized_app_time(reports)
 
     result = ExperimentResult(

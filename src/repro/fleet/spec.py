@@ -102,7 +102,6 @@ class DeviceSpec:
     #: Site irradiance multiplier (shaded courtyard vs. storefront).
     trace_scale: float = 1.0
     policy: str = "jit"
-    dt: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.monitor not in MONITOR_KINDS:
@@ -119,13 +118,13 @@ class DeviceSpec:
             raise ConfigurationError(
                 f"unknown policy {self.policy!r}; choose from {sorted(POLICY_MARGINS)}"
             )
-        for name in ("trace_duration", "dt", "capacitance", "panel_area_cm2", "trace_scale"):
+        for name in ("trace_duration", "capacitance", "panel_area_cm2", "trace_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.panel_area_cm2 <= 0 or self.capacitance <= 0:
             raise ConfigurationError("panel area and capacitance must be positive")
-        if self.trace_duration <= 0 or self.dt <= 0:
-            raise ConfigurationError("trace duration and dt must be positive")
+        if self.trace_duration <= 0:
+            raise ConfigurationError("trace duration must be positive")
         if self.trace_scale < 0:
             raise ConfigurationError("trace scale cannot be negative")
 
@@ -135,8 +134,8 @@ class DeviceSpec:
 
         This is the per-device wire format for ``fleet`` jobs in
         :mod:`repro.serve` (api v1.1.0 ``to_dict`` convention).
-        ``engine`` is a constant kept so payloads stay byte-identical to
-        those of earlier releases.
+        ``engine`` is a constant kept from earlier releases' payloads;
+        :meth:`from_dict` ignores their ``dt`` key.
         """
         return {
             "device_id": self.device_id,
@@ -151,13 +150,13 @@ class DeviceSpec:
             "trace_scale": self.trace_scale,
             "policy": self.policy,
             "engine": ENGINE_ID,
-            "dt": self.dt,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DeviceSpec":
         payload = dict(data)
         check_engine_id(payload.pop("engine", ENGINE_ID), "engine")
+        payload.pop("dt", None)  # the engine's step size in earlier releases
         payload["monitor_params"] = tuple(
             (k, v) for k, v in payload.get("monitor_params", ())
         )

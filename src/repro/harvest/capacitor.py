@@ -63,10 +63,6 @@ class BufferCapacitor:
         self.voltage = math.sqrt(2.0 * energy / self.capacitance)
         return self.voltage
 
-    def draw_current(self, current: float, dt: float) -> float:
-        """Discharge at a fixed current for ``dt``; returns new voltage."""
-        return self.apply_power(0.0, current * self.voltage, dt)
-
     def time_to_discharge(self, current: float, v_stop: float) -> float:
         """Seconds a constant-current load takes to reach ``v_stop``.
 

@@ -2,33 +2,27 @@
 
 A fixed-step integrator at ~1 ms takes 300,000 steps for one Figure 8
 replay and ~10^8 for a day.  This engine exploits the system's
-structure instead:
+structure instead: between two changes of input power the capacitor
+sees constant power and a constant-current load in every phase —
+leakage alone while OFF, the whole system while running, core and
+monitor while restoring or checkpointing — so each step is one exact
+interval, :func:`repro.harvest.segment.advance`, with the phase's
+current and thresholds:
 
-* **Intervals are exact.**  Between two changes of input power the
-  capacitor sees constant power ``P`` and a constant-current load ``I``
-  (leakage alone while OFF, the whole system while running), so
-  ``C·v·dv/dt = P − I·v`` has a closed form (:mod:`repro.harvest.segment`).
-  One step jumps to the first of: the threshold crossing, a full
-  capacitor, or the next power change.  A crossing of ``v`` exists only
-  if the equilibrium ``v_eq = P/I`` lies beyond it: OFF reaches v_on only
-  if ``v_eq > v_on``, running reaches v_ckpt only if ``v_eq < v_ckpt``.
-  Load and leakage energy are exact too: ``I·∫v dt = P·span + E0 − E1``.
-* **A full capacitor is a fixed point.**  Surplus harvest charges to
-  ``v_full`` at its exact crossing time; from there, while harvest
-  covers the load, the state does not change until the power does.
-* **Steps end where the input power changes**, not at every trace
-  segment boundary: an exact interval gives the same answer however it
-  is split.  :func:`~repro.harvest.segment.power_changes` builds the one
-  table of change indices this engine and the batch kernel share.  A
-  segment's power is read through one index, ``floor(t / trace.dt +
-  1e-9)``, which every engine uses.
-* **Restore/checkpoint** phases are short (milliseconds) and take
-  ``dt`` steps.
+* OFF ends on the rise through v_on;
+* running ends on the fall to v_ckpt;
+* restore and checkpoint last their phase time, and a fall to v_min
+  ends them early (a checkpoint that falls is a power failure).
+
+Steps end where the input power changes, not at every trace segment
+boundary: :func:`~repro.harvest.segment.power_changes` builds the one
+table of change indices this engine and the batch kernel share, and a
+segment's power is read through one index, ``floor(t / trace.dt +
+1e-9)``, which every engine uses.
 
 Against the fixed-step oracle (``tests/oracles/harvest.py``) on Figure
 8's trace, every monitor gets identical checkpoint and power-failure
-counts and app time within 0.1% (``tests/harvest/test_fast.py``), in
-~3,400 steps instead of 300,000.
+counts and app time within 0.1% (``tests/harvest/test_fast.py``).
 """
 
 from __future__ import annotations
@@ -36,20 +30,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.harvest.capacitor import BufferCapacitor
-from repro.harvest.segment import (
-    crossing_time,
-    equilibrium,
-    load_energy,
-    power_changes,
-    voltage_after,
-)
+from repro.harvest.segment import DOWN, HELD, advance, load_energy, power_changes
 from repro.harvest.simulator import IntermittentSimulator, SimulationReport
 from repro.harvest.traces import IrradianceTrace
 
 #: The engine id recordings and scenario/fleet payloads carry.
 ENGINE_ID = "fast"
+
+_OFF, _RUNNING, _RESTORE, _CHECKPOINT = range(4)
 
 
 def check_engine_id(value: object, key: str) -> None:
@@ -69,10 +59,7 @@ class FastIntermittentSimulator(IntermittentSimulator):
 
     engine_name = ENGINE_ID
 
-    def _run_impl(self, trace: IrradianceTrace, dt: float, v_initial: float, emit) -> SimulationReport:
-        """Replay ``trace``; ``dt`` bounds only the restore/checkpoint phases."""
-        if dt <= 0:
-            raise SimulationError("dt must be positive")
+    def _run_impl(self, trace: IrradianceTrace, v_initial: float, emit) -> SimulationReport:
         cap = BufferCapacitor(capacitance=self.capacitance, voltage=v_initial)
         report = SimulationReport(
             monitor_name=self.monitor.name,
@@ -90,134 +77,85 @@ class FastIntermittentSimulator(IntermittentSimulator):
         steps = 0
         c = self.capacitance
         half_c = 0.5 * c
+        v = cap.voltage
         v_on = self.v_on
-        v_ckpt = self.v_ckpt
-        leak = self.leakage
-        i_run = self.system_current
-        i_rc = (self.mcu.core_current + self.monitor.current) + leak
+        v_min = self.checkpoint.v_min
+        i_rc = self.checkpoint_current
+        # Each phase's load current and the thresholds that end it;
+        # restore and checkpoint also end after `left` seconds.
+        phases = {
+            _OFF: (self.leakage, -math.inf, v_on),
+            _RUNNING: (self.system_current, self.v_ckpt, math.inf),
+            _RESTORE: (i_rc, v_min, math.inf),
+            _CHECKPOINT: (i_rc, v_min, math.inf),
+        }
         # One power value per trace segment and one table of power
         # changes, shared with the batch engine so the two agree
         # bit-for-bit on p_in and on every interval end.
         power = self.panel.power_curve(trace.values)
         last_seg = len(power) - 1
         changes = power_changes(power).tolist()
-        # The voltage apply_power returns when it clamps at v_max, with
-        # its exact operation order: the running phase's fixed point.
-        e_max = half_c * (cap.v_max * cap.v_max)
-        v_full = math.sqrt(2.0 * e_max / c)
-        v_on_land = min(v_on, cap.v_max)
+        # The voltage a charger clamping the energy at v_max leaves: the
+        # full capacitor's fixed point.
+        v_full = math.sqrt(2.0 * (half_c * (cap.v_max * cap.v_max)) / c)
+        state, left = _OFF, math.inf
 
         while t < end:
-            # ---- OFF: leak-only interval, closed form up to v_on -------
-            while t < end and cap.voltage < v_on:
-                steps += 1
-                seg = min(math.floor(t / trace.dt + 1e-9), last_seg)
-                p_in = power[seg]
-                seg_end = changes[bisect_right(changes, seg)] * trace.dt
-                v = cap.voltage
-                span = seg_end - t
-                # Solve the whole interval; only if it ends at or above
-                # v_on is the crossing time needed.
-                v_end = min(voltage_after(v, span, p_in, leak, c), v_full)
-                if v_end >= v_on:
-                    # Land on the v_on crossing itself: the capacitor
-                    # stores voltage, and re-deriving it from energy can
-                    # land an ulp short of v_on (a livelock at 100 uF).
-                    t_hit = crossing_time(v, v_on, p_in, leak, c)
-                    span = t_hit if t_hit < span else span
-                    v_new = v_on_land
-                    t = t + span
-                else:
-                    v_new = v_end
-                    t = seg_end
-                leak_off += load_energy(v, v_new, span, p_in, half_c)
-                harvested += p_in * span
-                report.off_time += span
-                cap.voltage = v_new
-            if t >= end:
-                break
-
-            # ---- ON: restore -> run (closed form) -> checkpoint -------
-            state = "restore"
-            phase_left = self.checkpoint.restore_time
-            if emit is not None:
-                emit("power_on", t=t, v=cap.voltage)
-            while t < end and state != "off":
-                steps += 1
-                seg = min(math.floor(t / trace.dt + 1e-9), last_seg)
-                p_in = power[seg]
-                v = cap.voltage
-                if state == "running":
-                    # One step runs to the first of: the v_ckpt crossing,
-                    # a full capacitor, or the interval end.  The interval
-                    # is solved whole; a crossing time is only needed when
-                    # its end lies past a threshold.
-                    seg_end = changes[bisect_right(changes, seg)] * trace.dt
-                    span = seg_end - t
-                    v_eq = equilibrium(p_in, i_run)
-                    if v == v_full and v_eq >= v_full:
-                        # Harvest covers the load on a full capacitor: a
-                        # fixed point, the charger rejects the surplus.
-                        step = span
-                        v_new = v
-                        t = seg_end
-                        load = i_run * v * step
-                        harvested += load
-                    else:
-                        v_end = min(voltage_after(v, span, p_in, i_run, c), v_full)
-                        if v_end <= v_ckpt:
-                            t_hit = crossing_time(v, v_ckpt, p_in, i_run, c) if v > v_ckpt else 0.0
-                            step = t_hit if t_hit < span else span
-                            v_new = min(v, v_ckpt)
-                            t = t + step
-                        elif v_eq > v_full and v_end >= v_full:
-                            t_hit = crossing_time(v, v_full, p_in, i_run, c)
-                            step = t_hit if t_hit < span else span
-                            v_new = v_full
-                            t = t + step
-                        else:
-                            step = span
-                            v_new = v_end
-                            t = seg_end
-                        load = load_energy(v, v_new, step, p_in, half_c)
-                        harvested += p_in * step
-                    vdt_run += load / i_run
-                    report.app_time += step
-                    cap.voltage = v_new
-                    if v_new <= v_ckpt:
-                        state = "checkpoint"
-                        phase_left = self.checkpoint.checkpoint_time
-                        report.checkpoints += 1
-                        if emit is not None:
-                            emit("checkpoint", t=t, v=v_new)
-                    continue
-
-                # Restore and checkpoint: short phases, fixed dt steps.
-                step = min(dt, phase_left)
-                if state == "restore":
-                    report.restore_time += step
-                else:
-                    report.checkpoint_time += step
-                e_before = cap.energy
-                vdt_rc += v * step
-                cap.apply_power(p_in, i_rc * v, step)
-                harvested += (cap.energy - e_before) + i_rc * v * step
-                t += step
-                phase_left -= step
-                if state == "restore":
-                    if cap.voltage < self.checkpoint.v_min:
-                        state = "off"
-                    elif phase_left <= 0:
-                        state = "running"
-                elif cap.voltage < self.checkpoint.v_min:
-                    report.power_failures += 1
-                    state = "off"
+            if state == _OFF and v >= v_on:
+                if emit is not None:
+                    emit("power_on", t=t, v=v)
+                state, left = _RESTORE, self.checkpoint.restore_time
+            if state == _RESTORE and left <= 0:
+                state, left = _RUNNING, math.inf
+            i, v_down, v_up = phases[state]
+            steps += 1
+            seg = min(math.floor(t / trace.dt + 1e-9), last_seg)
+            p_in = power[seg]
+            seg_end = changes[bisect_right(changes, seg)] * trace.dt
+            seg_left = seg_end - t
+            step, v_new, event = advance(
+                v, left if left < seg_left else seg_left, p_in, i, c, v_full, v_down, v_up
+            )
+            if event == HELD:
+                load = i * v * step
+                harvested += load
+            else:
+                load = load_energy(v, v_new, step, p_in, half_c)
+                harvested += p_in * step
+            t = seg_end if step == seg_left else t + step
+            v = v_new
+            if state == _OFF:
+                report.off_time += step
+                leak_off += load
+                continue
+            if state == _RUNNING:
+                report.app_time += step
+                vdt_run += load / i
+                if event == DOWN:
+                    state, left = _CHECKPOINT, self.checkpoint.checkpoint_time
+                    report.checkpoints += 1
                     if emit is not None:
-                        emit("power_failure", t=t, v=cap.voltage)
-                elif phase_left <= 0:
-                    state = "off"
-                    if emit is not None:
-                        emit("power_off", t=t, v=cap.voltage)
+                        emit("checkpoint", t=t, v=v)
+                continue
+            vdt_rc += load / i
+            left -= step
+            if state == _RESTORE:
+                report.restore_time += step
+                if event == DOWN:
+                    state, left = _OFF, math.inf
+                elif left <= 0:
+                    state, left = _RUNNING, math.inf
+                continue
+            report.checkpoint_time += step
+            if event == DOWN:
+                report.power_failures += 1
+                if emit is not None:
+                    emit("power_failure", t=t, v=v)
+                state, left = _OFF, math.inf
+            elif left <= 0:
+                if emit is not None:
+                    emit("power_off", t=t, v=v)
+                state, left = _OFF, math.inf
 
         vdt_on = vdt_run + vdt_rc
         report.steps = steps
@@ -225,8 +163,8 @@ class FastIntermittentSimulator(IntermittentSimulator):
             "core": self.mcu.core_current * vdt_on,
             "peripheral": self.peripheral_current * vdt_run,
             "monitor": self.monitor.current * vdt_on,
-            "leakage": leak_off + leak * vdt_on,
+            "leakage": leak_off + self.leakage * vdt_on,
         }
         report.energy_harvested = harvested
-        report.energy_in_capacitor = cap.energy
+        report.energy_in_capacitor = half_c * (v * v)
         return report

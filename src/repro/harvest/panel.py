@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 
@@ -69,15 +71,11 @@ class SolarPanel:
         bit-for-bit on ``p_in`` (the only transcendental in the harvest
         path is the low-light-knee exponential, evaluated here exactly
         once per segment instead of once per step).  Returns a plain list
-        of floats; vectorized through numpy when available.
+        of floats, computed with numpy.
         """
         values = list(values)
         if not values:
             return []
-        try:
-            import numpy as np
-        except ImportError:
-            return [self.electrical_power(v) for v in values]
         irr = np.asarray(values, dtype=np.float64)
         if (irr < 0).any():
             raise ConfigurationError("irradiance cannot be negative")

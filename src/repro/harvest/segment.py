@@ -22,6 +22,12 @@ Where the log form cancels — charging far below ``v_eq``, e.g. a
 microamp leak against milliwatts of harvest — both forms switch to a
 short power series, and ``I = 0`` reduces to the constant-power energy
 form ``t = (E1 − E0)/P``.
+
+:func:`advance` (and its numpy twin :func:`advance_np`) is the one
+interval step every engine takes — the harvest engine in every phase,
+the batch kernel in every lane, the task scheduler — so the threshold
+priority, the landing and the full-capacitor fixed point are stated
+once, here.
 """
 
 from __future__ import annotations
@@ -286,6 +292,94 @@ def voltage_after_np(v0, span, p, i, c):
     if cnz(dark):
         out = np.where(dark, np.maximum(v0 - i * span / c, _ZERO), out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the interval step
+
+#: How an :func:`advance` step ended: at the span's end, on a fall to
+#: ``v_down``, on a rise through ``v_up``, on a rise to ``v_full``, or
+#: held at the full capacitor's fixed point for the whole span.
+SPAN, DOWN, UP, FULL, HELD = range(5)
+
+#: Below this many crossing elements :func:`advance_np` solves them with
+#: the scalar form (bit-identical), which beats the numpy form's fixed
+#: per-call cost.
+_SCALAR_CROSSINGS = 24
+
+
+def advance(v, span, p, i, c, v_full, v_down=-math.inf, v_up=math.inf):
+    """One step of at most ``span`` seconds from ``v`` under power ``p``
+    and load current ``i``: ``(step, v_new, event)``.
+
+    The step ends at the first of, in this priority: a fall to
+    ``v_down`` (:data:`DOWN`), a rise through ``v_up`` (:data:`UP`), a
+    rise to the full capacitor ``v_full`` (:data:`FULL`), or the span's
+    end (:data:`SPAN`).  The interval is solved whole and a crossing
+    time is only computed when its end lies past a threshold; the step
+    is that time capped at ``span`` and lands on the threshold itself
+    (re-deriving the voltage from the trajectory can stop an ulp short,
+    and a threshold missed by an ulp is a livelock).  A start at or
+    below ``v_down`` takes no time.  A full capacitor whose harvest
+    covers the load is a fixed point: the charger rejects the surplus
+    and the state holds for the whole span (:data:`HELD`).
+    """
+    if v <= v_down:
+        return 0.0, v, DOWN
+    if v == v_full and equilibrium(p, i) >= v_full:
+        return span, v, HELD
+    v_end = min(voltage_after(v, span, p, i, c), v_full)
+    if v_end <= v_down:
+        target, event = v_down, DOWN
+    elif v < v_up <= v_end:
+        target, event = v_up, UP
+    elif v_end >= v_full and equilibrium(p, i) > v_full:
+        target, event = v_full, FULL
+    else:
+        return span, v_end, SPAN
+    t_hit = crossing_time(v, target, p, i, c)
+    return (t_hit if t_hit < span else span), target, event
+
+
+def advance_np(v, span, p, i, c, v_full, v_down, v_up):
+    """Array form of :func:`advance`, bit-identical per element; every
+    argument is an array (``±inf`` for a missing threshold) and
+    ``event`` is an int8 array.  Call it under ``np.errstate`` like
+    :func:`crossing_time_np`."""
+    v_end = np.minimum(voltage_after_np(v, span, p, i, c), v_full)
+    v_eq = p / i
+    start = v <= v_down
+    held = (v == v_full) & (v_eq >= v_full)
+    # Lowest priority first, so that a higher one overwrites it.
+    event = np.zeros(len(v), dtype=np.int8)
+    event[(v_end >= v_full) & (v_eq > v_full)] = FULL
+    event[(v < v_up) & (v_end >= v_up)] = UP
+    event[v_end <= v_down] = DOWN
+    event[held] = HELD
+    event[start] = DOWN
+    step = span.copy()
+    v_new = v_end
+    stay = held | start
+    if np.count_nonzero(stay):
+        np.copyto(v_new, v, where=stay)
+        np.copyto(step, _ZERO, where=start)
+    ix = np.flatnonzero((event != SPAN) & ~stay)
+    if len(ix) <= _SCALAR_CROSSINGS:
+        targets = {DOWN: v_down, UP: v_up, FULL: v_full}
+        for k in ix.tolist():
+            target = float(targets[int(event[k])][k])
+            t_hit = crossing_time(float(v[k]), target, float(p[k]), float(i[k]), float(c[k]))
+            s = float(span[k])
+            step[k] = t_hit if t_hit < s else s
+            v_new[k] = target
+    else:
+        ev = event[ix]
+        target = np.where(ev == DOWN, v_down[ix], np.where(ev == UP, v_up[ix], v_full[ix]))
+        t_hit = crossing_time_np(v[ix], target, p[ix], i[ix], c[ix])
+        s = span[ix]
+        step[ix] = np.where(t_hit < s, t_hit, s)
+        v_new[ix] = target
+    return step, v_new, event
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,13 @@ monitor) and the 59-77% / 24-45% energy-overhead claims need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs import OBS, emitter
+from repro.harvest.capacitor import BufferCapacitor
 from repro.harvest.checkpoint import CheckpointModel
 from repro.harvest.loads import MCULoad, PeripheralLoad, MSP430FR5969, ADXL362, SYSTEM_LEAKAGE
 from repro.harvest.monitors import MonitorModel
@@ -53,8 +55,8 @@ class SimulationReport:
     off_time: float = 0.0
     checkpoints: int = 0
     power_failures: int = 0
-    #: Steps the engine took: one per exact constant-current interval,
-    #: plus one per ``dt`` in restore and checkpoint phases.
+    #: Steps the engine took: one per
+    #: :func:`~repro.harvest.segment.advance` interval.
     steps: int = 0
     v_checkpoint: float = 0.0
     system_current: float = 0.0
@@ -154,6 +156,10 @@ class IntermittentSimulator:
         self.checkpoint = checkpoint or CheckpointModel()
         self.v_on = v_on
         self.leakage = leakage
+        if not math.isfinite(v_on) or v_on > BufferCapacitor.v_max:
+            raise ConfigurationError(
+                f"v_on must be finite and at most v_max = {BufferCapacitor.v_max} V (got {v_on!r})"
+            )
         if v_on <= self.checkpoint.v_min:
             raise ConfigurationError("turn-on voltage must exceed v_min")
 
@@ -181,7 +187,6 @@ class IntermittentSimulator:
     def run(
         self,
         trace: IrradianceTrace,
-        dt: float = 5e-4,
         v_initial: float = 0.0,
         record=None,
     ) -> SimulationReport:
@@ -201,16 +206,15 @@ class IntermittentSimulator:
         """
         if record is not None:
             record.begin(
-                "harvest", self.engine_name, self._record_config(trace, dt, v_initial)
+                "harvest", self.engine_name, self._record_config(trace, v_initial)
             )
         with OBS.tracer.span(
             "harvest.run",
             engine=self.engine_name,
             monitor=self.monitor.name,
             duration=trace.duration,
-            dt=dt,
         ) as span:
-            report = self._run_impl(trace, dt, v_initial, emitter("harvest", record))
+            report = self._run_impl(trace, v_initial, emitter("harvest", record))
             span.set(
                 steps=report.steps,
                 checkpoints=report.checkpoints,
@@ -222,7 +226,7 @@ class IntermittentSimulator:
         count_runs([report])
         return report
 
-    def _record_config(self, trace: IrradianceTrace, dt: float, v_initial: float) -> Dict[str, object]:
+    def _record_config(self, trace: IrradianceTrace, v_initial: float) -> Dict[str, object]:
         """The re-execution config a recording's header carries.
 
         Expressed as a :class:`repro.batch.Scenario` payload (lazy
@@ -238,7 +242,6 @@ class IntermittentSimulator:
             trace=trace,
             panel=self.panel,
             capacitance=self.capacitance,
-            dt=dt,
             v_initial=v_initial,
             mcu=self.mcu,
             peripherals=tuple(self.peripherals),
@@ -248,7 +251,7 @@ class IntermittentSimulator:
         )
         return {"scenario": scenario.to_dict(), "v_ckpt": self.v_ckpt}
 
-    def _run_impl(self, trace: IrradianceTrace, dt: float, v_initial: float, emit) -> SimulationReport:
+    def _run_impl(self, trace: IrradianceTrace, v_initial: float, emit) -> SimulationReport:
         raise NotImplementedError(
             "IntermittentSimulator is the platform model; replay traces "
             "with FastIntermittentSimulator"

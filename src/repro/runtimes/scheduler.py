@@ -37,13 +37,7 @@ from repro.harvest.capacitor import BufferCapacitor
 from repro.harvest.loads import SYSTEM_LEAKAGE
 from repro.harvest.monitors import MonitorModel
 from repro.harvest.panel import SolarPanel
-from repro.harvest.segment import (
-    crossing_time,
-    equilibrium,
-    load_energy,
-    power_changes,
-    voltage_after,
-)
+from repro.harvest.segment import DOWN, HELD, advance, load_energy, power_changes
 from repro.harvest.traces import IrradianceTrace
 
 
@@ -215,12 +209,12 @@ def run_schedule(
     The system is OFF until the capacitor charges to ``v_on``; awake, it
     asks ``scheduler.pick`` for a task and sleeps when there is none;
     falling below ``v_floor`` kills a running task (its energy is
-    wasted) or sends a sleeping system OFF.  Each step solves one
-    constant-current interval exactly and ends at the first of: the
-    next power change, task completion, the ``v_floor`` crossing, the
-    ``v_on`` crossing (OFF), the scheduler's wake voltage (asleep), or a
-    full capacitor, which holds while harvest covers the load.  A
-    task's energy is ``task.current·∫v dt`` and the monitor's is
+    wasted) or sends a sleeping system OFF.  Each step is one
+    :func:`~repro.harvest.segment.advance` interval, at most until the
+    next power change or task completion: OFF rises to ``v_on``, an
+    awake system falls to ``v_floor``, and a sleeping one also rises to
+    the scheduler's wake voltage.  A task's energy is
+    ``task.current·∫v dt`` and the monitor's is
     ``monitor_current·∫v dt`` over the same run.
     """
     cap = BufferCapacitor(capacitance=capacitance)
@@ -236,8 +230,7 @@ def run_schedule(
     power = panel.power_curve(trace.values)
     last_seg = len(power) - 1
     changes = power_changes(power).tolist()
-    # The voltage apply_power returns when it clamps at v_max, with its
-    # exact operation order: a fixed point while harvest covers the load.
+    # The full capacitor's fixed point, as the harvest engine computes it.
     v_full = math.sqrt(2.0 * (half_c * (cap.v_max * cap.v_max)) / c)
     v_wake = scheduler.wake_voltage(c, v_floor)
 
@@ -261,47 +254,23 @@ def run_schedule(
         if task is not None and task_left < span:
             span = task_left
         v = cap.voltage
-        v_eq = equilibrium(p_in, load)
-        dies = held = False
-        if v == v_full and v_eq >= v_full:
-            # Harvest covers the load on a full capacitor: the charger
-            # rejects the surplus and the state holds.
-            v_new = v
-            held = True
+        if off:
+            v_down, v_up = -math.inf, v_on
         else:
-            v_new = min(voltage_after(v, span, p_in, load, c), v_full)
-            # The threshold the interval crosses first, if any.
-            if off:
-                v_hit = v_on if v_new >= v_on else None
-            elif v_new < v_floor:
-                v_hit = v_floor
-                dies = True
-            elif task is None and v < v_wake <= v_new:
-                v_hit = v_wake
-            elif v_eq > v_full and v_new >= v_full:
-                v_hit = v_full
-            else:
-                v_hit = None
-            if v_hit is not None:
-                t_hit = crossing_time(v, v_hit, p_in, load, c)
-                if t_hit < span:
-                    span = t_hit
-                # Land on the threshold itself: re-deriving it from the
-                # trajectory can stop an ulp short, and only the exact
-                # wake voltage is sure to make pick accept.
-                v_new = v_hit
+            v_down, v_up = v_floor, (v_wake if task is None else math.inf)
+        span, v_new, event = advance(v, span, p_in, load, c, v_full, v_down, v_up)
         t = seg_end if span == seg_end - t else t + span
         cap.voltage = v_new
 
         if off:
             off = v_new < v_on
             continue
-        off = dies
+        off = dies = event == DOWN
         if task is None:
             continue
         # A task's energy is task.current·∫v dt, the monitor's
         # monitor_current·∫v dt, over the task's whole run.
-        task_vdt += v * span if held else load_energy(v, v_new, span, p_in, half_c) / load
+        task_vdt += v * span if event == HELD else load_energy(v, v_new, span, p_in, half_c) / load
         task_left -= span
         if dies:
             # Power failure mid-task: the task's energy is wasted.

@@ -663,12 +663,6 @@ def characterize_many(
         return _characterize_exact(requests, parallel=parallel, cache=cache)
     from repro.spice import surrogate
 
-    if surrogate.np is None:
-        if engine == "auto":
-            return _characterize_exact(requests, parallel=parallel, cache=cache)
-        raise ConfigurationError(
-            "engine='surrogate' needs numpy; install it or use engine='exact'"
-        )
     return surrogate.dispatch(
         requests, engine=engine, parallel=parallel, cache=cache, tolerance=tolerance
     )

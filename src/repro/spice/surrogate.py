@@ -57,10 +57,7 @@ from repro.spice.charlib import (
 )
 from repro.tech.ptm import TechnologyCard
 
-try:  # numpy backs fitting and vectorized evaluation
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    np = None
+import numpy as np
 
 #: Bump when the stored model layout or the fitting recipe changes;
 #: old disk models become unreachable.
@@ -105,13 +102,6 @@ _STRUCTURE_GETTERS = {
     kind: attrgetter(*(name for name in names if name != "jacobian"))
     for kind, names in _STRUCTURE_FIELDS.items()
 }
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ConfigurationError(
-            "repro.spice.surrogate needs numpy; install it or use engine='exact'"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +275,6 @@ class SurrogateModel:
         row = self._rows.get(key)
         if row is not None:
             return row
-        _require_numpy()
         x = np.asarray(self.v_anchors)
         row = {}
         temps = np.asarray(self.temps)
@@ -307,7 +296,6 @@ class SurrogateModel:
 
     def evaluate(self, voltages: Sequence[float], temp_k: float) -> Dict[str, List[float]]:
         """Interpolated quantities at ``voltages`` (plain-float lists)."""
-        _require_numpy()
         row = self._row(temp_k)
         x = np.asarray(self.v_anchors)
         xq = np.asarray(voltages, dtype=float)
@@ -453,7 +441,6 @@ def fit_surrogate(
     :func:`model_fingerprint` — which includes the tolerance and anchor
     schema, so distinct contracts never collide.
     """
-    _require_numpy()
     if tolerance <= 0:
         raise ConfigurationError("surrogate tolerance must be positive")
     if initial_anchors < 3:
@@ -652,7 +639,6 @@ def dispatch(
     :func:`repro.exec.run_tasks` exactly as ``engine="exact"`` does —
     so serial and parallel runs are identical.
     """
-    _require_numpy()
     tol = DEFAULT_TOLERANCE if tolerance is None else float(tolerance)
     n = len(requests)
     results: List[Optional[SweepResult]] = [None] * n

@@ -98,7 +98,6 @@ def record_device(spec, record, cache=None):
         trace=trace,
         panel=SolarPanel(area_cm2=spec.panel_area_cm2),
         capacitance=spec.capacitance,
-        dt=spec.dt,
         v_ckpt_margin=spec.policy_margin(),
     )
     simulator = scenario.build_simulator()
@@ -113,7 +112,7 @@ def record_device(spec, record, cache=None):
     )
     rng.note()
     report = simulator.run(
-        trace, dt=spec.dt, v_initial=scenario.v_initial, record=LaneSink(record)
+        trace, v_initial=scenario.v_initial, record=LaneSink(record)
     )
     result = DeviceResult.from_report(
         device_id=spec.device_id,
@@ -140,7 +139,7 @@ def _replay_harvest(recording: Recording) -> Recording:
     simulator = scenario.build_simulator()
     simulator.v_ckpt = cfg["v_ckpt"]
     simulator.run(
-        scenario.trace, dt=scenario.dt, v_initial=scenario.v_initial, record=rec
+        scenario.trace, v_initial=scenario.v_initial, record=rec
     )
     return rec.recording
 

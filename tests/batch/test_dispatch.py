@@ -4,7 +4,7 @@ import pytest
 
 import repro.obs as obs
 from repro.batch import AUTO_BATCH_MIN, ENGINES, Scenario, evaluate_many
-from repro.batch.dispatch import HAS_NUMPY, resolve_engine
+from repro.batch.dispatch import resolve_engine
 from repro.errors import ConfigurationError
 from repro.exec import BACKEND_ENV, backbone
 from repro.harvest.monitors import IdealMonitor, fs_low_power_monitor
@@ -38,7 +38,6 @@ class TestResolveEngine:
         scenarios = fast_scenarios(AUTO_BATCH_MIN - 1)
         assert resolve_engine(scenarios, engine="auto") == "scalar"
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="batch kernel needs numpy")
     def test_auto_large_input_batches(self):
         scenarios = fast_scenarios(AUTO_BATCH_MIN)
         assert resolve_engine(scenarios, engine="auto") == "batch"

@@ -20,6 +20,7 @@ from repro.harvest.monitors import (
     fs_high_performance_monitor,
     fs_low_power_monitor,
 )
+from repro.harvest.checkpoint import CheckpointModel
 from repro.harvest.panel import SolarPanel
 from repro.harvest.traces import (
     IrradianceTrace,
@@ -171,6 +172,23 @@ class TestScalarBatchEquivalence:
         expected = [s.run_scalar() for s in scenarios]
         assert_reports_equal(expected, results)
 
+    def test_zero_length_restore_bit_exact(self):
+        """A restore that takes no time is an immediate transition to
+        running in both engines, next to lanes that do restore."""
+        instant = CheckpointModel(restore_time=0.0)
+        scenarios = [
+            Scenario(monitor=MONITORS[i % len(MONITORS)], trace=trace, checkpoint=checkpoint)
+            for i, trace in enumerate(
+                [constant_trace(5.0, 30.0), nyc_pedestrian_night(60.0, seed=7)]
+            )
+            for checkpoint in (instant, CheckpointModel())
+        ]
+        scalar = [s.run_scalar() for s in scenarios]
+        batch = evaluate_many(scenarios, engine="batch")
+        assert_reports_equal(scalar, batch)
+        assert scalar[0].app_time > 0.0 and scalar[0].restore_time == 0.0
+        assert scalar[2].checkpoints > 0 and scalar[2].restore_time == 0.0
+
     def test_full_capacitor_lanes_bit_exact_and_jump(self):
         """Surplus harvest on a full capacitor jumps to the segment end
         in both engines, with identical arithmetic."""
@@ -180,7 +198,9 @@ class TestScalarBatchEquivalence:
         batch = evaluate_many(scenarios, engine="batch")
         assert_reports_equal(scalar, batch)
         for (scenario, bright), report in zip(pairs, scalar):
-            crawl = scenario.trace.duration / (20 * scenario.dt)
+            # The crawl this replaced advanced 20 ms (20 steps of 1 ms)
+            # at a time.
+            crawl = scenario.trace.duration / 20e-3
             # A 20*dt crawl through the full-capacitor hours would take
             # `crawl` steps; the jump takes about one per segment.
             assert report.steps < (crawl / 10 if bright else crawl / 2), (

@@ -42,7 +42,7 @@ class TestSingleDeviceEquivalence:
         result = outcome.report.results[0]
 
         direct = FastIntermittentSimulator(fs_low_power_monitor()).run(
-            nyc_pedestrian_night(duration=90.0, seed=42), dt=1e-3
+            nyc_pedestrian_night(duration=90.0, seed=42)
         )
         assert result.app_time == direct.app_time
         assert result.checkpoints == direct.checkpoints

@@ -44,7 +44,7 @@ class TestDeviceSpec:
             DeviceSpec(device_id=0, capacitance=-1e-6)
 
     @pytest.mark.parametrize(
-        "field", ["trace_duration", "dt", "capacitance", "panel_area_cm2", "trace_scale"]
+        "field", ["trace_duration", "capacitance", "panel_area_cm2", "trace_scale"]
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, field, value):
@@ -60,6 +60,13 @@ class TestDeviceSpec:
     def test_picklable(self):
         spec = DeviceSpec(device_id=3, monitor="fs", monitor_params=(("f_sample", 2e3),))
         assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_legacy_dt_key_is_ignored(self):
+        """Payloads from before the harvest engine lost its step size
+        still load."""
+        spec = DeviceSpec(device_id=4, trace_seed=2)
+        assert "dt" not in spec.to_dict()
+        assert DeviceSpec.from_dict({**spec.to_dict(), "dt": 1e-3}) == spec
 
 
 class TestFleetSpec:

@@ -34,17 +34,17 @@ class TestConservationFixedCases:
     @pytest.mark.parametrize("monitor_factory", [IdealMonitor, ComparatorMonitor, ADCMonitor])
     def test_constant_light(self, monitor_factory):
         sim = FastIntermittentSimulator(monitor_factory())
-        report = sim.run(constant_trace(1.0, 60.0), dt=1e-3)
+        report = sim.run(constant_trace(1.0, 60.0))
         assert balance_error(report) < 0.01
 
     def test_realistic_trace(self):
         sim = FastIntermittentSimulator(IdealMonitor())
-        report = sim.run(nyc_pedestrian_night(duration=60.0, seed=3), dt=1e-3)
+        report = sim.run(nyc_pedestrian_night(duration=60.0, seed=3))
         assert balance_error(report) < 0.01
 
     def test_darkness(self):
         sim = FastIntermittentSimulator(IdealMonitor())
-        report = sim.run(constant_trace(0.0, 10.0), dt=1e-3)
+        report = sim.run(constant_trace(0.0, 10.0))
         assert report.energy_harvested == pytest.approx(0.0, abs=1e-12)
 
     def test_clamp_rejects_energy(self):
@@ -52,7 +52,7 @@ class TestConservationFixedCases:
         clamps at v_max: accepted energy must be far below offered."""
         sim = FastIntermittentSimulator(IdealMonitor())
         trace = constant_trace(1000.0, 10.0)
-        report = sim.run(trace, dt=1e-3)
+        report = sim.run(trace)
         offered = sim.panel.electrical_power(1000.0) * trace.duration
         assert report.energy_harvested < 0.9 * offered
         assert balance_error(report) < 0.01
@@ -79,5 +79,5 @@ class TestConservationProperty:
             # Monitors whose margins leave no run window are rejected at
             # construction — not a conservation question.
             return
-        report = sim.run(constant_trace(irradiance, 20.0), dt=1e-3)
+        report = sim.run(constant_trace(irradiance, 20.0))
         assert balance_error(report) < 0.02

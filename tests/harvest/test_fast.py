@@ -15,6 +15,7 @@ from repro.harvest import (
     rfid_reader_trace,
 )
 from repro.batch import Scenario, evaluate_many
+from repro.harvest.checkpoint import CheckpointModel
 from repro.harvest.fast import FastIntermittentSimulator
 from repro.harvest.simulator import IntermittentSimulator
 from repro.harvest.traces import IrradianceTrace
@@ -34,7 +35,7 @@ class TestCrossValidation:
     def test_matches_reference_engine(self, monitor_factory, night_trace):
         monitor = monitor_factory()
         reference = FixedStepSimulator(monitor).run(night_trace, dt=1e-3)
-        fast = FastIntermittentSimulator(monitor).run(night_trace, dt=1e-3)
+        fast = FastIntermittentSimulator(monitor).run(night_trace)
         assert fast.checkpoints == reference.checkpoints
         # Exact intervals leave only the reference engine's own 1 ms
         # discretization: ~0.1% for the thinnest-margin monitor (ADC).
@@ -51,7 +52,7 @@ class TestCrossValidation:
 
     def test_no_light_all_off(self):
         fast = FastIntermittentSimulator(IdealMonitor())
-        report = fast.run(constant_trace(0.0, 60.0), dt=1e-3)
+        report = fast.run(constant_trace(0.0, 60.0))
         assert report.app_time == 0.0
         assert report.off_time == pytest.approx(60.0, rel=0.02)
 
@@ -76,7 +77,7 @@ class TestSeededCrossValidation:
     def test_identical_checkpoint_counts(self, monitor_factory, seeded_trace):
         monitor = monitor_factory()
         reference = FixedStepSimulator(monitor).run(seeded_trace, dt=1e-3)
-        fast = FastIntermittentSimulator(monitor).run(seeded_trace, dt=1e-3)
+        fast = FastIntermittentSimulator(monitor).run(seeded_trace)
         assert fast.checkpoints == reference.checkpoints
         assert fast.power_failures == reference.power_failures
         assert fast.app_time == pytest.approx(reference.app_time, rel=1e-3)
@@ -97,7 +98,7 @@ class TestDuskEquilibrium:
         dusk = IrradianceTrace(day.dt, day.values[18 * 60 : 21 * 60])
         monitor = IdealMonitor()
         reference = FixedStepSimulator(monitor).run(dusk, dt=2e-3)
-        fast = FastIntermittentSimulator(monitor).run(dusk, dt=2e-3)
+        fast = FastIntermittentSimulator(monitor).run(dusk)
         assert fast.checkpoints == reference.checkpoints
         assert fast.power_failures == reference.power_failures
         assert fast.app_time == pytest.approx(reference.app_time, rel=1e-4)
@@ -111,8 +112,8 @@ class TestPowerChangeMerging:
         monitor = fs_low_power_monitor()
         fine = constant_trace(0.5, 60.0, dt=0.01)
         coarse = IrradianceTrace(60.0, [0.5])
-        a = FastIntermittentSimulator(monitor).run(fine, dt=1e-3)
-        b = FastIntermittentSimulator(monitor).run(coarse, dt=1e-3)
+        a = FastIntermittentSimulator(monitor).run(fine)
+        b = FastIntermittentSimulator(monitor).run(coarse)
         assert a.checkpoints > 0
         assert (a.steps, a.checkpoints, a.power_failures) == (
             b.steps, b.checkpoints, b.power_failures
@@ -133,6 +134,36 @@ class TestPowerChangeMerging:
         assert fast.checkpoints > 0
 
 
+class TestExactPhases:
+    """Restore and checkpoint are exact intervals like every other phase."""
+
+    def test_each_phase_is_one_step_in_the_dark(self):
+        # From v_on in darkness: restore, run to v_ckpt, checkpoint, and
+        # one OFF interval to the end.
+        report = FastIntermittentSimulator(IdealMonitor()).run(
+            constant_trace(0.0, 5.0), v_initial=3.5
+        )
+        assert (report.checkpoints, report.power_failures, report.steps) == (1, 0, 4)
+        assert report.restore_time == 2e-3
+        assert report.checkpoint_time == 8.192e-3
+
+    def test_checkpoint_that_falls_to_v_min_is_a_power_failure(self):
+        sim = FastIntermittentSimulator(IdealMonitor())
+        sim.v_ckpt = sim.checkpoint.v_min + 1e-3
+        report = sim.run(constant_trace(0.0, 1.0), v_initial=3.5)
+        assert (report.checkpoints, report.power_failures) == (1, 1)
+        # Dark, constant current: a linear fall of 1 mV, landing on v_min.
+        expected = sim.capacitance * 1e-3 / sim.checkpoint_current
+        assert report.checkpoint_time == pytest.approx(expected, rel=1e-9)
+
+    def test_zero_length_restore(self):
+        report = FastIntermittentSimulator(
+            IdealMonitor(), checkpoint=CheckpointModel(restore_time=0.0)
+        ).run(constant_trace(5.0, 30.0))
+        assert report.restore_time == 0.0
+        assert report.app_time > 0.0
+
+
 class TestLivelockRegression:
     def test_100uf_voltage_roundtrip_terminates(self):
         """sqrt(2E/C) can round one ulp below v_on at 100 uF, after which
@@ -146,14 +177,14 @@ class TestLivelockRegression:
             capacitance=100e-6,
         )
         trace = nyc_pedestrian_night(duration=60.0, seed=10020).scaled(0.63)
-        report = fast.run(trace, dt=1e-3)
+        report = fast.run(trace)
         assert report.app_time > 0.0
 
 
 class TestConservation:
     def test_energy_balances(self, night_trace):
         fast = FastIntermittentSimulator(fs_low_power_monitor())
-        report = fast.run(night_trace, dt=1e-3)
+        report = fast.run(night_trace)
         total_sink = sum(report.energy_by_sink.values())
         balance = abs(report.energy_harvested - total_sink - report.energy_in_capacitor)
         assert balance < 0.03 * report.energy_harvested
@@ -165,7 +196,7 @@ class TestDayScale:
     @pytest.fixture(scope="class")
     def day_report(self):
         fast = FastIntermittentSimulator(fs_low_power_monitor())
-        return fast.run(diurnal_trace(), dt=1e-3)
+        return fast.run(diurnal_trace())
 
     def test_runs_most_of_the_day(self, day_report):
         # Daylight spans ~14 h; with a decent panel the mote computes
@@ -213,10 +244,10 @@ class TestSegmentBoundary:
     def test_boundary_step_reads_its_own_segment(self, trace_dt, k):
         monitor = fs_low_power_monitor()
         alone = FastIntermittentSimulator(monitor).run(
-            IrradianceTrace(trace_dt, [2.0]), dt=1e-3
+            IrradianceTrace(trace_dt, [2.0])
         )
         trace = IrradianceTrace(trace_dt, [0.0] * k + [2.0])
-        report = FastIntermittentSimulator(monitor).run(trace, dt=1e-3)
+        report = FastIntermittentSimulator(monitor).run(trace)
         assert alone.energy_harvested > 0.0
         assert report.energy_harvested == pytest.approx(alone.energy_harvested, rel=1e-9)
         assert report.energy_in_capacitor == pytest.approx(
@@ -242,7 +273,7 @@ class TestSegmentBoundary:
         a whole phantom segment."""
         monitor = monitor_factory()
         trace = IrradianceTrace(trace_dt, [irradiance])
-        report = FastIntermittentSimulator(monitor).run(trace, dt=1e-3)
+        report = FastIntermittentSimulator(monitor).run(trace)
         (batch,) = evaluate_many([Scenario(monitor=monitor, trace=trace)], engine="batch")
         for r in (report, batch):
             accounted = r.app_time + r.restore_time + r.off_time + r.checkpoint_time
@@ -262,7 +293,7 @@ class TestFastEngineGrid:
         monitor = fs_low_power_monitor()
         trace = constant_trace(irradiance, 40.0)
         ref = FixedStepSimulator(monitor, capacitance=cap_uf * 1e-6).run(trace, dt=1e-3)
-        fast = FastIntermittentSimulator(monitor, capacitance=cap_uf * 1e-6).run(trace, dt=1e-3)
+        fast = FastIntermittentSimulator(monitor, capacitance=cap_uf * 1e-6).run(trace)
         # The reference engine's 1 ms steps are the only difference left;
         # they weigh most on 10 uF buffers (~0.3% of app time).
         assert fast.checkpoints == ref.checkpoints

@@ -81,7 +81,7 @@ class TestCapacitor:
         c = BufferCapacitor(capacitance=47e-6, voltage=3.0)
         i = 100e-6
         for _ in range(100):
-            c.draw_current(i, 1e-3)
+            c.apply_power(0.0, i * c.voltage, 1e-3)
         expected = 3.0 - i * 0.1 / 47e-6
         assert c.voltage == pytest.approx(expected, rel=1e-3)
 

@@ -17,7 +17,15 @@ np = pytest.importorskip("numpy")
 #: The numpy forms evaluate discarded branches; callers silence them.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
+from repro.harvest import segment
 from repro.harvest.segment import (
+    DOWN,
+    FULL,
+    HELD,
+    SPAN,
+    UP,
+    advance,
+    advance_np,
     crossing_time,
     crossing_time_np,
     load_energy,
@@ -201,6 +209,81 @@ class TestEdgeCases:
             assert abs(v - taylor) <= 4 * math.ulp(v0) + 1e-6 * abs(rate * span)
         assert crossing_time(v0, v0, p, i, 47e-6) == 0.0
         assert voltage_after(0.0, 0.0, p, i, 47e-6) == 0.0
+
+
+V_FULL = 3.6
+
+
+def advance_inputs(n, seed):
+    """Seeded steps of every phase: OFF (leak, up to v_on), running
+    (down to v_ckpt), restore/checkpoint (down to v_min), started
+    anywhere from empty to exactly full or on a threshold, under dark,
+    dim and blazing harvest."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        v_down, v_up, i = rng.choice([
+            (-math.inf, 3.5, 5e-7),
+            (1.82, math.inf, rng.uniform(1e-4, 4e-4)),
+            (1.8, math.inf, rng.uniform(1e-4, 2e-4)),
+        ])
+        v = rng.choice([V_FULL, 3.5, v_down, 1.8, rng.uniform(0.0, V_FULL)])
+        v = max(v, 0.0)
+        span = 10 ** rng.uniform(-4, 3)
+        p = rng.choice([0.0, 10 ** rng.uniform(-6, -1)])
+        c = 10 ** rng.uniform(-6, -4)
+        rows.append((v, span, p, i, c, V_FULL, v_down, v_up))
+    return rows
+
+
+class TestAdvance:
+    def test_numpy_twin_bit_exact(self, monkeypatch):
+        rows = advance_inputs(3000, seed=5)
+        want = [advance(*row) for row in rows]
+        assert {event for _, _, event in want} == {SPAN, DOWN, UP, FULL, HELD}
+        for scalar_crossings in (segment._SCALAR_CROSSINGS, 0):
+            monkeypatch.setattr(segment, "_SCALAR_CROSSINGS", scalar_crossings)
+            for lo in range(0, len(rows), 1000):
+                cols = np.array(rows[lo : lo + 1000]).T
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    step, v_new, event = advance_np(*cols)
+                got = list(zip(step.tolist(), v_new.tolist(), event.tolist()))
+                assert got == want[lo : lo + 1000]
+
+    def test_start_at_or_below_v_down_takes_no_time(self):
+        # Charging, but already at the threshold it falls to.
+        assert advance(1.82, 5.0, 1e-3, 2e-4, 47e-6, V_FULL, v_down=1.82) == (0.0, 1.82, DOWN)
+        assert advance(1.7, 5.0, 0.0, 2e-4, 47e-6, V_FULL, v_down=1.8) == (0.0, 1.7, DOWN)
+
+    def test_fall_lands_on_v_down_at_its_crossing(self):
+        step, v, event = advance(3.5, 10.0, 0.0, 1e-4, 47e-6, V_FULL, v_down=1.8)
+        assert (v, event) == (1.8, DOWN)
+        assert step == crossing_time(3.5, 1.8, 0.0, 1e-4, 47e-6)
+        assert step == pytest.approx(47e-6 * 1.7 / 1e-4, rel=1e-12)
+
+    def test_crossing_after_the_span_is_capped_at_it(self):
+        # A 1 ms checkpoint budget ends before the fall to v_min.
+        step, v, event = advance(1.9, 1e-3, 0.0, 1e-4, 47e-6, V_FULL, v_down=1.8)
+        assert (step, event) == (1e-3, SPAN)
+        assert v == voltage_after(1.9, 1e-3, 0.0, 1e-4, 47e-6)
+
+    def test_rise_through_v_up_only_from_below(self):
+        step, v, event = advance(3.0, 60.0, 1e-3, 5e-7, 47e-6, V_FULL, v_up=3.5)
+        assert (v, event) == (3.5, UP)
+        assert step == crossing_time(3.0, 3.5, 1e-3, 5e-7, 47e-6)
+        # Starting at v_up is no rise through it.
+        assert advance(3.5, 60.0, 1e-3, 5e-7, 47e-6, V_FULL, v_up=3.5)[2] == FULL
+
+    def test_full_capacitor_is_a_fixed_point(self):
+        assert advance(V_FULL, 60.0, 1e-3, 2e-4, 47e-6, V_FULL) == (60.0, V_FULL, HELD)
+        # A load the harvest does not cover leaves the fixed point.
+        step, v, event = advance(V_FULL, 0.1, 1e-4, 2e-4, 47e-6, V_FULL, v_down=1.8)
+        assert (step, event) == (0.1, SPAN) and v < V_FULL
+
+    def test_up_beats_full(self):
+        """Turning on at exactly v_full is a rise through v_up."""
+        step, v, event = advance(3.0, 60.0, 1e-3, 5e-7, 47e-6, V_FULL, v_up=V_FULL)
+        assert (v, event) == (V_FULL, UP)
 
 
 class TestPowerChanges:

@@ -32,7 +32,7 @@ def reports(night_trace):
         ComparatorMonitor(),
         ADCMonitor(),
     ]
-    return compare_monitors(monitors, night_trace, dt=1e-3)
+    return compare_monitors(monitors, night_trace)
 
 
 class TestConstruction:
@@ -55,6 +55,28 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             FastIntermittentSimulator(IdealMonitor(), v_on=1.5)
 
+    @pytest.mark.parametrize("v_on", [3.7, float("inf"), float("nan")])
+    def test_turn_on_above_v_max_refused(self, v_on):
+        """A capacitor that clamps at 3.6 V never reaches a higher
+        turn-on threshold: refused, whichever way the platform arrives."""
+        from repro.batch import Scenario
+
+        payload = Scenario(monitor=IdealMonitor(), trace=constant_trace(5.0, 1.0)).to_dict()
+        payload["v_on"] = v_on
+        with pytest.raises(ConfigurationError, match="v_on must be finite and at most v_max"):
+            Scenario.from_dict(payload).build_simulator()
+
+    def test_turn_on_at_v_max_runs(self):
+        report = FastIntermittentSimulator(IdealMonitor(), v_on=3.6).run(constant_trace(5.0, 30.0))
+        assert report.app_time > 0.0
+
+    def test_legacy_dt_key_is_ignored(self):
+        from repro.batch import Scenario
+
+        scenario = Scenario(monitor=IdealMonitor(), trace=constant_trace(5.0, 1.0))
+        assert "dt" not in scenario.to_dict()
+        assert Scenario.from_dict({**scenario.to_dict(), "dt": 1e-3}) == scenario
+
     def test_impossible_monitor_rejected(self):
         hopeless = MonitorModel(name="x", current=0.0, resolution=2.0, sample_rate=1e3)
         with pytest.raises(ConfigurationError, match="turn-on"):
@@ -68,7 +90,7 @@ class TestEnergyConservation:
         still arriving during discharge)."""
         sim = FastIntermittentSimulator(IdealMonitor())
         trace = constant_trace(1.0, 120.0)
-        report = sim.run(trace, dt=1e-3)
+        report = sim.run(trace)
         assert report.checkpoints > 1
         p_in = sim.panel.electrical_power(1.0)
         v_avg = 0.5 * (sim.v_on + sim.v_ckpt)
@@ -79,7 +101,7 @@ class TestEnergyConservation:
 
     def test_no_light_no_run(self):
         sim = FastIntermittentSimulator(IdealMonitor())
-        report = sim.run(constant_trace(0.0, 30.0), dt=1e-3)
+        report = sim.run(constant_trace(0.0, 30.0))
         assert report.app_time == 0.0
         assert report.checkpoints == 0
         assert report.off_time == pytest.approx(30.0, rel=0.01)
@@ -90,10 +112,11 @@ class TestEnergyConservation:
             assert total > 0
             assert r.energy_by_sink["core"] > r.energy_by_sink["leakage"]
 
-    def test_bad_dt(self):
+    def test_run_takes_no_dt(self):
+        """Every phase is an exact interval: no step size to choose."""
         sim = FastIntermittentSimulator(IdealMonitor())
-        with pytest.raises(SimulationError):
-            sim.run(constant_trace(1.0, 1.0), dt=0.0)
+        with pytest.raises(TypeError, match="dt"):
+            sim.run(constant_trace(1.0, 1.0), dt=1e-3)
 
 
 class TestNoPowerFailures:
@@ -150,7 +173,7 @@ class TestPICPlatform:
         reports = []
         for monitor in (IdealMonitor(), fs_low_power_monitor(), ADCMonitor()):
             sim = FastIntermittentSimulator(monitor, mcu=PIC16LF15386)
-            reports.append(sim.run(night_trace, dt=1e-3))
+            reports.append(sim.run(night_trace))
         norm = normalized_app_time(reports)
         assert norm["FS (LP)"] > 0.97
         # The PIC's ADC is even hungrier (295 uA) against a leaner core:

@@ -147,6 +147,6 @@ class TestThermalTrace:
         from repro.harvest import FastIntermittentSimulator, IdealMonitor, thermal_gradient_trace
 
         sim = FastIntermittentSimulator(IdealMonitor())
-        report = sim.run(thermal_gradient_trace(duration=120.0, dt=1.0), dt=1e-3)
+        report = sim.run(thermal_gradient_trace(duration=120.0, dt=1.0))
         assert report.checkpoints >= 2
         assert report.app_time > 0

@@ -45,7 +45,7 @@ class TestDSEToSystem:
         monitor = FSMonitor(pareto_config, name="FS (DSE)")
         reports = []
         for m in (IdealMonitor(), monitor):
-            reports.append(FastIntermittentSimulator(m).run(trace, dt=1e-3))
+            reports.append(FastIntermittentSimulator(m).run(trace))
         norm = normalized_app_time(reports)
         assert norm["FS (DSE)"] > 0.95
         assert all(r.power_failures == 0 for r in reports)

@@ -72,7 +72,7 @@ class TestParity:
         trace = nyc_pedestrian_night(20.0, seed=101)
         traced, recorded = _traced(
             "harvest",
-            lambda rec: engine(fs_low_power_monitor()).run(trace, dt=1e-3, record=rec),
+            lambda rec: engine(fs_low_power_monitor()).run(trace, record=rec),
         )
         assert {kind for kind, _, _ in recorded} >= {"power_on", "checkpoint"}
         assert traced == recorded

@@ -25,17 +25,23 @@ from repro.harvest.traces import IrradianceTrace
 
 
 class FixedStepSimulator(IntermittentSimulator):
-    """Same constructor and report type as the library engine; ``dt``
-    is the integration step everywhere, not just in restore/checkpoint."""
+    """Same constructor and report type as the library engine; ``run``
+    also takes the integration step ``dt``."""
 
     engine_name = "reference"
 
-    def _record_config(self, trace: IrradianceTrace, dt: float, v_initial: float) -> Dict[str, object]:
-        config = super()._record_config(trace, dt, v_initial)
+    def run(self, trace: IrradianceTrace, dt: float = 5e-4, v_initial: float = 0.0, record=None) -> SimulationReport:
+        self.dt = dt
+        return super().run(trace, v_initial=v_initial, record=record)
+
+    def _record_config(self, trace: IrradianceTrace, v_initial: float) -> Dict[str, object]:
+        config = super()._record_config(trace, v_initial)
         config["scenario"]["scalar_engine"] = self.engine_name
+        config["scenario"]["dt"] = self.dt
         return config
 
-    def _run_impl(self, trace: IrradianceTrace, dt: float, v_initial: float, emit) -> SimulationReport:
+    def _run_impl(self, trace: IrradianceTrace, v_initial: float, emit) -> SimulationReport:
+        dt = self.dt
         if dt <= 0:
             raise SimulationError("dt must be positive")
         cap = BufferCapacitor(capacitance=self.capacitance, voltage=v_initial)

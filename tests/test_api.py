@@ -43,9 +43,9 @@ class TestFacadeSurface:
         # counts (tests/harvest/test_fast.py); it is the only engine.
         trace = nyc_pedestrian_night(duration=60.0, seed=7)
         monitors = [IdealMonitor(), fs_low_power_monitor()]
-        reports = api.compare_monitors(monitors, trace, dt=1e-3)
+        reports = api.compare_monitors(monitors, trace)
         explicit = [
-            api.FastIntermittentSimulator(m).run(trace, dt=1e-3) for m in monitors
+            api.FastIntermittentSimulator(m).run(trace) for m in monitors
         ]
         assert reports == explicit
 

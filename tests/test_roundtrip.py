@@ -147,7 +147,6 @@ def _device_spec(rng, device_id):
         trace_duration=rng.uniform(10.0, 600.0),
         trace_scale=rng.uniform(0.1, 2.0),
         policy=rng.choice(["jit", "guarded", "paranoid"]),
-        dt=rng.choice([1e-3, 5e-4]),
     )
 
 
@@ -380,7 +379,7 @@ class TestRecordReplayIdempotence:
         )
         first = TraceRecorder()
         scenario.build_simulator().run(
-            scenario.trace, dt=scenario.dt, v_initial=scenario.v_initial, record=first
+            scenario.trace, v_initial=scenario.v_initial, record=first
         )
         once = replay(first.recording).replayed
         twice = replay(once).replayed

@@ -33,7 +33,7 @@ def _record_scenario():
     scenario = _scenario()
     rec = TraceRecorder()
     scenario.build_simulator().run(
-        scenario.trace, dt=scenario.dt, v_initial=scenario.v_initial, record=rec
+        scenario.trace, v_initial=scenario.v_initial, record=rec
     )
     return rec.recording
 
@@ -54,7 +54,7 @@ class TestHarvestReplay:
         scenario = _scenario()
         rec = TraceRecorder()
         FixedStepSimulator(scenario.monitor, capacitance=scenario.capacitance).run(
-            scenario.trace, dt=scenario.dt, record=rec
+            scenario.trace, dt=1e-3, record=rec
         )
         assert rec.recording.header.engine == "reference"
         assert rec.recording.events, "run recorded no events"
