@@ -18,8 +18,8 @@ equal the scalar engine's bit for bit, ``steps`` included:
   load current, thresholds and (restore and checkpoint) seconds left,
   set when it enters the phase;
 * an interval ends at the next *power change*, looked up in the table
-  of :func:`~repro.harvest.segment.power_changes` that the scalar
-  engine bisects, and every step picks its segment through the same
+  of :func:`~repro.harvest.segment.next_changes` that the scalar
+  engines read, and every step picks its segment through the same
   ``floor(t / trace_dt + 1e-9)`` index;
 * the panel's low-light-knee exponential is factored into
   :meth:`SolarPanel.power_curve`, which every engine shares.
@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.harvest.capacitor import BufferCapacitor
-from repro.harvest.segment import DOWN as _DOWN, HELD as _HELD, advance_np, power_changes
+from repro.harvest.segment import DOWN as _DOWN, HELD as _HELD, advance_np, next_changes
 from repro.harvest.simulator import SimulationReport
 from repro.obs import emitter
 
@@ -129,9 +129,9 @@ class BatchHarvestEngine:
         # Flat per-lane-offset tables: `flat[pbase + seg]` is a 1-D
         # gather, much cheaper per iteration than 2-D fancy indexing.
         # `next_flat` holds each segment's next power change (a lane-local
-        # segment index), expanded from the power_changes table the
-        # scalar engine bisects, so both end intervals identically.  Lanes
-        # convert one at a time, so only one lane's power list is ever
+        # segment index) from next_changes, the table the scalar engines
+        # read, so both end intervals identically.  Lanes
+        # convert one at a time, so only one lane's power curve is ever
         # alive next to the flat tables.
         slots = np.maximum(nseg, 1)
         ln.pbase = np.concatenate(([0], np.cumsum(slots)[:-1]))
@@ -142,10 +142,7 @@ class BatchHarvestEngine:
                 lo = int(ln.pbase[i])
                 power = power_flat[lo : lo + int(nseg[i])]
                 power[:] = s.panel.power_curve(s.trace.values)
-                changes = power_changes(power)
-                next_flat[lo : lo + int(nseg[i])] = np.repeat(
-                    changes, np.diff(changes, prepend=0)
-                )
+                next_flat[lo : lo + int(nseg[i])] = next_changes(power)
 
         # Mutable lane state and the per-lane report accumulators.
         ln.t = np.zeros(n)

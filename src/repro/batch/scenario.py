@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, payload_errors
 from repro.harvest.checkpoint import CheckpointModel
 from repro.harvest.fast import ENGINE_ID, FastIntermittentSimulator, check_engine_id
 from repro.harvest.loads import ADXL362, MCULoad, MSP430FR5969, PeripheralLoad, SYSTEM_LEAKAGE
@@ -123,27 +123,28 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "Scenario":
-        check_engine_id(data.get("scalar_engine", ENGINE_ID), "scalar_engine")
-        trace = data.get("trace")
-        return cls(
-            monitor=MonitorModel(**data["monitor"]),
-            trace=None
-            if trace is None
-            else IrradianceTrace(dt=trace["dt"], values=list(trace["values"])),
-            panel=SolarPanel(**data["panel"]) if "panel" in data else SolarPanel(),
-            capacitance=data.get("capacitance", 47e-6),
-            v_initial=data.get("v_initial", 0.0),
-            v_ckpt_margin=data.get("v_ckpt_margin", 0.0),
-            mcu=MCULoad(**data["mcu"]) if "mcu" in data else MSP430FR5969,
-            peripherals=tuple(PeripheralLoad(**p) for p in data["peripherals"])
-            if "peripherals" in data
-            else (ADXL362,),
-            checkpoint=CheckpointModel(**data["checkpoint"])
-            if "checkpoint" in data
-            else CheckpointModel(),
-            v_on=data.get("v_on", DEFAULT_V_ON),
-            leakage=data.get("leakage", SYSTEM_LEAKAGE),
-        )
+        with payload_errors("scenario"):
+            check_engine_id(data.get("scalar_engine", ENGINE_ID), "scalar_engine")
+            trace = data.get("trace")
+            return cls(
+                monitor=MonitorModel(**data["monitor"]),
+                trace=None
+                if trace is None
+                else IrradianceTrace(dt=trace["dt"], values=list(trace["values"])),
+                panel=SolarPanel(**data["panel"]) if "panel" in data else SolarPanel(),
+                capacitance=data.get("capacitance", 47e-6),
+                v_initial=data.get("v_initial", 0.0),
+                v_ckpt_margin=data.get("v_ckpt_margin", 0.0),
+                mcu=MCULoad(**data["mcu"]) if "mcu" in data else MSP430FR5969,
+                peripherals=tuple(PeripheralLoad(**p) for p in data["peripherals"])
+                if "peripherals" in data
+                else (ADXL362,),
+                checkpoint=CheckpointModel(**data["checkpoint"])
+                if "checkpoint" in data
+                else CheckpointModel(),
+                v_on=data.get("v_on", DEFAULT_V_ON),
+                leakage=data.get("leakage", SYSTEM_LEAKAGE),
+            )
 
     # ------------------------------------------------------------------
     def build_simulator(self) -> FastIntermittentSimulator:

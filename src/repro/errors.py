@@ -6,6 +6,9 @@ catch library failures without masking genuine programming errors.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class ReproError(Exception):
     """Base class for all library-specific errors."""
@@ -13,6 +16,17 @@ class ReproError(Exception):
 
 class ConfigurationError(ReproError):
     """A component was configured outside its valid parameter range."""
+
+
+@contextmanager
+def payload_errors(what: str) -> Iterator[None]:
+    """Rebuild objects from a JSON payload inside this block: a missing
+    or unknown field, or a value of the wrong type, becomes a one-line
+    :class:`ConfigurationError` naming the payload."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed {what} payload: {exc!r}") from None
 
 
 class ConvergenceError(ReproError):

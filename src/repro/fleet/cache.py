@@ -61,9 +61,6 @@ class CalibrationRecord:
     model: MonitorModel
     curve: Tuple[Tuple[int, float], ...] = ()
 
-    def curve_voltages(self) -> Tuple[float, ...]:
-        return tuple(v for _count, v in self.curve)
-
 
 def build_record(key: Tuple) -> CalibrationRecord:
     """Cold enrollment: build the record for a calibration key."""

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, payload_errors
 from repro.harvest.fast import ENGINE_ID, check_engine_id
 from repro.harvest.traces import (
     IrradianceTrace,
@@ -154,13 +154,14 @@ class DeviceSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DeviceSpec":
-        payload = dict(data)
-        check_engine_id(payload.pop("engine", ENGINE_ID), "engine")
-        payload.pop("dt", None)  # the engine's step size in earlier releases
-        payload["monitor_params"] = tuple(
-            (k, v) for k, v in payload.get("monitor_params", ())
-        )
-        return cls(**payload)
+        with payload_errors("fleet"):
+            payload = dict(data)
+            check_engine_id(payload.pop("engine", ENGINE_ID), "engine")
+            payload.pop("dt", None)  # the engine's step size in earlier releases
+            payload["monitor_params"] = tuple(
+                (k, v) for k, v in payload.get("monitor_params", ())
+            )
+            return cls(**payload)
 
     def calibration_key(self) -> Tuple:
         """What makes two devices share an enrollment/monitor curve."""
@@ -216,10 +217,11 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FleetSpec":
-        return cls(
-            devices=tuple(DeviceSpec.from_dict(d) for d in data.get("devices", [])),
-            name=data.get("name", "fleet"),
-        )
+        with payload_errors("fleet"):
+            return cls(
+                devices=tuple(DeviceSpec.from_dict(d) for d in data.get("devices", [])),
+                name=data.get("name", "fleet"),
+            )
 
 
 def iter_synthesized_devices(

@@ -1,16 +1,18 @@
 """The buffer capacitor: the intermittent system's energy store.
 
-Charge/discharge dynamics in energy terms: ``E = 1/2 C V^2``.  The paper
-uses a 47 uF capacitor with a 3.5 V turn-on threshold; the capacitor
-clamps at the harvester's maximum output voltage (3.6 V).
+Tracked by terminal voltage, with ``E = 1/2 C V^2``; its charge and
+discharge under a constant-current load are the closed forms of
+:mod:`repro.harvest.segment`.  The paper uses a 47 uF capacitor with a
+3.5 V turn-on threshold; the capacitor clamps at the harvester's maximum
+output voltage (3.6 V).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.units import micro
 
 
@@ -47,30 +49,3 @@ class BufferCapacitor:
         if v_low > v_high:
             raise ConfigurationError("v_low must not exceed v_high")
         return 0.5 * self.capacitance * (v_high**2 - v_low**2)
-
-    # ------------------------------------------------------------------
-    def apply_power(self, power_in: float, power_out: float, dt: float) -> float:
-        """Advance one step with net power flow; returns the new voltage.
-
-        Energy update clamped to [0, E(v_max)]: the harvester's output
-        stage limits the top, and the capacitor cannot go negative.
-        """
-        if dt <= 0:
-            raise SimulationError("dt must be positive")
-        energy = self.energy + (power_in - power_out) * dt
-        e_max = 0.5 * self.capacitance * (self.v_max * self.v_max)
-        energy = min(max(energy, 0.0), e_max)
-        self.voltage = math.sqrt(2.0 * energy / self.capacitance)
-        return self.voltage
-
-    def time_to_discharge(self, current: float, v_stop: float) -> float:
-        """Seconds a constant-current load takes to reach ``v_stop``.
-
-        Constant current from a capacitor: ``dV/dt = -I/C`` — linear in
-        time, so ``t = C (V - v_stop) / I``.
-        """
-        if current <= 0:
-            return math.inf
-        if v_stop > self.voltage:
-            return 0.0
-        return self.capacitance * (self.voltage - v_stop) / current

@@ -15,10 +15,10 @@ current and thresholds:
   ends them early (a checkpoint that falls is a power failure).
 
 Steps end where the input power changes, not at every trace segment
-boundary: :func:`~repro.harvest.segment.power_changes` builds the one
-table of change indices this engine and the batch kernel share, and a
-segment's power is read through one index, ``floor(t / trace.dt +
-1e-9)``, which every engine uses.
+boundary: :func:`~repro.harvest.segment.next_changes` builds the one
+table of change indices this engine and the batch kernel share, and
+:class:`~repro.harvest.segment.Supply` reads a segment's power through
+the one index, ``floor(t / trace.dt + 1e-9)``, every engine uses.
 
 Against the fixed-step oracle (``tests/oracles/harvest.py``) on Figure
 8's trace, every monitor gets identical checkpoint and power-failure
@@ -28,11 +28,10 @@ counts and app time within 0.1% (``tests/harvest/test_fast.py``).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 from repro.errors import ConfigurationError
 from repro.harvest.capacitor import BufferCapacitor
-from repro.harvest.segment import DOWN, HELD, advance, load_energy, power_changes
+from repro.harvest.segment import DOWN, HELD, Supply, advance, load_energy
 from repro.harvest.simulator import IntermittentSimulator, SimulationReport
 from repro.harvest.traces import IrradianceTrace
 
@@ -89,15 +88,9 @@ class FastIntermittentSimulator(IntermittentSimulator):
             _RESTORE: (i_rc, v_min, math.inf),
             _CHECKPOINT: (i_rc, v_min, math.inf),
         }
-        # One power value per trace segment and one table of power
-        # changes, shared with the batch engine so the two agree
-        # bit-for-bit on p_in and on every interval end.
-        power = self.panel.power_curve(trace.values)
-        last_seg = len(power) - 1
-        changes = power_changes(power).tolist()
-        # The voltage a charger clamping the energy at v_max leaves: the
-        # full capacitor's fixed point.
-        v_full = math.sqrt(2.0 * (half_c * (cap.v_max * cap.v_max)) / c)
+        # p_in and interval ends bit-for-bit as the batch engine has them.
+        supply = Supply(self.panel, trace, cap)
+        v_full = supply.v_full
         state, left = _OFF, math.inf
 
         while t < end:
@@ -109,9 +102,7 @@ class FastIntermittentSimulator(IntermittentSimulator):
                 state, left = _RUNNING, math.inf
             i, v_down, v_up = phases[state]
             steps += 1
-            seg = min(math.floor(t / trace.dt + 1e-9), last_seg)
-            p_in = power[seg]
-            seg_end = changes[bisect_right(changes, seg)] * trace.dt
+            p_in, seg_end = supply.at(t)
             seg_left = seg_end - t
             step, v_new, event = advance(
                 v, left if left < seg_left else seg_left, p_in, i, c, v_full, v_down, v_up

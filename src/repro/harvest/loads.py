@@ -8,6 +8,7 @@ used in the system evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -30,8 +31,8 @@ class MCULoad:
     def __post_init__(self) -> None:
         if self.core_current_per_mhz <= 0:
             raise ConfigurationError("core current must be positive")
-        if self.clock_hz <= 0:
-            raise ConfigurationError("clock must be positive")
+        if not (math.isfinite(self.clock_hz) and self.clock_hz > 0):
+            raise ConfigurationError(f"clock must be positive and finite (got {self.clock_hz!r})")
 
     @property
     def core_current(self) -> float:

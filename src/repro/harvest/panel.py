@@ -62,25 +62,20 @@ class SolarPanel:
         rolloff = 1.0 - math.exp(-irradiance / self.low_light_knee)
         return raw * rolloff
 
-    def power_curve(self, values) -> list:
+    def power_curve(self, values) -> np.ndarray:
         """Electrical power per sample of a piecewise-constant trace.
 
-        The scalar engine, the batch kernel and the fixed-step test
-        oracle read their per-segment input power from this one
-        function, so engines agree
+        Every harvest engine and the fixed-step test oracle read their
+        per-segment input power from this one function, so engines agree
         bit-for-bit on ``p_in`` (the only transcendental in the harvest
         path is the low-light-knee exponential, evaluated here exactly
-        once per segment instead of once per step).  Returns a plain list
-        of floats, computed with numpy.
+        once per segment instead of once per step).  Returns a float64
+        array.
         """
-        values = list(values)
-        if not values:
-            return []
-        irr = np.asarray(values, dtype=np.float64)
+        irr = np.fromiter(values, dtype=np.float64)
         if (irr < 0).any():
             raise ConfigurationError("irradiance cannot be negative")
         raw = irr * self.area_m2 * self.efficiency * self.harvester_efficiency
         if self.low_light_knee <= 0:
-            return raw.tolist()
-        rolloff = 1.0 - np.exp(-irr / self.low_light_knee)
-        return (raw * rolloff).tolist()
+            return raw
+        return raw * (1.0 - np.exp(-irr / self.low_light_knee))

@@ -25,14 +25,16 @@ form ``t = (E1 − E0)/P``.
 
 :func:`advance` (and its numpy twin :func:`advance_np`) is the one
 interval step every engine takes — the harvest engine in every phase,
-the batch kernel in every lane, the task scheduler — so the threshold
-priority, the landing and the full-capacitor fixed point are stated
-once, here.
+the batch kernel in every lane, the task scheduler, the RISC-V
+machine — so the threshold priority, the landing and the
+full-capacitor fixed point are stated once, here.  The scalar engines
+read their input power through one :class:`Supply`.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -391,9 +393,42 @@ def power_changes(power) -> np.ndarray:
 
     An interval is exact however it is split, so the engines step from
     one power change to the next instead of through every trace
-    segment; the interval starting in segment ``s`` ends at the first
-    index here above ``s``.  Both engines read this one table, so their
-    interval ends agree bit for bit.
+    segment.
     """
     p = np.asarray(power, dtype=np.float64)
     return np.append(np.flatnonzero(p[1:] != p[:-1]) + 1, len(p))
+
+
+def next_changes(power) -> np.ndarray:
+    """Per segment ``s``, the first :func:`power_changes` index above
+    ``s``: where an interval starting in ``s`` ends.  Every engine reads
+    this one table, so their interval ends agree bit for bit."""
+    changes = power_changes(power)
+    return np.repeat(changes, np.diff(changes, prepend=0))
+
+
+class Supply:
+    """A panel under a trace charging one capacitor, as every scalar
+    engine reads it: :meth:`at` is the one segment lookup, ``v_full``
+    the full capacitor's fixed point (the voltage a charger clamping
+    the energy at ``C·v_max²/2`` leaves)."""
+
+    def __init__(self, panel, trace, cap):
+        power = panel.power_curve(trace.values) if len(trace.values) else np.zeros(1)
+        self.dt = trace.dt
+        self.last = len(power) - 1
+        # Packed doubles and int64s, read back as Python floats and ints:
+        # a fifth of the memory of lists for a day-long trace.
+        self.power = array("d", power.tobytes())
+        self.next_change = array("q", next_changes(power).tobytes())
+        half_c = 0.5 * cap.capacitance
+        self.v_full = math.sqrt(2.0 * (half_c * (cap.v_max * cap.v_max)) / cap.capacitance)
+
+    def at(self, t: float):
+        """``(p_in, t_change)``: the power of the segment holding ``t``,
+        index ``floor(t / trace.dt + 1e-9)``, and when the power next
+        changes.  Past the trace's end (or on an empty trace, 0 W) the
+        last power holds forever, as ``IrradianceTrace.at`` holds it."""
+        seg = min(math.floor(t / self.dt + 1e-9), self.last)
+        t_change = self.next_change[seg] * self.dt
+        return self.power[seg], (t_change if t_change > t else math.inf)

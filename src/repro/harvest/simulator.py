@@ -256,21 +256,3 @@ class IntermittentSimulator:
             "IntermittentSimulator is the platform model; replay traces "
             "with FastIntermittentSimulator"
         )
-
-    # ------------------------------------------------------------------
-    def analytic_cycle(self) -> Dict[str, float]:
-        """Closed-form per-cycle quantities for constant-current cycles.
-
-        Cross-checks the trace simulation: run time from turn-on to the
-        threshold is ``C (V_on - V_ckpt) / I``.
-        """
-        run_time = self.capacitance * (self.v_on - self.v_ckpt) / self.system_current
-        usable = 0.5 * self.capacitance * (self.v_on**2 - self.v_ckpt**2)
-        return {
-            "run_time": run_time,
-            "usable_energy": usable,
-            "v_ckpt": self.v_ckpt,
-            "system_current": self.system_current,
-        }
-
-

@@ -79,6 +79,8 @@ def constant_trace(
     component, so neither changes the values (zero draws).
     """
     del seed, rng  # no stochastic component
+    if not math.isfinite(duration):
+        raise ConfigurationError(f"trace duration must be finite (got {duration!r})")
     steps = max(1, int(round(duration / dt)))
     return IrradianceTrace(dt, [irradiance] * steps)
 

@@ -5,6 +5,9 @@ executed instruction advances time at the core clock and drains the
 buffer capacitor; the Failure Sentinels device samples the rail at its
 configured rate; when its interrupt fires the checkpoint runtime
 persists state and the system powers down until the capacitor refills.
+Each capacitor interval (charging, restore, every sample quantum, every
+checkpoint) is solved in closed form by the harvest engine's step,
+:func:`repro.harvest.segment.advance`.
 
 This is the full-system demonstration of Section IV-B in simulation
 form: unmodified programs run to completion across arbitrarily many
@@ -22,6 +25,7 @@ from repro.errors import ConfigurationError, CPUError, SimulationError
 from repro.harvest.capacitor import BufferCapacitor
 from repro.harvest.loads import MCULoad, MSP430FR5969, SYSTEM_LEAKAGE
 from repro.harvest.panel import SolarPanel
+from repro.harvest.segment import UP, Supply, advance
 from repro.harvest.traces import IrradianceTrace, constant_trace
 from repro.obs import OBS, emitter
 from repro.riscv.cpu import CPU
@@ -65,19 +69,7 @@ class IntermittentRunResult:
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready payload; inverse of :meth:`from_dict` (the
         :mod:`repro.trace` result payload for ``riscv`` recordings)."""
-        return {
-            "completed": self.completed,
-            "exit_code": self.exit_code,
-            "wall_time": self.wall_time,
-            "active_time": self.active_time,
-            "checkpoint_time": self.checkpoint_time,
-            "instructions": self.instructions,
-            "power_cycles": self.power_cycles,
-            "checkpoints": self.checkpoints,
-            "restores": self.restores,
-            "power_failures": self.power_failures,
-            "console_output": self.console_output,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "IntermittentRunResult":
@@ -131,8 +123,11 @@ class IntermittentMachine:
         policy: Optional[CheckpointPolicy] = None,
         differential_checkpoints: bool = False,
     ):
-        if v_min >= v_threshold or v_threshold >= v_on:
-            raise SimulationError("need v_min < v_threshold < v_on")
+        if not v_min < v_threshold < v_on <= BufferCapacitor.v_max:
+            raise ConfigurationError(
+                f"need v_min < v_threshold < v_on <= v_max = {BufferCapacitor.v_max} V "
+                f"(got {v_min!r}, {v_threshold!r}, {v_on!r})"
+            )
         self.program = list(program)
         self.fs_device = fs_device or FSDevice()
         self.panel = panel or SolarPanel()
@@ -154,11 +149,14 @@ class IntermittentMachine:
         self.run_current = self.mcu.core_current + self.fs_device.monitor.mean_current(3.0) + leakage
         self.memory = MemoryMap()
         self.cpu = CPU(self.memory, fs_device=self.fs_device)
-        self.runtime = CheckpointRuntime(
-            self.cpu,
-            volatile_bytes=volatile_bytes,
-            differential=differential_checkpoints,
-        )
+        try:
+            self.runtime = CheckpointRuntime(
+                self.cpu,
+                volatile_bytes=volatile_bytes,
+                differential=differential_checkpoints,
+            )
+        except SimulationError as exc:
+            raise ConfigurationError(str(exc)) from None
         self.interpreter = FastEngine(self.cpu)
 
     # ------------------------------------------------------------------
@@ -227,6 +225,8 @@ class IntermittentMachine:
         :class:`FSDevice` and :class:`JustInTimePolicy` — custom objects
         carry state a declarative header cannot encode.
         """
+        if not 0 < max_wall_time < math.inf:
+            raise ConfigurationError(f"max_wall_time must be positive and finite (got {max_wall_time!r})")
         trace = trace or constant_trace(5.0, max_wall_time)
         if record is not None:
             if self._custom_fs_device or self._custom_policy:
@@ -281,6 +281,24 @@ class IntermittentMachine:
             record.finish(result.to_dict())
         return result
 
+    def _interval(self, supply: Supply, t: float, v: float, span: float, current: float, v_up=math.inf):
+        """The capacitor ``span`` seconds on from ``(t, v)`` under the load
+        ``current``, as ``(t, v)``: one exact step per stretch of constant
+        power, ending early on ``v_up`` when it rises to it."""
+        left = span
+        while left > 0:
+            p_in, t_change = supply.at(t)
+            to_change = t_change - t
+            step, v, event = advance(
+                v, left if left < to_change else to_change, p_in, current,
+                self.capacitance, supply.v_full, v_up=v_up,
+            )
+            left -= step
+            t = t_change if step == to_change else t + step
+            if event == UP:
+                break
+        return t, v
+
     def _run_traced(
         self,
         trace: IrradianceTrace,
@@ -289,39 +307,31 @@ class IntermittentMachine:
         emit,
     ) -> IntermittentRunResult:
         result = IntermittentRunResult(completed=False)
-        cap = BufferCapacitor(capacitance=self.capacitance, voltage=0.0)
+        supply = Supply(self.panel, trace, BufferCapacitor(capacitance=self.capacitance))
         self.fs_device.power_cycle()
         self.runtime.invalidate()
 
-        t = 0.0
-        charge_dt = 1e-3
+        t = v = 0.0
+        interval = self._interval
         # Instruction quantum between monitor samples.
         quantum = max(1, int(self.clock_hz * self.fs_device.sample_period))
         interpret = self.interpreter.run
 
         while t < max_wall_time and result.instructions < max_instructions:
             # ---- charge until turn-on ---------------------------------
-            while cap.voltage < self.v_on and t < max_wall_time:
-                p_in = self.panel.electrical_power(trace.at(t))
-                cap.apply_power(p_in, self.leakage * cap.voltage, charge_dt)
-                t += charge_dt
-            if t >= max_wall_time:
-                break
+            if v < self.v_on:
+                t, v = interval(supply, t, v, max_wall_time - t, self.leakage, self.v_on)
+                if v < self.v_on or t >= max_wall_time:
+                    break
 
             result.power_cycles += 1
             restored = self._boot()
             if restored:
                 result.restores += 1
             if emit is not None:
-                emit("power_on", t=t, v=cap.voltage, restored=restored)
+                emit("power_on", t=t, v=v, restored=restored)
             # Pay the restore cost in time and charge.
-            restore_time = self.runtime.restore_cycles() / self.clock_hz
-            cap.apply_power(
-                self.panel.electrical_power(trace.at(t)),
-                self.run_current * cap.voltage,
-                restore_time,
-            )
-            t += restore_time
+            t, v = interval(supply, t, v, self.runtime.restore_cycles() / self.clock_hz, self.run_current)
 
             # ---- run until checkpoint, halt, or death -----------------
             boot_time = t
@@ -332,14 +342,12 @@ class IntermittentMachine:
                 interpret(quantum)
                 executed = self.cpu.instructions_retired - before
                 dt = executed / self.clock_hz if executed else self.fs_device.sample_period
-                p_in = self.panel.electrical_power(trace.at(t))
-                cap.apply_power(p_in, self.run_current * cap.voltage, dt)
-                t += dt
+                t, v = interval(supply, t, v, dt, self.run_current)
                 result.active_time += dt
                 result.instructions += executed
                 instructions_since_ckpt += executed
 
-                self.fs_device.set_supply(cap.voltage)
+                self.fs_device.set_supply(v)
                 self.fs_device.sample()
                 view = PolicyView(
                     instructions_since_checkpoint=instructions_since_ckpt,
@@ -349,7 +357,7 @@ class IntermittentMachine:
                     dirty_bytes=self.memory.dirty_bytes(self.volatile_bytes),
                 )
 
-                if cap.voltage < self.v_min:
+                if v < self.v_min:
                     # Died without warning: lost everything since the
                     # last checkpoint.
                     result.power_failures += 1
@@ -358,19 +366,14 @@ class IntermittentMachine:
                         emit(
                             "power_failure",
                             t=t,
-                            v=cap.voltage,
+                            v=v,
                             lost_instructions=instructions_since_ckpt,
                         )
                     break
                 if self.policy.decide(view) is CheckpointDecision.CHECKPOINT:
                     record = self.runtime.checkpoint()
                     ckpt_time = record.duration(self.clock_hz)
-                    cap.apply_power(
-                        self.panel.electrical_power(trace.at(t)),
-                        self.run_current * cap.voltage,
-                        ckpt_time,
-                    )
-                    t += ckpt_time
+                    t, v = interval(supply, t, v, ckpt_time, self.run_current)
                     result.checkpoints += 1
                     result.checkpoint_time += ckpt_time
                     self.policy.on_checkpoint(view)
@@ -378,14 +381,14 @@ class IntermittentMachine:
                         emit(
                             "checkpoint",
                             t=t,
-                            v=cap.voltage,
+                            v=v,
                             instructions=instructions_since_ckpt,
                             bytes=record.bytes_written,
                             cycles=record.cycles,
                         )
                     instructions_since_ckpt = 0
                     time_of_last_ckpt = t
-                    if cap.voltage < self.v_min:
+                    if v < self.v_min:
                         # Checkpoint raced the supply and lost; the
                         # checkpoint itself completed in NVM, so no
                         # work is gone, but the cycle ends here.

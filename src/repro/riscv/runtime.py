@@ -69,10 +69,8 @@ class CheckpointRuntime:
         differential: bool = False,
     ):
         header = 4 * (2 + 31 + len(_SAVED_CSRS) + 1)
-        if volatile_bytes <= 0 or header + volatile_bytes > NVM_SIZE:
-            raise SimulationError(
-                f"volatile footprint {volatile_bytes} B does not fit NVM"
-            )
+        if not isinstance(volatile_bytes, int) or not 0 < volatile_bytes <= NVM_SIZE - header:
+            raise SimulationError(f"volatile footprint {volatile_bytes!r} B does not fit NVM")
         if volatile_bytes > cpu.memory.ram.size:
             raise SimulationError("volatile footprint exceeds RAM size")
         self.cpu = cpu

@@ -28,7 +28,6 @@ the test oracle ``tests/oracles/scheduler.py``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -37,7 +36,7 @@ from repro.harvest.capacitor import BufferCapacitor
 from repro.harvest.loads import SYSTEM_LEAKAGE
 from repro.harvest.monitors import MonitorModel
 from repro.harvest.panel import SolarPanel
-from repro.harvest.segment import DOWN, HELD, advance, load_energy, power_changes
+from repro.harvest.segment import DOWN, HELD, Supply, advance, load_energy
 from repro.harvest.traces import IrradianceTrace
 
 
@@ -225,13 +224,9 @@ def run_schedule(
 
     c = capacitance
     half_c = 0.5 * c
-    # One power value per trace segment and the table of power changes,
-    # read exactly as the harvest engine reads them.
-    power = panel.power_curve(trace.values)
-    last_seg = len(power) - 1
-    changes = power_changes(power).tolist()
-    # The full capacitor's fixed point, as the harvest engine computes it.
-    v_full = math.sqrt(2.0 * (half_c * (cap.v_max * cap.v_max)) / c)
+    # Power, interval ends and v_full exactly as the harvest engine has them.
+    supply = Supply(panel, trace, cap)
+    v_full = supply.v_full
     v_wake = scheduler.wake_voltage(c, v_floor)
 
     t = 0.0
@@ -247,9 +242,7 @@ def run_schedule(
                 task_left = task.duration
                 task_vdt = 0.0
         load = leakage if task is None else task.current + monitor_current + leakage
-        seg = min(math.floor(t / trace.dt + 1e-9), last_seg)
-        p_in = power[seg]
-        seg_end = changes[bisect_right(changes, seg)] * trace.dt
+        p_in, seg_end = supply.at(t)
         span = seg_end - t
         if task is not None and task_left < span:
             span = task_left

@@ -123,10 +123,7 @@ def fleet_spec(request: Dict) -> FleetSpec:
     :class:`ConfigurationError`."""
     if "fleet" not in request:
         raise ConfigurationError('fleet job needs a "fleet" payload')
-    try:
-        return FleetSpec.from_dict(request["fleet"])
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed fleet payload: {exc}") from None
+    return FleetSpec.from_dict(request["fleet"])
 
 
 def handle_fleet(context: JobContext, request: Dict) -> Dict:

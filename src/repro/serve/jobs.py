@@ -139,11 +139,6 @@ class Job:
         with self._lock:
             return list(self._events)
 
-    @property
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subscribers)
-
     # ------------------------------------------------------------------
     @property
     def elapsed(self) -> Optional[float]:

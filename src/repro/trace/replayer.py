@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, payload_errors
 from repro.trace.diff import TraceDiff, diff_recordings
 from repro.trace.format import Recording, payload_digest
 from repro.trace.recorder import CountingRandom, LaneSink, TraceRecorder
@@ -178,27 +178,30 @@ def _replay_riscv(recording: Recording) -> Recording:
 
     check_riscv(recording)
     cfg = recording.header.config
-    machine = IntermittentMachine(
-        program=list(cfg["program"]),
-        panel=SolarPanel(**cfg["panel"]),
-        capacitance=cfg["capacitance"],
-        mcu=MCULoad(**cfg["mcu"]),
-        clock_hz=cfg["clock_hz"],
-        v_on=cfg["v_on"],
-        v_threshold=cfg["v_threshold"],
-        v_min=cfg["v_min"],
-        volatile_bytes=cfg["volatile_bytes"],
-        leakage=cfg["leakage"],
-        differential_checkpoints=cfg["differential_checkpoints"],
-    )
-    trace = IrradianceTrace(
-        dt=cfg["trace"]["dt"], values=list(cfg["trace"]["values"])
-    )
+    with payload_errors("riscv"):
+        machine = IntermittentMachine(
+            program=list(cfg["program"]),
+            panel=SolarPanel(**cfg["panel"]),
+            capacitance=cfg["capacitance"],
+            mcu=MCULoad(**cfg["mcu"]),
+            clock_hz=cfg["clock_hz"],
+            v_on=cfg["v_on"],
+            v_threshold=cfg["v_threshold"],
+            v_min=cfg["v_min"],
+            volatile_bytes=cfg["volatile_bytes"],
+            leakage=cfg["leakage"],
+            differential_checkpoints=cfg["differential_checkpoints"],
+        )
+        trace = IrradianceTrace(
+            dt=cfg["trace"]["dt"], values=list(cfg["trace"]["values"])
+        )
+        max_wall_time = cfg["max_wall_time"]
+        max_instructions = cfg["max_instructions"]
     rec = TraceRecorder()
     machine.run(
         trace,
-        max_wall_time=cfg["max_wall_time"],
-        max_instructions=cfg["max_instructions"],
+        max_wall_time=max_wall_time,
+        max_instructions=max_instructions,
         record=rec,
     )
     return rec.recording

@@ -2,7 +2,7 @@
 
 The oracle for :class:`repro.harvest.fast.FastIntermittentSimulator`:
 it walks the same charge / restore / run / checkpoint state machine one
-``dt`` step at a time, applying :meth:`BufferCapacitor.apply_power` at
+``dt`` step at a time, applying :func:`tests.oracles.riscv.apply_power` at
 every step, where the library engine solves each constant-current
 interval in closed form.  The fast engine must give the same checkpoint
 and power-failure counts and app time within the tolerances
@@ -22,6 +22,7 @@ from repro.errors import SimulationError
 from repro.harvest.capacitor import BufferCapacitor
 from repro.harvest.simulator import IntermittentSimulator, SimulationReport
 from repro.harvest.traces import IrradianceTrace
+from tests.oracles.riscv import apply_power
 
 
 class FixedStepSimulator(IntermittentSimulator):
@@ -58,7 +59,7 @@ class FixedStepSimulator(IntermittentSimulator):
         harvested = 0.0
         steps = int(round(trace.duration / dt))
         # Per-segment input power, shared with the fast and batch engines.
-        power = self.panel.power_curve(trace.values)
+        power = self.panel.power_curve(trace.values).tolist()
         last_seg = len(power) - 1
 
         for step in range(steps):
@@ -100,13 +101,13 @@ class FixedStepSimulator(IntermittentSimulator):
                     sinks[sink] += amps * v * t_active
                 sinks["leakage"] += self.leakage * v * (dt - t_active)
                 consumed = (i_total * t_active + self.leakage * (dt - t_active)) * v
-                cap.apply_power(p_in, consumed / dt, dt)
+                apply_power(cap, p_in, consumed / dt, dt)
             else:
                 i_total = sum(draw.values())
                 for sink, amps in draw.items():
                     sinks[sink] += amps * v * dt
                 consumed = i_total * v * dt
-                cap.apply_power(p_in, i_total * v, dt)
+                apply_power(cap, p_in, i_total * v, dt)
             # Energy the capacitor actually accepted (offered input minus
             # what the full-capacitor clamp rejected).
             harvested += (cap.energy - e_before) + consumed
@@ -144,7 +145,7 @@ class FixedStepSimulator(IntermittentSimulator):
                     i_run = self.system_current
                     t_over = min(dt, overshoot_v * self.capacitance / i_run)
                     refund_joules = (i_run - self.checkpoint_current) * v * t_over
-                    cap.apply_power(refund_joules, 0.0, 1.0)
+                    apply_power(cap, refund_joules, 0.0, 1.0)
                     report.app_time -= t_over
                     report.checkpoint_time += t_over
                     phase_left = self.checkpoint.checkpoint_time - t_over

@@ -2,7 +2,7 @@
 
 The oracle for :func:`repro.runtimes.scheduler.run_schedule`: it walks
 the same charge / pick / run-or-die state machine one ``dt`` step at a
-time, applying :meth:`BufferCapacitor.apply_power` at every step and
+time, applying :func:`tests.oracles.riscv.apply_power` at every step and
 pricing each step's energy at the voltage it started from, where the
 library solves each constant-current interval in closed form and jumps
 between events.  As ``dt`` shrinks its counts and energies converge on
@@ -19,6 +19,7 @@ from repro.harvest.loads import SYSTEM_LEAKAGE
 from repro.harvest.panel import SolarPanel
 from repro.harvest.traces import IrradianceTrace
 from repro.runtimes.scheduler import SchedulerRun, Task, TaskStats
+from tests.oracles.riscv import apply_power
 
 
 def run_schedule_fixed_step(
@@ -57,7 +58,7 @@ def run_schedule_fixed_step(
         v = cap.voltage
 
         if not awake:
-            cap.apply_power(p_in, leakage * v, dt)
+            apply_power(cap, p_in, leakage * v, dt)
             if cap.voltage >= v_on:
                 awake = True
             continue
@@ -66,7 +67,7 @@ def run_schedule_fixed_step(
             task = scheduler.pick(cap, v_floor)
             if task is None:
                 # Nothing fits: sleep one step and let the cap refill.
-                cap.apply_power(p_in, leakage * v, dt)
+                apply_power(cap, p_in, leakage * v, dt)
                 if cap.voltage < v_floor:
                     awake = False
                 continue
@@ -74,7 +75,7 @@ def run_schedule_fixed_step(
             task_spent = 0.0
 
         draw = (task.current + monitor_current + leakage) * v
-        cap.apply_power(p_in, draw, dt)
+        apply_power(cap, p_in, draw, dt)
         task_spent += task.current * v * dt
         monitor_energy += monitor_current * v * dt
         task_left -= dt

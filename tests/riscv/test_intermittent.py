@@ -6,11 +6,19 @@ across arbitrarily many power cycles, with Failure Sentinels providing
 the just-in-time interrupt.
 """
 
+import math
+
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
+from repro.harvest.capacitor import BufferCapacitor
+from repro.harvest.panel import SolarPanel
+from repro.harvest.segment import SPAN, Supply, advance
+from repro.harvest.traces import IrradianceTrace, constant_trace, nyc_pedestrian_night
 from repro.riscv import IntermittentMachine, assemble
-from repro.harvest.traces import constant_trace, nyc_pedestrian_night
+from repro.riscv.workloads import get_workload
+from repro.trace import TraceRecorder
+from tests.oracles.riscv import EulerMachine
 
 CHECKSUM_PROGRAM = """
     li   s0, 0              # outer counter
@@ -102,10 +110,36 @@ class TestConsoleAcrossFailures:
 
 class TestValidation:
     def test_threshold_ordering_enforced(self, program):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError):
             IntermittentMachine(program, v_threshold=1.7)  # below v_min
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError):
             IntermittentMachine(program, v_threshold=3.6)  # above v_on
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"v_on": math.nan},
+            {"v_on": math.inf},
+            {"v_on": 3.7},  # above the capacitor's 3.6 V v_max
+            {"v_threshold": math.nan},
+            {"volatile_bytes": -5},
+            {"volatile_bytes": 0},
+            {"volatile_bytes": 10**9},
+            {"volatile_bytes": 8192.0},
+            {"clock_hz": math.nan},
+        ],
+    )
+    def test_bad_configuration_refused(self, program, kwargs):
+        with pytest.raises(ConfigurationError):
+            IntermittentMachine(program, **kwargs)
+
+    def test_turn_on_at_v_max_accepted(self, program):
+        IntermittentMachine(program, v_on=BufferCapacitor.v_max)
+
+    @pytest.mark.parametrize("max_wall_time", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_max_wall_time_refused(self, program, max_wall_time):
+        with pytest.raises(ConfigurationError, match="max_wall_time"):
+            IntermittentMachine(program).run(constant_trace(1.0, 10.0), max_wall_time=max_wall_time)
 
     def test_summary_format(self, program):
         machine = IntermittentMachine(program)
@@ -160,3 +194,65 @@ class TestDifferentialMachine:
             assert result.completed and result.checkpoints > 0
             totals[differential] = result.checkpoint_time / result.checkpoints
         assert totals[True] < totals[False]
+
+
+class TestExactIntervals:
+    """Every capacitor interval is one exact step per constant-power stretch."""
+
+    def test_power_on_lands_on_v_on(self, program):
+        machine = IntermittentMachine(program, capacitance=10e-6)
+        recorder = TraceRecorder()
+        result = machine.run(constant_trace(1.0, 600.0), max_wall_time=600.0, record=recorder)
+        power_ons = [e for e in recorder.recording.events if e.kind == "power_on"]
+        assert len(power_ons) == result.power_cycles > 1
+        assert all(e.payload["v"] == machine.v_on for e in power_ons)
+
+    def test_quantum_straddling_a_power_change_is_split_by_hand(self, program):
+        machine = IntermittentMachine(program, capacitance=10e-6)
+        panel = SolarPanel()
+        trace = IrradianceTrace(dt=1.0, values=[2.0, 0.5, 4.0])
+        supply = Supply(panel, trace, BufferCapacitor(capacitance=10e-6))
+        t0, v0, span, i = 0.99985, 2.9, 3e-4, machine.run_current
+        t, v = machine._interval(supply, t0, v0, span, i)
+
+        c, v_full = 10e-6, supply.v_full
+        p0, p1 = panel.power_curve(trace.values)[:2].tolist()
+        first, v_mid, event = advance(v0, 1.0 - t0, p0, i, c, v_full)
+        assert event == SPAN
+        second, v_end, event = advance(v_mid, span - first, p1, i, c, v_full)
+        assert event == SPAN
+        assert (t, v) == (1.0 + second, v_end)
+        assert v != advance(v0, span, p0, i, c, v_full)[1]
+
+    def test_trace_shorter_than_max_wall_time_holds_its_last_power(self, program, reference):
+        """Past the trace's end the last power holds: a 1 s trace still
+        charges and runs the machine to completion, as the same light
+        held for the whole run does."""
+        short = IntermittentMachine(program, capacitance=10e-6)
+        result = short.run(constant_trace(1.0, 1.0), max_wall_time=7200.0)
+        held = IntermittentMachine(program, capacitance=10e-6)
+        expected = held.run(constant_trace(1.0, 7200.0), max_wall_time=7200.0)
+        assert result.completed and result.exit_code == reference.exit_code
+        assert result.wall_time > 1.0
+        assert (result.power_cycles, result.checkpoints) == (expected.power_cycles, expected.checkpoints)
+        assert result.wall_time == pytest.approx(expected.wall_time, rel=1e-9)
+
+    def test_euler_oracle_converges_on_the_exact_machine(self):
+        """The fixed-step oracle's wall time approaches the exact
+        machine's about linearly in its step, with the same counts."""
+        program = get_workload("fletcher").assemble()
+        trace = constant_trace(1.0, 7200.0)
+
+        def run(machine):
+            return machine.run(trace, max_wall_time=trace.duration)
+
+        exact = run(IntermittentMachine(program, capacitance=10e-6))
+        errors = []
+        for dt in (1e-3, 1e-4, 1e-5):
+            euler = run(EulerMachine(program, capacitance=10e-6, dt=dt))
+            assert (euler.checkpoints, euler.power_failures, euler.instructions) == (
+                exact.checkpoints, exact.power_failures, exact.instructions
+            )
+            errors.append(abs(euler.wall_time - exact.wall_time))
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] < 1e-4

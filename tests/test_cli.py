@@ -248,6 +248,65 @@ class TestReplayCLI:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'legacy'" in err
 
+    @pytest.mark.parametrize("payload", ["scenario", "device", "riscv"])
+    def test_tampered_payload_exits_cleanly(self, tmp_path, capsys, payload):
+        """A recording whose scenario, device or riscv payload carries an
+        unknown key is refused in one line, exit 2 (not a TypeError)."""
+        from repro.batch import Scenario
+        from repro.fleet import DeviceSpec
+        from repro.harvest import IdealMonitor, constant_trace
+        from repro.riscv import IntermittentMachine, assemble
+        from repro.trace import TraceRecorder
+
+        scenario = Scenario(monitor=IdealMonitor(), trace=constant_trace(2.0, 1.0)).to_dict()
+        device = DeviceSpec(device_id=0, trace_duration=5.0).to_dict()
+        tampered = dict(scenario, monitor=dict(scenario["monitor"], bogus=1))
+        harvest = {"kind": "harvest", "engine": "fast"}
+        if payload == "riscv":
+            path = tmp_path / "riscv.jsonl"
+            machine = IntermittentMachine(assemble("li a0, 0\necall"))
+            machine.run(constant_trace(5.0, 1.0), max_wall_time=1.0,
+                        record=TraceRecorder(path=str(path)))
+            row = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+            config = row["header"]["config"]
+            config["mcu"] = dict(config["mcu"], bogus=1)
+            header = row["header"]
+        else:
+            header = {
+                "scenario": dict(harvest, config={"scenario": tampered, "v_ckpt": 2.0}),
+                "device": dict(
+                    harvest,
+                    config={"device": dict(device, bogus=1), "scenario": scenario, "v_ckpt": 2.0},
+                ),
+            }[payload]
+        path = tmp_path / "tampered.jsonl"
+        path.write_text(json.dumps({"header": header}) + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed ") and err.count("\n") == 1
+        assert "'bogus'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--duration", "nan"],
+            ["--duration", "inf"],
+            ["--duration", "0"],
+            ["--duration", "-1"],
+            ["--volatile-bytes", "-5"],
+            ["--clock", "nan"],
+        ],
+    )
+    def test_riscv_hostile_input_exits_cleanly(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["riscv", *argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "MISMATCH" not in captured.out
+
     def test_riscv_engine_flag_retired(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["riscv", "--engine", "fast"])
