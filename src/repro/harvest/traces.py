@@ -32,10 +32,17 @@ class IrradianceTrace:
     values: List[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ConfigurationError("trace dt must be positive")
-        if any(v < 0 for v in self.values):
-            raise ConfigurationError("irradiance cannot be negative")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"trace dt must be positive and finite (got {self.dt!r})")
+        values = self.values
+        # A finite sum rules out NaN and inf, and then min() is exact;
+        # only a trace failing that is searched value by value.
+        if len(values) and not (math.isfinite(sum(values)) and min(values) >= 0):
+            bad = next((v for v in values if not 0.0 <= v < math.inf), None)
+            if bad is not None and bad < 0:
+                raise ConfigurationError("irradiance cannot be negative")
+            if bad is not None:
+                raise ConfigurationError(f"irradiance must be finite (got {bad!r})")
 
     @property
     def duration(self) -> float:
@@ -59,8 +66,8 @@ class IrradianceTrace:
         return max(self.values) if self.values else 0.0
 
     def scaled(self, factor: float) -> "IrradianceTrace":
-        if factor < 0:
-            raise ConfigurationError("scale factor must be non-negative")
+        if not 0 <= factor < math.inf:
+            raise ConfigurationError(f"scale factor must be non-negative and finite (got {factor!r})")
         return IrradianceTrace(self.dt, [v * factor for v in self.values])
 
 

@@ -65,7 +65,7 @@ class CPU:
 
     def restore_state(self, state: CPUState) -> None:
         self.pc = state.pc
-        # In-place so the fast engine's compiled closures (which bind
+        # In-place so the fast engine's compiled blocks (which bind
         # the register list object) stay valid across restores.
         self.registers[:] = state.registers
         self.csr.restore(state.csrs)

@@ -1,47 +1,72 @@
-"""The fast RV32IM interpreter engine: predecode + basic-block cache.
+"""The fast RV32IM interpreter engine: one generated function per block.
 
-The step interpreter (:meth:`repro.riscv.cpu.CPU.step`) fetches, decodes, and
-dispatches every instruction on every step — correct, readable, and the
-reference the fast engine is cross-checked against.  This module removes
-the per-step costs without changing a single architectural outcome:
+The step interpreter (:meth:`repro.riscv.cpu.CPU.step`) fetches, decodes,
+and dispatches every instruction on every step — correct, readable, and
+the reference the fast engine is cross-checked against.  This module
+removes the per-step costs without changing a single architectural
+outcome:
 
-* **Predecoded basic blocks.**  On first execution of a pc the engine
-  decodes forward until a control-transfer (or CSR/system/custom)
-  instruction and compiles each instruction into a bound closure — no
-  per-step :func:`~repro.riscv.encoding.decode`, no ``Decoded``
-  allocation, no dict literals on the branch path.  Blocks are cached by
-  start pc and re-dispatched with a dict lookup.
-* **RAM fast path.**  Loads and stores compile against the RAM region's
-  precomputed bounds and hit the backing ``bytearray`` directly with
-  little-endian slicing; MMIO and NVM accesses fall back to the routed
-  :meth:`~repro.riscv.memory.MemoryMap.read`/``write`` slow path and end
+* **Generated blocks.**  On first execution of a pc the engine decodes
+  forward until a control transfer (or CSR/system/custom) instruction
+  and emits the Python source of one function for the whole block,
+  compiled once with :func:`compile`/:func:`exec`.  Straight-line
+  instructions, branches, ``jal`` and ``jalr`` are inlined; the function
+  sets ``cpu.pc`` and returns the step slots it consumed.  The source is
+  built only from decoded integer fields (register numbers, immediates,
+  addresses) spliced into fixed per-mnemonic templates — never from
+  program text or any other string — so no program can inject code.
+  CSR, system and Failure Sentinels terminators stay ordinary closures
+  the engine calls after the block.
+* **RAM fast path.**  Loads and stores are inlined against the RAM
+  region's bounds and hit the backing ``bytearray`` directly.  MMIO, NVM
+  and faulting accesses go through :func:`_load`/:func:`_store`, which
+  take the routed :class:`~repro.riscv.memory.MemoryMap` path and end
   the block (so device side effects — e.g. an FS sample raising the
-  interrupt line — are observed at exactly the legacy step boundary).
-* **Batched bookkeeping.**  ``csr.tick()`` and the interrupt check run
-  once per block (with the pending tick count flushed *before* any
-  instruction that can read or write CSRs), preserving MCYCLE and trap
-  semantics bit-exactly.  Blocks never run past the caller's step
-  budget, so the intermittent machine's sample-quantum granularity is
-  unchanged.
+  interrupt line — are observed at exactly the step interpreter's
+  boundary).  On a fault they first commit the instructions that
+  completed (pc, retired count, MCYCLE) and re-raise.
+* **Deferred bookkeeping.**  ``run()`` keeps the retired count in a
+  local and writes it (with the matching MCYCLE ticks) once on exit,
+  and before anything that can observe it: a CSR/system/FS terminator
+  and the :meth:`CPU.step` fallback.  MCYCLE is therefore exact
+  wherever software or a checkpoint can read it.
+* **Interrupt checks only where interrupt state can change.**  The
+  pending-interrupt check runs at ``run()`` entry (the machine samples
+  the monitor between calls), after a trap dispatch, after a block that
+  ended early on the slow path, after a CSR/system/FS terminator, and
+  after the step fallback.  Nothing else can change ``irq_pending``,
+  MIP, MIE or MSTATUS, so every other block boundary would find the
+  same answer as the last check.  Blocks never run past the caller's
+  step budget: a block the budget splits runs a prefix block compiled
+  for ``(pc, remaining)``.
+* **A shared code cache.**  A block's compiled factory depends only on
+  its pc, its instruction words and the RAM bounds, so factories are
+  cached process-wide on that key (bounded by :data:`CODE_CACHE_BLOCKS`,
+  oldest evicted first) and each engine binds its own registers, RAM
+  and CPU into them.  Neither the factories nor the slow-path helpers
+  refer back to an engine, so a dropped machine is freed by reference
+  counting alone.
 * **Write invalidation.**  Compiling a block marks its code pages in
   :attr:`MemoryMap.code_pages`; a store that lands on a marked page
   bumps ``MemoryMap.ram_image_version`` and ends the block, and the
-  engine drops its cache before the next dispatch — self-modifying code
-  executes exactly as it does under the legacy fetch-decode loop.
+  engine drops its bound blocks before the next dispatch —
+  self-modifying code executes exactly as it does under the step loop.
 
 It is the only engine :class:`~repro.riscv.intermittent.IntermittentMachine`
-drives; the step interpreter survives as its fallback for non-RAM code
-and as the test oracle it is cross-checked against.
+drives; :meth:`CPU.step` survives as its fallback for non-RAM, misaligned
+or illegal code and as the test oracle it is cross-checked against.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, CPUError, IllegalInstructionError
+from repro.errors import CPUError, IllegalInstructionError
 from repro.riscv import csr as csrdef
 from repro.riscv.encoding import Decoded, decode, to_s32, to_u32
+from repro.riscv.memory import PAGE_SHIFT
 
 #: Engine id riscv recordings carry in their header and config.
 ENGINE_ID = "fast"
@@ -49,11 +74,11 @@ ENGINE_ID = "fast"
 #: Straight-line run length cap per compiled block.
 MAX_BLOCK_OPS = 64
 
+#: Bound on the process-wide cache of compiled block factories.
+CODE_CACHE_BLOCKS = 512
+
 _M32 = 0xFFFFFFFF
 _SIGN32 = 0x80000000
-
-_pack32 = struct.Struct("<I").pack_into
-_pack16 = struct.Struct("<H").pack_into
 
 
 def decode_for_step(word: int, pc: int) -> Decoded:
@@ -67,7 +92,7 @@ def decode_for_step(word: int, pc: int) -> Decoded:
 
 
 # ----------------------------------------------------------------------
-# M-extension helpers (bit-exact copies of the legacy CPU semantics)
+# M-extension helpers (bit-exact copies of the step interpreter's)
 # ----------------------------------------------------------------------
 def _muldiv(op: str, a: int, b: int) -> int:
     sa, sb = to_s32(a), to_s32(b)
@@ -99,43 +124,249 @@ def _muldiv(op: str, a: int, b: int) -> int:
     raise CPUError(f"unknown mul/div op {op}")  # pragma: no cover
 
 
-#: Mnemonics that end a basic block (control transfer, or anything that
-#: can read/write CSRs or change interrupt state — executed with the
-#: pending tick count flushed, so CSR views stay bit-exact).
-_TERMINATORS = frozenset(
+# ----------------------------------------------------------------------
+# Slow-path memory helpers (called from generated blocks)
+# ----------------------------------------------------------------------
+def _commit(cpu, pc: int, done: int) -> None:
+    """Commit the ``done`` instructions a block completed before the
+    faulting one at ``pc``, exactly as the step interpreter leaves them."""
+    cpu.pc = pc
+    if done:
+        cpu.instructions_retired += done
+        cpu.csr.tick(done)
+
+
+def _load(cpu, address: int, width: int, rd: int, sign: int, pc: int, done: int) -> int:
+    """A load off the RAM fast path (MMIO, NVM or a fault) at ``pc``,
+    after ``done`` completed instructions; ends the block and returns
+    ``-(done + 1)``."""
+    try:
+        value = cpu.memory.read(address, width)
+    except BaseException:
+        _commit(cpu, pc, done)
+        raise
+    if value & sign:
+        value = (value - (sign << 1)) & _M32
+    if rd:
+        cpu.registers[rd] = value
+    cpu.pc = (pc + 4) & _M32
+    return -(done + 1)
+
+
+def _store(cpu, address: int, value: int, width: int, pc: int, done: int) -> int:
+    """The store twin of :func:`_load`."""
+    try:
+        cpu.memory.write(address, value, width)
+    except BaseException:
+        _commit(cpu, pc, done)
+        raise
+    cpu.pc = (pc + 4) & _M32
+    return -(done + 1)
+
+
+#: Everything generated source can name besides its bound arguments.
+_GEN_GLOBALS = {
+    "__builtins__": {},
+    "_load": _load,
+    "_store": _store,
+    "_u32": struct.Struct("<I").unpack_from,
+    "_u16": struct.Struct("<H").unpack_from,
+    "_p32": struct.Struct("<I").pack_into,
+    "_p16": struct.Struct("<H").pack_into,
+    **{f"_{op}": partial(_muldiv, op)
+       for op in ("mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu")},
+}
+
+
+# ----------------------------------------------------------------------
+# Source templates.  Fields are ints: ``a``/``b`` are source-register
+# reads (``r[i]``, or ``0`` for x0), everything else a decoded number.
+# ----------------------------------------------------------------------
+_SIGNED = "(({} ^ 0x80000000) - 0x80000000)"
+
+_ALU = {
+    "lui": "r[{rd}] = {uimm}",
+    "auipc": "r[{rd}] = {rel}",
+    "addi": "r[{rd}] = ({a} + {imm}) & 0xFFFFFFFF",
+    "slti": "r[{rd}] = 1 if " + _SIGNED.format("{a}") + " < {imm} else 0",
+    "sltiu": "r[{rd}] = 1 if {a} < {uimm} else 0",
+    "xori": "r[{rd}] = {a} ^ {uimm}",
+    "ori": "r[{rd}] = {a} | {uimm}",
+    "andi": "r[{rd}] = {a} & {uimm}",
+    "slli": "r[{rd}] = ({a} << {sh}) & 0xFFFFFFFF",
+    "srli": "r[{rd}] = {a} >> {sh}",
+    "srai": "r[{rd}] = (" + _SIGNED.format("{a}") + " >> {sh}) & 0xFFFFFFFF",
+    "add": "r[{rd}] = ({a} + {b}) & 0xFFFFFFFF",
+    "sub": "r[{rd}] = ({a} - {b}) & 0xFFFFFFFF",
+    "sll": "r[{rd}] = ({a} << ({b} & 31)) & 0xFFFFFFFF",
+    "srl": "r[{rd}] = {a} >> ({b} & 31)",
+    "sra": "r[{rd}] = (" + _SIGNED.format("{a}") + " >> ({b} & 31)) & 0xFFFFFFFF",
+    "slt": "r[{rd}] = 1 if ({a} ^ 0x80000000) < ({b} ^ 0x80000000) else 0",
+    "sltu": "r[{rd}] = 1 if {a} < {b} else 0",
+    "xor": "r[{rd}] = {a} ^ {b}",
+    "or": "r[{rd}] = {a} | {b}",
+    "and": "r[{rd}] = {a} & {b}",
+    "mul": "r[{rd}] = ({a} * {b}) & 0xFFFFFFFF",
+    **{op: "r[{rd}] = _%s({a}, {b})" % op
+       for op in ("mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu")},
+}
+
+#: Load mnemonic -> (width, alignment test, fast-path value, sign bit).
+_LOADS = {
+    "lw": (4, " and not a & 3", "_u32(ram, o)[0]", 0),
+    "lh": (2, " and not a & 1", "((_u16(ram, o)[0] ^ 0x8000) - 0x8000) & 0xFFFFFFFF", 0x8000),
+    "lhu": (2, " and not a & 1", "_u16(ram, o)[0]", 0),
+    "lb": (1, "", "((ram[o] ^ 0x80) - 0x80) & 0xFFFFFFFF", 0x80),
+    "lbu": (1, "", "ram[o]", 0),
+}
+
+#: Store mnemonic -> (width, alignment test, fast-path write).
+_STORES = {
+    "sw": (4, " and not a & 3", "_p32(ram, o, {b})"),
+    "sh": (2, " and not a & 1", "_p16(ram, o, {b} & 0xFFFF)"),
+    "sb": (1, "", "ram[o] = {b} & 0xFF"),
+}
+
+_BRANCHES = {
+    "beq": "{a} == {b}",
+    "bne": "{a} != {b}",
+    "blt": "({a} ^ 0x80000000) < ({b} ^ 0x80000000)",
+    "bge": "({a} ^ 0x80000000) >= ({b} ^ 0x80000000)",
+    "bltu": "{a} < {b}",
+    "bgeu": "{a} >= {b}",
+}
+
+#: Terminators that stay closures: they can read or write CSRs, the FS
+#: device or the halt/wait flags, so the engine flushes its counters
+#: before them and re-checks interrupts after.
+_CLOSURE_TERMS = frozenset(
     {
-        "jal", "jalr", "beq", "bne", "blt", "bge", "bltu", "bgeu",
         "ecall", "ebreak", "mret", "wfi",
         "csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci",
         "fsread", "fsen",
     }
 )
 
-#: Block tuple layout: (straight-line ops, terminator-or-None,
-#: terminator retires?, total step slots).
-Block = Tuple[List[Callable[[], Optional[bool]]], Optional[Callable[[], None]], bool, int]
+#: Mnemonics that end a basic block.
+_TERMINATORS = _CLOSURE_TERMS | {"jal", "jalr"} | set(_BRANCHES)
+
+
+def _reg(index: int) -> str:
+    return f"r[{index}]" if index else "0"
+
+
+def _block_source(pc: int, insns: List[Decoded], base: int, size: int) -> str:
+    """The source of ``make(r, ram, cpu, mem, dirty, code)``, which
+    returns the block function for ``insns`` decoded from ``pc``."""
+    body: List[str] = []
+    emit = body.append
+    for done, d in enumerate(insns):
+        at = pc + 4 * done
+        name = d.mnemonic
+        rd, imm = d.rd, d.imm
+        a, b = _reg(d.rs1), _reg(d.rs2)
+        nxt = (at + 4) & _M32
+        if name in _ALU:
+            if rd:
+                emit(_ALU[name].format(
+                    rd=rd, a=a, b=b, imm=imm, uimm=imm & _M32, sh=imm & 31,
+                    rel=(at + imm) & _M32,
+                ))
+        elif name in _LOADS:
+            width, aligned, value, sign = _LOADS[name]
+            emit(f"a = ({a} + {imm}) & 0xFFFFFFFF")
+            emit(f"o = a - {base}")
+            emit(f"if 0 <= o <= {size - width}{aligned}:")
+            emit(f"    r[{rd}] = {value}" if rd else "    pass")
+            emit("else:")
+            emit(f"    return _load(cpu, a, {width}, {rd}, {sign}, {at}, {done})")
+        elif name in _STORES:
+            width, aligned, write = _STORES[name]
+            emit(f"a = ({a} + {imm}) & 0xFFFFFFFF")
+            emit(f"o = a - {base}")
+            emit(f"if 0 <= o <= {size - width}{aligned}:")
+            emit("    " + write.format(b=b))
+            emit(f"    p = o >> {PAGE_SHIFT}")
+            emit("    dirty[p] = 1")
+            emit("    if code[p]:")
+            emit("        mem.ram_image_version += 1")
+            emit(f"        cpu.pc = {nxt}")
+            emit(f"        return {-(done + 1)}")
+            emit("else:")
+            emit(f"    return _store(cpu, a, {b}, {width}, {at}, {done})")
+        elif name in _BRANCHES:
+            taken = _BRANCHES[name].format(a=a, b=b)
+            emit(f"cpu.pc = {(at + imm) & _M32} if {taken} else {nxt}")
+            emit(f"return {done + 1}")
+        elif name == "jal":
+            if rd:
+                emit(f"r[{rd}] = {nxt}")
+            emit(f"cpu.pc = {(at + imm) & _M32}")
+            emit(f"return {done + 1}")
+        elif name == "jalr":
+            emit(f"t = ({a} + {imm}) & 0xFFFFFFFE")
+            if rd:
+                emit(f"r[{rd}] = {nxt}")
+            emit("cpu.pc = t")
+            emit(f"return {done + 1}")
+        elif name in _CLOSURE_TERMS:
+            emit(f"cpu.pc = {at}")
+            emit(f"return {done}")
+        elif name != "fence":
+            raise CPUError(f"unhandled instruction {name}")  # pragma: no cover
+    if insns[-1].mnemonic not in _TERMINATORS:
+        emit(f"cpu.pc = {(pc + 4 * len(insns)) & _M32}")
+        emit(f"return {len(insns)}")
+    lines = ["def make(r, ram, cpu, mem, dirty, code):", "    def block():"]
+    lines += ["        " + line for line in body]
+    lines.append("    return block")
+    return "\n".join(lines) + "\n"
+
+
+#: (pc, instruction words, RAM base, RAM size) -> compiled ``make``.
+_FACTORIES: Dict[Tuple[int, Tuple[int, ...], int, int], Callable] = {}
+
+
+def _factory(pc: int, words: Tuple[int, ...], insns: List[Decoded], base: int, size: int):
+    key = (pc, words, base, size)
+    make = _FACTORIES.get(key)
+    if make is None:
+        namespace: dict = {}
+        code = compile(_block_source(pc, insns, base, size), f"<riscv block 0x{pc:08x}>", "exec")
+        exec(code, _GEN_GLOBALS, namespace)
+        make = namespace["make"]
+        if len(_FACTORIES) >= CODE_CACHE_BLOCKS:
+            del _FACTORIES[next(iter(_FACTORIES))]
+        _FACTORIES[key] = make
+    return make
+
+
+#: A bound block: (function, closure terminator or None, step slots).
+_Bound = Tuple[Callable[[], int], Optional[Callable[[], None]], int]
 
 
 class FastEngine:
     """Basic-block interpreter bound to one :class:`~repro.riscv.cpu.CPU`.
 
     ``run(budget)`` executes up to ``budget`` step-slots — where a slot
-    is exactly one legacy ``cpu.step()`` call: a retired instruction, an
+    is exactly one ``cpu.step()`` call: a retired instruction, an
     interrupt dispatch, or one cycle of WFI idling — and returns the
     number consumed.  All architectural state (registers, memory, CSRs
     including MCYCLE, retired-instruction counts, halt/wait flags) is
-    bit-identical to stepping the legacy interpreter the same number of
-    times.
+    bit-identical to stepping the interpreter the same number of times.
     """
 
     def __init__(self, cpu):
         self.cpu = cpu
         self.memory = cpu.memory
-        self._blocks: Dict[int, Block] = {}
+        self._blocks: Dict[int, _Bound] = {}
+        self._prefixes: Dict[Tuple[int, int], Callable[[], int]] = {}
         self._seen_version = -1
         ram = cpu.memory.ram
         self._ram_lo = ram.base
         self._ram_hi = ram.base + ram.size - 4
+        mem = self.memory
+        self._bind = (cpu.registers, ram.data, cpu, mem, mem.dirty_pages, mem.code_pages)
         # Cumulative counters (surfaced as riscv.blocks_compiled /
         # riscv.decode_cache_hits obs metrics by the machine).
         self.blocks_compiled = 0
@@ -143,8 +374,9 @@ class FastEngine:
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Drop every compiled block (after code-region writes)."""
+        """Drop every bound block (after code-region writes)."""
         self._blocks.clear()
+        self._prefixes.clear()
         code = self.memory.code_pages
         code[:] = bytes(len(code))
 
@@ -155,381 +387,142 @@ class FastEngine:
         if budget <= 0 or cpu.halted:
             return 0
         mem = self.memory
-        if mem.ram_image_version != self._seen_version:
-            self.flush()
-            self._seen_version = mem.ram_image_version
         csr = cpu.csr
         fs = cpu.fs_device
         blocks = self._blocks
         ram_lo = self._ram_lo
         ram_hi = self._ram_hi
         steps = 0
-        while steps < budget:
-            # ---- block boundary: one legacy interrupt check ----------
-            if fs is not None and fs.irq_pending:
-                csr.raise_external_interrupt()
-            if csr.interrupts_enabled() and csr.external_interrupt_pending():
-                cpu.pc = csr.enter_trap(cpu.pc, csrdef.CAUSE_MACHINE_EXTERNAL)
-                cpu.waiting_for_interrupt = False
-                steps += 1  # the dispatch step: no retire, no tick
-                continue
-            if cpu.waiting_for_interrupt:
-                # Nothing can wake the core inside this budget (samples
-                # happen between run() calls): burn the remaining slots
-                # in one batched tick, exactly one cycle per slot.
-                csr.tick(budget - steps)
-                return budget
-            pc = cpu.pc
-            if pc & 3 or pc < ram_lo or pc > ram_hi:
-                # Misaligned or non-RAM pc (NVM/MMIO-resident or
-                # unmapped code): the legacy step covers every case,
-                # including raising the exact fetch errors.
-                cpu.step()
-                steps += 1
-                if cpu.halted:
-                    return steps
-                continue
-            block = blocks.get(pc)
-            if block is None:
-                block = self._compile(pc)
-                blocks[pc] = block
-                self.blocks_compiled += 1
-            else:
-                self.block_hits += 1
-            ops, term, term_retires, slots = block
-            remaining = budget - steps
-            if slots > remaining:
-                # The sample quantum splits this block: run the prefix
-                # only (the terminator never runs partially).
-                n, _broke = self._exec_ops(ops[:remaining], pc, cpu, csr)
-                steps += n
-                if mem.ram_image_version != self._seen_version:
-                    self.flush()
-                    self._seen_version = mem.ram_image_version
-                continue
-            n, broke = self._exec_ops(ops, pc, cpu, csr)
-            steps += n
-            if broke or term is None:
-                # A slow-path access ended the block early (MMIO/NVM
-                # side effects, or a store into compiled code), or the
-                # block was cut by the compile cap — re-check interrupts
-                # and cache validity before continuing.
-                if mem.ram_image_version != self._seen_version:
-                    self.flush()
-                    self._seen_version = mem.ram_image_version
-                continue
-            term()
-            steps += 1
-            if term_retires:
-                cpu.instructions_retired += 1
-                csr.tick()
-            if cpu.halted:
-                return steps
-        return steps
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _exec_ops(ops, start_pc: int, cpu, csr) -> Tuple[int, bool]:
-        """Run straight-line ops; commit pc/retire/ticks; report breaks.
-
-        On an exception (memory fault mid-block) the instructions that
-        completed are committed first, leaving the architectural state
-        exactly where the legacy interpreter leaves it.
-        """
-        n = 0
-        broke = False
+        retired = 0  # retired but not yet added to the CPU and MCYCLE
+        hits = 0
+        check = True
         try:
-            for op in ops:
-                n += 1
-                if op():
-                    broke = True
-                    break
-        except BaseException:
-            n -= 1
-            cpu.pc = (start_pc + 4 * n) & _M32
-            cpu.instructions_retired += n
-            if n:
-                csr.tick(n)
-            raise
-        cpu.pc = (start_pc + 4 * n) & _M32
-        cpu.instructions_retired += n
-        if n:
-            csr.tick(n)
-        return n, broke
+            while steps < budget:
+                if check:
+                    check = False
+                    if mem.ram_image_version != self._seen_version:
+                        self.flush()
+                        self._seen_version = mem.ram_image_version
+                    if fs is not None and fs.irq_pending:
+                        csr.raise_external_interrupt()
+                    if csr.interrupts_enabled() and csr.external_interrupt_pending():
+                        cpu.pc = csr.enter_trap(cpu.pc, csrdef.CAUSE_MACHINE_EXTERNAL)
+                        cpu.waiting_for_interrupt = False
+                        steps += 1  # the dispatch step: no retire, no tick
+                        check = True
+                        continue
+                    if cpu.waiting_for_interrupt:
+                        # Nothing can wake the core inside this budget
+                        # (samples happen between run() calls): idle the
+                        # remaining slots, one cycle each.
+                        csr.tick(budget - steps)
+                        return budget
+                pc = cpu.pc
+                entry = blocks.get(pc)
+                if entry is None:
+                    if not (pc & 3 or pc < ram_lo or pc > ram_hi):
+                        entry = self._compile(pc, MAX_BLOCK_OPS)
+                    if entry is None:
+                        # Non-RAM, misaligned or illegal code: the step
+                        # interpreter covers every case, including the
+                        # exact fetch errors and traps.
+                        if retired:
+                            cpu.instructions_retired += retired
+                            csr.tick(retired)
+                            retired = 0
+                        cpu.step()
+                        steps += 1
+                        if cpu.halted:
+                            return steps
+                        check = True
+                        continue
+                    blocks[pc] = entry
+                else:
+                    hits += 1
+                fn, term, slots = entry
+                if slots > budget - steps:
+                    # The budget splits this block: run its prefix only
+                    # (the terminator never runs partially).
+                    key = (pc, budget - steps)
+                    fn = self._prefixes.get(key)
+                    if fn is None:
+                        fn = self._prefixes[key] = self._compile(*key)[0]
+                    term = None
+                n = fn()
+                if n < 0:
+                    # A slow-path access (MMIO/NVM side effects, or a
+                    # store into compiled code) ended the block early.
+                    steps -= n
+                    retired -= n
+                    check = True
+                    continue
+                steps += n
+                retired += n
+                if term is not None:
+                    if retired:
+                        cpu.instructions_retired += retired
+                        csr.tick(retired)
+                        retired = 0
+                    term()
+                    steps += 1
+                    retired = 1
+                    if cpu.halted:
+                        return steps
+                    check = True
+            return steps
+        finally:
+            if retired:
+                cpu.instructions_retired += retired
+                csr.tick(retired)
+            self.block_hits += hits
 
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def _compile(self, pc: int) -> Block:
+    def _compile(self, pc: int, limit: int) -> Optional[_Bound]:
+        """Bind the block of at most ``limit`` slots at ``pc``; ``None``
+        when its first word is illegal (the step fallback traps)."""
         mem = self.memory
         ram = mem.ram.data
         base = self._ram_lo
         size = mem.ram.size
-        ops: List[Callable[[], Optional[bool]]] = []
-        term: Optional[Callable[[], None]] = None
-        term_retires = True
+        words: List[int] = []
+        insns: List[Decoded] = []
         addr = pc
-        while True:
+        while len(insns) < limit and addr - base + 4 <= size:
             off = addr - base
-            if off + 4 > size:
-                if not ops:
-                    # Nothing fetchable at all: raise the legacy fetch
-                    # error (read past end of region) at runtime.
-                    def term(mem=mem, addr=addr):  # noqa: F811
-                        mem.read(addr, 4)
-                    term_retires = False
-                break
             word = int.from_bytes(ram[off : off + 4], "little")
             try:
                 d = decode(word, addr)
             except IllegalInstructionError:
-                if not ops:
-                    term = self._make_illegal(word)
-                    term_retires = False
                 break
-            if d.mnemonic in _TERMINATORS:
-                term = self._make_term(d, addr)
-                break
-            ops.append(self._make_op(d, addr))
+            words.append(word)
+            insns.append(d)
             addr += 4
-            if len(ops) >= MAX_BLOCK_OPS:
+            if d.mnemonic in _TERMINATORS:
                 break
-        span = 4 * (len(ops) + (1 if term is not None else 0))
-        if span:
-            code = mem.code_pages
-            first = (pc - base) >> 8
-            last = (pc - base + span - 1) >> 8
-            for page in range(first, last + 1):
-                code[page] = 1
-        slots = len(ops) + (1 if term is not None else 0)
-        return (ops, term, term_retires, slots)
-
-    # ------------------------------------------------------------------
-    def _make_illegal(self, word: int):
-        cpu = self.cpu
-
-        def term(cpu=cpu, word=word):
-            cpu._trap(csrdef.CAUSE_ILLEGAL_INSTRUCTION, word)
-
-        return term
-
-    # ------------------------------------------------------------------
-    def _make_op(self, d: Decoded, pc: int):
-        """Compile one straight-line instruction into a closure.
-
-        Closures return ``None`` on the fast path and ``True`` when a
-        memory access left the RAM fast path (the executor then ends the
-        block so device side effects hit at a legacy step boundary).
-        """
-        cpu = self.cpu
-        regs = cpu.registers
-        mem = self.memory
-        ram = mem.ram.data
-        base = self._ram_lo
-        name = d.mnemonic
-        rd, rs1, rs2, imm = d.rd, d.rs1, d.rs2, d.imm
-
-        if name == "lui":
-            value = to_u32(imm)
-            if not rd:
-                return _nop
-            def op(regs=regs, rd=rd, value=value):
-                regs[rd] = value
-            return op
-        if name == "auipc":
-            value = to_u32(pc + imm)
-            if not rd:
-                return _nop
-            def op(regs=regs, rd=rd, value=value):
-                regs[rd] = value
-            return op
-        if name == "fence":
-            return _nop
-        if name in _ALU_IMM_FACTORIES:
-            if not rd:
-                return _nop
-            return _ALU_IMM_FACTORIES[name](regs, rd, rs1, imm)
-        if name in _ALU_REG_FACTORIES:
-            if not rd:
-                return _nop
-            return _ALU_REG_FACTORIES[name](regs, rd, rs1, rs2)
-        if name in ("mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu"):
-            if not rd:
-                return _nop
-            def op(regs=regs, rd=rd, rs1=rs1, rs2=rs2, name=name):
-                regs[rd] = _muldiv(name, regs[rs1], regs[rs2])
-            return op
-
-        if name in ("lb", "lbu", "lh", "lhu", "lw"):
-            lim = mem.ram.size - {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}[name]
-            if name == "lw":
-                def op(regs=regs, rd=rd, rs1=rs1, imm=imm, ram=ram, base=base,
-                       lim=lim, mem=mem):
-                    a = (regs[rs1] + imm) & _M32
-                    o = a - base
-                    if 0 <= o <= lim and not (a & 3):
-                        if rd:
-                            regs[rd] = int.from_bytes(ram[o : o + 4], "little")
-                        return None
-                    v = mem.read(a, 4)
-                    if rd:
-                        regs[rd] = v
-                    return True
-                return op
-            if name in ("lh", "lhu"):
-                signed = name == "lh"
-                def op(regs=regs, rd=rd, rs1=rs1, imm=imm, ram=ram, base=base,
-                       lim=lim, mem=mem, signed=signed):
-                    a = (regs[rs1] + imm) & _M32
-                    o = a - base
-                    if 0 <= o <= lim and not (a & 1):
-                        v = ram[o] | (ram[o + 1] << 8)
-                    else:
-                        v = mem.read(a, 2)
-                        if signed and v & 0x8000:
-                            v = (v - 0x10000) & _M32
-                        if rd:
-                            regs[rd] = v
-                        return True
-                    if signed and v & 0x8000:
-                        v = (v - 0x10000) & _M32
-                    if rd:
-                        regs[rd] = v
-                    return None
-                return op
-            signed = name == "lb"
-            def op(regs=regs, rd=rd, rs1=rs1, imm=imm, ram=ram, base=base,
-                   lim=lim, mem=mem, signed=signed):
-                a = (regs[rs1] + imm) & _M32
-                o = a - base
-                if 0 <= o <= lim:
-                    v = ram[o]
-                else:
-                    v = mem.read(a, 1)
-                    if signed and v & 0x80:
-                        v = (v - 0x100) & _M32
-                    if rd:
-                        regs[rd] = v
-                    return True
-                if signed and v & 0x80:
-                    v = (v - 0x100) & _M32
-                if rd:
-                    regs[rd] = v
-                return None
-            return op
-
-        if name in ("sb", "sh", "sw"):
-            dirty = mem.dirty_pages
-            code = mem.code_pages
-            if name == "sw":
-                lim = mem.ram.size - 4
-                def op(regs=regs, rs1=rs1, rs2=rs2, imm=imm, ram=ram, base=base,
-                       lim=lim, mem=mem, dirty=dirty, code=code, pack=_pack32):
-                    a = (regs[rs1] + imm) & _M32
-                    o = a - base
-                    if 0 <= o <= lim and not (a & 3):
-                        pack(ram, o, regs[rs2])
-                        p = o >> 8
-                        dirty[p] = 1
-                        if code[p]:
-                            mem.ram_image_version += 1
-                            return True
-                        return None
-                    mem.write(a, regs[rs2], 4)
-                    return True
-                return op
-            if name == "sh":
-                lim = mem.ram.size - 2
-                def op(regs=regs, rs1=rs1, rs2=rs2, imm=imm, ram=ram, base=base,
-                       lim=lim, mem=mem, dirty=dirty, code=code, pack=_pack16):
-                    a = (regs[rs1] + imm) & _M32
-                    o = a - base
-                    if 0 <= o <= lim and not (a & 1):
-                        pack(ram, o, regs[rs2] & 0xFFFF)
-                        p = o >> 8
-                        dirty[p] = 1
-                        if code[p]:
-                            mem.ram_image_version += 1
-                            return True
-                        return None
-                    mem.write(a, regs[rs2], 2)
-                    return True
-                return op
-            lim = mem.ram.size - 1
-            def op(regs=regs, rs1=rs1, rs2=rs2, imm=imm, ram=ram, base=base,
-                   lim=lim, mem=mem, dirty=dirty, code=code):
-                a = (regs[rs1] + imm) & _M32
-                o = a - base
-                if 0 <= o <= lim:
-                    ram[o] = regs[rs2] & 0xFF
-                    p = o >> 8
-                    dirty[p] = 1
-                    if code[p]:
-                        mem.ram_image_version += 1
-                        return True
-                    return None
-                mem.write(a, regs[rs2], 1)
-                return True
-            return op
-
-        raise CPUError(f"unhandled straight-line instruction {name}")  # pragma: no cover
+        if not insns:
+            return None
+        fn = _factory(pc, tuple(words), insns, base, size)(*self._bind)
+        last = insns[-1]
+        term = self._make_term(last, addr - 4) if last.mnemonic in _CLOSURE_TERMS else None
+        code = mem.code_pages
+        first = (pc - base) >> PAGE_SHIFT
+        end = (addr - base - 1) >> PAGE_SHIFT
+        code[first : end + 1] = b"\x01" * (end - first + 1)
+        self.blocks_compiled += 1
+        return fn, term, len(insns)
 
     # ------------------------------------------------------------------
     def _make_term(self, d: Decoded, pc: int):
-        """Compile a block terminator: sets ``cpu.pc`` itself."""
+        """A closure terminator: runs with ``cpu.pc`` at the instruction
+        and sets ``cpu.pc`` itself."""
         cpu = self.cpu
         regs = cpu.registers
         name = d.mnemonic
-        rd, rs1, rs2, imm = d.rd, d.rs1, d.rs2, d.imm
+        rd, rs1 = d.rd, d.rs1
         fall = to_u32(pc + 4)
 
-        if name == "jal":
-            target = to_u32(pc + imm)
-            def term(cpu=cpu, regs=regs, rd=rd, fall=fall, target=target):
-                if rd:
-                    regs[rd] = fall
-                cpu.pc = target
-            return term
-        if name == "jalr":
-            def term(cpu=cpu, regs=regs, rd=rd, rs1=rs1, imm=imm, fall=fall):
-                target = ((regs[rs1] + imm) & _M32) & ~1
-                if rd:
-                    regs[rd] = fall
-                cpu.pc = target
-            return term
-        if name in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
-            target = to_u32(pc + imm)
-            if name == "beq":
-                def term(cpu=cpu, regs=regs, rs1=rs1, rs2=rs2, t=target, f=fall):
-                    cpu.pc = t if regs[rs1] == regs[rs2] else f
-            elif name == "bne":
-                def term(cpu=cpu, regs=regs, rs1=rs1, rs2=rs2, t=target, f=fall):
-                    cpu.pc = t if regs[rs1] != regs[rs2] else f
-            elif name == "bltu":
-                def term(cpu=cpu, regs=regs, rs1=rs1, rs2=rs2, t=target, f=fall):
-                    cpu.pc = t if regs[rs1] < regs[rs2] else f
-            elif name == "bgeu":
-                def term(cpu=cpu, regs=regs, rs1=rs1, rs2=rs2, t=target, f=fall):
-                    cpu.pc = t if regs[rs1] >= regs[rs2] else f
-            elif name == "blt":
-                def term(cpu=cpu, regs=regs, rs1=rs1, rs2=rs2, t=target, f=fall):
-                    a = regs[rs1]
-                    b = regs[rs2]
-                    if a & _SIGN32:
-                        a -= 0x100000000
-                    if b & _SIGN32:
-                        b -= 0x100000000
-                    cpu.pc = t if a < b else f
-            else:  # bge
-                def term(cpu=cpu, regs=regs, rs1=rs1, rs2=rs2, t=target, f=fall):
-                    a = regs[rs1]
-                    b = regs[rs2]
-                    if a & _SIGN32:
-                        a -= 0x100000000
-                    if b & _SIGN32:
-                        b -= 0x100000000
-                    cpu.pc = t if a >= b else f
-            return term
         if name == "ecall":
             def term(cpu=cpu, regs=regs):
                 cpu.halted = True
@@ -573,178 +566,3 @@ class FastEngine:
                 cpu.pc = fall
             return term
         raise CPUError(f"unhandled terminator {name}")  # pragma: no cover
-
-
-# ----------------------------------------------------------------------
-# Straight-line closure factories (module level so each compile reuses
-# the same code objects).
-# ----------------------------------------------------------------------
-def _nop():
-    return None
-
-
-def _f_addi(regs, rd, rs1, imm):
-    def op(regs=regs, rd=rd, rs1=rs1, imm=imm):
-        regs[rd] = (regs[rs1] + imm) & _M32
-    return op
-
-
-def _f_slti(regs, rd, rs1, imm):
-    def op(regs=regs, rd=rd, rs1=rs1, imm=imm):
-        v = regs[rs1]
-        if v & _SIGN32:
-            v -= 0x100000000
-        regs[rd] = 1 if v < imm else 0
-    return op
-
-
-def _f_sltiu(regs, rd, rs1, imm):
-    immu = imm & _M32
-    def op(regs=regs, rd=rd, rs1=rs1, immu=immu):
-        regs[rd] = 1 if regs[rs1] < immu else 0
-    return op
-
-
-def _f_xori(regs, rd, rs1, imm):
-    def op(regs=regs, rd=rd, rs1=rs1, imm=imm):
-        regs[rd] = (regs[rs1] ^ imm) & _M32
-    return op
-
-
-def _f_ori(regs, rd, rs1, imm):
-    def op(regs=regs, rd=rd, rs1=rs1, imm=imm):
-        regs[rd] = (regs[rs1] | imm) & _M32
-    return op
-
-
-def _f_andi(regs, rd, rs1, imm):
-    def op(regs=regs, rd=rd, rs1=rs1, imm=imm):
-        regs[rd] = (regs[rs1] & imm) & _M32
-    return op
-
-
-def _f_slli(regs, rd, rs1, imm):
-    sh = imm & 0x1F
-    def op(regs=regs, rd=rd, rs1=rs1, sh=sh):
-        regs[rd] = (regs[rs1] << sh) & _M32
-    return op
-
-
-def _f_srli(regs, rd, rs1, imm):
-    sh = imm & 0x1F
-    def op(regs=regs, rd=rd, rs1=rs1, sh=sh):
-        regs[rd] = regs[rs1] >> sh
-    return op
-
-
-def _f_srai(regs, rd, rs1, imm):
-    sh = imm & 0x1F
-    def op(regs=regs, rd=rd, rs1=rs1, sh=sh):
-        v = regs[rs1]
-        if v & _SIGN32:
-            v -= 0x100000000
-        regs[rd] = (v >> sh) & _M32
-    return op
-
-
-_ALU_IMM_FACTORIES = {
-    "addi": _f_addi,
-    "slti": _f_slti,
-    "sltiu": _f_sltiu,
-    "xori": _f_xori,
-    "ori": _f_ori,
-    "andi": _f_andi,
-    "slli": _f_slli,
-    "srli": _f_srli,
-    "srai": _f_srai,
-}
-
-
-def _f_add(regs, rd, rs1, rs2):
-    def op(regs=regs, rd=rd, rs1=rs1, rs2=rs2):
-        regs[rd] = (regs[rs1] + regs[rs2]) & _M32
-    return op
-
-
-def _f_sub(regs, rd, rs1, rs2):
-    def op(regs=regs, rd=rd, rs1=rs1, rs2=rs2):
-        regs[rd] = (regs[rs1] - regs[rs2]) & _M32
-    return op
-
-
-def _f_sll(regs, rd, rs1, rs2):
-    def op(regs=regs, rd=rd, rs1=rs1, rs2=rs2):
-        regs[rd] = (regs[rs1] << (regs[rs2] & 0x1F)) & _M32
-    return op
-
-
-def _f_srl(regs, rd, rs1, rs2):
-    def op(regs=regs, rd=rd, rs1=rs1, rs2=rs2):
-        regs[rd] = regs[rs1] >> (regs[rs2] & 0x1F)
-    return op
-
-
-def _f_sra(regs, rd, rs1, rs2):
-    def op(regs=regs, rd=rd, rs1=rs1, rs2=rs2):
-        v = regs[rs1]
-        if v & _SIGN32:
-            v -= 0x100000000
-        regs[rd] = (v >> (regs[rs2] & 0x1F)) & _M32
-    return op
-
-
-def _f_slt(regs, rd, rs1, rs2):
-    def op(regs=regs, rd=rd, rs1=rs1, rs2=rs2):
-        a = regs[rs1]
-        b = regs[rs2]
-        if a & _SIGN32:
-            a -= 0x100000000
-        if b & _SIGN32:
-            b -= 0x100000000
-        regs[rd] = 1 if a < b else 0
-    return op
-
-
-def _f_sltu(regs, rd, rs1, rs2):
-    def op(regs=regs, rd=rd, rs1=rs1, rs2=rs2):
-        regs[rd] = 1 if regs[rs1] < regs[rs2] else 0
-    return op
-
-
-def _f_xor(regs, rd, rs1, rs2):
-    def op(regs=regs, rd=rd, rs1=rs1, rs2=rs2):
-        regs[rd] = regs[rs1] ^ regs[rs2]
-    return op
-
-
-def _f_or(regs, rd, rs1, rs2):
-    def op(regs=regs, rd=rd, rs1=rs1, rs2=rs2):
-        regs[rd] = regs[rs1] | regs[rs2]
-    return op
-
-
-def _f_and(regs, rd, rs1, rs2):
-    def op(regs=regs, rd=rd, rs1=rs1, rs2=rs2):
-        regs[rd] = regs[rs1] & regs[rs2]
-    return op
-
-
-def _f_mul(regs, rd, rs1, rs2):
-    def op(regs=regs, rd=rd, rs1=rs1, rs2=rs2):
-        regs[rd] = (regs[rs1] * regs[rs2]) & _M32
-    return op
-
-
-_ALU_REG_FACTORIES = {
-    "add": _f_add,
-    "sub": _f_sub,
-    "sll": _f_sll,
-    "srl": _f_srl,
-    "sra": _f_sra,
-    "slt": _f_slt,
-    "sltu": _f_sltu,
-    "xor": _f_xor,
-    "or": _f_or,
-    "and": _f_and,
-    "mul": _f_mul,
-}

@@ -30,6 +30,32 @@ class TestContainer:
         with pytest.raises(ConfigurationError):
             IrradianceTrace(0.0, [1.0])
 
+    @pytest.mark.parametrize("dt", [-0.1, float("nan"), float("inf")])
+    def test_non_finite_or_negative_dt_rejected(self, dt):
+        with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+            IrradianceTrace(dt, [1.0])
+
+    @pytest.mark.parametrize("values", [
+        [float("nan")],
+        [1.0, float("inf")],
+        [0.1, float("nan"), float("inf")],
+    ])
+    def test_non_finite_values_rejected(self, values):
+        with pytest.raises(ConfigurationError, match="irradiance must be finite"):
+            IrradianceTrace(0.1, values)
+
+    def test_negative_infinity_is_negative(self):
+        with pytest.raises(ConfigurationError, match="cannot be negative"):
+            IrradianceTrace(0.1, [1.0, float("-inf")])
+
+    @pytest.mark.parametrize("factor", [-1.0, float("nan"), float("inf")])
+    def test_bad_scale_factor_rejected(self, factor):
+        with pytest.raises(ConfigurationError, match="scale factor"):
+            IrradianceTrace(1.0, [1.0, 2.0]).scaled(factor)
+
+    def test_zero_scale_factor_accepted(self):
+        assert IrradianceTrace(1.0, [1.0, 2.0]).scaled(0.0).values == [0.0, 0.0]
+
     def test_scaled(self):
         t = IrradianceTrace(1.0, [1.0, 2.0]).scaled(2.0)
         assert t.values == [2.0, 4.0]

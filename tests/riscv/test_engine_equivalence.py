@@ -12,12 +12,15 @@ delivery at block boundaries.
 """
 
 import copy
+import gc
 import random
+import weakref
 
 import pytest
 
 import repro.obs as obs
-from repro.errors import ConfigurationError
+import repro.riscv.engine as block_engine
+from repro.errors import ConfigurationError, MemoryAccessError
 from repro.harvest.traces import constant_trace, nyc_pedestrian_night
 from repro.riscv import (
     CPU,
@@ -354,3 +357,282 @@ class TestOracleMatrix:
             night_trace, workload, record=False, stateful=stateful, capacitance=4.7e-6
         )
         assert result.power_cycles >= 2, "variant was not intermittent"
+
+
+# ----------------------------------------------------------------------
+# Engine contract: the paths a generated block can take, in lockstep
+# ----------------------------------------------------------------------
+def _lockstep_pair(program, fs_devices=(None, None)):
+    """(cpu, driver) for the fast engine and for the step oracle."""
+    pair = []
+    for engine, fs in zip((FastEngine, StepEngine), fs_devices):
+        memory = MemoryMap()
+        memory.load_program(program)
+        cpu = CPU(memory, fs_device=fs)
+        pair.append((cpu, engine(cpu)))
+    return pair
+
+
+def _call_both(pair, budget):
+    """One ``run(budget)`` on each side; both must consume the same
+    slots and leave the same architectural state."""
+    (cpu_f, fast), (cpu_s, step) = pair
+    consumed = fast.run(budget)
+    assert consumed == step.run(budget)
+    assert arch_state(cpu_f) == arch_state(cpu_s)
+    return consumed
+
+
+def _faults_alike(pair, budget):
+    """Both sides fault with the same message and leave the same state."""
+    messages = []
+    for cpu, driver in pair:
+        with pytest.raises(MemoryAccessError) as excinfo:
+            driver.run(budget)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    (cpu_f, _), (cpu_s, _) = pair
+    assert arch_state(cpu_f) == arch_state(cpu_s)
+
+
+class TestBudgetSplits:
+    """``run(b)`` for every b up to one more than the longest block: the
+    budget splits every block at every offset (prefix blocks), and the
+    state matches the oracle after every call."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    def test_every_split_matches(self, seed):
+        program = assemble(random_program(random.Random(seed), iterations=2))
+        for budget in range(1, block_engine.MAX_BLOCK_OPS + 2):
+            pair = _lockstep_pair(program)
+            while _call_both(pair, budget):
+                pass
+            (cpu_f, _), (cpu_s, _) = pair
+            assert cpu_f.halted and cpu_s.halted, budget
+            assert cpu_f.memory.console.text() == cpu_s.memory.console.text()
+            assert bytes(cpu_f.memory.ram.data) == bytes(cpu_s.memory.ram.data)
+
+
+class TestMidBlockFault:
+    """A fault in the middle of a block commits exactly the completed
+    instructions: pc at the faulting one, retired count and MCYCLE."""
+
+    @pytest.mark.parametrize("access", [
+        "lw   t0, 0x800(t6)",   # MMIO page, no device there
+        "sw   t2, 0x800(t6)",
+        "lh   t0, 0(t5)",       # unmapped
+        "sb   t2, 0(t5)",
+        "lw   t0, 2(s1)",       # misaligned RAM
+        "sh   t2, 1(s1)",
+    ])
+    def test_fault_commits_completed_instructions(self, access):
+        program = assemble(f"""
+            li   s0, 5
+            li   s1, 0x80001000
+            li   t6, 0x10000000
+            li   t5, 0x20000000
+        loop:
+            addi s0, s0, -1
+            bnez s0, loop
+            addi t2, zero, 5
+            addi t3, t2, 7
+            xor  t4, t3, t2
+            {access}
+            addi t3, t3, 1
+            ecall
+        """)
+        pair = _lockstep_pair(program)
+        _faults_alike(pair, 1000)
+        (cpu, _), _ = pair
+        assert cpu.registers[29] == 12 ^ 5        # t4: the op before completed
+        assert cpu.csr.cycle_count == cpu.instructions_retired
+        assert program[(cpu.pc - 0x8000_0000) // 4] == assemble(access)[0]
+
+
+class TestDeferredCycleCounter:
+    def test_mcycle_read_after_long_straight_line_run(self):
+        straight = "\n".join(f"    addi t{i % 3}, t{i % 3}, {i}" for i in range(60))
+        program = assemble(f"""
+            li   s0, 40
+        loop:
+        {straight}
+            addi s0, s0, -1
+            bnez s0, loop
+        {straight}
+            csrr a1, mcycle
+            csrr a2, mcycleh
+            mv   a0, a1
+            ecall
+        """)
+        for budget in (10_000_000, 97):
+            pair = _lockstep_pair(program)
+            while _call_both(pair, budget):
+                pass
+            (cpu, _), _ = pair
+            # 2 (li) + 40 * 62 (loop) + 60 instructions retired before the read.
+            assert cpu.registers[11] == 2 + 40 * 62 + 60
+            assert cpu.registers[12] == 0
+
+
+def _pending_fs():
+    """An FS device whose interrupt line is already raised."""
+    fs = FSDevice(v_supply=1.85)
+    fs.insn_fsen(fs.monitor.count_at(2.0))
+    assert fs.irq_pending
+    return fs
+
+
+class TestInterruptBoundaries:
+    def test_interrupt_enabled_by_csrrs_taken_at_next_boundary(self):
+        program = assemble("""
+            la    t0, handler
+            csrw  mtvec, t0
+            li    t0, 0x800
+            csrs  mie, t0
+            li    s2, 0
+            addi  s2, s2, 1
+            addi  s2, s2, 1
+            li    t0, 0x8
+            csrs  mstatus, t0
+        after:
+            addi  s2, s2, 100
+            addi  s2, s2, 100
+            ecall
+        handler:
+            csrr  a1, mepc
+            mv    a0, s2
+            ecall
+        """)
+        for budget in (1, 3, 1000):
+            pair = _lockstep_pair(program, (_pending_fs(), _pending_fs()))
+            while _call_both(pair, budget):
+                pass
+            (cpu, _), _ = pair
+            assert cpu.exit_code == 2
+            assert cpu.registers[11] == 0x8000_0000 + 4 * 13  # mepc = `after`
+
+    def test_mmio_write_raising_the_line_traps_after_the_store(self):
+        # Arming the FS threshold through its MMIO window samples at
+        # once and raises the line mid-block; the trap lands right after
+        # the store, not at the end of the block.
+        program = assemble("""
+            la    t0, handler
+            csrw  mtvec, t0
+            li    t0, 0x800
+            csrs  mie, t0
+            li    t0, 0x8
+            csrs  mstatus, t0
+            li    t6, 0x10000100
+            li    t1, 255
+            li    s2, 0
+            addi  s2, s2, 1
+            sw    t1, 8(t6)
+            addi  s2, s2, 100
+            ecall
+        handler:
+            mv    a0, s2
+            ecall
+        """)
+        fs_pair = (FSDevice(v_supply=1.85), FSDevice(v_supply=1.85))
+        pair = _lockstep_pair(program, fs_pair)
+        for (cpu, _), fs in zip(pair, fs_pair):
+            cpu.memory.attach(0x1000_0100, 0x10, fs)
+        while _call_both(pair, 1000):
+            pass
+        (cpu, _), _ = pair
+        assert cpu.exit_code == 1
+
+    def test_wfi_idles_until_the_line_rises(self):
+        program = assemble("""
+            la    t0, handler
+            csrw  mtvec, t0
+            li    t0, 0x800
+            csrs  mie, t0
+            li    t0, 0x8
+            csrs  mstatus, t0
+            li    a0, 1
+            fsen  a0
+            li    s2, 7
+            wfi
+            addi  s2, s2, 1
+            ecall
+        handler:
+            mv    a0, s2
+            ecall
+        """)
+        fs_pair = (FSDevice(v_supply=3.0), FSDevice(v_supply=3.0))
+        pair = _lockstep_pair(program, fs_pair)
+        for _ in range(4):
+            assert _call_both(pair, 50) == 50
+        (cpu, _), _ = pair
+        assert cpu.waiting_for_interrupt and not cpu.halted
+        assert cpu.csr.cycle_count > cpu.instructions_retired   # idle cycles tick
+        for fs in fs_pair:
+            fs.set_supply(1.85)
+            fs.insn_fsen(fs.monitor.count_at(2.0))
+        while _call_both(pair, 50):
+            pass
+        assert cpu.halted and cpu.exit_code == 7
+
+
+class TestStoreIntoRunningBlock:
+    """A store at op k of a block patches a later slot of the same
+    block: the patched word must execute on this very pass."""
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 9])
+    def test_patch_later_slot_of_running_block(self, k):
+        [patched] = assemble("addi s4, s4, 100")
+        before = "\n".join("    addi s3, s3, 1" for _ in range(k))
+        program = assemble(f"""
+            li   s0, 3
+            li   s4, 0
+            la   t0, slot
+            li   t1, {patched}
+        loop:
+        {before}
+            sw   t1, 0(t0)
+            addi s3, s3, 2
+        slot:
+            addi s4, s4, 1
+            addi s3, s3, 3
+            addi s0, s0, -1
+            bnez s0, loop
+            mv   a0, s4
+            ecall
+        """)
+        for budget in (10_000, 2, 5):
+            pair = _lockstep_pair(program)
+            while _call_both(pair, budget):
+                pass
+            (cpu, _), _ = pair
+            assert cpu.exit_code == 300
+
+
+class TestCodeCache:
+    def test_dropped_machine_freed_without_collector(self):
+        gc.disable()
+        try:
+            machine = IntermittentMachine(get_workload("fletcher").assemble(), capacitance=4.7e-6)
+            machine.run(constant_trace(1.0, 30.0), max_wall_time=30.0)
+            assert machine.interpreter.blocks_compiled > 0
+            memory = weakref.ref(machine.memory)
+            del machine
+            assert memory() is None, "a reference cycle keeps the machine's memory alive"
+        finally:
+            gc.enable()
+
+    def test_factories_shared_across_engines(self):
+        program = assemble(random_program(random.Random(5), iterations=3))
+        run_cpu(program, "fast")
+        cached = dict(block_engine._FACTORIES)
+        run_cpu(program, "fast")
+        assert block_engine._FACTORIES == cached   # nothing recompiled
+
+    def test_cache_stays_within_bound(self):
+        rng = random.Random(11)
+        for i in range(block_engine.CODE_CACHE_BLOCKS + 50):
+            lines = [f"    li t{j}, {rng.randint(-(1 << 31), (1 << 31) - 1)}" for j in range(3)]
+            lines += ["    add a0, t0, t1", "    xor a0, a0, t2", f"    addi a0, a0, {i % 2048}", "    ecall"]
+            run_cpu(assemble("\n".join(lines)), "fast")
+            assert len(block_engine._FACTORIES) <= block_engine.CODE_CACHE_BLOCKS
+        assert len(block_engine._FACTORIES) == block_engine.CODE_CACHE_BLOCKS

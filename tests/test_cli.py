@@ -297,6 +297,8 @@ class TestReplayCLI:
             ["--duration", "-1"],
             ["--volatile-bytes", "-5"],
             ["--clock", "nan"],
+            ["--duration", "5", "--irradiance", "nan"],
+            ["--duration", "5", "--irradiance", "inf"],
         ],
     )
     def test_riscv_hostile_input_exits_cleanly(self, capsys, argv):
