@@ -124,6 +124,10 @@ def _muldiv(op: str, a: int, b: int) -> int:
     raise CPUError(f"unknown mul/div op {op}")  # pragma: no cover
 
 
+#: The M-extension ops generated blocks call :func:`_muldiv` for.
+_MULDIV_OPS = ("mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu")
+
+
 # ----------------------------------------------------------------------
 # Slow-path memory helpers (called from generated blocks)
 # ----------------------------------------------------------------------
@@ -173,8 +177,7 @@ _GEN_GLOBALS = {
     "_u16": struct.Struct("<H").unpack_from,
     "_p32": struct.Struct("<I").pack_into,
     "_p16": struct.Struct("<H").pack_into,
-    **{f"_{op}": partial(_muldiv, op)
-       for op in ("mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu")},
+    **{f"_{op}": partial(_muldiv, op) for op in _MULDIV_OPS},
 }
 
 
@@ -207,8 +210,7 @@ _ALU = {
     "or": "r[{rd}] = {a} | {b}",
     "and": "r[{rd}] = {a} & {b}",
     "mul": "r[{rd}] = ({a} * {b}) & 0xFFFFFFFF",
-    **{op: "r[{rd}] = _%s({a}, {b})" % op
-       for op in ("mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu")},
+    **{op: "r[{rd}] = _%s({a}, {b})" % op for op in _MULDIV_OPS},
 }
 
 #: Load mnemonic -> (width, alignment test, fast-path value, sign bit).
