@@ -12,7 +12,7 @@ with the exact runner bit for bit.
 import random
 import tracemalloc
 
-from repro.fleet import FleetRunner, FleetSketch, synthesize_fleet
+from repro.fleet import FleetRunner, FleetSketch, stream_fleet, synthesize_fleet
 from repro.fleet.report import DeviceResult
 
 MONITORS = ("FS (LP)", "FS (HP)", "Comparator", "ADC")
@@ -72,7 +72,7 @@ def test_stream_end_to_end(benchmark, results_dir):
     """A real sharded run: report written out, exact agreement checked."""
     fleet = synthesize_fleet(48, seed=13, duration=30.0)
     out = benchmark.pedantic(
-        lambda: FleetRunner(fleet, parallel=1).run_streaming(shard_size=16),
+        lambda: stream_fleet(fleet.devices, name=fleet.name, shard_size=16),
         rounds=1,
         iterations=1,
     )
@@ -82,8 +82,8 @@ def test_stream_end_to_end(benchmark, results_dir):
     assert out.report.energy_rollup() == exact.energy_rollup()
     assert out.shards == 3
 
-    sampled = FleetRunner(fleet, parallel=1).run_streaming(
-        shard_size=16, sample=0.5, sample_seed=1
+    sampled = stream_fleet(
+        fleet.devices, name=fleet.name, shard_size=16, sample=0.5, sample_seed=1
     )
     text = "\n".join(
         [

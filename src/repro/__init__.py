@@ -51,7 +51,6 @@ _API_EXPORTS = (
     "evaluate_many",
     "compare_monitors",
     "normalized_app_time",
-    "run_fleet",
     "run_workload",
     "IntermittentMachine",
     "stream_fleet",

@@ -123,8 +123,8 @@ def _plan_preview() -> None:
     planner = DeploymentPlanner(tech=TECH_90NM, model=model, candidates=grid.pareto)
     sites = [
         SiteRequirement(name="storefront", granularity_max=0.060, f_sample_min=1e3),
-        SiteRequirement(name="deep-shade", granularity_max=0.040, f_sample_min=2e3, trace_scale=0.4),
-        SiteRequirement(name="rooftop", granularity_max=0.080, f_sample_min=1e3, trace_scale=1.5),
+        SiteRequirement(name="deep-shade", granularity_max=0.040, f_sample_min=2e3),
+        SiteRequirement(name="rooftop", granularity_max=0.080, f_sample_min=1e3),
     ]
     print(f"deployment plan ({len(grid.pareto)} Pareto designs from {grid.total_count} grid points):")
     for site in sites:

@@ -55,7 +55,3 @@ class SARADC:
 
     def resolution_volts(self) -> float:
         return self.lsb
-
-    def conversion_time(self) -> float:
-        """Seconds per conversion."""
-        return 1.0 / self.sample_rate

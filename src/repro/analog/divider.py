@@ -85,20 +85,6 @@ class VoltageDivider:
         drive = self.tech.drive_current_array if isinstance(v_supply, np.ndarray) else self.tech.drive_current
         return (drive(v_rung + dv, temp_k) - drive(v_rung - dv, temp_k)) / (2 * dv)
 
-    def output_impedance(self, v_supply: float, temp_k: float = ROOM_TEMP_K) -> float:
-        """Small-signal impedance at the tap (ohm), first order.
-
-        A diode-connected device looks like ``1/gm``; the tap sees the
-        upper chain (widened) in parallel with the lower chain.
-        """
-        gm = self.rung_gm(v_supply, temp_k)
-        if gm <= 0:
-            return math.inf
-        r_rung = 1.0 / gm
-        r_upper = (self.total - self.tap) * r_rung / self.upper_width
-        r_lower = self.tap * r_rung
-        return r_upper * r_lower / (r_upper + r_lower)
-
     def loaded_output(self, v_supply: float, load_current: float, temp_k: float = ROOM_TEMP_K) -> float:
         """Tap voltage with the RO drawing ``load_current`` (A).
 

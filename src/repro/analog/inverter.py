@@ -44,10 +44,6 @@ class Inverter:
         """Whether a ring of these stages would oscillate at ``vdd``."""
         return vdd >= MIN_OSCILLATION_VOLTAGE and math.isfinite(self.delay(vdd))
 
-    def switch_energy(self, vdd: float) -> float:
-        """Energy per output transition (J)."""
-        return self.tech.stage_switch_energy(vdd)
-
     def leakage_current(self) -> float:
         """Static leakage of the cell (A)."""
         return TRANSISTORS_PER_INVERTER * self.tech.leak_per_transistor

@@ -43,16 +43,6 @@ def is_valid_ro_length(n_stages: int) -> bool:
     return MIN_STAGES <= n_stages <= MAX_STAGES and n_stages % 2 == 1
 
 
-def recommended_lengths() -> list:
-    """Prime ring lengths in-bounds — primes reduce harmonic modes
-    (Section III-A)."""
-    primes = []
-    for n in range(MIN_STAGES, MAX_STAGES + 1, 2):
-        if all(n % p for p in range(3, int(math.isqrt(n)) + 1, 2)):
-            primes.append(n)
-    return primes
-
-
 @dataclass(frozen=True)
 class RingOscillator:
     """Analytic ring-oscillator model.
@@ -176,16 +166,6 @@ class RingOscillator:
         """Transistors in the ring proper: (n-1) inverters + the NAND
         that closes the loop and carries the enable."""
         return (self.n_stages - 1) * TRANSISTORS_PER_INVERTER + NAND_TRANSISTORS
-
-    def counts_in_window(self, vdd: float, t_enable: float, temp_k: float = ROOM_TEMP_K) -> int:
-        """Rising edges a counter accumulates over ``t_enable`` seconds.
-
-        The edge-sensitive counter truncates fractional periods
-        (Section III-E): ``C = floor(f_ro * T_en)``.
-        """
-        if t_enable <= 0:
-            raise ConfigurationError("enable window must be positive")
-        return int(self.frequency(vdd, temp_k) * t_enable)
 
 
 def build_ro_circuit(

@@ -17,10 +17,9 @@ semantics guaranteed across 1.x releases (see ``docs/api.md``):
   certified interpolants (:func:`fit_surrogate` /
   :class:`SurrogateModel`, :mod:`repro.spice.surrogate`,
   ``docs/surrogates.md``);
-* **fleets** — :func:`run_fleet` / :class:`FleetRunner`, plus the
-  constant-memory sharded mode :func:`stream_fleet` /
-  :meth:`FleetRunner.run_streaming` returning mergeable
-  :class:`FleetSketch` aggregates (``docs/fleet_scale.md``);
+* **fleets** — :class:`FleetRunner`, plus the constant-memory sharded
+  mode :func:`stream_fleet` returning mergeable :class:`FleetSketch`
+  aggregates (``docs/fleet_scale.md``);
 * **parallel execution** — :func:`run_tasks` / :class:`TaskError`, the
   one fan-out backbone every bulk entry point's ``parallel=`` kwarg
   routes through (:mod:`repro.exec`);
@@ -61,7 +60,7 @@ from repro.errors import SimulationError
 from repro.exec import BACKEND_ENV as EXEC_BACKEND_ENV
 from repro.exec import TaskError, run_tasks
 from repro.fleet.report import DeviceResult, FleetReport
-from repro.fleet.runner import FleetRunner, FleetRunResult, run_fleet
+from repro.fleet.runner import FleetRunner, FleetRunResult
 from repro.fleet.spec import (
     DeviceSpec,
     FleetSpec,
@@ -93,7 +92,6 @@ from repro.spice.surrogate import (
     DEFAULT_TOLERANCE as SURROGATE_TOLERANCE,
     SurrogateModel,
     fit_surrogate,
-    fit_variation_family,
 )
 from repro.trace import (
     Recording,
@@ -218,7 +216,6 @@ __all__ = [
     "SweepResult",
     "characterize_many",
     "fit_surrogate",
-    "fit_variation_family",
     "DesignPoint",
     "DesignSpace",
     "EXEC_BACKEND_ENV",
@@ -271,7 +268,6 @@ __all__ = [
     "get_workload",
     "iter_synthesized_devices",
     "run_experiments",
-    "run_fleet",
     "run_workload",
     "stream_fleet",
     "synthesize_fleet",

@@ -335,20 +335,6 @@ def sweep_max_error(lookup: Callable[[int], float], sweep: Sequence[Tuple[float,
     return worst
 
 
-def measured_max_error(
-    table,
-    count_of_voltage: Callable[[float], int],
-    v_lo: float,
-    v_hi: float,
-    samples: int = 400,
-) -> float:
-    """Empirical max |lookup(count(V)) - V| over a dense voltage sweep.
-
-    Complements the analytic bounds; tests assert measured <= bound.
-    """
-    return sweep_max_error(table.lookup, count_sweep(count_of_voltage, v_lo, v_hi, samples))
-
-
 class TemperatureCompensatedTable:
     """Enrollment at several temperatures with runtime interpolation.
 

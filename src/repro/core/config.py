@@ -118,11 +118,6 @@ class FSConfig:
         """Largest representable count: 2^bits - 1."""
         return (1 << self.counter_bits) - 1
 
-    @property
-    def nvm_overhead_bytes(self) -> float:
-        """NVM consumed by the enrollment table (bytes)."""
-        return self.nvm_entries * self.entry_bits / 8.0
-
     def label(self) -> str:
         """Compact human-readable identity for tables and logs."""
         return (

@@ -32,7 +32,6 @@ class EdgeCounter:
     bits: int
     saturate: bool = True
     _value: int = field(default=0, repr=False)
-    _overflowed: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.bits <= 64:
@@ -46,14 +45,8 @@ class EdgeCounter:
     def value(self) -> int:
         return self._value
 
-    @property
-    def overflowed(self) -> bool:
-        """Sticky flag set if any increment hit the ceiling."""
-        return self._overflowed
-
     def reset(self) -> None:
         self._value = 0
-        self._overflowed = False
 
     def increment(self, edges: int = 1) -> int:
         """Apply ``edges`` positive edges; returns the new value."""
@@ -61,7 +54,6 @@ class EdgeCounter:
             raise ConfigurationError("cannot count negative edges")
         target = self._value + edges
         if target > self.max_value:
-            self._overflowed = True
             if not self.saturate:
                 raise CounterOverflowError(
                     f"{self.bits}-bit counter overflow: {target} > {self.max_value}"

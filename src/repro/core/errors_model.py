@@ -59,12 +59,6 @@ class ErrorBudget:
     def total(self) -> float:
         return self.quantization + self.interpolation + self.temperature + self.entry_precision
 
-    @property
-    def total_without_temperature(self) -> float:
-        """What the error would be in a thermally stable deployment —
-        the paper notes temperature approximately doubles total error."""
-        return self.quantization + self.interpolation + self.entry_precision
-
     def breakdown(self) -> dict:
         return {
             "quantization": self.quantization,

@@ -247,9 +247,6 @@ class FailureSentinels:
         self.interrupt_pending = False
         return self._threshold_count
 
-    def clear_interrupt(self) -> None:
-        self.interrupt_pending = False
-
     @property
     def threshold_count(self) -> Optional[int]:
         return self._threshold_count

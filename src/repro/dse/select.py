@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import FSConfig
-from repro.dse.grid import grid_explore
+from repro.dse.grid import GridResult, grid_explore
 from repro.dse.nsga2 import NSGA2
 from repro.dse.objectives import Evaluation, PerformanceModel
 from repro.dse.pareto import pareto_front
@@ -93,6 +93,17 @@ class Selection:
         )
 
 
+def default_grid(model: PerformanceModel) -> GridResult:
+    """The deterministic default grid sweep of ``model``, run once per
+    model: repeated selections on one platform (different requirements,
+    or a deployment planner's sites) share it."""
+    grid = getattr(model, "_select_grid_cache", None)
+    if grid is None:
+        grid = grid_explore(model)
+        model._select_grid_cache = grid
+    return grid
+
+
 def select_config(
     tech: TechnologyCard,
     requirements: Requirements,
@@ -112,13 +123,7 @@ def select_config(
     """
     space = DesignSpace(tech)
     model = model or PerformanceModel(space)
-    # The grid sweep is deterministic per model; cache it so repeated
-    # selections (different requirements, same platform) are instant.
-    grid = getattr(model, "_select_grid_cache", None)
-    if grid is None:
-        grid = grid_explore(model)
-        model._select_grid_cache = grid
-    candidates = list(grid.pareto)
+    candidates = list(default_grid(model).pareto)
     if refine:
         candidates.extend(NSGA2(model, population_size=40, generations=15, seed=seed).run().pareto())
         unique = {e.point.as_tuple(): e for e in candidates}

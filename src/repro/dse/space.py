@@ -128,9 +128,6 @@ class DesignSpace:
             v_supply_range=self.v_supply_range,
         )
 
-    def config_from_genome(self, genome: Sequence[float]) -> FSConfig:
-        return self.to_config(self.decode(genome))
-
     # ------------------------------------------------------------------
     def grid_points(
         self,

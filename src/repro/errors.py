@@ -113,8 +113,3 @@ class AssemblerError(ReproError):
         super().__init__(message + location)
         self.line_number = line_number
         self.line = line
-
-
-class PowerFailureError(SimulationError):
-    """Raised when the supply falls below the minimum operating voltage
-    before a checkpoint completed — i.e. lost program state."""

@@ -33,9 +33,9 @@ from repro.fleet.stream import device_stratum
 #: Site classes for the planner demonstration: the shadier the site,
 #: the tighter the monitor requirement (thin margins need fine reads).
 PLANNER_SITES = (
-    SiteRequirement("storefront", granularity_max=0.050, f_sample_min=1e3, trace_scale=1.8),
-    SiteRequirement("sidewalk", granularity_max=0.040, f_sample_min=2e3, trace_scale=1.0),
-    SiteRequirement("courtyard", granularity_max=0.030, f_sample_min=5e3, trace_scale=0.6),
+    SiteRequirement("storefront", granularity_max=0.050, f_sample_min=1e3),
+    SiteRequirement("sidewalk", granularity_max=0.040, f_sample_min=2e3),
+    SiteRequirement("courtyard", granularity_max=0.030, f_sample_min=5e3),
 )
 
 

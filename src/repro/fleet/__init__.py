@@ -11,14 +11,13 @@ duty-cycle / checkpoint / power-failure distributions; and
 :class:`DeploymentPlanner` closes the loop with :mod:`repro.dse`,
 assigning each site the cheapest Pareto-optimal design that meets its
 accuracy and sampling targets.  At deployment scale (10^6+ devices),
-:func:`stream_fleet` / :meth:`FleetRunner.run_streaming` execute the
-fleet shard by shard into mergeable sketches
-(:class:`FleetSketchReport`) with memory flat in fleet size — see
-``docs/fleet_scale.md``.
+:func:`stream_fleet` executes the fleet shard by shard into mergeable
+sketches (:class:`FleetSketchReport`) with memory flat in fleet size —
+see ``docs/fleet_scale.md``.
 
 Entry points: ``python -m repro fleet`` (``--stream`` for the sharded
 mode) on the command line, the ``ext_fleet`` experiment, and
-:func:`run_fleet` / :func:`stream_fleet` from code.
+:class:`FleetRunner` / :func:`stream_fleet` from code.
 """
 
 from repro.fleet.cache import CalibrationCache, CalibrationRecord, build_record
@@ -27,7 +26,6 @@ from repro.fleet.report import DeviceResult, FleetReport, percentile
 from repro.fleet.runner import (
     FleetRunner,
     FleetRunResult,
-    run_fleet,
     simulate_devices,
 )
 from repro.fleet.spec import (
@@ -61,7 +59,6 @@ __all__ = [
     "percentile",
     "FleetRunner",
     "FleetRunResult",
-    "run_fleet",
     "simulate_devices",
     "DeviceSpec",
     "FleetSpec",

@@ -12,39 +12,30 @@ design wastes exactly the microamps the paper is trying to save.
 sweep, computed once per technology and reused across sites) and
 assigns each :class:`SiteRequirement` the *cheapest* design — lowest
 mean current — that meets the site's accuracy and sampling targets.
-:meth:`DeploymentPlanner.to_fleet` then materializes the plan as a
-:class:`~repro.fleet.spec.FleetSpec` ready for the runner, closing the
-loop from exploration to fleet simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.config import FSConfig
-from repro.dse.grid import grid_explore
 from repro.dse.objectives import Evaluation, PerformanceModel
+from repro.dse.select import default_grid
 from repro.dse.space import DesignSpace
 from repro.errors import ConfigurationError
-from repro.fleet.spec import DeviceSpec, FleetSpec
 from repro.tech import TECH_90NM
 from repro.tech.ptm import TechnologyCard
 
 
 @dataclass(frozen=True)
 class SiteRequirement:
-    """One deployment site's monitor requirements and physical context."""
+    """One deployment site's monitor requirements."""
 
     name: str
     granularity_max: float = 0.050   # V of measurement error the site tolerates
     f_sample_min: float = 1e3        # Hz the runtime needs near the threshold
     current_max: float = 5e-6        # A budget for the monitor itself
-    trace_scale: float = 1.0         # site irradiance relative to nominal
-    trace_seed: int = 0
-    panel_area_cm2: float = 5.0
-    capacitance: float = 47e-6
-    policy: str = "jit"
 
     def __post_init__(self) -> None:
         if self.granularity_max <= 0 or self.f_sample_min <= 0 or self.current_max <= 0:
@@ -80,11 +71,11 @@ class DeploymentPlanner:
     """Assign Pareto-optimal monitor designs to sites, cheapest first.
 
     The candidate pool defaults to the deterministic grid sweep's Pareto
-    front for ``tech``.  The sweep runs once per planner (and is shared
-    with :func:`repro.dse.select.select_config` via the model's grid
-    cache); every subsequent site assignment is a filter over the
-    in-memory front.  Tests can inject a hand-built ``candidates`` list
-    to stay fast.
+    front for ``tech``.  The sweep runs once per model
+    (:func:`repro.dse.select.default_grid`, shared with
+    :func:`~repro.dse.select.select_config`); every subsequent site
+    assignment is a filter over the in-memory front.  Tests can inject
+    a hand-built ``candidates`` list to stay fast.
     """
 
     def __init__(
@@ -102,12 +93,7 @@ class DeploymentPlanner:
     # ------------------------------------------------------------------
     def candidates(self) -> List[Evaluation]:
         if self._candidates is None:
-            # Share the grid with select_config's per-model cache.
-            grid = getattr(self.model, "_select_grid_cache", None)
-            if grid is None:
-                grid = grid_explore(self.model)
-                self.model._select_grid_cache = grid
-            self._candidates = list(grid.pareto)
+            self._candidates = list(default_grid(self.model).pareto)
         return self._candidates
 
     def assign(self, site: SiteRequirement) -> SiteAssignment:
@@ -126,41 +112,3 @@ class DeploymentPlanner:
 
     def plan(self, sites: Sequence[SiteRequirement]) -> List[SiteAssignment]:
         return [self.assign(site) for site in sites]
-
-    # ------------------------------------------------------------------
-    def to_fleet(
-        self,
-        assignments: Sequence[SiteAssignment],
-        duration: float = 300.0,
-        trace: str = "nyc_pedestrian_night",
-        name: str = "planned-fleet",
-    ) -> FleetSpec:
-        """Materialize a plan as a runnable fleet (one device per site)."""
-        devices = []
-        for i, assignment in enumerate(assignments):
-            config = assignment.config
-            params: Tuple[Tuple[str, float], ...] = (
-                ("counter_bits", config.counter_bits),
-                ("entry_bits", config.entry_bits),
-                ("f_sample", config.f_sample),
-                ("nvm_entries", config.nvm_entries),
-                ("ro_length", config.ro_length),
-                ("t_enable", config.t_enable),
-            )
-            site = assignment.site
-            devices.append(
-                DeviceSpec(
-                    device_id=i,
-                    tech=self.tech.name,
-                    monitor="fs",
-                    monitor_params=params,
-                    panel_area_cm2=site.panel_area_cm2,
-                    capacitance=site.capacitance,
-                    trace=trace,
-                    trace_seed=site.trace_seed,
-                    trace_duration=duration,
-                    trace_scale=site.trace_scale,
-                    policy=site.policy,
-                )
-            )
-        return FleetSpec(devices=tuple(devices), name=name)

@@ -79,11 +79,6 @@ class FleetRunResult:
     cache_entries: int
     cache_summary: str
 
-    @property
-    def parallel(self) -> int:
-        """The requested worker count (alias of the ``jobs`` field)."""
-        return self.jobs
-
 
 class FleetRunner:
     """Execute a fleet, serially or across worker processes."""
@@ -161,48 +156,6 @@ class FleetRunner:
         OBS.metrics.incr("fleet.cache_misses", misses)
         return run_result
 
-    def run_streaming(
-        self,
-        shard_size: Optional[int] = None,
-        sample: float = 1.0,
-        sample_seed: int = 0,
-        capacity: Optional[int] = None,
-        on_shard=None,
-        record=None,
-    ):
-        """Execute the fleet shard by shard into mergeable sketches.
-
-        The constant-memory counterpart of :meth:`run`: results are
-        folded into a :class:`~repro.fleet.stream.FleetSketch` one
-        shard at a time and never accumulated, so memory is flat in
-        fleet size.  Returns a :class:`~repro.fleet.stream.
-        FleetStreamResult` whose report's stats equal :meth:`run`'s
-        exactly for fleets that fit the percentile reservoir (mean and
-        energy totals are exact at *any* size).  See
-        :func:`repro.fleet.stream.stream_fleet` for the knobs.
-        """
-        # Late import: stream builds on this module, so the dependency
-        # must point one way at import time.
-        from repro.fleet import stream
-
-        kwargs = {}
-        if shard_size is not None:
-            kwargs["shard_size"] = shard_size
-        if capacity is not None:
-            kwargs["capacity"] = capacity
-        return stream.stream_fleet(
-            self.fleet.devices,
-            name=self.fleet.name,
-            parallel=self.parallel,
-            cache=self.cache,
-            eval_engine=self.eval_engine,
-            sample=sample,
-            sample_seed=sample_seed,
-            on_shard=on_shard,
-            record=record,
-            **kwargs,
-        )
-
     def _execute_batched(self, work: List) -> List[DeviceResult]:
         # One contiguous chunk per worker: the kernel's throughput grows
         # with lane count, so each worker should see the biggest batch
@@ -266,15 +219,3 @@ def record_fleet_run(
         )
     record.finish({"report": report.to_dict()})
     return report
-
-
-def run_fleet(
-    fleet: FleetSpec,
-    parallel: int = 1,
-    cache: Optional[CalibrationCache] = None,
-    eval_engine: str = "auto",
-) -> FleetRunResult:
-    """Convenience wrapper: build a runner and run it."""
-    return FleetRunner(
-        fleet, parallel=parallel, cache=cache, eval_engine=eval_engine
-    ).run()

@@ -55,6 +55,7 @@ from repro.fleet.report import (
     format_duration_span,
     percentile,
 )
+from repro.fleet.runner import simulate_devices
 from repro.obs import OBS
 from repro.trace.format import payload_digest
 
@@ -689,10 +690,6 @@ class FleetStreamResult:
     cache_entries: int
     cache_summary: str
 
-    @property
-    def parallel(self) -> int:
-        return self.jobs
-
 
 def stream_fleet(
     devices: Iterable,
@@ -734,10 +731,6 @@ def stream_fleet(
     and ``keep_events=False`` for 10^7-device runs — events stream to
     JSONL and memory stays flat.
     """
-    # Late import: runner imports us lazily for run_streaming, so the
-    # module-level dependency must point one way only.
-    from repro.fleet.runner import simulate_devices
-
     if parallel < 1:
         raise ConfigurationError("parallel must be >= 1")
     if shard_size < 1:

@@ -43,9 +43,3 @@ class BufferCapacitor:
         scalar engines bit-for-bit.
         """
         return 0.5 * self.capacitance * (self.voltage * self.voltage)
-
-    def energy_between(self, v_high: float, v_low: float) -> float:
-        """Energy released moving from ``v_high`` down to ``v_low`` (J)."""
-        if v_low > v_high:
-            raise ConfigurationError("v_low must not exceed v_high")
-        return 0.5 * self.capacitance * (v_high**2 - v_low**2)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.harvest.capacitor import BufferCapacitor
 from repro.harvest.monitors import MonitorModel
 from repro.units import mega, milli
 
@@ -45,12 +44,6 @@ class CheckpointModel:
             raise ConfigurationError("v_min must be positive")
 
     # ------------------------------------------------------------------
-    def checkpoint_energy(self, current: float) -> float:
-        """Worst-case energy to finish one checkpoint (J), evaluated at
-        the average rail voltage during the final discharge ramp."""
-        v_avg = self.v_min  # conservative: lowest voltage of the ramp
-        return current * v_avg * self.checkpoint_time
-
     def ideal_checkpoint_voltage(self, current: float, capacitance: float) -> float:
         """The perfect-monitor threshold: just enough energy remains.
 
@@ -88,20 +81,3 @@ class CheckpointModel:
         ideal = self.ideal_checkpoint_voltage(system_current, capacitance)
         margin = monitor.resolution + self.sampling_margin(system_current, capacitance, monitor)
         return ideal + margin
-
-    # ------------------------------------------------------------------
-    def usable_energy(
-        self,
-        capacitor: BufferCapacitor,
-        v_on: float,
-        system_current: float,
-        monitor: MonitorModel,
-    ) -> float:
-        """Energy available for RUNNING (not checkpointing) per cycle (J).
-
-        From turn-on down to the deployed checkpoint threshold.
-        """
-        v_ckpt = self.checkpoint_voltage(system_current, capacitor.capacitance, monitor)
-        if v_ckpt >= v_on:
-            return 0.0
-        return capacitor.energy_between(v_on, v_ckpt)

@@ -8,7 +8,6 @@ collapses at very low illumination) and a charger efficiency factor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +50,6 @@ class SolarPanel:
     @property
     def area_m2(self) -> float:
         return self.area_cm2 * 1e-4
-
-    def electrical_power(self, irradiance: float) -> float:
-        """Power delivered to the buffer capacitor (W)."""
-        if irradiance < 0:
-            raise ConfigurationError("irradiance cannot be negative")
-        raw = irradiance * self.area_m2 * self.efficiency * self.harvester_efficiency
-        if self.low_light_knee <= 0:
-            return raw
-        rolloff = 1.0 - math.exp(-irradiance / self.low_light_knee)
-        return raw * rolloff
 
     def power_curve(self, values) -> np.ndarray:
         """Electrical power per sample of a piecewise-constant trace.

@@ -428,7 +428,7 @@ class Supply:
         """``(p_in, t_change)``: the power of the segment holding ``t``,
         index ``floor(t / trace.dt + 1e-9)``, and when the power next
         changes.  Past the trace's end (or on an empty trace, 0 W) the
-        last power holds forever, as ``IrradianceTrace.at`` holds it."""
+        last power holds forever."""
         seg = min(math.floor(t / self.dt + 1e-9), self.last)
         t_change = self.next_change[seg] * self.dt
         return self.power[seg], (t_change if t_change > t else math.inf)

@@ -48,15 +48,6 @@ class IrradianceTrace:
     def duration(self) -> float:
         return self.dt * len(self.values)
 
-    def at(self, t: float) -> float:
-        """Irradiance at time ``t`` (holds the last value past the end)."""
-        if t < 0:
-            raise ConfigurationError("time must be non-negative")
-        if not self.values:
-            return 0.0
-        index = min(int(t / self.dt), len(self.values) - 1)
-        return self.values[index]
-
     def mean(self) -> float:
         if not self.values:
             return 0.0

@@ -78,11 +78,6 @@ class CSRFile:
         self.write(address, old | mask)
         return old
 
-    def clear_bits(self, address: int, mask: int) -> int:
-        old = self.read(address)
-        self.write(address, old & ~mask)
-        return old
-
     # ------------------------------------------------------------------
     def tick(self, cycles: int = 1) -> None:
         total = ((self._regs[MCYCLEH] << 32) | self._regs[MCYCLE]) + cycles
@@ -102,9 +97,6 @@ class CSRFile:
 
     def raise_external_interrupt(self) -> None:
         self.set_bits(MIP, MEI_BIT)
-
-    def clear_external_interrupt(self) -> None:
-        self.clear_bits(MIP, MEI_BIT)
 
     def enter_trap(self, pc: int, cause: int, tval: int = 0) -> int:
         """Record trap state; returns the handler address (mtvec)."""

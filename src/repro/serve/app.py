@@ -110,6 +110,8 @@ class ReproServer:
         buffer_limit: int = 256,
         manager: Optional[JobManager] = None,
     ):
+        if not 0 <= port <= 65535:
+            raise ConfigurationError(f"port must be in [0, 65535], got {port}")
         self.host = host
         self.port = port
         self.manager = manager or JobManager(
@@ -126,8 +128,11 @@ class ReproServer:
         """Run until :meth:`stop` is called (the coroutine entry point)."""
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
+        try:
+            server = await asyncio.start_server(self._handle_client, self.host, self.port)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot serve on {self.host}:{self.port}: {exc}") from None
         self.manager.start()
-        server = await asyncio.start_server(self._handle_client, self.host, self.port)
         self.port = server.sockets[0].getsockname()[1]
         self._ready.set()
         if on_ready is not None:

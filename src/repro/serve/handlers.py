@@ -46,7 +46,9 @@ manager calls it at submit, so a request it rejects never queues (the
 HTTP front end answers 400 with a one-line message).  Each validator
 is the parser its handler runs first: it builds the
 :class:`~repro.fleet.spec.FleetSpec`, the sweeps, the DSE tech node,
-the experiment list or the :class:`~repro.trace.Recording`.
+the experiment list or the :class:`~repro.trace.Recording`, and checks
+the ``parallel``, ``wave``, ``eval_engine`` and stream fields the job
+reads.
 
 Handlers fan heavy work out through
 :meth:`~repro.serve.jobs.JobContext.wave_run`, so every job type honors
@@ -59,8 +61,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Dict, List
+from typing import Dict, List, Optional
 
+from repro.batch import ENGINES as EVAL_ENGINES
 from repro.dse.nsga2 import NSGA2
 from repro.dse.objectives import PerformanceModel
 from repro.dse.pareto import non_dominated_sort
@@ -94,45 +97,69 @@ __all__ = [
     "handle_experiments",
     "handle_fleet",
     "handle_replay",
-    "fleet_spec",
     "sweep_from_dict",
     "sweep_to_dict",
 ]
 
 
-def _parallel(request: Dict) -> int:
-    value = request.get("parallel")
+def _count(request: Dict, key: str) -> Optional[int]:
+    """``request[key]`` as an integer >= 1, or None when it is absent;
+    anything else raises :class:`ConfigurationError`."""
+    value = request.get(key)
     if value is None:
-        return 1
-    value = int(value)
-    if value < 1:
-        raise ConfigurationError(f"parallel must be >= 1, got {value}")
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError(f"{key} must be an integer >= 1, got {value!r}")
     return value
 
 
-def _wave(request: Dict):
-    wave = request.get("wave")
-    return int(wave) if wave is not None else None
+def _parallel(request: Dict) -> int:
+    return _count(request, "parallel") or 1
+
+
+def _wave(request: Dict) -> Optional[int]:
+    return _count(request, "wave")
 
 
 # ----------------------------------------------------------------------
 # fleet
 # ----------------------------------------------------------------------
-def fleet_spec(request: Dict) -> FleetSpec:
-    """The fleet a ``fleet`` job runs; a malformed payload raises
-    :class:`ConfigurationError`."""
+def fleet_request(request: Dict):
+    """``(fleet, parallel, wave, eval_engine, stream)`` for a ``fleet``
+    job, where ``stream`` is None or, for a ``"stream": true`` job, the
+    shard, sample and reservoir keywords of :func:`stream_fleet`; a
+    malformed payload or field raises :class:`ConfigurationError`."""
     if "fleet" not in request:
         raise ConfigurationError('fleet job needs a "fleet" payload')
-    return FleetSpec.from_dict(request["fleet"])
+    fleet = FleetSpec.from_dict(request["fleet"])
+    eval_engine = request.get("eval_engine", "auto")
+    if eval_engine not in EVAL_ENGINES:
+        raise ConfigurationError(
+            f"unknown eval engine {eval_engine!r}; choose from {EVAL_ENGINES}"
+        )
+    stream = None
+    if request.get("stream"):
+        sample = request.get("sample", 1.0)
+        numeric = isinstance(sample, (int, float)) and not isinstance(sample, bool)
+        if not (numeric and 0.0 < sample <= 1.0):
+            raise ConfigurationError(f"sample must be a number in (0, 1], got {sample!r}")
+        sample_seed = request.get("sample_seed", 0)
+        if isinstance(sample_seed, bool) or not isinstance(sample_seed, int):
+            raise ConfigurationError(f"sample_seed must be an integer, got {sample_seed!r}")
+        stream = {
+            "shard_size": _count(request, "shard_size") or DEFAULT_SHARD_SIZE,
+            "sample": float(sample),
+            "sample_seed": sample_seed,
+            "capacity": _count(request, "capacity") or DEFAULT_RESERVOIR_CAPACITY,
+        }
+    return fleet, _parallel(request), _wave(request), eval_engine, stream
 
 
 def handle_fleet(context: JobContext, request: Dict) -> Dict:
     """Replay a fleet, streaming per-device results as they land."""
-    fleet = fleet_spec(request)
-    parallel = _parallel(request)
-    eval_engine = request.get("eval_engine", "auto")
-    if request.get("stream"):
-        return _handle_fleet_stream(context, fleet, request, parallel, eval_engine)
+    fleet, parallel, wave, eval_engine, stream = fleet_request(request)
+    if stream is not None:
+        return _handle_fleet_stream(context, fleet, request, parallel, eval_engine, stream)
     runner = FleetRunner(
         fleet,
         parallel=parallel,
@@ -151,7 +178,7 @@ def handle_fleet(context: JobContext, request: Dict) -> Dict:
         parallel=parallel,
         chunked=True,
         on_item=on_item,
-        wave=_wave(request),
+        wave=wave,
         label="serve.fleet",
     )
     # Same aggregation as FleetRunner.run(): DeviceResults in id order,
@@ -167,7 +194,12 @@ def handle_fleet(context: JobContext, request: Dict) -> Dict:
 
 
 def _handle_fleet_stream(
-    context: JobContext, fleet: FleetSpec, request: Dict, parallel: int, eval_engine: str
+    context: JobContext,
+    fleet: FleetSpec,
+    request: Dict,
+    parallel: int,
+    eval_engine: str,
+    stream: Dict,
 ) -> Dict:
     """Sharded constant-memory fleet execution with sketch snapshots.
 
@@ -176,13 +208,9 @@ def _handle_fleet_stream(
     percentile estimates at any point of the run.  ``on_shard`` fires
     after every shard's process pool has been joined, so the
     cancellation check inside it never strands worker processes; the
-    final payload is byte-identical to the direct
-    :meth:`FleetRunner.run_streaming` result.
+    final payload is byte-identical to the direct :func:`stream_fleet`
+    result.
     """
-    shard_size = int(request.get("shard_size", DEFAULT_SHARD_SIZE))
-    sample = float(request.get("sample", 1.0))
-    sample_seed = int(request.get("sample_seed", 0))
-    capacity = int(request.get("capacity", DEFAULT_RESERVOIR_CAPACITY))
     context.emit("fleet", name=fleet.name, devices=len(fleet), mode="stream")
 
     def on_shard(shard_index: int, sketch) -> None:
@@ -201,14 +229,11 @@ def _handle_fleet_stream(
         fleet.devices,
         name=fleet.name,
         parallel=parallel,
-        shard_size=shard_size,
         cache=context.manager.calibration_cache,
         eval_engine=eval_engine,
-        sample=sample,
-        sample_seed=sample_seed,
-        capacity=capacity,
         on_shard=on_shard,
         record=recorder,
+        **stream,
     )
     context.check_cancelled()
     if recorder is not None:
@@ -216,9 +241,9 @@ def _handle_fleet_stream(
     return outcome.report.to_dict()
 
 
-# The job manager builds the same spec at submit, so a malformed fleet
-# request is refused up front instead of failing once it runs.
-handle_fleet.validate = fleet_spec
+# The job manager parses the same request at submit, so a malformed
+# fleet request is refused up front instead of failing once it runs.
+handle_fleet.validate = fleet_request
 
 
 # ----------------------------------------------------------------------
@@ -322,9 +347,9 @@ handle_dse.validate = dse_request
 # ----------------------------------------------------------------------
 # experiments
 # ----------------------------------------------------------------------
-def experiment_names(request: Dict) -> List[str]:
-    """The experiments an ``experiments`` job runs; unknown names raise
-    :class:`ConfigurationError`."""
+def experiments_request(request: Dict):
+    """``(names, parallel, wave)`` for an ``experiments`` job; unknown
+    names or a malformed field raise :class:`ConfigurationError`."""
     # Late import: pulls in every experiment driver (the whole library).
     from repro.experiments.runner import EXPERIMENTS
 
@@ -334,14 +359,14 @@ def experiment_names(request: Dict) -> List[str]:
         raise ConfigurationError(
             f"unknown experiments {unknown}; choose from {list(EXPERIMENTS)}"
         )
-    return names
+    return names, _parallel(request), _wave(request)
 
 
 def handle_experiments(context: JobContext, request: Dict) -> Dict:
     """Regenerate paper tables/figures, streaming each as it finishes."""
     from repro.experiments.runner import _run_one
 
-    names = experiment_names(request)
+    names, parallel, wave = experiments_request(request)
 
     def on_item(index: int, outcome) -> None:
         result, elapsed = outcome
@@ -352,15 +377,15 @@ def handle_experiments(context: JobContext, request: Dict) -> Dict:
     outcomes = context.wave_run(
         _run_one,
         names,
-        parallel=_parallel(request),
+        parallel=parallel,
         on_item=on_item,
-        wave=_wave(request),
+        wave=wave,
         label="serve.experiments",
     )
     return {"results": [result.to_dict() for result, _elapsed in outcomes]}
 
 
-handle_experiments.validate = experiment_names
+handle_experiments.validate = experiments_request
 
 
 # ----------------------------------------------------------------------
@@ -414,9 +439,10 @@ def sweep_from_dict(data: Dict) -> SweepRequest:
 
 
 def characterize_request(request: Dict):
-    """``(sweeps, engine, tolerance)`` for a ``characterize`` job; a
-    malformed sweep, an unknown engine or a non-numeric tolerance
-    raises :class:`ConfigurationError`."""
+    """``(sweeps, engine, tolerance, parallel, wave)`` for a
+    ``characterize`` job; a malformed sweep, an unknown engine, a
+    non-numeric tolerance or a malformed field raises
+    :class:`ConfigurationError`."""
     tolerance = request.get("tolerance")
     try:
         sweeps = [sweep_from_dict(s) for s in request.get("sweeps", [])]
@@ -428,7 +454,7 @@ def characterize_request(request: Dict):
     engine = request.get("engine", "auto")
     if engine not in CHAR_ENGINES:
         raise ConfigurationError(f"unknown characterization engine {engine!r}")
-    return sweeps, engine, tolerance
+    return sweeps, engine, tolerance, _parallel(request), _wave(request)
 
 
 def handle_characterize(context: JobContext, request: Dict) -> Dict:
@@ -439,10 +465,9 @@ def handle_characterize(context: JobContext, request: Dict) -> Dict:
     process-lifetime cache also holds certified surrogate models, so a
     fitted node's curves answer without touching the solver.
     """
-    sweeps, engine, tolerance = characterize_request(request)
-    parallel = _parallel(request)
+    sweeps, engine, tolerance, parallel, wave = characterize_request(request)
     cache = context.manager.characterization_cache
-    wave = _wave(request) or max(1, parallel) * 4
+    wave = wave or parallel * 4
     results = []
     hits0, misses0 = cache.stats.hits, cache.stats.misses
     surrogate0 = cache.stats.surrogate_hits

@@ -269,6 +269,8 @@ class JobManager:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if queue_depth < 1:
             raise ConfigurationError(f"queue_depth must be >= 1, got {queue_depth}")
+        if buffer_limit < 1:
+            raise ConfigurationError(f"buffer_limit must be >= 1, got {buffer_limit}")
         if handlers is None:
             # Late import: handlers pull in the fleet/dse stacks, which
             # a bare ``import repro.serve.jobs`` should not pay for.

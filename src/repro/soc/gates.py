@@ -74,9 +74,6 @@ class GateNetlist:
     def flip_flop_count(self) -> int:
         return sum(n for kind, n in self.gates.items() if kind in SEQUENTIAL)
 
-    def combinational_count(self) -> int:
-        return sum(n for kind, n in self.gates.items() if kind not in SEQUENTIAL)
-
     def breakdown(self) -> Mapping[str, int]:
         return {kind.value: n for kind, n in sorted(self.gates.items())}
 

@@ -248,9 +248,6 @@ class FSDigital:
             inputs[f"thr{i}"] = (threshold >> i) & 1
         self.sim.settle(inputs)
 
-    def disarm(self) -> None:
-        self.sim.settle({"armed": 0})
-
     def window_energy(self, edges: int, v_core: float, c_net: float) -> float:
         """Gate-level dynamic energy of one enable window (J).
 

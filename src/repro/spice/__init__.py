@@ -57,7 +57,6 @@ _SURROGATE_EXPORTS = (
     "DEFAULT_TOLERANCE",
     "SurrogateModel",
     "fit_surrogate",
-    "fit_variation_family",
 )
 
 

@@ -128,10 +128,6 @@ class Circuit:
                     seen.append(node)
         return seen
 
-    def node_count(self) -> int:
-        """Number of unknowns the solver must find."""
-        return len(self.nodes())
-
     def validate(self) -> None:
         """Sanity checks before solving.
 

@@ -561,41 +561,6 @@ def _check_alive(exact, quantities, kind: str) -> None:
             )
 
 
-def fit_variation_family(
-    template: SweepRequest,
-    variation,
-    count: int,
-    *,
-    base_seed: int = 0,
-    tolerance: float = DEFAULT_TOLERANCE,
-    temps: Optional[Sequence[float]] = None,
-    parallel: Optional[int] = None,
-    cache: Optional[CharacterizationCache] = None,
-) -> List[SurrogateModel]:
-    """One certified surrogate per manufactured chip.
-
-    Samples ``count`` process-variation cards from ``variation`` (a
-    :class:`~repro.tech.variation.ProcessVariation`) and fits a model
-    per chip.  Each chip pays only its anchor/certification solves —
-    dense per-device curve queries (fleet enrollment, Monte-Carlo
-    sweeps) then cost microseconds — and refits of the same chip at the
-    same contract are cache hits.
-    """
-    models = []
-    for chip in variation.population(template.tech, count, base_seed=base_seed):
-        chip_template = replace(template, tech=chip.card)
-        models.append(
-            fit_surrogate(
-                chip_template,
-                tolerance=tolerance,
-                temps=temps,
-                parallel=parallel,
-                cache=cache,
-            )
-        )
-    return models
-
-
 # ----------------------------------------------------------------------
 # Engine dispatch (the back half of charlib.characterize_many)
 # ----------------------------------------------------------------------
@@ -744,7 +709,6 @@ __all__ = [
     "SURROGATE_SCHEMA_VERSION",
     "SurrogateModel",
     "fit_surrogate",
-    "fit_variation_family",
     "model_fingerprint",
     "pchip_eval",
     "pchip_slopes",

@@ -43,10 +43,6 @@ class Waveform:
                 edges.append(t)
         return edges
 
-    def count_rising_edges(self, threshold: float, t_start: float = 0.0, t_stop: float = float("inf")) -> int:
-        """Edge count in a window — the hardware counter's view."""
-        return sum(1 for t in self.rising_edges(threshold) if t_start <= t <= t_stop)
-
     def frequency(self, threshold: float) -> float:
         """Mean oscillation frequency from edge-to-edge periods (Hz)."""
         edges = self.rising_edges(threshold)

@@ -211,10 +211,6 @@ class TechnologyCard:
         current[finite] = self.c_switch * vdd[finite] / tau[finite]
         return current
 
-    def stage_switch_energy(self, vdd: float) -> float:
-        """Energy to charge/discharge one stage's load once (J)."""
-        return self.c_switch * vdd * vdd
-
     def scaled(self, **overrides) -> "TechnologyCard":
         """Copy of this card with selected fields replaced.
 

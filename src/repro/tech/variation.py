@@ -70,14 +70,3 @@ class VariedTechnology:
     seed: int
     vth_shift: float
     drive_factor: float
-
-    def frequency_spread_vs(self, nominal: TechnologyCard, vdd: float) -> float:
-        """Relative frequency error of this chip against the nominal card.
-
-        Positive means this chip's rings run fast.
-        """
-        tau_nom = nominal.gate_delay(vdd)
-        tau_chip = self.card.gate_delay(vdd)
-        if tau_chip == 0:
-            raise ConfigurationError("chip delay is zero; variation sample invalid")
-        return tau_nom / tau_chip - 1.0

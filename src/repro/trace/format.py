@@ -95,9 +95,6 @@ class TraceHeader:
             fingerprint=payload_digest(config),
         )
 
-    def verify_fingerprint(self) -> bool:
-        return self.fingerprint == payload_digest(self.config)
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready payload; inverse of :meth:`from_dict`."""
         return {

@@ -2,13 +2,10 @@
 
 All internal quantities are SI: volts, amps, seconds, farads, hertz,
 joules, kelvin.  These helpers exist so call sites can say ``micro(265)``
-or ``to_micro(current_a)`` instead of sprinkling ``1e-6`` literals, and so
-tests can compare floats with a single, consistent tolerance.
+or ``to_micro(current_a)`` instead of sprinkling ``1e-6`` literals.
 """
 
 from __future__ import annotations
-
-import math
 
 # Physical constants.
 BOLTZMANN = 1.380649e-23  # J/K
@@ -45,26 +42,6 @@ def nano(value: float) -> float:
     return value * 1e-9
 
 
-def pico(value: float) -> float:
-    """Scale ``value`` by 1e-12."""
-    return value * 1e-12
-
-
-def femto(value: float) -> float:
-    """Scale ``value`` by 1e-15."""
-    return value * 1e-15
-
-
-def to_kilo(value: float) -> float:
-    """Express ``value`` in units of 1e3 (Hz -> kHz)."""
-    return value / 1e3
-
-
-def to_mega(value: float) -> float:
-    """Express ``value`` in units of 1e6."""
-    return value / 1e6
-
-
 def to_milli(value: float) -> float:
     """Express ``value`` in units of 1e-3 (V -> mV)."""
     return value / 1e-3
@@ -75,29 +52,14 @@ def to_micro(value: float) -> float:
     return value / 1e-6
 
 
-def to_nano(value: float) -> float:
-    """Express ``value`` in units of 1e-9."""
-    return value / 1e-9
-
-
 def celsius_to_kelvin(temp_c: float) -> float:
     """Convert a Celsius temperature to kelvin."""
     return temp_c + ZERO_CELSIUS
 
 
-def kelvin_to_celsius(temp_k: float) -> float:
-    """Convert a kelvin temperature to Celsius."""
-    return temp_k - ZERO_CELSIUS
-
-
 def thermal_voltage(temp_k: float = ROOM_TEMP_K) -> float:
     """kT/q in volts; ~25.85 mV at room temperature."""
     return BOLTZMANN * temp_k / ELECTRON_CHARGE
-
-
-def approx_equal(a: float, b: float, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:
-    """Tolerant float comparison with both relative and absolute slack."""
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_tol)
 
 
 def clamp(value: float, low: float, high: float) -> float:

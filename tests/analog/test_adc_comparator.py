@@ -29,10 +29,6 @@ class TestADC:
         assert adc.quantize(10.0) == 4095
         assert adc.quantize(-1.0) == 0
 
-    def test_conversion_time(self):
-        adc = SARADC(sample_rate=200e3)
-        assert adc.conversion_time() == pytest.approx(5e-6)
-
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             SARADC(resolution_bits=0)

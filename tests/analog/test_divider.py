@@ -50,11 +50,6 @@ class TestElectrical:
         droop_wide = wide.nominal_output(3.0) - wide.loaded_output(3.0, i)
         assert droop_wide < droop_narrow
 
-    def test_output_impedance_finite(self):
-        d = VoltageDivider(TECH_90NM)
-        z = d.output_impedance(3.0)
-        assert 0 < z < 1e9
-
     def test_transistor_count(self):
         assert VoltageDivider(TECH_90NM, 1, 3).transistor_count() == 4
 

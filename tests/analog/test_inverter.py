@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analog import Inverter
+from repro.analog import Inverter, RingOscillator
 from repro.errors import ConfigurationError
 from repro.tech import TECH_90NM
 
@@ -31,8 +31,11 @@ class TestDelay:
 
 class TestEnergyAndStructure:
     def test_switch_energy(self, tech):
+        """A ring draws one stage's C V^2 per gate delay."""
         inv = Inverter(tech)
-        assert inv.switch_energy(1.0) == pytest.approx(tech.c_switch)
+        ring = RingOscillator(tech, 7)
+        energy = ring.dynamic_current(1.0) * 1.0 * inv.delay(1.0)
+        assert energy == pytest.approx(tech.c_switch)
 
     def test_leakage_positive(self, tech):
         assert Inverter(tech).leakage_current() > 0

@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analog import RingOscillator
-from repro.analog.ring_oscillator import (
-    MAX_STAGES,
-    MIN_STAGES,
-    is_valid_ro_length,
-    recommended_lengths,
-)
+from repro.analog.ring_oscillator import is_valid_ro_length
+from repro.core import EdgeCounter
 from repro.errors import ConfigurationError
 from repro.tech import TECH_90NM
 
@@ -27,13 +23,6 @@ class TestLengthValidation:
         assert not is_valid_ro_length(n)
         with pytest.raises(ConfigurationError):
             RingOscillator(TECH_90NM, n)
-
-    def test_recommended_lengths_are_odd_primes(self):
-        lengths = recommended_lengths()
-        assert lengths[0] == 3
-        assert all(n % 2 == 1 for n in lengths)
-        assert 21 not in lengths  # 21 = 3*7, not prime
-        assert all(MIN_STAGES <= n <= MAX_STAGES for n in lengths)
 
 
 class TestEquation1:
@@ -106,21 +95,26 @@ class TestPower:
 
 
 class TestCounterView:
+    """A ring's count is what the monitor's edge counter captures from
+    its frequency over one enable window (``FailureSentinels.sample``)."""
+
     def test_counts_truncate(self):
         ro = RingOscillator(TECH_90NM, 7)
         f = ro.frequency(1.0)
         t_en = 2e-6
-        assert ro.counts_in_window(1.0, t_en) == int(f * t_en)
+        assert EdgeCounter(16).capture_window(f, t_en) == int(f * t_en)
 
     def test_counts_need_positive_window(self):
+        f = RingOscillator(TECH_90NM, 7).frequency(1.0)
         with pytest.raises(ConfigurationError):
-            RingOscillator(TECH_90NM, 7).counts_in_window(1.0, 0.0)
+            EdgeCounter(16).capture_window(f, 0.0)
 
     @settings(max_examples=30)
     @given(st.floats(min_value=0.5, max_value=1.3), st.floats(min_value=1e-6, max_value=1e-4))
     def test_counts_monotonic_in_window(self, v, t_en):
-        ro = RingOscillator(TECH_90NM, 7)
-        assert ro.counts_in_window(v, 2 * t_en) >= ro.counts_in_window(v, t_en)
+        f = RingOscillator(TECH_90NM, 7).frequency(v)
+        counter = EdgeCounter(32)
+        assert counter.capture_window(f, 2 * t_en) >= counter.capture_window(f, t_en)
 
 
 class TestStructure:

@@ -12,7 +12,6 @@ from repro.core.calibration import (
     enroll_points,
     entry_precision_floor,
     evenly_spaced_voltages,
-    measured_max_error,
     quantize_voltage,
     sweep_max_error,
 )
@@ -208,7 +207,6 @@ class TestCountSweep:
             want = fresh_sweep_error(table, 1.8, 3.6, 137)
             assert want > 0
             assert sweep_max_error(table.lookup, sweep) == want
-            assert measured_max_error(table, self.count_of, 1.8, 3.6, samples=137) == want
 
     def test_empty_sweep_scores_zero(self):
         assert sweep_max_error(lambda c: 0.0, []) == 0.0

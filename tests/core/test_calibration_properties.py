@@ -15,11 +15,12 @@ from repro.core.calibration import (
     EnrollmentPoint,
     PiecewiseConstant,
     PiecewiseLinear,
+    count_sweep,
     enroll_points,
     evenly_spaced_voltages,
-    measured_max_error,
     piecewise_constant_error_bound,
     piecewise_linear_error_bound,
+    sweep_max_error,
     voltage_of_frequency_derivatives,
 )
 from repro.core.sensitivity import frequency_function, monitor_frequency_array
@@ -59,7 +60,7 @@ class TestErrorBoundsHold:
         h = (f_hi - f_lo) / entries
         bound = piecewise_linear_error_bound(d2v, h)
         table = PiecewiseLinear(enroll_points(count_of, evenly_spaced_voltages(V_LO, V_HI, entries)))
-        measured = measured_max_error(table, count_of, V_LO, V_HI, samples=200)
+        measured = sweep_max_error(table.lookup, count_sweep(count_of, V_LO, V_HI, samples=200))
         quant_residual = 2.5 / (T_EN * (f_hi - f_lo) / (V_HI - V_LO))
         assert measured <= bound + quant_residual
 
@@ -71,7 +72,7 @@ class TestErrorBoundsHold:
         h = (f_hi - f_lo) / entries
         bound = piecewise_constant_error_bound(dv, h)
         table = PiecewiseConstant(enroll_points(count_of, evenly_spaced_voltages(V_LO, V_HI, entries)))
-        measured = measured_max_error(table, count_of, V_LO, V_HI, samples=200)
+        measured = sweep_max_error(table.lookup, count_sweep(count_of, V_LO, V_HI, samples=200))
         quant_residual = 2.5 / (T_EN * (f_hi - f_lo) / (V_HI - V_LO))
         assert measured <= bound + quant_residual
 

@@ -74,10 +74,6 @@ class TestDerived:
         assert make(counter_bits=8).counter_max == 255
         assert make(counter_bits=1).counter_max == 1
 
-    def test_nvm_overhead(self):
-        cfg = make(nvm_entries=49, entry_bits=8)
-        assert cfg.nvm_overhead_bytes == 49
-
     def test_label_mentions_key_fields(self):
         label = make().label()
         assert "90nm" in label and "kHz" in label

@@ -46,7 +46,7 @@ class TestBudgetStructure:
         """Section V-C: 'temperature-induced frequency changes
         approximately double Failure Sentinels's error'."""
         b = evaluate_error_budget(make())
-        ratio = b.total / b.total_without_temperature
+        ratio = b.total / (b.total - b.temperature)
         assert 1.3 < ratio < 3.5
 
 

@@ -106,9 +106,11 @@ class TestInterrupts:
         assert enrolled_monitor.read_voltage(thr) >= v_req - 1e-9
 
     def test_clear_interrupt(self, enrolled_monitor):
+        """Re-arming the threshold clears a pending interrupt."""
         enrolled_monitor.set_threshold(2.2)
         enrolled_monitor.sample(2.0)
-        enrolled_monitor.clear_interrupt()
+        assert enrolled_monitor.interrupt_pending
+        enrolled_monitor.set_threshold(2.2)
         assert not enrolled_monitor.interrupt_pending
 
     def test_threshold_before_enroll_raises(self):

@@ -28,6 +28,16 @@ class TestRequirements:
             Requirements(granularity_max=0.0)
 
 
+class TestDefaultGrid:
+    def test_one_sweep_per_model_shared_with_the_planner(self, model):
+        from repro.dse.select import default_grid
+        from repro.fleet import DeploymentPlanner
+
+        grid = default_grid(model)
+        assert default_grid(model) is grid
+        assert DeploymentPlanner(model=model).candidates() == list(grid.pareto)
+
+
 class TestSelection:
     def test_mote_pick_buildable(self, model):
         choice = select_config(

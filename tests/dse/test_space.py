@@ -77,10 +77,6 @@ class TestToConfig:
         assert isinstance(cfg, FSConfig)
         assert cfg.tech is TECH_90NM
 
-    def test_config_from_genome_shortcut(self, space):
-        cfg = space.config_from_genome([0.3, 0.5, 0.6, 0.4, 0.5, 0.5])
-        assert cfg.ro_length == space.decode([0.3, 0.5, 0.6, 0.4, 0.5, 0.5]).ro_length
-
 
 class TestGrid:
     def test_grid_size(self, space):

@@ -5,7 +5,7 @@ import pytest
 from repro.dse.objectives import Evaluation
 from repro.dse.space import DesignPoint
 from repro.errors import ConfigurationError
-from repro.fleet import DeploymentPlanner, FleetRunner, SiteRequirement
+from repro.fleet import DeploymentPlanner, SiteRequirement
 
 
 def evaluation(current_ua, granularity_mv, f_sample_khz, **point_overrides):
@@ -70,38 +70,3 @@ class TestAssignment:
         with pytest.raises(ConfigurationError):
             planner.assign(site)
 
-
-class TestPlanToFleet:
-    def test_plan_materializes_runnable_fleet(self, planner):
-        sites = [
-            SiteRequirement("a", granularity_max=0.050, trace_seed=1, trace_scale=1.5),
-            SiteRequirement("b", granularity_max=0.030, trace_seed=2, trace_scale=1.5),
-        ]
-        assignments = planner.plan(sites)
-        fleet = planner.to_fleet(assignments, duration=30.0)
-        assert len(fleet) == 2
-        assert all(d.monitor == "fs" for d in fleet.devices)
-        # Different designs means distinct calibration keys.
-        assert len(fleet.calibration_keys()) == 2
-
-        outcome = FleetRunner(fleet).run()
-        assert len(outcome.report.results) == 2
-        assert all(r.duration == pytest.approx(30.0) for r in outcome.report.results)
-
-    def test_site_context_carries_into_devices(self, planner):
-        site = SiteRequirement(
-            "shade",
-            granularity_max=0.050,
-            trace_scale=0.7,
-            trace_seed=77,
-            panel_area_cm2=3.0,
-            capacitance=100e-6,
-            policy="guarded",
-        )
-        fleet = planner.to_fleet([planner.assign(site)], duration=20.0)
-        device = fleet.devices[0]
-        assert device.trace_scale == 0.7
-        assert device.trace_seed == 77
-        assert device.panel_area_cm2 == 3.0
-        assert device.capacitance == 100e-6
-        assert device.policy == "guarded"

@@ -8,7 +8,6 @@ from repro.fleet import (
     DeviceSpec,
     FleetRunner,
     FleetSpec,
-    run_fleet,
     synthesize_fleet,
 )
 from repro.errors import ConfigurationError
@@ -38,7 +37,7 @@ class TestSingleDeviceEquivalence:
             trace_seed=42,
             trace_duration=90.0,
         )
-        outcome = run_fleet(FleetSpec(devices=(device,), name="solo"))
+        outcome = FleetRunner(FleetSpec(devices=(device,), name="solo")).run()
         result = outcome.report.results[0]
 
         direct = FastIntermittentSimulator(fs_low_power_monitor()).run(
@@ -83,14 +82,9 @@ class TestJobsKwargRemoved:
         with pytest.raises(TypeError):
             FleetRunner(small_fleet, jobs=2)
 
-    def test_run_fleet_jobs_kwarg_rejected(self, small_fleet):
-        with pytest.raises(TypeError):
-            run_fleet(small_fleet, jobs=1)
-
     def test_result_metadata_field_remains(self, small_fleet):
-        outcome = run_fleet(small_fleet, parallel=1)
+        outcome = FleetRunner(small_fleet, parallel=1).run()
         assert outcome.jobs == 1
-        assert outcome.parallel == 1
 
 
 class TestCacheTransparency:
@@ -113,7 +107,7 @@ class TestPolicies:
             DeviceSpec(device_id=i, policy=policy, **base)
             for i, policy in enumerate(("jit", "guarded", "paranoid"))
         )
-        outcome = run_fleet(FleetSpec(devices=devices, name="policies"))
+        outcome = FleetRunner(FleetSpec(devices=devices, name="policies")).run()
         r_jit, r_guarded, r_paranoid = outcome.report.results
         assert r_guarded.v_checkpoint == pytest.approx(r_jit.v_checkpoint + 0.025)
         assert r_paranoid.v_checkpoint == pytest.approx(r_jit.v_checkpoint + 0.050)

@@ -25,6 +25,10 @@ from repro.fleet.stream import ExactSum, device_stratum
 METRICS = ("duty_pct", "app_time", "checkpoints", "power_failures")
 
 
+def _stream(fleet, **kwargs):
+    return stream_fleet(fleet.devices, name=fleet.name, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def small_fleet():
     return synthesize_fleet(12, seed=11, duration=30.0)
@@ -37,7 +41,7 @@ def exact_report(small_fleet):
 
 @pytest.fixture(scope="module")
 def streamed(small_fleet):
-    return FleetRunner(small_fleet, parallel=1).run_streaming(shard_size=5)
+    return _stream(small_fleet, shard_size=5)
 
 
 class TestExactSum:
@@ -188,7 +192,7 @@ class TestSketchMatchesExact:
         fleet = synthesize_fleet(9, seed=seed, duration=15.0)
         exact = FleetRunner(fleet, parallel=1).run().report
         for shard_size in (1, 4, 9):
-            out = FleetRunner(fleet, parallel=1).run_streaming(shard_size=shard_size)
+            out = _stream(fleet, shard_size=shard_size)
             for metric in METRICS:
                 assert out.report.stats(metric) == exact.stats(metric)
             assert out.report.energy_rollup() == exact.energy_rollup()
@@ -198,15 +202,13 @@ class TestShardAndMergeInvariance:
     def test_render_identical_across_shard_sizes(self, small_fleet, streamed):
         rendered = streamed.report.render()
         for shard_size in (1, 3, 12):
-            again = FleetRunner(small_fleet, parallel=1).run_streaming(
-                shard_size=shard_size
-            )
+            again = _stream(small_fleet, shard_size=shard_size)
             assert again.report.render() == rendered
 
     def test_render_identical_serial_vs_process(self, small_fleet, streamed, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.setattr(backbone, "_cpu_count", lambda: 4)
-        parallel = FleetRunner(small_fleet, parallel=2).run_streaming(shard_size=5)
+        parallel = _stream(small_fleet, parallel=2, shard_size=5)
         assert parallel.report.render() == streamed.report.render()
 
     def test_merge_order_does_not_change_render(self, small_fleet, exact_report):
@@ -260,9 +262,7 @@ class TestStratifiedSampling:
         assert 0 < len(admitted) < len(devices)
 
     def test_sampled_run_counts_and_cis(self, small_fleet):
-        out = FleetRunner(small_fleet, parallel=1).run_streaming(
-            shard_size=4, sample=0.5, sample_seed=2
-        )
+        out = _stream(small_fleet, shard_size=4, sample=0.5, sample_seed=2)
         sketch = out.report.sketch
         assert sketch.seen == len(small_fleet)
         assert 0 < sketch.count < len(small_fleet)
@@ -276,20 +276,14 @@ class TestStratifiedSampling:
         assert any(w > 0.0 for w in widths)
 
     def test_sampled_render_shard_invariant(self, small_fleet):
-        first = FleetRunner(small_fleet, parallel=1).run_streaming(
-            shard_size=3, sample=0.5, sample_seed=2
-        )
-        second = FleetRunner(small_fleet, parallel=1).run_streaming(
-            shard_size=12, sample=0.5, sample_seed=2
-        )
+        first = _stream(small_fleet, shard_size=3, sample=0.5, sample_seed=2)
+        second = _stream(small_fleet, shard_size=12, sample=0.5, sample_seed=2)
         assert first.report.render() == second.report.render()
 
     def test_full_sample_energy_scaling_consistent(self, small_fleet, exact_report):
         """Post-stratified totals stay within a factor of the exact
         rollup (an estimate, not exact — but the right order)."""
-        out = FleetRunner(small_fleet, parallel=1).run_streaming(
-            shard_size=4, sample=0.5, sample_seed=2
-        )
+        out = _stream(small_fleet, shard_size=4, sample=0.5, sample_seed=2)
         exact = exact_report.energy_rollup()
         estimate = out.report.energy_rollup()
         total_exact = sum(exact.values())
@@ -310,19 +304,20 @@ class TestStreamFleetEntryPoints:
         assert streamed.shards == 3  # 12 devices / shard_size 5
         assert streamed.devices_seen == len(small_fleet)
         assert streamed.devices_simulated == len(small_fleet)
-        assert streamed.parallel == streamed.jobs == 1
+        assert streamed.jobs == 1
 
     def test_on_shard_sees_monotone_progress(self, small_fleet):
         counts = []
-        FleetRunner(small_fleet, parallel=1).run_streaming(
-            shard_size=5, on_shard=lambda i, sketch: counts.append((i, sketch.count))
+        _stream(
+            small_fleet,
+            shard_size=5,
+            on_shard=lambda i, sketch: counts.append((i, sketch.count)),
         )
         assert counts == [(1, 5), (2, 10), (3, 12)]
 
     def test_validation(self, small_fleet):
-        runner = FleetRunner(small_fleet, parallel=1)
         with pytest.raises(ConfigurationError, match="shard_size"):
-            runner.run_streaming(shard_size=0)
+            _stream(small_fleet, shard_size=0)
         with pytest.raises(ConfigurationError):
             stream_fleet(small_fleet.devices, parallel=0)
 

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harvest import BufferCapacitor, CheckpointModel, IdealMonitor
+from repro.harvest import CheckpointModel, IdealMonitor
 from repro.harvest.monitors import MonitorModel
-from repro.units import micro, milli
+from repro.units import micro
 
 
 @pytest.fixture
@@ -58,22 +58,6 @@ class TestMargins:
             + model.sampling_margin(i, c, monitor)
         )
         assert v == pytest.approx(expected)
-
-
-class TestEnergyAccounting:
-    def test_checkpoint_energy(self, model):
-        e = model.checkpoint_energy(micro(112.3))
-        assert e == pytest.approx(micro(112.3) * 1.8 * milli(8.192))
-
-    def test_usable_energy_positive_when_room(self, model):
-        cap = BufferCapacitor(capacitance=micro(47))
-        e = model.usable_energy(cap, 3.5, micro(112.3), IdealMonitor())
-        assert e > 0
-
-    def test_usable_energy_zero_when_threshold_exceeds_turnon(self, model):
-        cap = BufferCapacitor(capacitance=micro(47))
-        bad = MonitorModel(name="bad", current=0.0, resolution=2.0, sample_rate=1e3)
-        assert model.usable_energy(cap, 3.5, micro(112.3), bad) == 0.0
 
 
 class TestValidation:

@@ -53,7 +53,7 @@ class TestConservationFixedCases:
         sim = FastIntermittentSimulator(IdealMonitor())
         trace = constant_trace(1000.0, 10.0)
         report = sim.run(trace)
-        offered = sim.panel.electrical_power(1000.0) * trace.duration
+        offered = sim.panel.power_curve([1000.0])[0] * trace.duration
         assert report.energy_harvested < 0.9 * offered
         assert balance_error(report) < 0.01
 

@@ -107,5 +107,5 @@ class TestMonitorWrappers:
 
     def test_fs_configs_within_table3(self):
         for cfg in (fs_low_power_config(), fs_high_performance_config()):
-            assert cfg.nvm_overhead_bytes <= 128
+            assert cfg.nvm_entries * cfg.entry_bits / 8 <= 128
             assert cfg.duty_cycle <= 1.0

@@ -92,7 +92,7 @@ class TestEnergyConservation:
         trace = constant_trace(1.0, 120.0)
         report = sim.run(trace)
         assert report.checkpoints > 1
-        p_in = sim.panel.electrical_power(1.0)
+        p_in = sim.panel.power_curve([1.0])[0]
         v_avg = 0.5 * (sim.v_on + sim.v_ckpt)
         i_eff = sim.system_current - p_in / v_avg
         expected_run = sim.capacitance * (sim.v_on - sim.v_ckpt) / i_eff

@@ -1,9 +1,18 @@
 """Irradiance traces: structure and reproducibility."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harvest import constant_trace, diurnal_trace, nyc_pedestrian_night
+from repro.harvest import (
+    BufferCapacitor,
+    SolarPanel,
+    constant_trace,
+    diurnal_trace,
+    nyc_pedestrian_night,
+)
+from repro.harvest.segment import Supply
 from repro.harvest.traces import IrradianceTrace
 
 
@@ -13,14 +22,13 @@ class TestContainer:
         assert t.duration == 5.0
 
     def test_at_holds_last_value(self):
-        t = IrradianceTrace(1.0, [1.0, 2.0])
-        assert t.at(0.5) == 1.0
-        assert t.at(1.5) == 2.0
-        assert t.at(99.0) == 2.0
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ConfigurationError):
-            IrradianceTrace(1.0, [1.0]).at(-1.0)
+        """The engines' lookup holds the last sample's power past the end."""
+        panel = SolarPanel()
+        supply = Supply(panel, IrradianceTrace(1.0, [1.0, 2.0]), BufferCapacitor())
+        p1, p2 = panel.power_curve([1.0, 2.0])
+        assert supply.at(0.5) == (p1, 1.0)
+        assert supply.at(1.5)[0] == p2
+        assert supply.at(99.0) == (p2, math.inf)
 
     def test_negative_values_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -121,8 +129,8 @@ class TestNYCNight:
 class TestDiurnal:
     def test_dark_at_night(self):
         t = diurnal_trace()
-        assert t.at(3600.0) == 0.0          # 1 am
-        assert t.at(13 * 3600.0) > 100.0    # 1 pm
+        assert t.values[int(3600.0 / t.dt)] == 0.0          # 1 am
+        assert t.values[int(13 * 3600.0 / t.dt)] > 100.0    # 1 pm
 
     def test_bad_sunrise_rejected(self):
         with pytest.raises(ConfigurationError):

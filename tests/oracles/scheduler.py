@@ -51,10 +51,12 @@ def run_schedule_fixed_step(
     task_left = 0.0
     task_spent = 0.0
 
+    power = panel.power_curve(trace.values)
+    last = len(power) - 1
     steps = int(round(trace.duration / dt))
     for step in range(steps):
         t = step * dt
-        p_in = panel.electrical_power(trace.at(t))
+        p_in = power[min(int(t / trace.dt), last)]
         v = cap.voltage
 
         if not awake:

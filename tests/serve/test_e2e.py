@@ -81,6 +81,13 @@ class TestService:
             {"fleet": bad_device},
             not_a_fleet,
             {"fleet": retired_engine},
+            {"fleet": good, "parallel": "x"},
+            {"fleet": good, "parallel": 0},
+            {"fleet": good, "eval_engine": "gpu"},
+            {"fleet": good, "wave": 0},
+            {"fleet": good, "stream": True, "shard_size": 0},
+            {"fleet": good, "stream": True, "sample": 2.0},
+            {"fleet": good, "stream": True, "capacity": -1},
         )
         for request in requests:
             with pytest.raises(ServeError) as excinfo:
@@ -92,6 +99,9 @@ class TestService:
         assert "trace_duration" in messages[1]
         assert "malformed fleet payload" in messages[2]
         assert "'reference'" in messages[3]
+        needles = ("parallel", "parallel", "'gpu'", "wave", "shard_size", "sample", "capacity")
+        for message, needle in zip(messages[4:], needles):
+            assert needle in message
         assert len(client.jobs()) == before
 
     def test_malformed_jobs_refused_at_submit(self, client):
@@ -104,6 +114,9 @@ class TestService:
             ("dse", {"tech": "7nm"}, "'7nm'"),
             ("characterize", {"sweeps": [dict(sweep, jacobian="fd")]}, "'fd'"),
             ("experiments", {"names": ["fig99"]}, "fig99"),
+            ("experiments", {"names": ["table1"], "parallel": "x"}, "parallel"),
+            ("experiments", {"names": ["table1"], "wave": 0}, "wave"),
+            ("characterize", {"sweeps": [sweep], "wave": -1}, "wave"),
             ("replay", {"recording": {"header": legacy}}, "'legacy'"),
         )
         for kind, request, needle in requests:
@@ -135,7 +148,7 @@ class TestStreamedEqualsDirect:
         devices = [e for e in events if e["event"] == "device"]
         assert [d["index"] for d in devices] == list(range(6))
         streamed = [e for e in events if e["event"] == "result"][0]["result"]
-        direct = api.run_fleet(spec, parallel=1).report.to_dict()
+        direct = api.FleetRunner(spec, parallel=1).run().report.to_dict()
         assert _canon(streamed) == _canon(direct)
         # The incremental device events compose into the same report.
         assert [d["result"] for d in devices] == streamed["results"]

@@ -117,7 +117,7 @@ class TestInlineExecution:
 
 class TestFleetStreaming:
     """``"stream": true`` fleet jobs: per-shard sketch snapshots, final
-    payload byte-identical to the direct ``run_streaming`` call."""
+    payload byte-identical to the direct ``stream_fleet`` call."""
 
     def _fleet(self):
         from repro.fleet import synthesize_fleet
@@ -125,14 +125,14 @@ class TestFleetStreaming:
         return synthesize_fleet(6, seed=11, duration=10.0)
 
     def test_stream_matches_direct_run_streaming(self):
-        from repro.fleet import FleetRunner
+        from repro.fleet import stream_fleet
 
         fleet = self._fleet()
         context, job = _context()
         out = HANDLERS["fleet"](
             context, {"fleet": fleet.to_dict(), "stream": True, "shard_size": 2}
         )
-        direct = FleetRunner(fleet, parallel=1).run_streaming(shard_size=2)
+        direct = stream_fleet(fleet.devices, name=fleet.name, shard_size=2)
         assert out == direct.report.to_dict()
 
     def test_stream_emits_one_sketch_per_shard(self):

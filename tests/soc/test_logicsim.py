@@ -173,7 +173,7 @@ class TestFSDigital:
         fs.arm(200)
         fs.apply_edges(3)
         assert fs.irq
-        fs.disarm()
+        fs.sim.settle({"armed": 0})
         assert not fs.irq
 
     def test_bit_width_validation(self):

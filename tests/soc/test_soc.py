@@ -28,7 +28,6 @@ class TestGateNetlist:
         assert net.transistor_count() == 3 * 2 + 2 * 24
         assert net.gate_count() == 5
         assert net.flip_flop_count() == 2
-        assert net.combinational_count() == 3
 
     def test_merge(self):
         a = GateNetlist("a").add(GateKind.INV, 2)

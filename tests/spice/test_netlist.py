@@ -48,7 +48,6 @@ class TestNodes:
         c.add(Resistor("R1", "x", "y", 1))
         c.add(Resistor("R2", "y", "z", 1))
         assert c.nodes() == ["x", "y", "z"]
-        assert c.node_count() == 3
 
 
 class TestValidation:

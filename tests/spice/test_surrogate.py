@@ -20,13 +20,11 @@ from repro.spice.surrogate import (
     DEFAULT_TOLERANCE,
     SurrogateModel,
     fit_surrogate,
-    fit_variation_family,
     model_fingerprint,
     pchip_eval,
     pchip_slopes,
 )
 from repro.tech import TECH_130NM, TECH_65NM, TECH_90NM
-from repro.tech.variation import ProcessVariation
 
 V_SPAN = (1.0, 3.5)
 
@@ -177,20 +175,6 @@ class TestFit:
         assert model.kind == "RingSweep"
         freqs = model.evaluate((0.8, 1.0), 298.15)["frequency"]
         assert freqs[1] > freqs[0] > 0
-
-    def test_variation_family_one_model_per_chip(self, cache):
-        models = fit_variation_family(
-            div_sweep(),
-            ProcessVariation(),
-            3,
-            base_seed=5,
-            cache=cache,
-        )
-        assert len(models) == 3
-        assert len({m.fingerprint for m in models}) == 3
-        assert len({m.tech for m in models}) == 3
-        for m in models:
-            assert m.certified_error <= m.tolerance
 
 
 # ----------------------------------------------------------------------

@@ -89,7 +89,11 @@ class TestDriveCurrent:
         assert tech.drive_current(v) == pytest.approx(expected)
 
     def test_switch_energy_scales_quadratically(self, tech):
-        assert tech.stage_switch_energy(2.0) == pytest.approx(4 * tech.stage_switch_energy(1.0))
+        # Energy per transition, I * tau * V = C V^2.
+        def switch_energy(v):
+            return tech.drive_current(v) * tech.gate_delay(v) * v
+
+        assert switch_energy(2.0) == pytest.approx(4 * switch_energy(1.0))
 
 
 class TestTemperatureHooks:

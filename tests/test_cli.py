@@ -314,3 +314,46 @@ class TestReplayCLI:
             main(["riscv", "--engine", "fast"])
         assert excinfo.value.code == 2
         assert "--engine" in capsys.readouterr().err
+
+
+class TestServeCLI:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--buffer-limit", "0"],
+            ["--buffer-limit", "-1"],
+            ["--port", "-5"],
+            ["--port", "70000"],
+        ],
+    )
+    def test_serve_bad_arguments_exit_cleanly(self, capsys, monkeypatch, argv):
+        """Refused in one line, exit 2, before anything serves.  A server
+        that does come up stops at once, so a regression fails the test
+        instead of hanging it."""
+        from repro.serve.app import ReproServer
+
+        serve = ReproServer.serve
+
+        async def serve_once(server, on_ready=None):
+            await serve(server, on_ready=lambda s: s.stop())
+
+        monkeypatch.setattr(ReproServer, "serve", serve_once)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", *argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "serving on" not in captured.out
+
+    def test_serve_port_in_use_exits_cleanly(self, capsys):
+        import socket
+
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", "--host", "127.0.0.1", "--port", str(port)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot serve on 127.0.0.1:{port}") and err.count("\n") == 1

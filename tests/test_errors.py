@@ -12,7 +12,6 @@ from repro.errors import (
     IllegalInstructionError,
     MemoryAccessError,
     NetlistError,
-    PowerFailureError,
     ReproError,
     SimulationError,
 )
@@ -26,7 +25,6 @@ ALL_ERRORS = [
     SimulationError,
     CPUError,
     AssemblerError,
-    PowerFailureError,
 ]
 
 
@@ -53,7 +51,3 @@ def test_assembler_error_location():
     err = AssemblerError("bad operand", line_number=7, line="addi x1")
     assert "line 7" in str(err)
     assert err.line == "addi x1"
-
-
-def test_power_failure_is_simulation_error():
-    assert issubclass(PowerFailureError, SimulationError)

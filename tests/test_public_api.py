@@ -171,7 +171,7 @@ class TestSurrogateSurface:
         import repro.api as api
 
         for name in (
-            "fit_surrogate", "fit_variation_family", "SurrogateModel",
+            "fit_surrogate", "SurrogateModel",
             "SURROGATE_TOLERANCE", "CHAR_ENGINES",
         ):
             assert hasattr(api, name)

@@ -269,11 +269,11 @@ class TestRealArtifacts:
     field draws."""
 
     def test_real_fleet_run(self):
-        from repro.api import run_fleet
+        from repro.api import FleetRunner
         from repro.fleet.spec import synthesize_fleet
 
         spec = synthesize_fleet(3, seed=7, duration=10.0)
-        report = run_fleet(spec, parallel=1).report
+        report = FleetRunner(spec, parallel=1).run().report
         _wire_trip(report, FleetReport)
         _wire_trip(spec, FleetSpec)
 
@@ -321,9 +321,10 @@ def _trace_event(rng, seq):
 class TestTraceWireFormat:
     def test_trace_header(self, seed):
         from repro.trace import TraceHeader
+        from repro.trace.format import payload_digest
 
         header = _trace_header(random.Random(seed))
-        assert header.verify_fingerprint()
+        assert header.fingerprint == payload_digest(header.config)
         _wire_trip(header, TraceHeader)
 
     def test_trace_event(self, seed):
