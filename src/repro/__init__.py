@@ -64,7 +64,6 @@ _API_EXPORTS = (
     "RingSweep",
     "DividerSweep",
     "run_tasks",
-    "TaskError",
     "ReproServer",
     "ServeClient",
     "TraceRecorder",

@@ -20,9 +20,9 @@ semantics guaranteed across 1.x releases (see ``docs/api.md``):
 * **fleets** — :class:`FleetRunner`, plus the constant-memory sharded
   mode :func:`stream_fleet` returning mergeable :class:`FleetSketch`
   aggregates (``docs/fleet_scale.md``);
-* **parallel execution** — :func:`run_tasks` / :class:`TaskError`, the
-  one fan-out backbone every bulk entry point's ``parallel=`` kwarg
-  routes through (:mod:`repro.exec`);
+* **parallel execution** — :func:`run_tasks`, the one fan-out
+  backbone every bulk entry point's ``parallel=`` kwarg routes through
+  (:mod:`repro.exec`);
 * **design-space exploration** — :func:`explore_grid` and
   :func:`nsga2` over a :class:`PerformanceModel`;
 * **the ISA-level machine** — :class:`IntermittentMachine` /
@@ -58,7 +58,7 @@ from repro.dse.objectives import Evaluation, PerformanceModel
 from repro.dse.space import DesignPoint, DesignSpace
 from repro.errors import SimulationError
 from repro.exec import BACKEND_ENV as EXEC_BACKEND_ENV
-from repro.exec import TaskError, run_tasks
+from repro.exec import run_tasks
 from repro.fleet.report import DeviceResult, FleetReport
 from repro.fleet.runner import FleetRunner, FleetRunResult
 from repro.fleet.spec import (
@@ -115,7 +115,6 @@ def compare_monitors(
     trace: IrradianceTrace,
     *,
     engine: str = "auto",
-    parallel: Optional[int] = None,
     v_initial: float = 0.0,
     **platform,
 ) -> List[SimulationReport]:
@@ -137,7 +136,7 @@ def compare_monitors(
         )
         for monitor in monitors
     ]
-    return evaluate_many(scenarios, engine=engine, parallel=parallel)
+    return evaluate_many(scenarios, engine=engine)
 
 
 def normalized_app_time(
@@ -219,7 +218,6 @@ __all__ = [
     "DesignPoint",
     "DesignSpace",
     "EXEC_BACKEND_ENV",
-    "TaskError",
     "run_tasks",
     "DeviceResult",
     "DeviceSpec",

@@ -15,19 +15,16 @@ Engine-selection rules (documented in ``docs/api.md``):
   :data:`AUTO_BATCH_MIN` scenarios are queued.  Results are
   returned in input order regardless of how the work was split.
 
-``parallel=k`` additionally shards the scenario list over ``k`` worker
-processes through :func:`repro.exec.run_tasks` (one contiguous chunk
-per worker, order-preserving stitching, worker metrics merged back);
-each worker applies the same engine rules to its chunk.
+Fan-out across processes happens one level up, where the work is
+known: the fleet runner hands each worker one contiguous chunk of
+devices through :func:`repro.exec.run_tasks`.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
-from repro.exec import resolve_workers, run_tasks
 from repro.obs import OBS
 from repro.batch.scenario import Scenario
 from repro.harvest.simulator import count_runs
@@ -55,17 +52,10 @@ def resolve_engine(scenarios: Sequence[Scenario], engine: str = "auto") -> str:
     return "scalar"
 
 
-def _evaluate_chunk(scenarios, engine="auto"):
-    """Chunk worker for the ``parallel=`` fan-out (runs under
-    :func:`repro.exec.run_tasks`; top-level so it pickles)."""
-    return evaluate_many(scenarios, engine=engine)
-
-
 def evaluate_many(
     scenarios: Sequence,
     *,
     engine: str = "auto",
-    parallel: Optional[int] = None,
     model=None,
     record=None,
 ) -> List:
@@ -80,8 +70,6 @@ def evaluate_many(
     becomes one ``batch`` recording — header carries every scenario's
     payload and the resolved engine, events carry per-lane transitions
     (lane = input position), the result carries every report.
-    Recording runs serially (``parallel`` is ignored) so the event
-    stream has one deterministic order.
     """
     items = list(scenarios)
     if engine not in ENGINES:
@@ -102,8 +90,8 @@ def evaluate_many(
     if not items:
         return []
 
+    resolved = resolve_engine(items, engine)
     if record is not None:
-        resolved = resolve_engine(items, engine)
         # Scenarios are fully declarative (the policy margin is a field,
         # applied by build_simulator), so the scenario payloads alone
         # rebuild every lane's platform bit-identically on replay.
@@ -112,23 +100,7 @@ def evaluate_many(
             resolved,
             {"scenarios": [s.to_dict() for s in items], "engine": engine},
         )
-        parallel = None
 
-    if parallel is not None and parallel > 1 and len(items) > 1:
-        jobs = resolve_workers(parallel, len(items))
-        with OBS.tracer.span(
-            "batch.evaluate_many", scenarios=len(items), engine=engine, parallel=jobs
-        ):
-            return run_tasks(
-                functools.partial(_evaluate_chunk, engine=engine),
-                items,
-                parallel=parallel,
-                chunked=True,
-                chunk="even",
-                label="batch.evaluate_many",
-            )
-
-    resolved = resolve_engine(items, engine)
     if resolved == "scalar":
         if record is None:
             return [scenario.run_scalar() for scenario in items]

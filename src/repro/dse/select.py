@@ -11,22 +11,19 @@ meets my requirements*.  :func:`select_config` is that API:
 >>> choice.config           # a ready-to-build FSConfig
 >>> choice.evaluation       # its predicted performance
 
-Selection runs the deterministic grid (optionally refined with a short
-NSGA-II pass), filters by the requirements, and minimizes the chosen
-objective (mean current by default).
+Selection runs the deterministic grid, filters its Pareto front by the
+requirements, and minimizes the chosen objective (mean current by
+default).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import FSConfig
 from repro.dse.grid import GridResult, grid_explore
-from repro.dse.nsga2 import NSGA2
 from repro.dse.objectives import Evaluation, PerformanceModel
-from repro.dse.pareto import pareto_front
 from repro.dse.space import DesignSpace
 from repro.errors import ConfigurationError
 from repro.tech.ptm import TechnologyCard
@@ -107,9 +104,7 @@ def default_grid(model: PerformanceModel) -> GridResult:
 def select_config(
     tech: TechnologyCard,
     requirements: Requirements,
-    refine: bool = False,
     model: Optional[PerformanceModel] = None,
-    seed: int = 5,
     spice_validate: bool = False,
 ) -> Selection:
     """Pick the best qualifying configuration for ``tech``.
@@ -124,11 +119,6 @@ def select_config(
     space = DesignSpace(tech)
     model = model or PerformanceModel(space)
     candidates = list(default_grid(model).pareto)
-    if refine:
-        candidates.extend(NSGA2(model, population_size=40, generations=15, seed=seed).run().pareto())
-        unique = {e.point.as_tuple(): e for e in candidates}
-        merged = list(unique.values())
-        candidates = [merged[i] for i in pareto_front([e.objectives() for e in merged])]
 
     qualifying = [e for e in candidates if requirements.admits(e)]
     if not qualifying:

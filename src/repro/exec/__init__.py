@@ -2,8 +2,8 @@
 
 The only module in the library allowed to touch
 ``concurrent.futures`` (CI lints for strays); every subsystem fan-out
-— ``batch.evaluate_many``, both ``FleetRunner`` paths,
-``charlib.characterize_many``, the experiments runner — routes through
+— ``FleetRunner.run``, ``stream_fleet``, ``charlib.characterize_many``,
+the experiments runner, the serve handlers — routes through
 :func:`run_tasks`.  See ``docs/parallelism.md`` for the contract.
 """
 
@@ -12,7 +12,6 @@ from repro.exec.backbone import (
     BACKENDS,
     DEFAULT_BACKOFF_S,
     DEFAULT_RETRIES,
-    TaskError,
     make_chunks,
     resolve_backend,
     resolve_workers,
@@ -24,7 +23,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKOFF_S",
     "DEFAULT_RETRIES",
-    "TaskError",
     "make_chunks",
     "resolve_backend",
     "resolve_workers",

@@ -144,7 +144,15 @@ class FleetRunner:
             devices=len(self.fleet.devices),
             parallel=self.parallel,
         ) as span:
-            results = self._execute_batched(self.work_items())
+            # One contiguous chunk of devices per worker: the kernel's
+            # throughput grows with lane count.
+            results = run_tasks(
+                functools.partial(simulate_devices, engine=self.eval_engine),
+                self.work_items(),
+                parallel=self.parallel,
+                chunked=True,
+                label="fleet.batched",
+            )
             run_result = self._finish(results, start, record=record)
             hits = self.cache.stats.hits - hits0
             misses = self.cache.stats.misses - misses0
@@ -155,19 +163,6 @@ class FleetRunner:
         OBS.metrics.incr("fleet.cache_hits", hits)
         OBS.metrics.incr("fleet.cache_misses", misses)
         return run_result
-
-    def _execute_batched(self, work: List) -> List[DeviceResult]:
-        # One contiguous chunk per worker: the kernel's throughput grows
-        # with lane count, so each worker should see the biggest batch
-        # load-balancing allows.
-        return run_tasks(
-            functools.partial(simulate_devices, engine=self.eval_engine),
-            work,
-            parallel=self.parallel,
-            chunked=True,
-            chunk="even",
-            label="fleet.batched",
-        )
 
     def _finish(
         self, results: List[DeviceResult], start: float, record=None

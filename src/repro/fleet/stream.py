@@ -783,8 +783,7 @@ def stream_fleet(
                     work,
                     parallel=parallel,
                     chunked=True,
-                    chunk="even",
-                    label="fleet.stream",
+                            label="fleet.stream",
                 )
                 for stratum, result in zip(strata, results):
                     sketch.update(result, stratum=stratum)

@@ -201,7 +201,6 @@ class JobContext:
         *,
         parallel: Optional[int] = None,
         chunked: bool = False,
-        chunk="even",
         on_item: Optional[Callable[[int, object], None]] = None,
         wave: Optional[int] = None,
         label: Optional[str] = None,
@@ -243,7 +242,6 @@ class JobContext:
                     items[start : start + wave],
                     parallel=parallel,
                     chunked=chunked,
-                    chunk=chunk,
                     label=label,
                     on_result=_on_result(start),
                 )

@@ -2,11 +2,9 @@
 
 import pytest
 
-import repro.obs as obs
 from repro.batch import AUTO_BATCH_MIN, ENGINES, Scenario, evaluate_many
 from repro.batch.dispatch import resolve_engine
 from repro.errors import ConfigurationError
-from repro.exec import BACKEND_ENV, backbone
 from repro.harvest.monitors import IdealMonitor, fs_low_power_monitor
 from repro.harvest.traces import nyc_pedestrian_night
 
@@ -54,38 +52,6 @@ class TestEvaluateMany:
     def test_scenario_without_trace_raises(self):
         with pytest.raises(ConfigurationError):
             evaluate_many([Scenario(monitor=IdealMonitor())], engine="scalar")
-
-    def test_parallel_serial_and_process_backends_bit_identical(self, monkeypatch):
-        """evaluate_many routes parallel= through repro.exec: stitched
-        results match the serial evaluation exactly on both backends."""
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.setattr(backbone, "_cpu_count", lambda: 4)
-        scenarios = fast_scenarios(6, duration=5.0)
-        baseline = [r.to_dict() for r in evaluate_many(scenarios)]
-        via_process = evaluate_many(scenarios, parallel=3)
-        assert [r.to_dict() for r in via_process] == baseline
-        monkeypatch.setenv(BACKEND_ENV, "serial")
-        via_serial = evaluate_many(scenarios, parallel=3)
-        assert [r.to_dict() for r in via_serial] == baseline
-
-    def test_parallel_worker_metrics_merged(self, monkeypatch):
-        """Regression: parallel=k used to drop every counter recorded
-        inside workers; the backbone merges snapshots by default."""
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.setattr(backbone, "_cpu_count", lambda: 4)
-        scenarios = fast_scenarios(6, duration=5.0)
-        obs.configure(metrics=True)
-        evaluate_many(scenarios)
-        serial = {
-            name: obs.OBS.metrics.counter(name)
-            for name in ("harvest.runs", "harvest.steps", "harvest.checkpoints")
-        }
-        obs.configure(metrics=True)  # fresh registry
-        evaluate_many(scenarios, parallel=3)
-        parallel = {name: obs.OBS.metrics.counter(name) for name in serial}
-        obs.reset()
-        assert serial["harvest.runs"] == 6
-        assert parallel == serial
 
     def test_model_path_matches_scalar_evaluate(self):
         from repro.dse.objectives import PerformanceModel

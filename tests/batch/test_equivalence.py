@@ -157,11 +157,18 @@ class TestScalarBatchEquivalence:
         assert_reports_equal([forward[i] for i in order], shuffled)
 
     def test_chunking_invariance(self):
-        """parallel= fan-out returns the same reports in input order."""
+        """Lane grouping does not move a report: contiguous slices (how
+        the fleet runner chunks devices over workers) stitch back to the
+        one-call result."""
         scenarios = make_scenarios(6)
-        serial = evaluate_many(scenarios, engine="batch")
-        chunked = evaluate_many(scenarios, engine="batch", parallel=3)
-        assert_reports_equal(serial, chunked)
+        whole = evaluate_many(scenarios, engine="batch")
+        for size in (1, 2, 4):
+            sliced = []
+            for start in range(0, len(scenarios), size):
+                sliced.extend(
+                    evaluate_many(scenarios[start : start + size], engine="batch")
+                )
+            assert_reports_equal(whole, sliced)
 
     def test_auto_batches_in_input_order(self):
         """engine='auto' sends an AUTO_BATCH_MIN-lane evaluation to the

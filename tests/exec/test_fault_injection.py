@@ -1,17 +1,18 @@
-"""Failure isolation and retry: TaskError capture, BrokenProcessPool.
+"""Failure and retry: the first failing item raises, BrokenProcessPool.
 
 Worker functions live at module level so the process backend can pickle
 them; the ``process_backend`` fixture patches the CPU seam (the suite
 must exercise real pools even on one-core hosts) and clears the
-``REPRO_EXEC_BACKEND`` override.
+``REPRO_EXEC_BACKEND`` override, which the backend-parametrized tests
+then set themselves.
 """
 
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 import repro.obs as obs
-from repro.errors import ConfigurationError, ExecError
-from repro.exec import BACKEND_ENV, TaskError, run_tasks
+from repro.errors import ExecError
+from repro.exec import BACKEND_ENV, BACKENDS, run_tasks
 from repro.exec import backbone
 from repro.obs import OBS
 
@@ -34,6 +35,12 @@ def fail_on_13(x):
     return x * 2
 
 
+def fail_on_3_and_13(x):
+    if x in (3, 13):
+        raise ValueError(f"item {x} is cursed")
+    return x * 2
+
+
 def chunk_fail_on_13(xs):
     if 13 in xs:
         raise ValueError("chunk holds the cursed item")
@@ -52,71 +59,92 @@ def raise_unpicklable(x):
     raise Unpicklable()
 
 
-class TestCollect:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_one_bad_item_keeps_the_rest(self, backend, process_backend):
-        results = run_tasks(
-            fail_on_13, range(20), parallel=3, on_error="collect", backend=backend
-        )
-        assert len(results) == 20
-        for i, r in enumerate(results):
-            if i == 13:
-                assert isinstance(r, TaskError)
-                assert r.index == 13
-                assert r.exc_type == "ValueError"
-                assert "cursed" in r.message
-                assert isinstance(r.exception, ValueError)
-            else:
-                assert r == i * 2
+#: Items the in-process worker below was called with.
+CALLS = []
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_chunked_failure_covers_its_chunk_only(self, backend, process_backend):
-        # chunk=5 puts 13 in the 10..14 chunk; the other chunks survive.
-        results = run_tasks(
-            chunk_fail_on_13, range(20), parallel=4, chunk=5, chunked=True,
-            on_error="collect", backend=backend,
-        )
-        for i, r in enumerate(results):
-            if 10 <= i < 15:
-                assert isinstance(r, TaskError)
-                assert r.index == i
-                assert r.chunk == (10, 15)
-            else:
-                assert r == i * 2
 
-    def test_failures_counted(self):
-        obs.configure(metrics=True)
-        run_tasks(fail_on_13, [12, 13, 14], on_error="collect", backend="serial")
-        assert OBS.metrics.counter("exec.failures") == 1
-        assert OBS.metrics.counter("exec.tasks") == 3
-
-    def test_unpicklable_exception_degrades_to_execerror(self, process_backend):
-        [err] = run_tasks(
-            raise_unpicklable, [1], parallel=2, on_error="collect",
-            backend="serial",
-        )
-        assert isinstance(err, TaskError)
-        assert err.exception is None
-        assert err.exc_type == "Unpicklable"
-        with pytest.raises(ExecError):
-            err.reraise()
+def logged_fail_on_13(x):
+    CALLS.append(x)
+    return fail_on_13(x)
 
 
 class TestRaise:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_original_exception_surfaces(self, backend, process_backend):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_original_exception_surfaces(self, backend, monkeypatch, process_backend):
+        monkeypatch.setenv(BACKEND_ENV, backend)
         with pytest.raises(ValueError, match="cursed"):
-            run_tasks(fail_on_13, range(20), parallel=3, backend=backend)
+            run_tasks(fail_on_13, range(20), parallel=3)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_on_result_sees_items_before_failure(
+        self, backend, monkeypatch, process_backend
+    ):
+        # Three chunks (0..6, 7..13, 14..19): 13 fails mid-chunk, after
+        # the results of the first chunk and of 7..12.
+        monkeypatch.setenv(BACKEND_ENV, backend)
+        seen = []
+        with pytest.raises(ValueError, match="cursed"):
+            run_tasks(
+                fail_on_13, range(20), parallel=3,
+                on_result=lambda i, v: seen.append((i, v)),
+            )
+        assert seen == [(i, i * 2) for i in range(13)]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_chunked_failure_raises_after_earlier_chunks(
+        self, backend, monkeypatch, process_backend
+    ):
+        # Four chunks of five: the 10..14 chunk fails as a whole.
+        monkeypatch.setenv(BACKEND_ENV, backend)
+        seen = []
+        with pytest.raises(ValueError, match="cursed"):
+            run_tasks(
+                chunk_fail_on_13, range(20), parallel=4, chunked=True,
+                on_result=lambda i, v: seen.append(i),
+            )
+        assert seen == list(range(10))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_first_failure_wins(self, backend, monkeypatch, process_backend):
+        monkeypatch.setenv(BACKEND_ENV, backend)
+        with pytest.raises(ValueError, match="item 3 "):
+            run_tasks(fail_on_3_and_13, range(20), parallel=3)
+
+    def test_serial_backend_stops_at_the_failure(self, monkeypatch, process_backend):
+        monkeypatch.setenv(BACKEND_ENV, "serial")
+        CALLS.clear()
+        with pytest.raises(ValueError):
+            run_tasks(logged_fail_on_13, range(20), parallel=3)
+        assert CALLS == list(range(14))
+
+    def test_failure_counted(self):
+        obs.configure(metrics=True)
+        with pytest.raises(ValueError):
+            run_tasks(fail_on_13, [12, 13, 14])
+        assert OBS.metrics.counter("exec.failures") == 1
+        assert OBS.metrics.counter("exec.tasks") == 3
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unpicklable_exception_degrades_to_execerror(
+        self, backend, monkeypatch, process_backend
+    ):
+        monkeypatch.setenv(BACKEND_ENV, backend)
+        with pytest.raises(ExecError, match="task 0 .*Unpicklable: cannot pickle me"):
+            run_tasks(raise_unpicklable, [1, 2], parallel=2)
 
     def test_chunked_fn_must_honor_length_contract(self):
         def short(xs):
             return xs[:-1]
 
         with pytest.raises(ExecError):
-            run_tasks(short, range(4), chunked=True, backend="serial")
+            run_tasks(short, range(4), chunked=True)
 
 
 class TestBrokenPoolRetry:
+    @pytest.fixture(autouse=True)
+    def _no_backoff(self, monkeypatch):
+        monkeypatch.setattr(backbone, "DEFAULT_BACKOFF_S", 0.0)
+
     def _fake_map(self, payloads, workers):
         """Run the worker entry point in-process (no real pool)."""
         return [backbone._run_chunk(p) for p in payloads]
@@ -132,7 +160,7 @@ class TestBrokenPoolRetry:
             return self._fake_map(payloads, workers)
 
         monkeypatch.setattr(backbone, "_map_payloads", flaky)
-        results = run_tasks(fail_on_13, range(8), parallel=4, backoff=0.0)
+        results = run_tasks(fail_on_13, range(8), parallel=4)
         assert results == [x * 2 for x in range(8)]
         assert calls["n"] == 3
         assert OBS.metrics.counter("exec.retries") == 2
@@ -142,8 +170,9 @@ class TestBrokenPoolRetry:
             raise BrokenProcessPool("worker keeps dying")
 
         monkeypatch.setattr(backbone, "_map_payloads", always_broken)
+        monkeypatch.setattr(backbone, "DEFAULT_RETRIES", 1)
         with pytest.raises(BrokenProcessPool):
-            run_tasks(fail_on_13, range(8), parallel=4, retries=1, backoff=0.0)
+            run_tasks(fail_on_13, range(8), parallel=4)
 
     def test_zero_retries_surfaces_immediately(self, monkeypatch, process_backend):
         calls = {"n": 0}
@@ -153,6 +182,7 @@ class TestBrokenPoolRetry:
             raise BrokenProcessPool("dead on arrival")
 
         monkeypatch.setattr(backbone, "_map_payloads", broken)
+        monkeypatch.setattr(backbone, "DEFAULT_RETRIES", 0)
         with pytest.raises(BrokenProcessPool):
-            run_tasks(fail_on_13, range(8), parallel=4, retries=0, backoff=0.0)
+            run_tasks(fail_on_13, range(8), parallel=4)
         assert calls["n"] == 1

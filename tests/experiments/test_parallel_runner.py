@@ -72,3 +72,19 @@ class TestParallelRunner:
         runner.main(["table3", "--jobs", "2"])
         out = capsys.readouterr().out
         assert "regenerated in" in out
+
+
+def _diverge():
+    raise ValueError("experiment diverged")
+
+
+class TestFailure:
+    def test_failing_experiment_raises_its_own_error(self, monkeypatch, capsys):
+        """The runner prints every experiment before the failing one,
+        then raises that experiment's exception."""
+        monkeypatch.setitem(runner.EXPERIMENTS, "diverges", _diverge)
+        with pytest.raises(ValueError, match="experiment diverged"):
+            runner.run_all(["table1", "diverges", "table3"])
+        out = capsys.readouterr().out
+        assert "(table1 regenerated in" in out
+        assert "table3" not in out

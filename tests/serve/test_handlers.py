@@ -218,3 +218,34 @@ class TestTraceJobs:
         context, _ = _context()
         with pytest.raises(ConfigurationError, match="recording"):
             HANDLERS["replay"](context, {})
+
+
+def diverging_devices(work, engine="auto"):
+    """A fleet worker whose second device fails (module-level: picklable)."""
+    raise ValueError("device 1 diverged")
+
+
+class TestWorkerFailure:
+    def test_failed_fleet_worker_reports_its_own_error(self, monkeypatch):
+        """A worker exception fails the job with that exception, and no
+        ``device`` event is streamed for an item that never finished."""
+        import time
+
+        from repro.fleet import synthesize_fleet
+        from repro.serve import handlers
+        from repro.serve.jobs import TERMINAL_STATES
+
+        monkeypatch.setattr(handlers, "simulate_devices", diverging_devices)
+        manager = JobManager(workers=1).start()
+        try:
+            fleet = synthesize_fleet(3, seed=11, duration=10.0)
+            job = manager.submit("fleet", {"fleet": fleet.to_dict()})
+            deadline = time.monotonic() + 30.0
+            while job.state not in TERMINAL_STATES:
+                assert time.monotonic() < deadline, f"job stuck in {job.state}"
+                time.sleep(0.01)
+            assert job.state == "failed"
+            assert job.error == "ValueError: device 1 diverged"
+            assert not [e for e in job.events() if e["event"] == "device"]
+        finally:
+            manager.stop()
