@@ -6,14 +6,17 @@ peak while folding 100k device results stays within 2x of the 10k peak
 (both are dominated by the fixed-capacity percentile reservoirs).  A
 small end-to-end streaming run then writes its report to
 ``benchmarks/results/fleet_stream.txt`` and checks the sketch agrees
-with the exact runner bit for bit.
+bit for bit with the fsum/percentile oracle over the exact runner's
+results.
 """
 
 import random
+import statistics
 import tracemalloc
 
 from repro.fleet import FleetRunner, FleetSketch, stream_fleet, synthesize_fleet
 from repro.fleet.report import DeviceResult
+from tests.oracles.fleet import exact_energy_rollup, exact_stats
 
 MONITORS = ("FS (LP)", "FS (HP)", "Comparator", "ADC")
 
@@ -76,10 +79,10 @@ def test_stream_end_to_end(benchmark, results_dir):
         rounds=1,
         iterations=1,
     )
-    exact = FleetRunner(fleet, parallel=1).run().report
+    results = FleetRunner(fleet, parallel=1).run().report.results
     for metric in ("duty_pct", "app_time", "checkpoints", "power_failures"):
-        assert out.report.stats(metric) == exact.stats(metric)
-    assert out.report.energy_rollup() == exact.energy_rollup()
+        assert out.report.stats(metric) == exact_stats(results, metric)
+    assert out.report.energy_rollup() == exact_energy_rollup(results)
     assert out.shards == 3
 
     sampled = stream_fleet(
@@ -105,7 +108,12 @@ def test_stream_end_to_end(benchmark, results_dir):
 RECORD_OVERHEAD_BUDGET = 0.05  # fraction of unrecorded wall time
 
 _OVERHEAD_DEVICES = 96
-_OVERHEAD_ROUNDS = 3  # best-of, to shed scheduler noise
+#: Recorded runs, each timed between two plain runs.  On a shared host
+#: the speed of a run drifts with other tenants' load by tens of percent
+#: over seconds, so a block of plain runs and a later block of recorded
+#: runs can differ by more than the budget before recording costs
+#: anything.
+_OVERHEAD_RECORDED_RUNS = 41
 
 
 def _stream_elapsed(cache, record_path=None):
@@ -138,14 +146,24 @@ def test_record_overhead_under_5pct(results_dir, tmp_path):
     from repro.trace import Recording
 
     cache = CalibrationCache()
-    _stream_elapsed(cache)  # warm the calibration cache + JITs
-
-    plain = min(_stream_elapsed(cache) for _ in range(_OVERHEAD_ROUNDS))
     path = str(tmp_path / "overhead.jsonl")
-    recorded = min(
-        _stream_elapsed(cache, record_path=path) for _ in range(_OVERHEAD_ROUNDS)
-    )
-    overhead = recorded / plain - 1.0
+    _stream_elapsed(cache)  # warm the calibration cache + JITs
+    _stream_elapsed(cache, record_path=path)
+
+    # plain, recorded, plain, ..., recorded, plain: each recorded run is
+    # compared with the mean of the plain runs just before and after it,
+    # which cancels drift slower than a run, and the median of those
+    # ratios sheds the runs a burst of contention hit.
+    plain = [_stream_elapsed(cache)]
+    recorded = []
+    for _ in range(_OVERHEAD_RECORDED_RUNS):
+        recorded.append(_stream_elapsed(cache, record_path=path))
+        plain.append(_stream_elapsed(cache))
+    ratios = [
+        run / ((before + after) / 2.0)
+        for run, before, after in zip(recorded, plain, plain[1:])
+    ]
+    overhead = statistics.median(ratios) - 1.0
 
     # The capture really happened and is loadable.
     recording = Recording.load(path)
@@ -153,14 +171,17 @@ def test_record_overhead_under_5pct(results_dir, tmp_path):
 
     (results_dir / "replay_overhead.txt").write_text(
         f"record-mode overhead on stream_fleet ({_OVERHEAD_DEVICES} devices, "
-        f"best of {_OVERHEAD_ROUNDS})\n"
-        f"  unrecorded : {plain:.4f} s\n"
-        f"  recorded   : {recorded:.4f} s (streaming JSONL, keep_events=False)\n"
-        f"  overhead   : {overhead * 100:+.2f}% (budget {RECORD_OVERHEAD_BUDGET:.0%})\n"
+        f"{_OVERHEAD_RECORDED_RUNS} recorded runs, each between two plain runs)\n"
+        f"  unrecorded : {statistics.median(plain):.4f} s (median)\n"
+        f"  recorded   : {statistics.median(recorded):.4f} s (median; streaming JSONL, "
+        "keep_events=False)\n"
+        f"  overhead   : {overhead * 100:+.2f}% (median ratio to the neighbouring plain "
+        f"runs; budget {RECORD_OVERHEAD_BUDGET:.0%})\n"
         f"  events     : {len(recording.events)}\n",
         encoding="utf-8",
     )
     assert overhead < RECORD_OVERHEAD_BUDGET, (
         f"record= overhead {overhead * 100:.2f}% exceeds the "
-        f"{RECORD_OVERHEAD_BUDGET:.0%} budget ({plain:.4f}s -> {recorded:.4f}s)"
+        f"{RECORD_OVERHEAD_BUDGET:.0%} budget (median run "
+        f"{statistics.median(plain):.4f}s -> {statistics.median(recorded):.4f}s)"
     )

@@ -17,7 +17,8 @@ demonstrating the exploration-to-deployment loop end to end.
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Dict, List, Optional
 
 from repro.experiments.tables import ExperimentResult
 from repro.fleet import (
@@ -26,9 +27,12 @@ from repro.fleet import (
     FleetRunner,
     FleetSketch,
     SiteRequirement,
+    percentile,
     synthesize_fleet,
 )
 from repro.fleet.stream import device_stratum
+
+METRICS = ("duty_pct", "app_time", "checkpoints", "power_failures")
 
 #: Site classes for the planner demonstration: the shadier the site,
 #: the tighter the monitor requirement (thin margins need fine reads).
@@ -60,33 +64,38 @@ def run(
         description=f"{n_devices}-device heterogeneous fleet, {duration:.0f} s traces",
         columns=["metric", "mean", "p50", "p95", "p99"],
     )
-    for metric in ("duty_pct", "app_time", "checkpoints", "power_failures"):
+    for metric in METRICS:
         stats = report.stats(metric)
         result.rows.append({"metric": metric, **stats})
 
-    for monitor_name, group in report.by_monitor().items():
-        mean_duty = sum(r.duty_pct for r in group) / len(group)
+    duties: Dict[str, List[float]] = {}
+    for device_result in report.results:
+        duties.setdefault(device_result.monitor_name, []).append(device_result.duty_pct)
+    for monitor_name, group in sorted(duties.items()):
         result.rows.append(
             {
                 "metric": f"duty_pct[{monitor_name}]",
-                "mean": mean_duty,
-                "p50": sorted(r.duty_pct for r in group)[len(group) // 2],
-                "p95": max(r.duty_pct for r in group),
-                "p99": max(r.duty_pct for r in group),
+                "mean": sum(group) / len(group),
+                "p50": sorted(group)[len(group) // 2],
+                "p95": max(group),
+                "p99": max(group),
             }
         )
 
     # Streaming cross-check: fold the already-computed results into a
-    # FleetSketch and assert it reproduces the exact stats bit for bit —
-    # the sharded path's small-fleet contract, exercised on real output.
+    # FleetSketch, the way the sharded path does, and hold it and the
+    # report to fsum means and percentiles taken straight from the
+    # results — the small-fleet contract, exercised on real output.
     sketch = FleetSketch()
     for device, device_result in zip(fleet.devices, report.results):
         sketch.update(device_result, stratum=device_stratum(device))
-    mismatched = [
-        metric
-        for metric in ("duty_pct", "app_time", "checkpoints", "power_failures")
-        if sketch.stats(metric) != report.stats(metric)
-    ]
+    mismatched = []
+    for metric in METRICS:
+        values = [float(getattr(r, metric)) for r in report.results]
+        exact = {"mean": math.fsum(values) / len(values)}
+        exact.update({f"p{q}": percentile(values, q) for q in (50, 95, 99)})
+        if sketch.stats(metric) != exact or report.stats(metric) != exact:
+            mismatched.append(metric)
     result.notes.append(
         "streaming sketch cross-check: "
         + (

@@ -6,14 +6,14 @@ device; this package simulates what that means operationally.  A
 monitor design, panel, capacitor, seeded irradiance trace, runtime
 policy); :class:`FleetRunner` executes them serially or across worker
 processes, sharing one :class:`CalibrationCache` so devices with the
-same monitor design enroll once; :class:`FleetReport` aggregates the
-duty-cycle / checkpoint / power-failure distributions; and
-:class:`DeploymentPlanner` closes the loop with :mod:`repro.dse`,
-assigning each site the cheapest Pareto-optimal design that meets its
-accuracy and sampling targets.  At deployment scale (10^6+ devices),
-:func:`stream_fleet` executes the fleet shard by shard into mergeable
-sketches (:class:`FleetSketchReport`) with memory flat in fleet size —
-see ``docs/fleet_scale.md``.
+same monitor design enroll once; :class:`FleetReport` keeps every
+device's result; and :class:`DeploymentPlanner` closes the loop with
+:mod:`repro.dse`, assigning each site the cheapest Pareto-optimal
+design that meets its accuracy and sampling targets.  At deployment
+scale (10^6+ devices), :func:`stream_fleet` runs the fleet shard by
+shard in flat memory (``docs/fleet_scale.md``).  Either way the
+distributions come from one aggregator, :class:`FleetSketch`, exact
+whenever its reservoir holds the fleet.
 
 Entry points: ``python -m repro fleet`` (``--stream`` for the sharded
 mode) on the command line, the ``ext_fleet`` experiment, and

@@ -1,19 +1,22 @@
-"""Fleet-level result aggregation.
+"""Per-device fleet results and the materialized fleet report.
 
 A fleet run produces one :class:`DeviceResult` per device — a frozen,
-picklable summary of the simulator's report — and a :class:`FleetReport`
-that aggregates them into the distributions a deployment planner reads:
-duty cycle, checkpoint and power-failure percentiles, plus per-sink
-energy rollups.
+picklable summary of the simulator's report.  :class:`FleetReport`
+keeps them all, in id order, for the consumers that need every device
+(serve payloads, recordings, per-design tables), and reads the
+distributions a deployment planner wants — duty cycle, checkpoint and
+power-failure percentiles, per-sink energy rollups — from the fleet's
+one aggregator, :class:`~repro.fleet.stream.FleetSketch`.
 
 Determinism matters here: serial and parallel runs of the same fleet
 must render byte-identical reports (the acceptance test for the
-runner), so aggregation always walks devices in id order and the
-renderer uses fixed-precision formatting only.
+runner), so devices are folded in id order and the renderer uses
+fixed-precision formatting only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
@@ -22,13 +25,12 @@ from repro.errors import ConfigurationError
 from repro.harvest.fast import ENGINE_ID, check_engine_id
 from repro.harvest.simulator import SimulationReport
 
-#: Metrics the report aggregates, with how to print them.
-_METRICS: Tuple[Tuple[str, str, float], ...] = (
-    # (attribute, display name, display scale)
-    ("duty_pct", "duty_pct", 1.0),
-    ("app_time", "app_time_s", 1.0),
-    ("checkpoints", "checkpoints", 1.0),
-    ("power_failures", "power_failures", 1.0),
+#: Metrics the report aggregates: (attribute, display name).
+_METRICS: Tuple[Tuple[str, str], ...] = (
+    ("duty_pct", "duty_pct"),
+    ("app_time", "app_time_s"),
+    ("checkpoints", "checkpoints"),
+    ("power_failures", "power_failures"),
 )
 
 
@@ -156,7 +158,12 @@ class DeviceResult:
 
 @dataclass
 class FleetReport:
-    """Aggregate view over an id-ordered list of device results."""
+    """Every device's result, in id order, and the figures over them.
+
+    The figures come from the fleet's one aggregator: a
+    :class:`~repro.fleet.stream.FleetSketch` holding every device (so
+    exact), folded on first use and never by :meth:`to_dict`.
+    """
 
     fleet_name: str
     results: List[DeviceResult] = field(default_factory=list)
@@ -164,46 +171,26 @@ class FleetReport:
     def __post_init__(self) -> None:
         self.results = sorted(self.results, key=lambda r: r.device_id)
 
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.results)
 
-    def metric_values(self, metric: str) -> List[float]:
-        return [float(getattr(r, metric)) for r in self.results]
+    @functools.cached_property
+    def _sketch(self):
+        # Lazy import: repro.fleet.stream builds on this module.
+        from repro.fleet.stream import FleetSketch
+
+        sketch = FleetSketch(capacity=max(1, len(self.results)))
+        for result in self.results:
+            sketch.update(result)
+        return sketch
 
     def stats(self, metric: str) -> Dict[str, float]:
-        """mean / p50 / p95 / p99 of one per-device metric.
-
-        The mean is the correctly rounded sum (``math.fsum``), so it is
-        independent of device order and bit-equal to the streaming
-        :class:`~repro.fleet.stream.FleetSketch` mean — the sketch
-        regression tests assert exact equality, not approximation.
-        """
-        values = self.metric_values(metric)
-        if not values:
-            raise ConfigurationError("fleet report has no results")
-        return {
-            "mean": math.fsum(values) / len(values),
-            "p50": percentile(values, 50.0),
-            "p95": percentile(values, 95.0),
-            "p99": percentile(values, 99.0),
-        }
+        """mean / p50 / p95 / p99 of one per-device metric."""
+        return self._sketch.stats(metric)
 
     def energy_rollup(self) -> Dict[str, float]:
-        """Total joules per sink across the fleet (correctly rounded
-        ``math.fsum``, so the total is device-order independent and
-        bit-equal to the streaming sketch's exact energy totals)."""
-        per_sink: Dict[str, List[float]] = {}
-        for result in self.results:
-            for sink, joules in result.energy_by_sink:
-                per_sink.setdefault(sink, []).append(joules)
-        return {sink: math.fsum(values) for sink, values in sorted(per_sink.items())}
-
-    def by_monitor(self) -> Dict[str, List[DeviceResult]]:
-        groups: Dict[str, List[DeviceResult]] = {}
-        for result in self.results:
-            groups.setdefault(result.monitor_name, []).append(result)
-        return dict(sorted(groups.items()))
+        """Total joules per sink across the fleet, correctly rounded."""
+        return self._sketch.energy_rollup()
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready payload; inverse of :meth:`from_dict`."""
@@ -219,35 +206,8 @@ class FleetReport:
             results=[DeviceResult.from_dict(r) for r in data.get("results", [])],
         )
 
-    # ------------------------------------------------------------------
     def render(self) -> str:
         """Fixed-precision text report (byte-stable across runs)."""
-        if not self.results:
-            return f"fleet {self.fleet_name}: (no results)"
-        durations = [r.duration for r in self.results]
-        span = format_duration_span(min(durations), max(durations))
-        lines = [
-            f"fleet {self.fleet_name}: {len(self.results)} devices, {span} traces"
-        ]
-        header = f"  {'metric':<16s} {'mean':>10s} {'p50':>10s} {'p95':>10s} {'p99':>10s}"
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        for attr, label, _scale in _METRICS:
-            s = self.stats(attr)
-            lines.append(
-                f"  {label:<16s} {s['mean']:>10.4f} {s['p50']:>10.4f} "
-                f"{s['p95']:>10.4f} {s['p99']:>10.4f}"
-            )
-        lines.append("  energy by sink:")
-        rollup = self.energy_rollup()
-        total = sum(rollup.values())
-        for sink, joules in rollup.items():
-            share = 100.0 * joules / total if total > 0 else 0.0
-            lines.append(f"    {sink:<11s} {joules * 1e3:>10.4f} mJ ({share:5.1f}%)")
-        lines.append("  duty by monitor:")
-        for monitor_name, group in self.by_monitor().items():
-            mean_duty = math.fsum(r.duty_pct for r in group) / len(group)
-            lines.append(
-                f"    {monitor_name:<12s} {mean_duty:>7.3f}% mean over {len(group)} device(s)"
-            )
-        return "\n".join(lines)
+        from repro.fleet.stream import _render_fleet
+
+        return _render_fleet(self.fleet_name, self._sketch, confidence=False)

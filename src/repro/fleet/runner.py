@@ -27,12 +27,12 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.batch import ENGINES as EVAL_ENGINES, Scenario, evaluate_many
 from repro.errors import ConfigurationError
 from repro.exec import run_tasks
-from repro.fleet.cache import CalibrationCache, CalibrationRecord
+from repro.fleet.cache import CalibrationCache
 from repro.fleet.report import DeviceResult, FleetReport
 from repro.fleet.spec import DeviceSpec, FleetSpec
 from repro.harvest.monitors import MonitorModel
@@ -102,10 +102,6 @@ class FleetRunner:
         self.eval_engine = eval_engine
 
     # ------------------------------------------------------------------
-    def resolve_calibrations(self) -> Dict[Tuple, CalibrationRecord]:
-        """Enroll every unique monitor design once, in the parent."""
-        return {key: self.cache.get(key) for key in self.fleet.calibration_keys()}
-
     def work_items(self) -> List[Tuple[DeviceSpec, MonitorModel]]:
         """One ``(device, monitor)`` pair per device, in device order.
 
@@ -113,7 +109,8 @@ class FleetRunner:
         here, in the caller's process, through :attr:`cache`.
         """
         if self.cache.enabled:
-            records = self.resolve_calibrations()
+            # Enroll every unique monitor design once.
+            records = {key: self.cache.get(key) for key in self.fleet.calibration_keys()}
             return [
                 (device, records[device.calibration_key()].model)
                 for device in self.fleet.devices
@@ -153,26 +150,18 @@ class FleetRunner:
                 chunked=True,
                 label="fleet.batched",
             )
-            run_result = self._finish(results, start, record=record)
+            report = FleetReport(fleet_name=self.fleet.name, results=results)
+            if record is not None:
+                record_fleet_run(record, self.fleet, self.eval_engine, results, report)
+            elapsed = time.perf_counter() - start
             hits = self.cache.stats.hits - hits0
             misses = self.cache.stats.misses - misses0
-            span.set(elapsed=run_result.elapsed, cache_hits=hits, cache_misses=misses)
+            span.set(elapsed=elapsed, cache_hits=hits, cache_misses=misses)
         OBS.metrics.incr("fleet.runs")
         OBS.metrics.incr("fleet.devices", len(results))
-        OBS.metrics.observe("fleet.elapsed", run_result.elapsed)
+        OBS.metrics.observe("fleet.elapsed", elapsed)
         OBS.metrics.incr("fleet.cache_hits", hits)
         OBS.metrics.incr("fleet.cache_misses", misses)
-        return run_result
-
-    def _finish(
-        self, results: List[DeviceResult], start: float, record=None
-    ) -> FleetRunResult:
-        report = FleetReport(fleet_name=self.fleet.name, results=results)
-        if record is not None:
-            record_fleet_run(
-                record, self.fleet, self.eval_engine, results, report=report
-            )
-        elapsed = time.perf_counter() - start
         return FleetRunResult(
             report=report,
             elapsed=elapsed,
@@ -187,8 +176,8 @@ def record_fleet_run(
     fleet: FleetSpec,
     eval_engine: str,
     results: List[DeviceResult],
-    report: Optional[FleetReport] = None,
-) -> FleetReport:
+    report: FleetReport,
+) -> None:
     """Write one ``mode: run`` fleet recording from materialized results.
 
     The single source of truth for the fleet-run recording layout —
@@ -197,8 +186,6 @@ def record_fleet_run(
     ``results`` must be in ``fleet.devices`` order.  Wall-clock metadata
     stays out: the recording is a pure function of the fleet spec.
     """
-    if report is None:
-        report = FleetReport(fleet_name=fleet.name, results=results)
     record.begin(
         "fleet",
         eval_engine,
@@ -213,4 +200,3 @@ def record_fleet_run(
             power_failures=result.power_failures,
         )
     record.finish({"report": report.to_dict()})
-    return report

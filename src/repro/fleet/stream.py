@@ -1,10 +1,11 @@
-"""Sharded, constant-memory fleet execution and aggregation.
+"""The fleet aggregator, and sharded, constant-memory fleet execution.
 
-:class:`~repro.fleet.runner.FleetRunner` materializes every
-:class:`~repro.fleet.report.DeviceResult` and computes exact
-percentiles — fine at 10^3 devices, impossible at the 10^6-10^7 the
-paper's *ubiquity* claim is about.  This module is the deployment-scale
-path:
+Every fleet figure comes from one aggregator, :class:`FleetSketch`.
+:class:`~repro.fleet.report.FleetReport` folds its materialized
+results into a sketch whose reservoir holds them all (exact figures);
+this module's shard loop folds a fleet of any size — the 10^6-10^7
+devices the paper's *ubiquity* claim is about — into a fixed-size one.
+The pieces:
 
 * **mergeable sketches** — :class:`StreamingMoments` (streaming
   mean/variance), :class:`ReservoirSketch` (deterministic seeded
@@ -22,16 +23,17 @@ path:
   sampling error surfaced as ±95% confidence columns on
   :class:`FleetSketchReport`.
 
-Determinism is load-bearing, exactly as it is for the exact runner:
-``FleetSketchReport.render()`` must be byte-identical whatever the
+Determinism is load-bearing: both reports print through one renderer,
+and ``FleetSketchReport.render()`` must be byte-identical whatever the
 shard size, shard order, or merge tree.  Textbook Welford/Chan merges
 drift in the last ulp with merge order, which would break that
 guarantee, so the moments and totals here carry *exact* sums (Shewchuk
 partials, the ``math.fsum`` representation): every merge is exactly
 associative and commutative, the reported mean is the correctly rounded
-mean of the true values, and small-fleet sketches equal
-:meth:`FleetReport.stats` to the last bit (the regression contract in
-``tests/fleet/test_stream.py``).  The reservoir keeps the ``capacity``
+mean of the true values, and a sketch whose reservoir holds the whole
+fleet has exact percentiles (``tests/fleet/test_stream.py`` checks both
+against the ``math.fsum``/:func:`percentile` oracle in
+``tests/oracles/fleet.py``).  The reservoir keeps the ``capacity``
 devices with the smallest seeded hash — a pure function of the device
 *set*, so shard order cannot change which sample survives.
 """
@@ -280,9 +282,15 @@ class ReservoirSketch:
         self._heap: List[Tuple[int, int, float]] = []
 
     def push(self, value: float, key) -> None:
+        key = str(key)
+        self._push(value, key, _hash64(self.seed, key))
+
+    def _push(self, value: float, key: str, priority: int) -> None:
+        """:meth:`push` with the key's priority already hashed, so a
+        :class:`FleetSketch` hashes each device once for all metrics."""
         value = _check_finite(value, "reservoir value")
         self.seen += 1
-        self._offer(_hash64(self.seed, str(key)), str(key), value)
+        self._offer(priority, key, value)
 
     def _offer(self, priority: int, key: str, value: float) -> None:
         entry = (-priority, key, value)
@@ -402,7 +410,7 @@ class FleetSketch:
         self.count = 0  # devices folded in (simulated)
         self.metrics: Dict[str, Tuple[StreamingMoments, ReservoirSketch]] = {
             attr: (StreamingMoments(), ReservoirSketch(capacity=capacity, seed=seed))
-            for attr, _label, _scale in _METRICS
+            for attr, _label in _METRICS
         }
         #: stratum -> sink -> exact joules over *sampled* devices.
         self.energy: Dict[str, Dict[str, ExactSum]] = {}
@@ -433,10 +441,12 @@ class FleetSketch:
         counts[0] += 1
         counts[1] += 1
         self.count += 1
+        key = str(result.device_id)
+        priority = _hash64(self.seed, key)
         for attr, (moments, reservoir) in self.metrics.items():
             value = float(getattr(result, attr))
             moments.push(value)
-            reservoir.push(value, key=result.device_id)
+            reservoir._push(value, key, priority)
         sinks = self.energy.setdefault(stratum, {})
         for sink, joules in result.energy_by_sink:
             sinks.setdefault(sink, ExactSum()).add(
@@ -475,10 +485,10 @@ class FleetSketch:
 
     # ------------------------------------------------------------------
     def stats(self, metric: str) -> Dict[str, float]:
-        """mean / p50 / p95 / p99 — drop-in for :meth:`FleetReport.stats`.
+        """mean / p50 / p95 / p99 of one per-device metric.
 
-        Exact (bit-equal to the materialized report) whenever the
-        reservoir held every device; otherwise the percentiles carry
+        The mean is correctly rounded; the percentiles are exact
+        whenever the reservoir held every device, and otherwise carry
         the sampling error :meth:`confidence` quantifies.
         """
         if self.count == 0:
@@ -486,11 +496,12 @@ class FleetSketch:
         if metric not in self.metrics:
             raise ConfigurationError(f"unknown sketch metric {metric!r}")
         moments, reservoir = self.metrics[metric]
+        values = reservoir.values()
         return {
             "mean": moments.mean,
-            "p50": reservoir.quantile(50.0),
-            "p95": reservoir.quantile(95.0),
-            "p99": reservoir.quantile(99.0),
+            "p50": percentile(values, 50.0),
+            "p95": percentile(values, 95.0),
+            "p99": percentile(values, 99.0),
         }
 
     def confidence(self, metric: str) -> Dict[str, float]:
@@ -517,22 +528,19 @@ class FleetSketch:
         fully = self.fully_sampled
         rollup: Dict[str, float] = {}
         for sink in sinks:
+            totals = [
+                (stratum, per[sink])
+                for stratum, per in sorted(self.energy.items())
+                if sink in per
+            ]
             if fully:
-                acc = ExactSum()
-                for stratum in sorted(self.energy):
-                    total = self.energy[stratum].get(sink)
-                    if total is not None:
-                        acc.merge(total)
-                rollup[sink] = acc.value
+                # The partials' sum is exact, so one fsum rounds it once.
+                rollup[sink] = math.fsum(p for _, total in totals for p in total._partials)
             else:
-                estimate = 0.0
-                for stratum in sorted(self.energy):
-                    total = self.energy[stratum].get(sink)
-                    if total is None:
-                        continue
-                    seen, sampled = self.strata[stratum]
-                    estimate += (seen / sampled) * total.value
-                rollup[sink] = estimate
+                rollup[sink] = sum(
+                    self.strata[stratum][0] / self.strata[stratum][1] * total.value
+                    for stratum, total in totals
+                )
         return rollup
 
     # ------------------------------------------------------------------
@@ -595,9 +603,9 @@ class FleetSketch:
 # ----------------------------------------------------------------------
 @dataclass
 class FleetSketchReport:
-    """The streaming counterpart of :class:`~repro.fleet.report.
-    FleetReport`: same table shape, ±95% confidence columns, constant
-    memory however large the fleet."""
+    """A report read from a sketch alone: the table
+    :class:`~repro.fleet.report.FleetReport` prints plus ±95% confidence
+    columns, in constant memory however large the fleet."""
 
     fleet_name: str
     sketch: FleetSketch
@@ -625,52 +633,54 @@ class FleetSketchReport:
             sketch=FleetSketch.from_dict(data["sketch"]),
         )
 
-    # ------------------------------------------------------------------
     def render(self) -> str:
         """Fixed-precision text report, byte-identical for any shard
         size, shard order, or merge tree over the same device set."""
-        sketch = self.sketch
-        if sketch.count == 0:
-            return f"fleet {self.fleet_name}: (no results)"
-        seen = sketch.seen
-        span = format_duration_span(sketch.durations.minimum, sketch.durations.maximum)
-        if sketch.fully_sampled:
-            head = f"fleet {self.fleet_name}: {seen} devices, {span} traces"
-        else:
-            head = (
-                f"fleet {self.fleet_name}: {seen} devices "
-                f"({sketch.count} simulated, stratified sample), {span} traces"
-            )
-        lines = [head]
-        header = (
-            f"  {'metric':<16s} {'mean':>10s} {'±mean':>10s} "
-            f"{'p50':>10s} {'p95':>10s} {'p99':>10s} {'±p99':>10s}"
+        return _render_fleet(self.fleet_name, self.sketch, confidence=True)
+
+
+def _render_fleet(fleet_name: str, sketch: FleetSketch, confidence: bool) -> str:
+    """The fleet table both report classes print; ``confidence`` adds
+    :class:`FleetSketchReport`'s ±95% ``±mean``/``±p99`` columns."""
+    if sketch.count == 0:
+        return f"fleet {fleet_name}: (no results)"
+    span = format_duration_span(sketch.durations.minimum, sketch.durations.maximum)
+    if sketch.fully_sampled:
+        head = f"fleet {fleet_name}: {sketch.seen} devices, {span} traces"
+    else:
+        head = (
+            f"fleet {fleet_name}: {sketch.seen} devices "
+            f"({sketch.count} simulated, stratified sample), {span} traces"
         )
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        for attr, label, _scale in _METRICS:
-            s = self.stats(attr)
-            c = self.confidence(attr)
-            lines.append(
-                f"  {label:<16s} {s['mean']:>10.4f} {c['mean']:>10.4f} "
-                f"{s['p50']:>10.4f} {s['p95']:>10.4f} {s['p99']:>10.4f} "
-                f"{c['p99']:>10.4f}"
-            )
-        suffix = "" if sketch.fully_sampled else " (estimated)"
-        lines.append(f"  energy by sink{suffix}:")
-        rollup = self.energy_rollup()
-        total = sum(rollup.values())
-        for sink, joules in rollup.items():
-            share = 100.0 * joules / total if total > 0 else 0.0
-            lines.append(f"    {sink:<11s} {joules * 1e3:>10.4f} mJ ({share:5.1f}%)")
-        lines.append("  duty by monitor:")
-        for monitor_name in sorted(sketch.monitors):
-            moments = sketch.monitors[monitor_name]
-            lines.append(
-                f"    {monitor_name:<12s} {moments.mean:>7.3f}% mean over "
-                f"{moments.n} device(s)"
-            )
-        return "\n".join(lines)
+    if confidence:
+        columns = ("mean", "±mean", "p50", "p95", "p99", "±p99")
+    else:
+        columns = ("mean", "p50", "p95", "p99")
+    header = f"  {'metric':<16s}" + "".join(f" {column:>10s}" for column in columns)
+    lines = [head, header, "  " + "-" * (len(header) - 2)]
+    for attr, label in _METRICS:
+        figures = sketch.stats(attr)
+        if confidence:
+            half = sketch.confidence(attr)
+            figures.update({"±mean": half["mean"], "±p99": half["p99"]})
+        lines.append(
+            f"  {label:<16s}" + "".join(f" {figures[column]:>10.4f}" for column in columns)
+        )
+    suffix = "" if sketch.fully_sampled else " (estimated)"
+    lines.append(f"  energy by sink{suffix}:")
+    rollup = sketch.energy_rollup()
+    total = sum(rollup.values())
+    for sink, joules in rollup.items():
+        share = 100.0 * joules / total if total > 0 else 0.0
+        lines.append(f"    {sink:<11s} {joules * 1e3:>10.4f} mJ ({share:5.1f}%)")
+    lines.append("  duty by monitor:")
+    for monitor_name in sorted(sketch.monitors):
+        moments = sketch.monitors[monitor_name]
+        lines.append(
+            f"    {monitor_name:<12s} {moments.mean:>7.3f}% mean over "
+            f"{moments.n} device(s)"
+        )
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

@@ -188,7 +188,7 @@ def handle_fleet(context: JobContext, request: Dict) -> Dict:
         # Same recording layout as FleetRunner.run(record=...) — one
         # shared writer — streamed to subscribers as a ``trace`` event.
         recorder = TraceRecorder()
-        record_fleet_run(recorder, fleet, eval_engine, results, report=report)
+        record_fleet_run(recorder, fleet, eval_engine, results, report)
         context.emit("trace", recording=recorder.recording.to_dict())
     return report.to_dict()
 

@@ -5,8 +5,9 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fleet import DeviceResult, FleetReport, percentile
+from repro.fleet import DeviceResult, FleetReport, FleetSketch, percentile
 from repro.fleet.report import format_duration_span
+from tests.oracles.fleet import exact_energy_rollup, exact_stats
 
 
 def make_result(device_id: int, app_time: float, checkpoints: int = 5, monitor="FS (LP)"):
@@ -89,19 +90,6 @@ class TestFleetReport:
         assert rollup["core"] == pytest.approx(4.0e-3)
         assert rollup["monitor"] == pytest.approx(2.0e-4)
 
-    def test_by_monitor_groups(self):
-        report = FleetReport(
-            fleet_name="f",
-            results=[
-                make_result(0, 10.0, monitor="ADC"),
-                make_result(1, 20.0),
-                make_result(2, 30.0),
-            ],
-        )
-        groups = report.by_monitor()
-        assert sorted(groups) == ["ADC", "FS (LP)"]
-        assert len(groups["FS (LP)"]) == 2
-
     def test_render_mentions_every_metric(self):
         report = FleetReport(fleet_name="f", results=[make_result(0, 10.0)])
         text = report.render()
@@ -136,3 +124,79 @@ class TestDurationHeader:
         assert report.render().splitlines()[0] == "fleet f: 2 devices, 40-100 s traces"
         # Not device 0's duration stamped fleet-wide:
         assert "40 s traces" not in report.render()
+
+
+def golden_results():
+    """Two monitors, two trace durations, two sinks, out of id order."""
+    return [
+        make_result(3, 41.5, checkpoints=9),
+        dataclasses.replace(
+            make_result(0, 12.25, checkpoints=3, monitor="ADC"),
+            duration=60.0,
+            power_failures=2,
+            energy_by_sink=(("core", 1.25e-3), ("monitor", 4.5e-4)),
+        ),
+        make_result(2, 30.0, checkpoints=7),
+        dataclasses.replace(
+            make_result(1, 20.5, checkpoints=4, monitor="ADC"),
+            duration=60.0,
+            power_failures=1,
+            energy_by_sink=(("core", 1.5e-3), ("monitor", 5.0e-4)),
+        ),
+    ]
+
+
+GOLDEN_RENDER = """\
+fleet golden: 4 devices, 60-100 s traces
+  metric                 mean        p50        p95        p99
+  ------------------------------------------------------------
+  duty_pct            31.5208    32.0833    40.4000    41.2800
+  app_time_s          26.0625    25.2500    39.7750    41.1550
+  checkpoints          5.7500     5.5000     8.7000     8.9400
+  power_failures       0.7500     0.5000     1.8500     1.9700
+  energy by sink:
+    core            6.7500 mJ ( 85.4%)
+    monitor         1.1500 mJ ( 14.6%)
+  duty by monitor:
+    ADC           27.292% mean over 2 device(s)
+    FS (LP)       35.750% mean over 2 device(s)"""
+
+
+class TestOneAggregator:
+    """The report's figures come from one sketch, folded once."""
+
+    def test_render_golden(self):
+        """Byte for byte, including the exact form's missing ±columns."""
+        report = FleetReport(fleet_name="golden", results=golden_results())
+        assert report.render() == GOLDEN_RENDER
+
+    def test_figures_match_oracle(self):
+        report = FleetReport(fleet_name="golden", results=golden_results())
+        for metric in ("duty_pct", "app_time", "checkpoints", "power_failures"):
+            assert report.stats(metric) == exact_stats(report.results, metric)
+        assert report.energy_rollup() == exact_energy_rollup(report.results)
+
+    def test_folds_once(self, monkeypatch):
+        folded = []
+        update = FleetSketch.update
+
+        def counting(sketch, result, stratum=None):
+            folded.append(result.device_id)
+            update(sketch, result, stratum)
+
+        monkeypatch.setattr(FleetSketch, "update", counting)
+        report = FleetReport(fleet_name="golden", results=golden_results())
+        report.stats("duty_pct")
+        report.energy_rollup()
+        report.render()
+        assert folded == [0, 1, 2, 3]
+
+    def test_to_dict_folds_nothing(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("to_dict() folded a device into a sketch")
+
+        monkeypatch.setattr(FleetSketch, "update", refuse)
+        report = FleetReport(fleet_name="golden", results=golden_results())
+        payload = report.to_dict()
+        assert [r["device_id"] for r in payload["results"]] == [0, 1, 2, 3]
+        assert FleetReport.from_dict(payload).to_dict() == payload

@@ -1,4 +1,4 @@
-"""Streaming fleet aggregation: sketch-vs-exact equality, shard and
+"""Streaming fleet aggregation: sketch-vs-oracle equality, shard and
 merge-order invariance, sampling determinism, and wire round trips."""
 
 import itertools
@@ -21,6 +21,7 @@ from repro.fleet import (
     synthesize_fleet,
 )
 from repro.fleet.stream import ExactSum, device_stratum
+from tests.oracles.fleet import exact_energy_rollup, exact_stats
 
 METRICS = ("duty_pct", "app_time", "checkpoints", "power_failures")
 
@@ -174,14 +175,19 @@ class TestReservoirSketch:
 
 class TestSketchMatchesExact:
     """The small-fleet regression contract: while the reservoir holds
-    every device, the sketch IS the exact report — bit for bit."""
+    every device, the sketch equals the fsum/percentile oracle over the
+    materialized results — bit for bit."""
 
     def test_stats_bit_equal(self, exact_report, streamed):
         for metric in METRICS:
-            assert streamed.report.stats(metric) == exact_report.stats(metric)
+            assert streamed.report.stats(metric) == exact_stats(
+                exact_report.results, metric
+            )
 
     def test_energy_rollup_bit_equal(self, exact_report, streamed):
-        assert streamed.report.energy_rollup() == exact_report.energy_rollup()
+        assert streamed.report.energy_rollup() == exact_energy_rollup(
+            exact_report.results
+        )
 
     def test_confidence_zero_when_exact(self, streamed):
         for metric in METRICS:
@@ -190,12 +196,12 @@ class TestSketchMatchesExact:
     @pytest.mark.parametrize("seed", (3, 7))
     def test_property_across_seeds_and_shards(self, seed):
         fleet = synthesize_fleet(9, seed=seed, duration=15.0)
-        exact = FleetRunner(fleet, parallel=1).run().report
+        results = FleetRunner(fleet, parallel=1).run().report.results
         for shard_size in (1, 4, 9):
             out = _stream(fleet, shard_size=shard_size)
             for metric in METRICS:
-                assert out.report.stats(metric) == exact.stats(metric)
-            assert out.report.energy_rollup() == exact.energy_rollup()
+                assert out.report.stats(metric) == exact_stats(results, metric)
+            assert out.report.energy_rollup() == exact_energy_rollup(results)
 
 
 class TestShardAndMergeInvariance:
@@ -284,7 +290,7 @@ class TestStratifiedSampling:
         """Post-stratified totals stay within a factor of the exact
         rollup (an estimate, not exact — but the right order)."""
         out = _stream(small_fleet, shard_size=4, sample=0.5, sample_seed=2)
-        exact = exact_report.energy_rollup()
+        exact = exact_energy_rollup(exact_report.results)
         estimate = out.report.energy_rollup()
         total_exact = sum(exact.values())
         total_estimate = sum(estimate.values())
