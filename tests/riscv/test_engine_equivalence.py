@@ -20,19 +20,20 @@ import pytest
 
 import repro.obs as obs
 import repro.riscv.engine as block_engine
-from repro.errors import ConfigurationError, MemoryAccessError
+from repro.errors import ConfigurationError, CPUError, MemoryAccessError
 from repro.harvest.traces import constant_trace, nyc_pedestrian_night
 from repro.riscv import (
     CPU,
     WORKLOADS,
     ComparatorDevice,
     FastEngine,
+    NVM_BASE,
     IntermittentMachine,
     MemoryMap,
     assemble,
     get_workload,
 )
-from repro.riscv.csr import CAUSE_MACHINE_EXTERNAL
+from repro.riscv.csr import CAUSE_ILLEGAL_INSTRUCTION, CAUSE_MACHINE_EXTERNAL
 from repro.riscv.fs_device import FSDevice
 from repro.runtimes.policies import AdaptiveTimerPolicy, ContinuousPolicy
 from repro.trace import Recording, TraceRecorder, replay
@@ -606,6 +607,111 @@ class TestStoreIntoRunningBlock:
                 pass
             (cpu, _), _ = pair
             assert cpu.exit_code == 300
+
+
+ILLEGAL_WORD = 0xFFFFFFFF
+
+
+class TestFallbackPaths:
+    """Code the engine cannot compile from RAM: an illegal word, code in
+    NVM, and fetches from unmapped or misaligned pcs."""
+
+    def test_illegal_word_traps_to_handler(self):
+        program = assemble("""
+            la    t0, handler
+            csrw  mtvec, t0
+            li    s2, 5
+            addi  s2, s2, 1
+        bad:
+            .word 0xFFFFFFFF
+            addi  s2, s2, 100
+            ecall
+        handler:
+            csrr  a1, mcause
+            csrr  a2, mepc
+            csrr  a3, mtval
+            mv    a0, s2
+            ecall
+        """)
+        for budget in (1, 3, 1000):
+            pair = _lockstep_pair(program)
+            while _call_both(pair, budget):
+                pass
+            (cpu, _), _ = pair
+            assert cpu.exit_code == 6
+            assert cpu.registers[11] == CAUSE_ILLEGAL_INSTRUCTION
+            assert cpu.registers[12] == 0x8000_0000 + 4 * program.index(ILLEGAL_WORD)
+            assert cpu.registers[13] == ILLEGAL_WORD
+            # Six instructions before the word, five in the handler: the
+            # trap slot retires nothing and does not tick MCYCLE.
+            assert cpu.instructions_retired == cpu.csr.cycle_count == 11
+
+    def test_illegal_word_without_handler_raises(self):
+        program = assemble("""
+            li    s2, 5
+            addi  s2, s2, 1
+            .word 0xFFFFFFFF
+            ecall
+        """)
+        pair = _lockstep_pair(program)
+        messages = []
+        for cpu, driver in pair:
+            with pytest.raises(CPUError) as excinfo:
+                driver.run(1000)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        (cpu_f, _), (cpu_s, _) = pair
+        assert arch_state(cpu_f) == arch_state(cpu_s)
+        assert cpu_f.instructions_retired == cpu_f.csr.cycle_count == 3
+
+    def test_nvm_code_is_never_cached(self):
+        # The NVM routine patches its own next word before it runs, on
+        # every call; the patched word must execute each time.
+        [patched] = assemble("addi s2, s2, 100")
+        nvm_code = assemble("""
+            addi  s2, s2, 1
+            sw    t1, 8(t0)
+            addi  s2, s2, 10
+            jalr  zero, ra, 0
+        """)
+        program = assemble(f"""
+            li    s0, 2
+            li    s2, 0
+            li    t0, {NVM_BASE}
+            li    t1, {patched}
+        loop:
+            jalr  ra, t0, 0
+            addi  s0, s0, -1
+            bnez  s0, loop
+            mv    a0, s2
+            ecall
+        """)
+        for budget in (1, 2, 1000):
+            pair = _lockstep_pair(program)
+            for cpu, _ in pair:
+                cpu.memory.load_program(nvm_code, NVM_BASE)
+            while _call_both(pair, budget):
+                pass
+            (cpu_f, _), (cpu_s, _) = pair
+            assert cpu_f.exit_code == 202
+            assert bytes(cpu_f.memory.nvm.data) == bytes(cpu_s.memory.nvm.data)
+            assert cpu_f.memory.nvm_bytes_written == cpu_s.memory.nvm_bytes_written == 8
+
+    @pytest.mark.parametrize("target", [0x2000_0000, 0x8000_0102], ids=["unmapped", "misaligned"])
+    def test_fetch_fault(self, target):
+        program = assemble(f"""
+            li    s2, 5
+            li    t0, {target}
+            addi  s2, s2, 1
+            jalr  ra, t0, 0
+            ecall
+        """)
+        pair = _lockstep_pair(program)
+        _faults_alike(pair, 1000)
+        (cpu, _), _ = pair
+        assert cpu.pc == target
+        assert cpu.registers[18] == 6
+        assert cpu.instructions_retired == cpu.csr.cycle_count == len(program) - 1
 
 
 class TestCodeCache:
