@@ -86,10 +86,14 @@ DEFAULT_RESERVOIR_CAPACITY = 4096
 _Z95 = 1.959963984540054
 
 
-def _check_finite(value: float, what: str) -> float:
+def _check_finite(value: float, what: str, *args: object) -> float:
+    """``float(value)``, refusing inf/NaN; the error names
+    ``what.format(*args)``, built only when it is raised."""
     value = float(value)
     if not math.isfinite(value):
-        raise ConfigurationError(f"non-finite {what} {value!r} cannot be aggregated")
+        raise ConfigurationError(
+            f"non-finite {what.format(*args)} {value!r} cannot be aggregated"
+        )
     return value
 
 
@@ -431,7 +435,10 @@ class FleetSketch:
         return all(seen == sampled for seen, sampled in self.strata.values())
 
     def _stratum(self, stratum: str) -> List[int]:
-        return self.strata.setdefault(stratum, [0, 0])
+        counts = self.strata.get(stratum)
+        if counts is None:
+            counts = self.strata[stratum] = [0, 0]
+        return counts
 
     def update(self, result: DeviceResult, stratum: Optional[str] = None) -> None:
         """Fold one simulated device in (and count it as seen)."""
@@ -447,14 +454,20 @@ class FleetSketch:
             value = float(getattr(result, attr))
             moments.push(value)
             reservoir._push(value, key, priority)
-        sinks = self.energy.setdefault(stratum, {})
+        # Get-then-insert throughout: ``setdefault`` would build a fresh
+        # accumulator on every call only to throw it away.
+        sinks = self.energy.get(stratum)
+        if sinks is None:
+            sinks = self.energy[stratum] = {}
         for sink, joules in result.energy_by_sink:
-            sinks.setdefault(sink, ExactSum()).add(
-                _check_finite(joules, f"energy[{sink}]")
-            )
-        self.monitors.setdefault(result.monitor_name, StreamingMoments()).push(
-            result.duty_pct
-        )
+            total = sinks.get(sink)
+            if total is None:
+                total = sinks[sink] = ExactSum()
+            total.add(_check_finite(joules, "energy[{}]", sink))
+        duty = self.monitors.get(result.monitor_name)
+        if duty is None:
+            duty = self.monitors[result.monitor_name] = StreamingMoments()
+        duty.push(result.duty_pct)
         self.durations.push(result.duration)
 
     def skip(self, stratum: str) -> None:

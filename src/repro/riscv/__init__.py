@@ -12,9 +12,9 @@ threshold.  This package is the software-visible equivalent:
 * :mod:`repro.riscv.csr` — machine-mode CSRs and interrupt state;
 * :mod:`repro.riscv.fs_device` — the monitor as an SoC peripheral plus
   the two custom instructions;
-* :mod:`repro.riscv.cpu` — the RV32IM core and its step interpreter;
-* :mod:`repro.riscv.engine` — the predecoded basic-block engine every
-  machine runs on;
+* :mod:`repro.riscv.cpu` — the RV32IM hart's state, traps and CSR ops;
+* :mod:`repro.riscv.engine` — the basic-block engine: the one
+  instruction semantics, which every machine runs on;
 * :mod:`repro.riscv.runtime` — the library-level checkpoint/restore
   handler the paper links unmodified software against;
 * :mod:`repro.riscv.intermittent` — couples the core to the harvesting

@@ -1,10 +1,11 @@
-"""The fast RV32IM interpreter engine: one generated function per block.
+"""The RV32IM interpreter: one generated function per basic block.
 
-The step interpreter (:meth:`repro.riscv.cpu.CPU.step`) fetches, decodes,
-and dispatches every instruction on every step — correct, readable, and
-the reference the fast engine is cross-checked against.  This module
-removes the per-step costs without changing a single architectural
-outcome:
+This module holds the library's one instruction semantics.  Executing
+an instruction the way the step-by-step reference does — check
+interrupts, fetch, decode, dispatch, retire, tick MCYCLE — pays a
+dispatch per instruction; the engine removes those per-step costs
+without changing a single architectural outcome (the step interpreter
+survives as the test oracle ``tests/oracles/riscv.py``):
 
 * **Generated blocks.**  On first execution of a pc the engine decodes
   forward until a control transfer (or CSR/system/custom) instruction
@@ -22,21 +23,21 @@ outcome:
   and faulting accesses go through :func:`_load`/:func:`_store`, which
   take the routed :class:`~repro.riscv.memory.MemoryMap` path and end
   the block (so device side effects — e.g. an FS sample raising the
-  interrupt line — are observed at exactly the step interpreter's
+  interrupt line — are observed at exactly a step-by-step core's
   boundary).  On a fault they first commit the instructions that
   completed (pc, retired count, MCYCLE) and re-raise.
 * **Deferred bookkeeping.**  ``run()`` keeps the retired count in a
   local and writes it (with the matching MCYCLE ticks) once on exit,
   and before anything that can observe it: a CSR/system/FS terminator
-  and the :meth:`CPU.step` fallback.  MCYCLE is therefore exact
-  wherever software or a checkpoint can read it.
+  or a fault.  MCYCLE is therefore exact wherever software or a
+  checkpoint can read it.
 * **Interrupt checks only where interrupt state can change.**  The
   pending-interrupt check runs at ``run()`` entry (the machine samples
   the monitor between calls), after a trap dispatch, after a block that
   ended early on the slow path, after a CSR/system/FS terminator, and
-  after the step fallback.  Nothing else can change ``irq_pending``,
-  MIP, MIE or MSTATUS, so every other block boundary would find the
-  same answer as the last check.  Blocks never run past the caller's
+  after an illegal-instruction trap.  Nothing else can change
+  ``irq_pending``, MIP, MIE or MSTATUS, so every other block boundary
+  would find the same answer as the last check.  Blocks never run past the caller's
   step budget: a block the budget splits runs a prefix block compiled
   for ``(pc, remaining)``.
 * **A shared code cache.**  A block's compiled factory depends only on
@@ -51,10 +52,16 @@ outcome:
   bumps ``MemoryMap.ram_image_version`` and ends the block, and the
   engine drops its bound blocks before the next dispatch —
   self-modifying code executes exactly as it does under the step loop.
+* **Code outside RAM.**  A pc the engine cannot compile from RAM (NVM
+  or MMIO code, a misaligned pc, an illegal word) is fetched through
+  :meth:`MemoryMap.read`, so an unmapped or misaligned fetch raises the
+  routed :class:`~repro.errors.MemoryAccessError`; an illegal word traps
+  as one slot that retires nothing, and a legal one runs as a
+  one-instruction block that is never cached (NVM and MMIO writes do
+  not bump ``ram_image_version``).
 
 It is the only engine :class:`~repro.riscv.intermittent.IntermittentMachine`
-drives; :meth:`CPU.step` survives as its fallback for non-RAM, misaligned
-or illegal code and as the test oracle it is cross-checked against.
+drives.
 """
 
 from __future__ import annotations
@@ -81,18 +88,8 @@ _M32 = 0xFFFFFFFF
 _SIGN32 = 0x80000000
 
 
-def decode_for_step(word: int, pc: int) -> Decoded:
-    """Per-step decode for the step interpreter (:meth:`CPU.step`).
-
-    The repo lint forbids per-step ``decode(`` calls outside this module
-    and :mod:`repro.riscv.encoding`; the step interpreter is the
-    sanctioned exception and routes through here.
-    """
-    return decode(word, pc)
-
-
 # ----------------------------------------------------------------------
-# M-extension helpers (bit-exact copies of the step interpreter's)
+# M-extension helpers (``mul`` is inlined)
 # ----------------------------------------------------------------------
 def _muldiv(op: str, a: int, b: int) -> int:
     sa, sb = to_s32(a), to_s32(b)
@@ -133,7 +130,7 @@ _MULDIV_OPS = ("mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu")
 # ----------------------------------------------------------------------
 def _commit(cpu, pc: int, done: int) -> None:
     """Commit the ``done`` instructions a block completed before the
-    faulting one at ``pc``, exactly as the step interpreter leaves them."""
+    faulting one at ``pc``, exactly as a step-by-step core leaves them."""
     cpu.pc = pc
     if done:
         cpu.instructions_retired += done
@@ -350,12 +347,13 @@ _Bound = Tuple[Callable[[], int], Optional[Callable[[], None]], int]
 class FastEngine:
     """Basic-block interpreter bound to one :class:`~repro.riscv.cpu.CPU`.
 
-    ``run(budget)`` executes up to ``budget`` step-slots — where a slot
-    is exactly one ``cpu.step()`` call: a retired instruction, an
-    interrupt dispatch, or one cycle of WFI idling — and returns the
-    number consumed.  All architectural state (registers, memory, CSRs
-    including MCYCLE, retired-instruction counts, halt/wait flags) is
-    bit-identical to stepping the interpreter the same number of times.
+    ``run(budget)`` executes up to ``budget`` step-slots — a slot is a
+    retired instruction, an interrupt dispatch, an illegal-instruction
+    trap, or one cycle of WFI idling — and returns the number consumed.
+    All architectural state (registers, memory, CSRs including MCYCLE,
+    retired-instruction counts, halt/wait flags) is bit-identical to
+    stepping the oracle interpreter the same number of slots, so
+    ``run(1)`` is exactly one step.
     """
 
     def __init__(self, cpu):
@@ -424,21 +422,18 @@ class FastEngine:
                 if entry is None:
                     if not (pc & 3 or pc < ram_lo or pc > ram_hi):
                         entry = self._compile(pc, MAX_BLOCK_OPS)
-                    if entry is None:
-                        # Non-RAM, misaligned or illegal code: the step
-                        # interpreter covers every case, including the
-                        # exact fetch errors and traps.
-                        if retired:
-                            cpu.instructions_retired += retired
-                            csr.tick(retired)
-                            retired = 0
-                        cpu.step()
-                        steps += 1
-                        if cpu.halted:
-                            return steps
-                        check = True
-                        continue
-                    blocks[pc] = entry
+                    if entry is not None:
+                        blocks[pc] = entry
+                    else:
+                        # Non-RAM, misaligned or illegal code: one
+                        # routed fetch (raising the exact fetch error),
+                        # then an illegal-instruction trap or a
+                        # one-instruction block that is never cached.
+                        entry = self._fetch(pc)
+                        if entry is None:
+                            steps += 1  # the trap: no retire, no tick
+                            check = True
+                            continue
                 else:
                     hits += 1
                 fn, term, slots = entry
@@ -482,8 +477,8 @@ class FastEngine:
     # Compilation
     # ------------------------------------------------------------------
     def _compile(self, pc: int, limit: int) -> Optional[_Bound]:
-        """Bind the block of at most ``limit`` slots at ``pc``; ``None``
-        when its first word is illegal (the step fallback traps)."""
+        """Bind the RAM block of at most ``limit`` slots at ``pc``;
+        ``None`` when its first word is illegal (:meth:`_fetch` traps)."""
         mem = self.memory
         ram = mem.ram.data
         base = self._ram_lo
@@ -505,14 +500,33 @@ class FastEngine:
                 break
         if not insns:
             return None
-        fn = _factory(pc, tuple(words), insns, base, size)(*self._bind)
-        last = insns[-1]
-        term = self._make_term(last, addr - 4) if last.mnemonic in _CLOSURE_TERMS else None
         code = mem.code_pages
         first = (pc - base) >> PAGE_SHIFT
         end = (addr - base - 1) >> PAGE_SHIFT
         code[first : end + 1] = b"\x01" * (end - first + 1)
         self.blocks_compiled += 1
+        return self._bound(pc, words, insns)
+
+    def _fetch(self, pc: int) -> Optional[_Bound]:
+        """The one instruction at ``pc`` fetched through the memory map,
+        for code :meth:`_compile` cannot take: raises the fetch's
+        :class:`~repro.errors.MemoryAccessError`, or traps an illegal
+        word and returns ``None``.  The block it returns is neither
+        cached nor marked in ``code_pages``: NVM and MMIO writes do not
+        bump ``ram_image_version``, so a cached copy could go stale."""
+        word = self.memory.read(pc, 4)
+        try:
+            d = decode(word, pc)
+        except IllegalInstructionError:
+            self.cpu._trap(csrdef.CAUSE_ILLEGAL_INSTRUCTION, word)
+            return None
+        return self._bound(pc, [word], [d])
+
+    def _bound(self, pc: int, words: List[int], insns: List[Decoded]) -> _Bound:
+        fn = _factory(pc, tuple(words), insns, self._ram_lo, self.memory.ram.size)(*self._bind)
+        last = insns[-1]
+        at = pc + 4 * (len(insns) - 1)
+        term = self._make_term(last, at) if last.mnemonic in _CLOSURE_TERMS else None
         return fn, term, len(insns)
 
     # ------------------------------------------------------------------

@@ -204,6 +204,26 @@ class TestSketchMatchesExact:
             assert out.report.energy_rollup() == exact_energy_rollup(results)
 
 
+class TestSketchUpdate:
+    def test_warm_update_constructs_no_accumulator(self, small_fleet, exact_report, monkeypatch):
+        # Once a device's stratum, sinks and monitor have accumulators,
+        # folding in another like it allocates none.
+        device, result = small_fleet.devices[0], exact_report.results[0]
+        sketch = FleetSketch()
+        sketch.update(result, stratum=device_stratum(device))
+        built = []
+        original = ExactSum.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExactSum, "__init__", counting_init)
+        sketch.update(result, stratum=device_stratum(device))
+        assert built == []
+        assert sketch.count == 2
+
+
 class TestShardAndMergeInvariance:
     def test_render_identical_across_shard_sizes(self, small_fleet, streamed):
         rendered = streamed.report.render()

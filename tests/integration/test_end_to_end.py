@@ -16,6 +16,7 @@ from repro.riscv import IntermittentMachine, assemble
 from repro.riscv.fs_device import FSDevice
 from repro.harvest.traces import constant_trace
 from repro.tech import TECH_90NM, ProcessVariation
+from tests.riscv.drive import run_to_halt
 
 
 class TestDSEToSystem:
@@ -77,7 +78,7 @@ class TestMonitorToRISCV:
         mem = MemoryMap()
         mem.load_program(program)
         cpu = CPU(mem, fs_device=device)
-        cpu.run()
+        run_to_halt(cpu)
         volts = device.monitor.read_voltage(cpu.exit_code)
         budget = device.monitor.resolution_volts()
         assert volts == pytest.approx(2.7, abs=max(budget, 0.08))

@@ -6,13 +6,14 @@ from repro.errors import AssemblerError
 from repro.riscv import CPU, MemoryMap, assemble
 from repro.riscv.encoding import decode
 from repro.riscv.memory import RAM_BASE
+from tests.riscv.drive import run_to_halt
 
 
 def run_program(source, max_instructions=100000):
     mem = MemoryMap()
     mem.load_program(assemble(source))
     cpu = CPU(mem)
-    cpu.run(max_instructions=max_instructions)
+    run_to_halt(cpu, max_instructions=max_instructions)
     return cpu
 
 

@@ -5,13 +5,14 @@ import pytest
 from repro.errors import CPUError
 from repro.riscv import CPU, MemoryMap, assemble
 from repro.riscv.csr import CAUSE_ILLEGAL_INSTRUCTION, MCAUSE, MEPC
+from tests.riscv.drive import run_to_halt, step
 
 
 def run(source, **kw):
     mem = MemoryMap()
     mem.load_program(assemble(source))
     cpu = CPU(mem)
-    cpu.run(**kw)
+    run_to_halt(cpu, **kw)
     return cpu
 
 
@@ -175,7 +176,7 @@ class TestTraps:
         """)
         mem.load_program(program)
         cpu = CPU(mem)
-        cpu.run()
+        run_to_halt(cpu)
         assert cpu.exit_code == CAUSE_ILLEGAL_INSTRUCTION
 
     def test_illegal_without_handler_is_fatal(self):
@@ -183,7 +184,7 @@ class TestTraps:
         mem.load_program(assemble(".word 0xFFFFFFFF"))
         cpu = CPU(mem)
         with pytest.raises(CPUError, match="no handler"):
-            cpu.run()
+            run_to_halt(cpu)
 
     def test_ebreak_traps(self):
         cpu = run("""
@@ -217,23 +218,23 @@ class TestStateCapture:
         mem = MemoryMap()
         mem.load_program(assemble("li a0, 5\nli a1, 6\necall"))
         cpu = CPU(mem)
-        cpu.step()
-        cpu.step()  # a0 loaded (li = 2 insns)
+        step(cpu)
+        step(cpu)  # a0 loaded (li = 2 insns)
         snap = cpu.capture_state()
-        cpu.run()
+        run_to_halt(cpu)
         assert cpu.halted
         cpu.restore_state(snap)
         assert not cpu.halted
         assert cpu.pc == snap.pc
-        cpu.run()
+        run_to_halt(cpu)
         assert cpu.exit_code == 5
 
     def test_reset_clears_everything(self):
         mem = MemoryMap()
         mem.load_program(assemble("li a0, 5\necall"))
         cpu = CPU(mem)
-        cpu.run()
+        run_to_halt(cpu)
         cpu.reset()
         assert cpu.pc == 0x80000000
-        assert cpu.read_reg(10) == 0
+        assert cpu.registers[10] == 0
         assert not cpu.halted

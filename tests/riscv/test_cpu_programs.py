@@ -9,13 +9,14 @@ import pytest
 
 from repro.riscv import CPU, MemoryMap, assemble
 from repro.riscv.memory import RAM_BASE
+from tests.riscv.drive import run_to_halt
 
 
 def execute(source, max_instructions=5_000_000):
     mem = MemoryMap()
     mem.load_program(assemble(source))
     cpu = CPU(mem)
-    cpu.run(max_instructions=max_instructions)
+    run_to_halt(cpu, max_instructions=max_instructions)
     assert cpu.halted
     return cpu
 
@@ -66,7 +67,7 @@ class TestBubbleSort:
         mem = MemoryMap()
         mem.load_program(assemble(self.SOURCE))
         cpu = CPU(mem)
-        cpu.run(max_instructions=5_000_000)
+        run_to_halt(cpu, max_instructions=5_000_000)
         values = [mem.read(0x80002000 + 4 * i, 4) for i in range(32)]
         assert values == sorted(values)
 
@@ -252,7 +253,7 @@ class TestStringReverse:
         mem = MemoryMap()
         mem.load_program(assemble(self.SOURCE))
         cpu = CPU(mem)
-        cpu.run(max_instructions=100000)
+        run_to_halt(cpu, max_instructions=100000)
         assert mem.console.text() == "desserts"
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.riscv import CPU, MemoryMap, assemble
+from tests.riscv.drive import run_to_halt
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
@@ -30,7 +31,7 @@ def run_binary_op(op, a, b):
     mem = MemoryMap()
     mem.load_program(assemble(source))
     cpu = CPU(mem)
-    cpu.run(max_instructions=50)
+    run_to_halt(cpu, max_instructions=50)
     return cpu.exit_code & 0xFFFFFFFF
 
 
@@ -100,7 +101,7 @@ def test_addi_matches_reference(a, imm):
     mem = MemoryMap()
     mem.load_program(assemble(source))
     cpu = CPU(mem)
-    cpu.run(max_instructions=50)
+    run_to_halt(cpu, max_instructions=50)
     assert cpu.exit_code & 0xFFFFFFFF == (a + imm) & 0xFFFFFFFF
 
 
@@ -117,7 +118,7 @@ def test_memory_word_roundtrip_through_cpu(value):
     mem = MemoryMap()
     mem.load_program(assemble(source))
     cpu = CPU(mem)
-    cpu.run(max_instructions=50)
+    run_to_halt(cpu, max_instructions=50)
     assert cpu.exit_code & 0xFFFFFFFF == value
 
 
@@ -127,5 +128,5 @@ def test_li_loads_any_32bit_value(value):
     mem = MemoryMap()
     mem.load_program(assemble(f"li a0, {to_s32(value)}\necall"))
     cpu = CPU(mem)
-    cpu.run(max_instructions=10)
+    run_to_halt(cpu, max_instructions=10)
     assert cpu.exit_code & 0xFFFFFFFF == value

@@ -1,14 +1,17 @@
-"""Fast-engine equivalence: the block interpreter vs. the step oracle.
+"""Fast-engine equivalence: the library's block engine vs. the step oracle.
 
-Randomized assembler workloads (ALU soup, memory traffic, console MMIO,
-div-by-zero corners) run through the fast engine and the legacy step
-interpreter (``tests/oracles/riscv.py``) and must agree on every
-architectural observable: registers, pc, retired-instruction counts,
-cycle counter, console bytes, and — across power failures on the
-intermittent machine — the entire ``IntermittentRunResult`` including
-checkpoint/restore sequences.  The self-modifying-code case pins the
-block-cache invalidation rule, and the interrupt scenarios pin trap
-delivery at block boundaries.
+The step interpreter (``tests/oracles/riscv.py``) executes one
+instruction per call and is the reference semantics; the library ships
+only :class:`~repro.riscv.FastEngine`.  Randomized assembler workloads
+(ALU soup, memory traffic, console MMIO, div-by-zero corners) run
+through both and must agree on every architectural observable:
+registers, pc, retired-instruction counts, cycle counter, console bytes,
+and — across power failures on the intermittent machine — the entire
+``IntermittentRunResult`` including checkpoint/restore sequences.  The
+lockstep contract tests compare state after every ``run()`` call: budget
+splits, mid-block faults, MCYCLE reads, interrupt boundaries, stores
+into the running block, and the paths the engine cannot compile from
+RAM (illegal words, NVM code, unmapped and misaligned fetches).
 """
 
 import copy
@@ -99,13 +102,10 @@ def run_cpu(program, engine: str, budget: int = 4_000_000) -> CPU:
     memory = MemoryMap()
     memory.load_program(program)
     cpu = CPU(memory)
-    if engine == "fast":
-        fast = FastEngine(cpu)
-        executed = 0
-        while not cpu.halted and executed < budget:
-            executed += fast.run(budget - executed)
-    else:
-        cpu.run(max_instructions=budget)
+    driver = (FastEngine if engine == "fast" else StepEngine)(cpu)
+    executed = 0
+    while not cpu.halted and executed < budget:
+        executed += driver.run(budget - executed)
     return cpu
 
 
@@ -240,7 +240,7 @@ class TestInterruptEquivalence:
         self._advance(cpu_l, drv_l, 50)
         assert cpu_l.halted and cpu_f.halted
         assert arch_state(cpu_f) == arch_state(cpu_l)
-        assert cpu_f.read_reg(11) == CAUSE_MACHINE_EXTERNAL
+        assert cpu_f.registers[11] == CAUSE_MACHINE_EXTERNAL
 
 
 class TestEngineSelection:

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ConfigurationError, MemoryAccessError, SimulationError
 from repro.riscv import CPU, MemoryMap, assemble
 from repro.riscv.runtime import CHECKPOINT_MAGIC, CheckpointRuntime
+from tests.riscv.drive import run_to_halt, step
 
 
 def make_cpu():
@@ -46,14 +47,14 @@ class TestCheckpointCorruption:
         This test documents that contract."""
         cpu = make_cpu()
         rt = CheckpointRuntime(cpu)
-        cpu.step()
-        cpu.step()  # s0 loaded
+        step(cpu)
+        step(cpu)  # s0 loaded
         rt.checkpoint()
         # Corrupt s0's slot (x8 -> offset 4*(2 + 7)).
         slot = 4 * (2 + 7)
         cpu.memory.nvm.data[slot:slot + 4] = (999).to_bytes(4, "little")
         rt.restore()
-        assert cpu.read_reg(8) == 999  # garbage in, garbage out — but defined
+        assert cpu.registers[8] == 999  # garbage in, garbage out — but defined
 
     def test_invalidate_then_restore_cold_boots(self):
         cpu = make_cpu()
@@ -72,7 +73,7 @@ class TestHostileMemoryAccess:
         """))
         cpu = CPU(mem)
         with pytest.raises(MemoryAccessError):
-            cpu.run(max_instructions=10)
+            run_to_halt(cpu, max_instructions=10)
 
     def test_misaligned_load_traps_cleanly(self):
         mem = MemoryMap()
@@ -82,13 +83,13 @@ class TestHostileMemoryAccess:
         """))
         cpu = CPU(mem)
         with pytest.raises(MemoryAccessError, match="misaligned"):
-            cpu.run(max_instructions=10)
+            run_to_halt(cpu, max_instructions=10)
 
     def test_execute_from_unmapped_pc(self):
         cpu = CPU(MemoryMap())
         cpu.pc = 0x0
         with pytest.raises(MemoryAccessError):
-            cpu.step()
+            step(cpu)
 
 
 class TestMonitorEdgeCases:

@@ -15,6 +15,7 @@ from repro.riscv.fs_device import (
     default_fs_config,
 )
 from repro.riscv.memory import MMIO_BASE
+from tests.riscv.drive import run_to_halt, step
 
 
 @pytest.fixture
@@ -129,7 +130,7 @@ class TestISAIntegration:
         mem = MemoryMap()
         mem.load_program(prog)
         cpu = CPU(mem, fs_device=device)
-        cpu.run()
+        run_to_halt(cpu)
         assert cpu.exit_code == device.monitor.count_at(3.0)
 
     def test_fs_instructions_without_device_fail(self):
@@ -140,7 +141,7 @@ class TestISAIntegration:
         mem.load_program(prog)
         cpu = CPU(mem)
         with pytest.raises(CPUError, match="no FS device"):
-            cpu.run()
+            run_to_halt(cpu)
 
     def test_software_polling_loop(self, device):
         """The 'poll-able voltage monitoring' use case (Section II-B):
@@ -162,7 +163,7 @@ class TestISAIntegration:
         for i in range(200):
             if i == 50:
                 device.set_supply(1.85)
-            cpu.step()
+            step(cpu)
             if cpu.halted:
                 break
         assert cpu.halted

@@ -11,6 +11,7 @@ import pytest
 from repro.riscv import CPU, MemoryMap, assemble
 from repro.riscv.csr import CAUSE_MACHINE_EXTERNAL, MEI_BIT, MIE, MSTATUS, MSTATUS_MIE
 from repro.riscv.fs_device import FSDevice
+from tests.riscv.drive import run_to_halt, step
 
 HANDLER_PROGRAM = """
     # Install the handler, enable machine-external interrupts, arm the
@@ -49,7 +50,7 @@ class TestInterruptDelivery:
         cpu, fs = self.make_machine(threshold_count=1)
         # Run the setup + a chunk of spinning.
         for _ in range(200):
-            cpu.step()
+            step(cpu)
         assert not cpu.halted  # still spinning, no interrupt yet
 
         # Supply sags below the armed threshold; the device samples and
@@ -58,12 +59,12 @@ class TestInterruptDelivery:
         fs.insn_fsen(fs.monitor.count_at(2.0))
         steps = 0
         while not cpu.halted and steps < 50:
-            cpu.step()
+            step(cpu)
             steps += 1
         assert cpu.halted
         progress = cpu.exit_code
         assert progress > 0  # the spin loop ran
-        assert cpu.read_reg(11) == CAUSE_MACHINE_EXTERNAL
+        assert cpu.registers[11] == CAUSE_MACHINE_EXTERNAL
 
     def test_interrupt_masked_without_mie(self):
         fs = FSDevice(v_supply=3.0)
@@ -81,7 +82,7 @@ class TestInterruptDelivery:
         mem = MemoryMap()
         mem.load_program(program)
         cpu = CPU(mem, fs_device=fs)
-        cpu.run(max_instructions=100000)
+        run_to_halt(cpu, max_instructions=100000)
         # MSTATUS.MIE was never set: the pending IRQ must not vector
         # (there is no mtvec; vectoring would be a fatal CPUError).
         assert cpu.exit_code == 1000
@@ -109,14 +110,14 @@ class TestInterruptDelivery:
         cpu = CPU(mem, fs_device=fs)
         # Enter WFI.
         for _ in range(100):
-            cpu.step()
+            step(cpu)
             if cpu.waiting_for_interrupt:
                 break
         assert cpu.waiting_for_interrupt
 
         # Ticks pass with nothing happening.
         for _ in range(10):
-            cpu.step()
+            step(cpu)
         assert cpu.waiting_for_interrupt
 
         # Voltage collapses; device raises the line; core wakes into the
@@ -124,7 +125,7 @@ class TestInterruptDelivery:
         fs.set_supply(1.82)
         fs.insn_fsen(fs.monitor.count_at(2.2))
         for _ in range(50):
-            cpu.step()
+            step(cpu)
             if cpu.halted:
                 break
         assert cpu.halted

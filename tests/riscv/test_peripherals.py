@@ -14,6 +14,7 @@ from repro.riscv.peripherals import (
     SENSOR_MMIO_OFFSET,
     SPISensor,
 )
+from tests.riscv.drive import run_to_halt
 
 SENSOR_BASE = MMIO_BASE + SENSOR_MMIO_OFFSET
 
@@ -125,7 +126,7 @@ class TestSoftwareVisibleBehaviour:
         mem, _registry = self._machine(sensor)
         mem.load_program(assemble(self.CONFIGURE_AND_READ))
         cpu = CPU(mem)
-        cpu.run()
+        run_to_halt(cpu)
         assert cpu.exit_code == 1000
 
     def test_power_failure_without_restore_breaks_reads(self):
@@ -135,25 +136,25 @@ class TestSoftwareVisibleBehaviour:
         mem, registry = self._machine(sensor)
         # Configure via a first run.
         mem.load_program(assemble(self.CONFIGURE_AND_READ))
-        CPU(mem).run()
+        run_to_halt(CPU(mem))
         # Power failure; core state notionally restored, peripheral not.
         registry.power_failure()
         mem.load_program(assemble(self.PROGRAM))
         cpu = CPU(mem)
-        cpu.run()
+        run_to_halt(cpu)
         assert cpu.exit_code & 0xFFFFFFFF == INVALID_READING
 
     def test_registry_restore_fixes_reads(self):
         sensor = SPISensor(seed=1000)
         mem, registry = self._machine(sensor)
         mem.load_program(assemble(self.CONFIGURE_AND_READ))
-        CPU(mem).run()
+        run_to_halt(CPU(mem))
         blob = registry.snapshot()          # checkpoint includes config
         registry.power_failure()
         registry.restore(blob)              # library-level restore hook
         mem.load_program(assemble(self.PROGRAM))
         cpu = CPU(mem)
-        cpu.run()
+        run_to_halt(cpu)
         assert cpu.exit_code != INVALID_READING
         # Configuration is restored but the device's internal sample
         # counter genuinely restarted — sampling resumes from sequence 0.

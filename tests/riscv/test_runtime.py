@@ -6,6 +6,7 @@ from repro.errors import SimulationError
 from repro.riscv import CPU, MemoryMap, assemble
 from repro.riscv.memory import RAM_BASE
 from repro.riscv.runtime import CheckpointRuntime, FRAM_BYTES_PER_CYCLE
+from tests.riscv.drive import run_to_halt, step
 
 
 def make_cpu():
@@ -27,33 +28,33 @@ class TestCheckpointRestore:
         cpu = make_cpu()
         rt = CheckpointRuntime(cpu, volatile_bytes=8192)
         for _ in range(10):  # run through the stores
-            cpu.step()
+            step(cpu)
         record = rt.checkpoint()
         assert record.bytes_written > 8192
 
         # Simulate a power failure, then restore.
         pc_before = cpu.pc
-        s0_before = cpu.read_reg(8)
+        s0_before = cpu.registers[8]
         cpu.memory.power_failure()
         cpu.reset()
-        assert cpu.read_reg(8) == 0
+        assert cpu.registers[8] == 0
         assert cpu.memory.read(0x80001000, 4) == 0
 
         assert rt.restore()
         assert cpu.pc == pc_before
-        assert cpu.read_reg(8) == s0_before
+        assert cpu.registers[8] == s0_before
         assert cpu.memory.read(0x80001000, 4) == 0xCAFE
 
     def test_restored_program_completes_identically(self):
         cpu = make_cpu()
         rt = CheckpointRuntime(cpu, volatile_bytes=8192)
         for _ in range(6):
-            cpu.step()
+            step(cpu)
         rt.checkpoint()
         cpu.memory.power_failure()
         cpu.reset()
         rt.restore()
-        cpu.run()
+        run_to_halt(cpu)
         assert cpu.exit_code == 1
 
     def test_no_checkpoint_restore_returns_false(self):
@@ -123,7 +124,7 @@ class TestValidation:
 class TestDifferentialCheckpoints:
     def _run_to_halt(self, cpu):
         while not cpu.halted:
-            cpu.step()
+            step(cpu)
 
     def test_first_differential_checkpoint_is_full(self):
         cpu = make_cpu()

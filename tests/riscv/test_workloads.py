@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError
 from repro.harvest.traces import constant_trace
 from repro.riscv import CPU, IntermittentMachine, MemoryMap
 from repro.riscv.workloads import WORKLOADS, get_workload
+from tests.riscv.drive import run_to_halt
 
 ALL = sorted(WORKLOADS)
 
@@ -33,7 +34,7 @@ class TestStablePower:
         mem = MemoryMap()
         mem.load_program(workload.assemble())
         cpu = CPU(mem)
-        cpu.run(max_instructions=5_000_000)
+        run_to_halt(cpu, max_instructions=5_000_000)
         assert cpu.halted
         assert cpu.exit_code == workload.expected_exit_code(), name
 
@@ -43,7 +44,7 @@ class TestStablePower:
         mem = MemoryMap()
         mem.load_program(workload.assemble())
         cpu = CPU(mem)
-        executed = cpu.run(max_instructions=5_000_000)
+        executed = run_to_halt(cpu, max_instructions=5_000_000)
         assert 0.2 < executed / workload.approx_instructions < 5.0, executed
 
 
