@@ -97,9 +97,8 @@ def cmd_experiments(args) -> None:
 
 
 #: Reduced factorial grid for the CLI's deployment-plan preview: a
-#: representative sub-grid (3 ring lengths, so three physics solves)
-#: that evaluates in well under a second, versus ~12 s for the full
-#: exhaustive sweep the dse experiments run.
+#: representative sub-grid with 3 ring lengths, so three ring-physics
+#: solves where the full sweep the dse experiments run needs seven.
 _PLAN_GRID = dict(
     lengths=(7, 13, 23),
     f_samples=(1e3, 5e3),
@@ -119,7 +118,7 @@ def _plan_preview() -> None:
     from repro.tech import TECH_90NM
 
     model = PerformanceModel(DesignSpace(TECH_90NM))
-    grid = grid_explore(model, points=model.space.grid_points(**_PLAN_GRID))
+    grid = grid_explore(model, points=model.space.grid(**_PLAN_GRID))
     planner = DeploymentPlanner(tech=TECH_90NM, model=model, candidates=grid.pareto)
     sites = [
         SiteRequirement(name="storefront", granularity_max=0.060, f_sample_min=1e3),

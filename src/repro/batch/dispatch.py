@@ -5,7 +5,8 @@ One entry point covers both evaluation families:
 * **harvest scenarios** (:class:`~repro.batch.scenario.Scenario`) —
   dispatched to the vectorized lockstep kernel or the scalar engine;
 * **DSE design points** (pass ``model=PerformanceModel(...)``) —
-  dispatched to the model's vectorized ``evaluate_many``.
+  dispatched to the model's columnar ``evaluate_many``, each row then
+  materialized as an :class:`~repro.dse.objectives.Evaluation`.
 
 Engine-selection rules (documented in ``docs/api.md``):
 
@@ -64,7 +65,9 @@ def evaluate_many(
     Returns one result per input, in input order: a
     :class:`~repro.harvest.simulator.SimulationReport` per harvest
     :class:`Scenario`, or an :class:`~repro.dse.objectives.Evaluation`
-    per :class:`~repro.dse.space.DesignPoint` when ``model`` is given.
+    per :class:`~repro.dse.space.DesignPoint` when ``model`` is given
+    (``engine`` then has no effect: design points always take the
+    model's one columnar cascade).
 
     ``record`` is the :mod:`repro.trace` seam: the whole evaluation
     becomes one ``batch`` recording — header carries every scenario's
@@ -77,9 +80,7 @@ def evaluate_many(
     if model is not None:
         if record is not None:
             raise ConfigurationError("record= covers harvest scenarios, not model=")
-        if engine == "scalar":
-            return [model.evaluate(point) for point in items]
-        return model.evaluate_many(items)
+        return model.evaluate_many(items).rows()
 
     for item in items:
         if not isinstance(item, Scenario):

@@ -65,9 +65,10 @@ def quantize_voltage(voltage: float, v_lo: float, v_hi: float, entry_bits: int) 
     return v_lo + code * (v_hi - v_lo) / levels
 
 
-def entry_precision_floor(v_lo: float, v_hi: float, entry_bits: int) -> float:
-    """Best-case error from finite entry width: range / 2^bits."""
-    return (v_hi - v_lo) / (1 << entry_bits)
+def entry_precision_floor(v_lo: float, v_hi: float, entry_bits):
+    """Best-case error from finite entry width: range / 2^bits
+    (elementwise for a numpy array of widths)."""
+    return (v_hi - v_lo) / 2.0 ** entry_bits
 
 
 class EnrollmentTable:
@@ -268,9 +269,10 @@ def piecewise_constant_error_bound(max_abs_dfdx: float, h: float) -> float:
     return h * max_abs_dfdx
 
 
-def piecewise_linear_error_bound(max_abs_d2fdx2: float, h: float) -> float:
-    """Equation 4: ``E <= h^2 / 8 * max|f''(x)|``."""
-    if h < 0:
+def piecewise_linear_error_bound(max_abs_d2fdx2, h):
+    """Equation 4: ``E <= h^2 / 8 * max|f''(x)|``, elementwise when
+    given numpy arrays."""
+    if np.any(np.less(h, 0)):
         raise CalibrationError("spacing h must be non-negative")
     return h * h / 8.0 * max_abs_d2fdx2
 

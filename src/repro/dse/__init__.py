@@ -5,11 +5,14 @@ optimization from six design parameters to five performance parameters
 (Table III) and explores it with pymoo's NSGA-II.  This package
 reimplements that flow offline:
 
-* :mod:`repro.dse.space` — the design vector, Table III bounds, and the
-  genome <-> :class:`~repro.core.config.FSConfig` mapping;
+* :mod:`repro.dse.space` — the design vector, Table III bounds, the
+  genome <-> :class:`~repro.core.config.FSConfig` mapping, and the
+  columnar batch form :class:`~repro.dse.space.DesignColumns`;
 * :mod:`repro.dse.objectives` — the analytic performance model plus the
-  rejection filter (counter overflow, level-shifter limits, bounds);
-* :mod:`repro.dse.pareto` — non-dominated sorting and crowding distance;
+  rejection filter (counter overflow, level-shifter limits, bounds),
+  evaluated as numpy columns over a whole batch;
+* :mod:`repro.dse.pareto` — non-dominated sorting, the front-0 sweep and
+  crowding distance;
 * :mod:`repro.dse.nsga2` — NSGA-II (tournament selection, SBX crossover,
   polynomial mutation);
 * :mod:`repro.dse.grid` — deterministic exhaustive sweep + Pareto filter,

@@ -2,19 +2,24 @@
 
 The deterministic cross-check for NSGA-II: sweep a factorial grid over
 the Table III design space, evaluate every point with the same
-performance model, and keep the non-dominated feasible set.  Because
-the performance model caches ring physics per length, tens of thousands
-of points evaluate in seconds.
+performance model, and keep the non-dominated feasible set.  The grid
+stays columnar end to end: the model evaluates it as numpy columns, the
+rejection statistics are counted from reason codes, the Pareto sweep
+runs on the feasible rows' objective matrix, and only the front's rows
+become :class:`Evaluation` objects (448 of the 23,520 points of the
+90 nm default grid).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.dse.objectives import Evaluation, PerformanceModel
 from repro.dse.pareto import pareto_front
-from repro.dse.space import DesignPoint
+from repro.dse.space import DesignColumns, DesignPoint
 from repro.obs import OBS
 
 
@@ -39,32 +44,26 @@ class GridResult:
 
 def grid_explore(
     model: PerformanceModel,
-    points: Optional[Sequence[DesignPoint]] = None,
+    points: Optional[Union[DesignColumns, Sequence[DesignPoint]]] = None,
 ) -> GridResult:
     """Evaluate ``points`` (default: the space's standard grid) and
     return the feasible Pareto set plus rejection statistics."""
     if points is None:
-        points = model.space.grid_points()
-    points = list(points)
+        points = model.space.grid()
+    elif not isinstance(points, DesignColumns):
+        points = list(points)
     with OBS.tracer.span("dse.grid", points=len(points), tech=model.tech.name) as span:
-        from repro.batch import evaluate_many
-
-        feasible: List[Evaluation] = []
-        reasons: dict = {}
-        for evaluation in evaluate_many(points, model=model):
-            if evaluation.feasible:
-                feasible.append(evaluation)
-            else:
-                reasons[evaluation.reject_reason] = reasons.get(evaluation.reject_reason, 0) + 1
-        front = pareto_front([e.objectives() for e in feasible]) if feasible else []
+        table = model.evaluate_many(points)
+        feasible = np.flatnonzero(table.feasible)
+        front = feasible[pareto_front(table.objectives[feasible])] if feasible.size else feasible
         span.set(feasible=len(feasible), pareto=len(front))
     if OBS.metrics.enabled:
         OBS.metrics.incr("dse.grid_points", len(points))
         OBS.metrics.gauge("dse.grid_feasible", len(feasible))
         OBS.metrics.gauge("dse.grid_pareto", len(front))
     return GridResult(
-        pareto=[feasible[i] for i in front],
+        pareto=table.rows(front.tolist()),
         feasible_count=len(feasible),
         total_count=len(points),
-        reject_reasons=reasons,
+        reject_reasons=table.reject_counts(),
     )

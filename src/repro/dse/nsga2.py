@@ -159,14 +159,9 @@ class NSGA2:
         )
 
     # ------------------------------------------------------------------
-    def _evaluate(self, genome: Genome) -> Evaluation:
-        point = self.model.space.decode(genome)
-        return self.model.evaluate(point)
-
     def _evaluate_generation(self, genomes: List[Genome]) -> List[Evaluation]:
-        """One batched model call per generation (identical results to
-        mapping :meth:`_evaluate`, with the ring-physics cache warmed
-        once per distinct length instead of on first encounter)."""
+        """One columnar model call per generation (identical results to
+        evaluating each decoded genome on its own)."""
         from repro.batch import evaluate_many
 
         points = [self.model.space.decode(g) for g in genomes]

@@ -9,15 +9,21 @@ Table III performance parameters —
     (mean current, sampling frequency, granularity, NVM bytes,
      transistor count)
 
-— with heavy physics cached per (technology, ring length) so that tens
-of thousands of grid points evaluate in seconds.
+— with heavy physics cached per (technology, ring length).  The
+rejection cascade and the objectives are computed as numpy columns over
+a whole batch (:meth:`PerformanceModel.evaluate_many` returns
+:class:`EvaluationColumns`), so the 23,520-point default grid evaluates
+in milliseconds; :class:`Evaluation` objects are built only for the
+rows a caller reads.  ``tests/oracles/dse.py`` keeps the per-point
+cascade this must match.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +54,7 @@ from repro.core.sensitivity import (
     supply_relative_sensitivity,
     supply_sensitivity,
 )
-from repro.dse.space import DesignPoint, DesignSpace
+from repro.dse.space import DesignColumns, DesignPoint, DesignSpace
 from repro.errors import CalibrationError
 from repro.tech.ptm import TechnologyCard
 from repro.tech.temperature import DESIGN_THERMAL_ERROR_FRACTION
@@ -112,6 +118,98 @@ class Evaluation:
         return cls(**payload)
 
 
+#: Rejection reasons in cascade order: a row's reason code indexes this
+#: tuple (0: feasible).  ``{}`` stands for the row's transistor count.
+REASONS = (
+    "",
+    "duty cycle exceeds 1 (enable longer than sample period)",
+    "ring does not oscillate at minimum supply",
+    "frequency-voltage map not monotonic over supply range",
+    "counter overflow over enable window",
+    "level shifter cannot follow ring at minimum core voltage",
+    "transistor count {} above Table III bound",
+    "NVM overhead above Table III bound",
+    "granularity above Table III bound",
+    "mean current above Table III bound",
+)
+_TRANSISTOR_BOUND = 6  # the REASONS code formatted with a count
+
+
+@dataclass(eq=False)
+class EvaluationColumns:
+    """A batch's evaluations as columns, one row per design point.
+
+    ``feasible`` (bool), ``reason`` (code into :data:`REASONS`, 0 when
+    feasible), ``violation`` (float), ``objectives`` (an (N, 5) float
+    matrix whose rows equal :meth:`Evaluation.objectives`) and
+    ``transistors`` (every row's count, rejected rows too).  ``points``
+    is the batch evaluated; :meth:`row` pairs one of them with its
+    results as an :class:`Evaluation`.
+    """
+
+    points: Sequence[DesignPoint]
+    feasible: np.ndarray
+    reason: np.ndarray
+    violation: np.ndarray
+    objectives: np.ndarray
+    transistors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.feasible)
+
+    def row(self, row: int) -> Evaluation:
+        return self.rows([row])[0]
+
+    def rows(self, rows: Optional[Sequence[int]] = None) -> List[Evaluation]:
+        """The :class:`Evaluation` of each of ``rows`` (default: all)."""
+        index = np.arange(len(self)) if rows is None else np.asarray(rows, dtype=np.intp)
+        out = []
+        for i, feasible, reason, violation, objectives, transistors in zip(
+            index.tolist(),
+            self.feasible[index].tolist(),
+            self.reason[index].tolist(),
+            self.violation[index].tolist(),
+            self.objectives[index].tolist(),
+            self.transistors[index].tolist(),
+        ):
+            point = self.points[i]
+            if not feasible:
+                out.append(Evaluation(
+                    point=point,
+                    feasible=False,
+                    reject_reason=REASONS[reason].format(transistors),
+                    violation=violation,
+                ))
+                continue
+            mean_current, _, granularity, nvm_bytes, _ = objectives
+            out.append(Evaluation(
+                point=point,
+                feasible=True,
+                mean_current=mean_current,
+                f_sample=point.f_sample,
+                granularity=granularity,
+                nvm_bytes=nvm_bytes,
+                transistor_count=transistors,
+            ))
+        return out
+
+    def reject_counts(self) -> Dict[str, int]:
+        """``{reject reason: rows}``, reasons in first-occurrence order."""
+        rejected = np.flatnonzero(~self.feasible)
+        codes = self.reason[rejected]
+        found = []  # (first row, rows) per distinct reason
+        for code in np.flatnonzero(np.bincount(codes)):
+            rows = rejected[codes == code].tolist()
+            if code != _TRANSISTOR_BOUND:
+                found.append((rows[0], len(rows)))
+                continue
+            by_count: Dict[int, list] = {}
+            for row, count in zip(rows, self.transistors[rows].tolist()):
+                by_count.setdefault(count, [row, 0])[1] += 1
+            found.extend((row, total) for row, total in by_count.values())
+        return {self.row(row).reject_reason: total for row, total in sorted(found)}
+
+
 @dataclass(frozen=True)
 class _RingPhysics:
     """Cached per-(tech, ring length) quantities."""
@@ -126,6 +224,10 @@ class _RingPhysics:
     monotonic: bool
     shifter_follows: bool      # level shifter keeps up with f_max at v_lo
     fixed_transistors: int     # ring + divider + shifters + control
+
+
+_PHYSICS_FIELDS = tuple(f.name for f in fields(_RingPhysics))
+_physics_row = attrgetter(*_PHYSICS_FIELDS)
 
 
 class PerformanceModel:
@@ -211,115 +313,102 @@ class PerformanceModel:
         return physics
 
     # ------------------------------------------------------------------
-    def evaluate_many(self, points) -> "list[Evaluation]":
-        """Evaluate a whole generation/grid chunk in one call.
+    def evaluate_many(self, points) -> "EvaluationColumns":
+        """Evaluate a whole grid or generation as columns.
 
-        The batch entry point :func:`repro.batch.evaluate_many` lands
-        here when given ``model=``.  The heavy physics is per
-        (technology, ring length), so batching means warming that cache
-        for every distinct length up front (deterministic ascending
-        order) and then running the cheap per-point arithmetic; results
-        are bit-identical to per-point :meth:`evaluate` calls, rejection
-        cascade included.
+        ``points`` is a :class:`~repro.dse.space.DesignColumns` or any
+        iterable of :class:`~repro.dse.space.DesignPoint`.  The heavy
+        physics is per (technology, ring length), computed once per
+        distinct length in ascending order; the rejection cascade and
+        the objectives are then a few numpy passes over the columns.
+        :meth:`EvaluationColumns.row` builds an :class:`Evaluation` only
+        for a row a caller reads (:func:`repro.batch.evaluate_many`
+        builds them all).
         """
         from repro.obs import OBS
 
-        points = list(points)
+        if not isinstance(points, DesignColumns):
+            points = list(points)
         with OBS.tracer.span(
             "dse.evaluate_many", points=len(points), tech=self.tech.name
         ):
-            for ro_length in sorted({p.ro_length for p in points}):
-                self._ring_physics(ro_length)
-            return [self.evaluate(p) for p in points]
+            return self._cascade(points)
 
     def evaluate(self, point: DesignPoint) -> Evaluation:
-        """Performance parameters for ``point``, or a rejection.
+        """Performance parameters for ``point``, or a rejection: the
+        one-row case of :meth:`evaluate_many`."""
+        return self._cascade([point]).row(0)
 
-        The rejection filter mirrors Section V-A: enable time must fit
-        the sample period, the counter must never overflow, the ring
-        must oscillate and stay monotonic over the range, the level
-        shifter must keep up, and the Table III performance bounds hold.
-        """
-        phys = self._ring_physics(point.ro_length)
-        reject, violation = self._reject(point, phys)
-        if reject:
-            return Evaluation(
-                point=point, feasible=False, reject_reason=reject, violation=violation
+    def _cascade(self, points) -> "EvaluationColumns":
+        """The rejection filter of Section V-A over columns: enable time
+        must fit the sample period, the ring must oscillate and stay
+        monotonic over the range, the counter must never overflow, the
+        level shifter must keep up, and the Table III bounds hold.  Each
+        row keeps the first check it fails, in :data:`REASONS` order."""
+        cols = DesignColumns.of(points)
+        # Distinct lengths through a set, not np.unique: that pulls in
+        # numpy.ma, 0.7 MB of resident memory for a 60-point generation.
+        lengths = sorted(set(cols.ro_length.tolist()))
+        ring = np.searchsorted(lengths, cols.ro_length)
+        physics = np.array(
+            [_physics_row(self._ring_physics(n)) for n in lengths], dtype=np.float64
+        ).reshape(len(lengths), len(_PHYSICS_FIELDS))
+        by_length = dict(zip(_PHYSICS_FIELDS, physics.T))
+
+        def per_ring(field: str) -> np.ndarray:
+            return by_length[field][ring]
+
+        # Rows past their first failed check can hold inf or NaN here;
+        # the cascade below never reads them.
+        with np.errstate(all="ignore"):
+            duty = cols.t_enable * cols.f_sample
+            max_count = np.floor(per_ring("f_max") * cols.t_enable)
+            counter_cap = 2.0 ** cols.counter_bits - 1.0  # exact below 2^53
+            transistors = (
+                per_ring("fixed_transistors").astype(np.int64)
+                + cols.counter_bits * _TRANSISTORS_PER_COUNTER_BIT
+                + cols.counter_bits * _TRANSISTORS_PER_COMPARATOR_BIT
             )
+            nvm_bytes = cols.nvm_entries * cols.entry_bits / 8.0
 
-        quantization = 1.0 / (point.t_enable * phys.slope_eval)
-        temperature = self.thermal_fraction / phys.rel_sens_eval
-        h = phys.f_span / point.nvm_entries
-        interpolation = piecewise_linear_error_bound(phys.interp_curvature, h)
-        v_lo, v_hi = self.space.v_supply_range
-        entry = entry_precision_floor(v_lo, v_hi, point.entry_bits)
-        granularity = quantization + temperature + interpolation + entry
+            v_lo, v_hi = self.space.v_supply_range
+            quantization = 1.0 / (cols.t_enable * per_ring("slope_eval"))
+            temperature = self.thermal_fraction / per_ring("rel_sens_eval")
+            h = per_ring("f_span") / cols.nvm_entries
+            interpolation = piecewise_linear_error_bound(per_ring("interp_curvature"), h)
+            entry = entry_precision_floor(v_lo, v_hi, cols.entry_bits)
+            granularity = quantization + temperature + interpolation + entry
 
-        transistors = self._transistor_count(point, phys)
-        duty = point.t_enable * point.f_sample
-        static = transistors * self.tech.leak_per_transistor
-        mean_current = duty * phys.enabled_current + (1.0 - duty) * static
-        nvm_bytes = point.nvm_entries * point.entry_bits / 8.0
+            static = transistors * self.tech.leak_per_transistor
+            mean_current = duty * per_ring("enabled_current") + (1.0 - duty) * static
 
-        if granularity > GRANULARITY_MAX:
-            return Evaluation(
-                point=point,
-                feasible=False,
-                reject_reason="granularity above Table III bound",
-                violation=(granularity - GRANULARITY_MAX) / GRANULARITY_MAX,
+            def over(value, bound):
+                """(failed, relative excess over the bound)."""
+                return value > bound, (value - bound) / bound
+
+            # (failed, violation) per REASONS entry; a structural failure
+            # with no natural scale violates by 1.0.
+            checks = (
+                over(duty, 1.0),
+                (per_ring("f_lo") <= 0, 1.0),
+                (per_ring("monotonic") == 0, 1.0),
+                over(max_count, counter_cap),
+                (per_ring("shifter_follows") == 0, 1.0),
+                over(transistors, TRANSISTOR_COUNT_MAX),
+                over(nvm_bytes, NVM_OVERHEAD_MAX_BYTES),
+                over(granularity, GRANULARITY_MAX),
+                over(mean_current, MEAN_CURRENT_MAX),
             )
-        if mean_current > MEAN_CURRENT_MAX:
-            return Evaluation(
-                point=point,
-                feasible=False,
-                reject_reason="mean current above Table III bound",
-                violation=(mean_current - MEAN_CURRENT_MAX) / MEAN_CURRENT_MAX,
-            )
-
-        return Evaluation(
-            point=point,
-            feasible=True,
-            mean_current=mean_current,
-            f_sample=point.f_sample,
-            granularity=granularity,
-            nvm_bytes=nvm_bytes,
-            transistor_count=transistors,
-        )
-
-    def _reject(self, point: DesignPoint, phys: _RingPhysics) -> Tuple[str, float]:
-        """Rejection reason and violation magnitude ("" / 0.0 if fine).
-
-        Magnitudes are relative excesses over the violated bound where a
-        bound exists, and 1.0 for structural failures with no natural
-        scale (dead ring, non-monotonic map, slow level shifter).
-        """
-        duty = point.t_enable * point.f_sample
-        if duty > 1.0:
-            return "duty cycle exceeds 1 (enable longer than sample period)", duty - 1.0
-        if phys.f_lo <= 0:
-            return "ring does not oscillate at minimum supply", 1.0
-        if not phys.monotonic:
-            return "frequency-voltage map not monotonic over supply range", 1.0
-        max_count = int(phys.f_max * point.t_enable)
-        counter_cap = (1 << point.counter_bits) - 1
-        if max_count > counter_cap:
-            # Stable category string so grid sweeps can aggregate.
-            return "counter overflow over enable window", (max_count - counter_cap) / counter_cap
-        if not phys.shifter_follows:
-            return "level shifter cannot follow ring at minimum core voltage", 1.0
-        transistors = self._transistor_count(point, phys)
-        if transistors > TRANSISTOR_COUNT_MAX:
-            return (
-                f"transistor count {transistors} above Table III bound",
-                (transistors - TRANSISTOR_COUNT_MAX) / TRANSISTOR_COUNT_MAX,
-            )
-        nvm_bytes = point.nvm_entries * point.entry_bits / 8.0
-        if nvm_bytes > NVM_OVERHEAD_MAX_BYTES:
-            return (
-                "NVM overhead above Table III bound",
-                (nvm_bytes - NVM_OVERHEAD_MAX_BYTES) / NVM_OVERHEAD_MAX_BYTES,
-            )
-        return "", 0.0
+        reason = np.zeros(len(cols), dtype=np.int8)
+        violation = np.zeros(len(cols))
+        # Last check first, so that each row keeps the first it fails.
+        for code, (failed, excess) in reversed(list(enumerate(checks, start=1))):
+            np.copyto(reason, code, where=failed)
+            np.copyto(violation, excess, where=failed)
+        feasible = reason == 0
+        objectives = np.column_stack((mean_current, -cols.f_sample, granularity, nvm_bytes, transistors))
+        objectives[~feasible] = Evaluation(point=None, feasible=False).objectives()  # the defaults
+        return EvaluationColumns(points, feasible, reason, violation, objectives, transistors)
 
     # ------------------------------------------------------------------
     def spice_crosscheck(
@@ -391,14 +480,6 @@ class PerformanceModel:
                 }
             )
         return out
-
-    @staticmethod
-    def _transistor_count(point: DesignPoint, phys: _RingPhysics) -> int:
-        return (
-            phys.fixed_transistors
-            + point.counter_bits * _TRANSISTORS_PER_COUNTER_BIT
-            + point.counter_bits * _TRANSISTORS_PER_COMPARATOR_BIT
-        )
 
     # ------------------------------------------------------------------
     def to_config(self, point: DesignPoint) -> FSConfig:

@@ -4,14 +4,19 @@ A design point is six parameters: RO length, sampling frequency, counter
 width, enable time, NVM entry count and entry size.  NSGA-II works on a
 normalized real-valued genome in [0, 1]^6; :class:`DesignSpace` owns the
 mapping from genome to the discrete/log-scaled engineering values and on
-to a validated :class:`~repro.core.config.FSConfig`.
+to a validated :class:`~repro.core.config.FSConfig`.  Batches of points
+travel as :class:`DesignColumns`, one numpy column per parameter, which
+is the form the performance model evaluates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from operator import attrgetter
+from typing import Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import (
     FSConfig,
@@ -73,6 +78,94 @@ class DesignPoint:
         return cls(**data)
 
 
+#: The six design parameters, in :class:`DesignPoint` field order.
+FIELDS = ("ro_length", "f_sample", "counter_bits", "t_enable", "nvm_entries", "entry_bits")
+
+#: The parameters that count something: whole numbers, at least 1.  The
+#: other two (a frequency and a time) must be finite and positive.
+COUNT_FIELDS = frozenset(("ro_length", "counter_bits", "nvm_entries", "entry_bits"))
+_COUNTS = np.array([name in COUNT_FIELDS for name in FIELDS])
+
+
+def _in_domain(name: str, value) -> bool:
+    """Is ``value`` a valid ``name``?"""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        return False
+    if name in COUNT_FIELDS:
+        return 1 <= x < math.inf and x == math.floor(x)
+    return 0 < x < math.inf
+
+
+def _table_in_domain(table: np.ndarray) -> bool:
+    """:func:`_in_domain` for every cell of a (points, FIELDS) table; NaN
+    fails, because ``min`` and ``max`` propagate it."""
+    lo, hi = table.min(axis=0), table.max(axis=0)
+    counts = table[:, _COUNTS]
+    return bool(
+        (hi < math.inf).all()
+        and (lo[_COUNTS] >= 1).all()
+        and (lo[~_COUNTS] > 0).all()
+        and (counts == np.floor(counts)).all()
+    )
+
+
+class DesignColumns:
+    """A batch of design points as six equal-length numpy columns.
+
+    The four count parameters are int64 columns, the frequency and time
+    float64.  Building one refuses a NaN, infinite or non-positive
+    frequency or time and a count below 1 (or not whole) with a
+    :class:`ConfigurationError` naming the parameter and the first bad
+    row.  Indexing yields :class:`DesignPoint` rows of Python ints and
+    floats, so the columns stand wherever a sequence of points does.
+    """
+
+    __slots__ = FIELDS
+
+    def __init__(self, ro_length, f_sample, counter_bits, t_enable, nvm_entries, entry_bits):
+        values = (ro_length, f_sample, counter_bits, t_enable, nvm_entries, entry_bits)
+        if len({len(column) for column in values}) > 1:
+            raise ConfigurationError("design parameter columns differ in length")
+        try:
+            table = np.column_stack([np.asarray(column, dtype=np.float64) for column in values])
+        except (TypeError, ValueError):
+            table = None
+        # Only a table failing the few whole-table reductions is searched
+        # row by row, for the first bad row to name.
+        if table is None or len(table) and not _table_in_domain(table):
+            for row, point in enumerate(zip(*values)):
+                for name, value in zip(FIELDS, point):
+                    if not _in_domain(name, value):
+                        need = "a whole number >= 1" if name in COUNT_FIELDS else "finite and positive"
+                        raise ConfigurationError(
+                            f"design point {row}: {name} must be {need} (got {value})"
+                        )
+            raise ConfigurationError("design parameters must be columns of numbers")
+        for name, column in zip(FIELDS, table.T):
+            setattr(self, name, column.astype(np.int64 if name in COUNT_FIELDS else np.float64))
+
+    @classmethod
+    def of(cls, points) -> "DesignColumns":
+        """``points`` (any iterable of :class:`DesignPoint`) as columns."""
+        if isinstance(points, DesignColumns):
+            return points
+        rows = list(map(attrgetter(*FIELDS), points))
+        if not rows:
+            return cls(*([],) * len(FIELDS))
+        return cls(*zip(*rows))
+
+    def __len__(self) -> int:
+        return len(self.ro_length)
+
+    def __getitem__(self, row: int) -> DesignPoint:
+        return DesignPoint(*(getattr(self, name)[row].item() for name in FIELDS))
+
+    def __iter__(self) -> Iterator[DesignPoint]:
+        return map(DesignPoint, *(getattr(self, name).tolist() for name in FIELDS))
+
+
 class DesignSpace:
     """Genome encode/decode for one technology and supply range."""
 
@@ -129,7 +222,7 @@ class DesignSpace:
         )
 
     # ------------------------------------------------------------------
-    def grid_points(
+    def grid(
         self,
         lengths: Sequence[int] = (3, 7, 13, 23, 37, 53, 73),
         f_samples: Sequence[float] = (1e3, 2e3, 5e3, 1e4),
@@ -137,14 +230,13 @@ class DesignSpace:
         t_enables: Sequence[float] = (1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4),
         nvm_entries: Sequence[int] = (8, 16, 32, 64, 128),
         entry_bits: Sequence[int] = (8, 10, 12, 16),
-    ) -> List[DesignPoint]:
-        """A deterministic factorial grid for exhaustive exploration."""
-        points = []
-        for n in lengths:
-            for fs in f_samples:
-                for cb in counter_bits:
-                    for te in t_enables:
-                        for ne in nvm_entries:
-                            for eb in entry_bits:
-                                points.append(DesignPoint(n, fs, cb, te, ne, eb))
-        return points
+    ) -> DesignColumns:
+        """A deterministic factorial grid for exhaustive exploration, as
+        columns.  Rows run in nested-loop order over the axes as listed:
+        ``lengths`` slowest, ``entry_bits`` fastest."""
+        axes = (lengths, f_samples, counter_bits, t_enables, nvm_entries, entry_bits)
+        return DesignColumns(*(axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")))
+
+    def grid_points(self, **axes) -> List[DesignPoint]:
+        """:meth:`grid` (same axes and defaults) as a list of points."""
+        return list(self.grid(**axes))

@@ -37,7 +37,7 @@ def run(f_sample: float = 5e3) -> ExperimentResult:
     for tech in ALL_NODES:
         space = DesignSpace(tech)
         model = PerformanceModel(space)
-        points = space.grid_points(f_samples=(f_sample,))
+        points = space.grid(f_samples=(f_sample,))
         grid = grid_explore(model, points)
         # Project onto (current, granularity) and re-filter.
         front_idx = pareto_front([(e.mean_current, e.granularity) for e in grid.pareto])

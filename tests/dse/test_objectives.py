@@ -50,8 +50,9 @@ class TestEvaluation:
         for bits in (8, 12, 16):
             point = DesignPoint(ro_length, 1e3, bits, 1e-6, 16, 8)
             expected = FailureSentinels(model.to_config(point)).transistor_count()
-            assert model._transistor_count(point, model._ring_physics(ro_length)) == expected
-            e = model.evaluate(point)
+            table = model.evaluate_many([point])
+            assert table.transistors[0] == expected
+            e = table.row(0)
             assert e.transistor_count == (expected if e.feasible else 0)
 
     def test_physics_cache_reused(self, model):

@@ -3,7 +3,9 @@
 Contract: ``non_dominated_sort`` returns exactly the oracle's fronts,
 each in the oracle's index order, and ``pareto_front`` exactly its
 front 0 — for any input, at any block size, including ties, duplicate
-points, infinities, signed zeros and NaN.
+points, infinities, signed zeros and NaN.  On the performance model's
+real feasible sets, too large for the pairwise loop, the sweep in
+``pareto_front`` must equal the dense all-pairs oracle.
 """
 
 import math
@@ -12,8 +14,10 @@ import tracemalloc
 
 import pytest
 
-from repro.dse import pareto
+from repro.dse import DesignSpace, PerformanceModel, pareto
 from repro.errors import ConfigurationError
+from repro.tech import ALL_NODES
+from tests.oracles.pareto import dense_front
 from tests.oracles.pareto import non_dominated_sort as oracle_sort
 
 SPECIALS = (math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0)
@@ -65,6 +69,74 @@ def test_large_input_through_the_blocked_path(monkeypatch):
     assert len(expected) > 5
     assert pareto.non_dominated_sort(objs) == expected
     assert pareto.pareto_front(objs) == expected[0]
+
+
+def _front0(objs):
+    fronts = oracle_sort(objs)
+    return fronts[0] if fronts else []
+
+
+def _special_sets():
+    """Named adversarial sets for the front-0 sweep, each large enough to
+    span several sweep blocks."""
+    rng = random.Random(29)
+    inf, nan = math.inf, math.nan
+    grid = [(float(rng.randint(0, 3)), float(rng.randint(0, 3)), float(rng.randint(0, 3))) for _ in range(120)]
+    return {
+        "ties": grid,
+        "duplicates": [p for p in grid[:40] for _ in range(3)],
+        "infinities": [tuple(rng.choice((-inf, inf, 0.0, 1.0)) for _ in range(3)) for _ in range(120)],
+        "signed_zeros": [tuple(rng.choice((-0.0, 0.0, 1.0)) for _ in range(3)) for _ in range(120)],
+        "nan": [tuple(rng.choice((nan, 0.0, 1.0, 2.0)) for _ in range(3)) for _ in range(120)],
+        "nan_cycle": [(nan, 0.0, 1.0), (0.0, 1.0, nan), (1.0, nan, 0.0)] * 5,
+        # Every point is on the front: the sweep's worst case.
+        "antichain": [(t, -t, rng.random()) for t in rng.sample(range(400), 300)],
+    }
+
+
+SPECIAL_SETS = _special_sets()
+SPECIAL_FRONTS = {}
+
+
+def _special_front(name):
+    if name not in SPECIAL_FRONTS:
+        SPECIAL_FRONTS[name] = _front0(SPECIAL_SETS[name])
+    return SPECIAL_FRONTS[name]
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7, 64, pareto.BLOCK_PAIRS])
+@pytest.mark.parametrize("sweep_rows", [1, 5, pareto.SWEEP_ROWS])
+@pytest.mark.parametrize("name", sorted(SPECIAL_SETS))
+def test_sweep_matches_oracle_on_special_sets(monkeypatch, block_pairs, sweep_rows, name):
+    monkeypatch.setattr(pareto, "BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(pareto, "SWEEP_ROWS", sweep_rows)
+    assert pareto.pareto_front(SPECIAL_SETS[name]) == _special_front(name)
+
+
+def test_antichain_front_is_every_point():
+    objs = SPECIAL_SETS["antichain"]
+    assert pareto.pareto_front(objs) == list(range(len(objs)))
+
+
+@pytest.fixture(scope="module", params=[tech.name for tech in ALL_NODES])
+def real_set(request):
+    """The default grid's feasible objective rows on one node (~4k) and
+    their dense-oracle front."""
+    tech = next(t for t in ALL_NODES if t.name == request.param)
+    model = PerformanceModel(DesignSpace(tech))
+    table = model.evaluate_many(model.space.grid())
+    objs = table.objectives[table.feasible]
+    return objs, dense_front(objs)
+
+
+@pytest.mark.parametrize("block_pairs", [4096, pareto.BLOCK_PAIRS])
+def test_sweep_matches_dense_oracle_on_real_sets(monkeypatch, real_set, block_pairs):
+    monkeypatch.setattr(pareto, "BLOCK_PAIRS", block_pairs)
+    objs, expected = real_set
+    assert len(objs) > 3000
+    assert 300 < len(expected) < len(objs)
+    assert pareto.pareto_front(objs) == expected
+    assert pareto.pareto_front(objs.tolist()) == expected
 
 
 def test_later_front_follows_its_last_dominator():

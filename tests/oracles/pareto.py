@@ -1,12 +1,15 @@
-"""Deb's fast non-dominated sort, pairwise and in pure Python.
+"""Deb's fast non-dominated sort, pairwise and in pure Python, and a
+dense all-pairs front 0 for large inputs.
 
-The oracle for :mod:`repro.dse.pareto`: the vectorized kernels there must
-return the same fronts, with the same index order inside each front.
+The oracles for :mod:`repro.dse.pareto`: the kernels there must return
+the same fronts, with the same index order inside each front.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
+
+import numpy as np
 
 from repro.dse.pareto import dominates
 
@@ -42,3 +45,23 @@ def non_dominated_sort(objectives: Sequence[Sequence[float]]) -> List[List[int]]
         fronts.append(nxt)
     fronts.pop()  # trailing empty front
     return fronts
+
+
+def dense_front(objectives: Sequence[Sequence[float]]) -> List[int]:
+    """Front 0 by testing every pair at once, ascending: the oracle for
+    inputs too large for the pairwise loop (a few thousand points).
+
+    Row chunks keep each dominance slab to a few MiB; the result is the
+    same whatever the chunk size.
+    """
+    points = np.asarray(objectives, dtype=np.float64)
+    if not len(points):
+        return []
+    dominated = np.zeros(len(points), dtype=bool)
+    step = max(1, (1 << 16) // len(points))
+    for start in range(0, len(points), step):
+        a = points[start:start + step, None, :]
+        worse = (a > points[None, :, :]).any(axis=2)
+        better = (a < points[None, :, :]).any(axis=2)
+        dominated |= (better & ~worse).any(axis=0)
+    return np.flatnonzero(~dominated).tolist()
