@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -236,7 +236,3 @@ class DesignSpace:
         ``lengths`` slowest, ``entry_bits`` fastest."""
         axes = (lengths, f_samples, counter_bits, t_enables, nvm_entries, entry_bits)
         return DesignColumns(*(axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")))
-
-    def grid_points(self, **axes) -> List[DesignPoint]:
-        """:meth:`grid` (same axes and defaults) as a list of points."""
-        return list(self.grid(**axes))

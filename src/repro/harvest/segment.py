@@ -407,20 +407,36 @@ def next_changes(power) -> np.ndarray:
     return np.repeat(changes, np.diff(changes, prepend=0))
 
 
+#: Segments in a :class:`Supply`'s first window; every later window
+#: doubles the span built so far.
+SUPPLY_WINDOW = 256
+
+
 class Supply:
     """A panel under a trace charging one capacitor, as every scalar
     engine reads it: :meth:`at` is the one segment lookup, ``v_full``
     the full capacitor's fixed point (the voltage a charger clamping
-    the energy at ``C·v_max²/2`` leaves)."""
+    the energy at ``C·v_max²/2`` leaves).
+
+    The power and next-change tables are built lazily, in windows that
+    double from the start of the trace (:data:`SUPPLY_WINDOW` segments
+    first), so a run that ends early never pays for the rest of the
+    trace.  Each entry equals the one :func:`next_changes` gives the
+    whole trace."""
 
     def __init__(self, panel, trace, cap):
-        power = panel.power_curve(trace.values) if len(trace.values) else np.zeros(1)
         self.dt = trace.dt
-        self.last = len(power) - 1
+        self._panel = panel
+        # An empty trace supplies 0 W forever: one dark segment.
+        self._values = trace.values if len(trace.values) else [0.0]
+        self.last = len(self._values) - 1
         # Packed doubles and int64s, read back as Python floats and ints:
         # a fifth of the memory of lists for a day-long trace.
-        self.power = array("d", power.tobytes())
-        self.next_change = array("q", next_changes(power).tobytes())
+        self.power = array("d")
+        self.next_change = array("q")
+        #: The last segment whose next change is known: :meth:`at`
+        #: reads the tables directly up to here.
+        self._safe = -1
         half_c = 0.5 * cap.capacitance
         self.v_full = math.sqrt(2.0 * (half_c * (cap.v_max * cap.v_max)) / cap.capacitance)
 
@@ -429,6 +445,35 @@ class Supply:
         index ``floor(t / trace.dt + 1e-9)``, and when the power next
         changes.  Past the trace's end (or on an empty trace, 0 W) the
         last power holds forever."""
-        seg = min(math.floor(t / self.dt + 1e-9), self.last)
+        seg = math.floor(t / self.dt + 1e-9)
+        if seg > self._safe:
+            seg = self._reach(seg)
         t_change = self.next_change[seg] * self.dt
         return self.power[seg], (t_change if t_change > t else math.inf)
+
+    def _reach(self, seg: int) -> int:
+        """Build windows until ``seg``'s next change is known (or the
+        whole trace is built); the segment :meth:`at` reads for it."""
+        while seg > self._safe and len(self.power) <= self.last:
+            self._grow()
+        return seg if seg <= self.last else self.last
+
+    def _grow(self) -> None:
+        """Build the next window: its power through the panel's
+        ``power_curve``, and the next change of every segment up to the
+        last change seen so far."""
+        lo = len(self.power)
+        hi = min(max(2 * lo, SUPPLY_WINDOW), self.last + 1)
+        chunk = self._panel.power_curve(self._values[lo:hi])
+        # The chunk after the previous window's last power, if any.
+        joined = np.concatenate((self.power[lo - 1 : lo], chunk))
+        changes = np.flatnonzero(joined[1:] != joined[:-1]) + max(lo, 1)
+        if hi > self.last:
+            changes = np.append(changes, hi)
+        self.power.frombytes(chunk.tobytes())
+        if len(changes):
+            known = self._safe + 1
+            self.next_change.frombytes(
+                np.repeat(changes, np.diff(changes, prepend=known)).tobytes()
+            )
+            self._safe = int(changes[-1]) - 1

@@ -18,14 +18,28 @@ survives as the test oracle ``tests/oracles/riscv.py``):
   program text or any other string — so no program can inject code.
   CSR, system and Failure Sentinels terminators stay ordinary closures
   the engine calls after the block.
+* **Loop blocks.**  Every block function takes ``left``, the slots the
+  caller's budget has left.  A block whose last instruction is a
+  conditional branch back to its own start iterates inside the function
+  while another whole pass fits in ``left``, and returns the slots of
+  every pass it ran; the budget's last partial pass runs through a
+  prefix block.  A loop block loads every register its instructions
+  name into a Python local once and writes the ones it changed back to
+  the register file before every exit: the loop exit, the budget exit,
+  each slow-path call and the store-into-code exit.  A loop block holds
+  no CSR, system or FS instruction, so it never changes interrupt state.
 * **RAM fast path.**  Loads and stores are inlined against the RAM
-  region's bounds and hit the backing ``bytearray`` directly.  MMIO, NVM
+  region's bounds and hit the backing ``bytearray`` directly; on a
+  little-endian host aligned ``lw``/``sw`` index a word view of it
+  (``memoryview(ram).cast("I")``), elsewhere they go through
+  ``struct``, whose templates spell the byte order out.  MMIO, NVM
   and faulting accesses go through :func:`_load`/:func:`_store`, which
   take the routed :class:`~repro.riscv.memory.MemoryMap` path and end
   the block (so device side effects — e.g. an FS sample raising the
   interrupt line — are observed at exactly a step-by-step core's
   boundary).  On a fault they first commit the instructions that
-  completed (pc, retired count, MCYCLE) and re-raise.
+  completed, every earlier pass of a loop block included (pc, retired
+  count, MCYCLE), and re-raise.
 * **Deferred bookkeeping.**  ``run()`` keeps the retired count in a
   local and writes it (with the matching MCYCLE ticks) once on exit,
   and before anything that can observe it: a CSR/system/FS terminator
@@ -40,13 +54,13 @@ survives as the test oracle ``tests/oracles/riscv.py``):
   would find the same answer as the last check.  Blocks never run past the caller's
   step budget: a block the budget splits runs a prefix block compiled
   for ``(pc, remaining)``.
-* **A shared code cache.**  A block's compiled factory depends only on
-  its pc, its instruction words and the RAM bounds, so factories are
-  cached process-wide on that key (bounded by :data:`CODE_CACHE_BLOCKS`,
-  oldest evicted first) and each engine binds its own registers, RAM
-  and CPU into them.  Neither the factories nor the slow-path helpers
-  refer back to an engine, so a dropped machine is freed by reference
-  counting alone.
+* **A shared code cache.**  A block's compiled factory, loop form
+  included, depends only on its pc, its instruction words and the RAM
+  bounds, so factories are cached process-wide on that key (bounded by
+  :data:`CODE_CACHE_BLOCKS`, oldest evicted first) and each engine
+  binds its own registers, RAM and CPU into them.  Neither the
+  factories nor the slow-path helpers refer back to an engine, so a
+  dropped machine is freed by reference counting alone.
 * **Write invalidation.**  Compiling a block marks its code pages in
   :attr:`MemoryMap.code_pages`; a store that lands on a marked page
   bumps ``MemoryMap.ram_image_version`` and ends the block, and the
@@ -67,6 +81,7 @@ drives.
 from __future__ import annotations
 
 import struct
+import sys
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -165,11 +180,18 @@ def _store(cpu, address: int, value: int, width: int, pc: int, done: int) -> int
     return -(done + 1)
 
 
+def _word_view(ram: bytearray) -> memoryview:
+    """RAM as native unsigned words (see :data:`_WORD_VIEW`)."""
+    return memoryview(ram).cast("I")
+
+
 #: Everything generated source can name besides its bound arguments.
 _GEN_GLOBALS = {
     "__builtins__": {},
+    "range": range,
     "_load": _load,
     "_store": _store,
+    "_word_view": _word_view,
     "_u32": struct.Struct("<I").unpack_from,
     "_u16": struct.Struct("<H").unpack_from,
     "_p32": struct.Struct("<I").pack_into,
@@ -179,35 +201,36 @@ _GEN_GLOBALS = {
 
 
 # ----------------------------------------------------------------------
-# Source templates.  Fields are ints: ``a``/``b`` are source-register
-# reads (``r[i]``, or ``0`` for x0), everything else a decoded number.
+# Source templates.  Fields are ints: ``d`` is the destination register
+# and ``a``/``b`` are source-register reads (``r[i]``, a loop block's
+# local ``x<i>``, or ``0`` for x0), everything else a decoded number.
 # ----------------------------------------------------------------------
 _SIGNED = "(({} ^ 0x80000000) - 0x80000000)"
 
 _ALU = {
-    "lui": "r[{rd}] = {uimm}",
-    "auipc": "r[{rd}] = {rel}",
-    "addi": "r[{rd}] = ({a} + {imm}) & 0xFFFFFFFF",
-    "slti": "r[{rd}] = 1 if " + _SIGNED.format("{a}") + " < {imm} else 0",
-    "sltiu": "r[{rd}] = 1 if {a} < {uimm} else 0",
-    "xori": "r[{rd}] = {a} ^ {uimm}",
-    "ori": "r[{rd}] = {a} | {uimm}",
-    "andi": "r[{rd}] = {a} & {uimm}",
-    "slli": "r[{rd}] = ({a} << {sh}) & 0xFFFFFFFF",
-    "srli": "r[{rd}] = {a} >> {sh}",
-    "srai": "r[{rd}] = (" + _SIGNED.format("{a}") + " >> {sh}) & 0xFFFFFFFF",
-    "add": "r[{rd}] = ({a} + {b}) & 0xFFFFFFFF",
-    "sub": "r[{rd}] = ({a} - {b}) & 0xFFFFFFFF",
-    "sll": "r[{rd}] = ({a} << ({b} & 31)) & 0xFFFFFFFF",
-    "srl": "r[{rd}] = {a} >> ({b} & 31)",
-    "sra": "r[{rd}] = (" + _SIGNED.format("{a}") + " >> ({b} & 31)) & 0xFFFFFFFF",
-    "slt": "r[{rd}] = 1 if ({a} ^ 0x80000000) < ({b} ^ 0x80000000) else 0",
-    "sltu": "r[{rd}] = 1 if {a} < {b} else 0",
-    "xor": "r[{rd}] = {a} ^ {b}",
-    "or": "r[{rd}] = {a} | {b}",
-    "and": "r[{rd}] = {a} & {b}",
-    "mul": "r[{rd}] = ({a} * {b}) & 0xFFFFFFFF",
-    **{op: "r[{rd}] = _%s({a}, {b})" % op for op in _MULDIV_OPS},
+    "lui": "{d} = {uimm}",
+    "auipc": "{d} = {rel}",
+    "addi": "{d} = ({a} + {imm}) & 0xFFFFFFFF",
+    "slti": "{d} = 1 if " + _SIGNED.format("{a}") + " < {imm} else 0",
+    "sltiu": "{d} = 1 if {a} < {uimm} else 0",
+    "xori": "{d} = {a} ^ {uimm}",
+    "ori": "{d} = {a} | {uimm}",
+    "andi": "{d} = {a} & {uimm}",
+    "slli": "{d} = ({a} << {sh}) & 0xFFFFFFFF",
+    "srli": "{d} = {a} >> {sh}",
+    "srai": "{d} = (" + _SIGNED.format("{a}") + " >> {sh}) & 0xFFFFFFFF",
+    "add": "{d} = ({a} + {b}) & 0xFFFFFFFF",
+    "sub": "{d} = ({a} - {b}) & 0xFFFFFFFF",
+    "sll": "{d} = ({a} << ({b} & 31)) & 0xFFFFFFFF",
+    "srl": "{d} = {a} >> ({b} & 31)",
+    "sra": "{d} = (" + _SIGNED.format("{a}") + " >> ({b} & 31)) & 0xFFFFFFFF",
+    "slt": "{d} = 1 if ({a} ^ 0x80000000) < ({b} ^ 0x80000000) else 0",
+    "sltu": "{d} = 1 if {a} < {b} else 0",
+    "xor": "{d} = {a} ^ {b}",
+    "or": "{d} = {a} | {b}",
+    "and": "{d} = {a} & {b}",
+    "mul": "{d} = ({a} * {b}) & 0xFFFFFFFF",
+    **{op: "{d} = _%s({a}, {b})" % op for op in _MULDIV_OPS},
 }
 
 #: Load mnemonic -> (width, alignment test, fast-path value, sign bit).
@@ -225,6 +248,16 @@ _STORES = {
     "sh": (2, " and not a & 1", "_p16(ram, o, {b} & 0xFFFF)"),
     "sb": (1, "", "ram[o] = {b} & 0xFF"),
 }
+
+#: Whether aligned ``lw``/``sw`` index the word view ``w`` (RAM cast to
+#: native ``I`` words) instead of calling ``struct``.  A native word is
+#: a RISC-V (little-endian) word only on a little-endian host, so the
+#: choice follows the host and nothing else.
+_WORD_VIEW = sys.byteorder == "little" and struct.calcsize("I") == 4
+
+#: The word-view forms of ``lw``'s value and ``sw``'s write.
+_VIEW_LW = "w[o >> 2]"
+_VIEW_SW = "w[o >> 2] = {b}"
 
 _BRANCHES = {
     "beq": "{a} == {b}",
@@ -250,74 +283,122 @@ _CLOSURE_TERMS = frozenset(
 _TERMINATORS = _CLOSURE_TERMS | {"jal", "jalr"} | set(_BRANCHES)
 
 
-def _reg(index: int) -> str:
-    return f"r[{index}]" if index else "0"
-
-
 def _block_source(pc: int, insns: List[Decoded], base: int, size: int) -> str:
     """The source of ``make(r, ram, cpu, mem, dirty, code)``, which
-    returns the block function for ``insns`` decoded from ``pc``."""
+    returns the block function ``block(left)`` for ``insns`` decoded
+    from ``pc``; ``left`` is the caller's remaining step budget, never
+    less than ``len(insns)``.
+
+    A block whose last instruction branches back to ``pc`` is a loop
+    block: it loads every register its instructions name into a local
+    ``x<i>`` once, runs whole passes while another fits in ``left``,
+    and writes the registers it changed back to ``r`` before every
+    exit.  Its slow paths report the slots of every completed pass."""
+    n = len(insns)
+    last = insns[-1]
+    loop = last.mnemonic in _BRANCHES and (pc + 4 * (n - 1) + last.imm) & _M32 == pc
+    view = _WORD_VIEW and not (base | size) & 3
+    if loop:
+        touched = sorted({i for d in insns for i in (d.rd, d.rs1, d.rs2)} - {0})
+        sync = [f"r[{i}] = x{i}" for i in sorted({d.rd for d in insns} - {0})]
+        reg = "x{}".format
+    else:
+        sync = []
+        reg = "r[{}]".format
     body: List[str] = []
-    emit = body.append
-    for done, d in enumerate(insns):
-        at = pc + 4 * done
+
+    def emit(line: str, depth: int = 0) -> None:
+        body.append("    " * depth + line)
+
+    def leave(result: str, depth: int, pc_value: Optional[int] = None) -> None:
+        """Write the changed registers back, set ``cpu.pc`` and return."""
+        for line in sync:
+            emit(line, depth)
+        if pc_value is not None:
+            emit(f"cpu.pc = {pc_value}", depth)
+        emit(f"return {result}", depth)
+
+    def slots(k: int) -> str:
+        """The slots completed before op ``k`` of this pass."""
+        return f"i + {k}" if loop else str(k)
+
+    for k, d in enumerate(insns):
+        at = pc + 4 * k
         name = d.mnemonic
         rd, imm = d.rd, d.imm
-        a, b = _reg(d.rs1), _reg(d.rs2)
+        a = reg(d.rs1) if d.rs1 else "0"
+        b = reg(d.rs2) if d.rs2 else "0"
         nxt = (at + 4) & _M32
         if name in _ALU:
             if rd:
                 emit(_ALU[name].format(
-                    rd=rd, a=a, b=b, imm=imm, uimm=imm & _M32, sh=imm & 31,
+                    d=reg(rd), a=a, b=b, imm=imm, uimm=imm & _M32, sh=imm & 31,
                     rel=(at + imm) & _M32,
                 ))
         elif name in _LOADS:
             width, aligned, value, sign = _LOADS[name]
-            emit(f"a = ({a} + {imm}) & 0xFFFFFFFF")
+            if view and name == "lw":
+                value = _VIEW_LW
+            emit(f"a = ({a} + {imm}) & 0xFFFFFFFF" if imm else f"a = {a}")
             emit(f"o = a - {base}")
             emit(f"if 0 <= o <= {size - width}{aligned}:")
-            emit(f"    r[{rd}] = {value}" if rd else "    pass")
+            emit(f"{reg(rd)} = {value}" if rd else "pass", 1)
             emit("else:")
-            emit(f"    return _load(cpu, a, {width}, {rd}, {sign}, {at}, {done})")
+            leave(f"_load(cpu, a, {width}, {rd}, {sign}, {at}, {slots(k)})", 1)
         elif name in _STORES:
             width, aligned, write = _STORES[name]
-            emit(f"a = ({a} + {imm}) & 0xFFFFFFFF")
+            if view and name == "sw":
+                write = _VIEW_SW
+            emit(f"a = ({a} + {imm}) & 0xFFFFFFFF" if imm else f"a = {a}")
             emit(f"o = a - {base}")
             emit(f"if 0 <= o <= {size - width}{aligned}:")
-            emit("    " + write.format(b=b))
-            emit(f"    p = o >> {PAGE_SHIFT}")
-            emit("    dirty[p] = 1")
-            emit("    if code[p]:")
-            emit("        mem.ram_image_version += 1")
-            emit(f"        cpu.pc = {nxt}")
-            emit(f"        return {-(done + 1)}")
+            emit(write.format(b=b), 1)
+            emit(f"p = o >> {PAGE_SHIFT}", 1)
+            emit("dirty[p] = 1", 1)
+            emit("if code[p]:", 1)
+            emit("mem.ram_image_version += 1", 2)
+            leave(f"-({slots(k + 1)})", 2, nxt)
             emit("else:")
-            emit(f"    return _store(cpu, a, {b}, {width}, {at}, {done})")
+            leave(f"_store(cpu, a, {b}, {width}, {at}, {slots(k)})", 1)
         elif name in _BRANCHES:
             taken = _BRANCHES[name].format(a=a, b=b)
-            emit(f"cpu.pc = {(at + imm) & _M32} if {taken} else {nxt}")
-            emit(f"return {done + 1}")
+            if loop:
+                emit(f"if not ({taken}):")
+                leave(f"i + {n}", 1, nxt)
+            else:
+                emit(f"cpu.pc = {(at + imm) & _M32} if {taken} else {nxt}")
+                emit(f"return {k + 1}")
         elif name == "jal":
             if rd:
                 emit(f"r[{rd}] = {nxt}")
             emit(f"cpu.pc = {(at + imm) & _M32}")
-            emit(f"return {done + 1}")
+            emit(f"return {k + 1}")
         elif name == "jalr":
             emit(f"t = ({a} + {imm}) & 0xFFFFFFFE")
             if rd:
                 emit(f"r[{rd}] = {nxt}")
             emit("cpu.pc = t")
-            emit(f"return {done + 1}")
+            emit(f"return {k + 1}")
         elif name in _CLOSURE_TERMS:
             emit(f"cpu.pc = {at}")
-            emit(f"return {done}")
+            emit(f"return {k}")
         elif name != "fence":
             raise CPUError(f"unhandled instruction {name}")  # pragma: no cover
-    if insns[-1].mnemonic not in _TERMINATORS:
-        emit(f"cpu.pc = {(pc + 4 * len(insns)) & _M32}")
-        emit(f"return {len(insns)}")
-    lines = ["def make(r, ram, cpu, mem, dirty, code):", "    def block():"]
-    lines += ["        " + line for line in body]
+    if last.mnemonic not in _TERMINATORS:
+        emit(f"cpu.pc = {(pc + 4 * n) & _M32}")
+        emit(f"return {n}")
+    lines = ["def make(r, ram, cpu, mem, dirty, code):"]
+    if view and any(d.mnemonic in ("lw", "sw") for d in insns):
+        lines.append("    w = _word_view(ram)")
+    lines.append("    def block(left):")
+    if loop:
+        lines += [f"        x{i} = r[{i}]" for i in touched]
+        lines.append(f"        for i in range(0, left - {n - 1}, {n}):")
+        lines += ["            " + line for line in body]
+        lines += ["        " + line for line in sync]
+        lines += [f"        cpu.pc = {pc}", f"        return left - left % {n}"]
+    else:
+        lines += ["        " + line for line in body]
     lines.append("    return block")
     return "\n".join(lines) + "\n"
 
@@ -341,7 +422,7 @@ def _factory(pc: int, words: Tuple[int, ...], insns: List[Decoded], base: int, s
 
 
 #: A bound block: (function, closure terminator or None, step slots).
-_Bound = Tuple[Callable[[], int], Optional[Callable[[], None]], int]
+_Bound = Tuple[Callable[[int], int], Optional[Callable[[], None]], int]
 
 
 class FastEngine:
@@ -360,7 +441,7 @@ class FastEngine:
         self.cpu = cpu
         self.memory = cpu.memory
         self._blocks: Dict[int, _Bound] = {}
-        self._prefixes: Dict[Tuple[int, int], Callable[[], int]] = {}
+        self._prefixes: Dict[Tuple[int, int], Callable[[int], int]] = {}
         self._seen_version = -1
         ram = cpu.memory.ram
         self._ram_lo = ram.base
@@ -445,7 +526,7 @@ class FastEngine:
                     if fn is None:
                         fn = self._prefixes[key] = self._compile(*key)[0]
                     term = None
-                n = fn()
+                n = fn(budget - steps)
                 if n < 0:
                     # A slow-path access (MMIO/NVM side effects, or a
                     # store into compiled code) ended the block early.

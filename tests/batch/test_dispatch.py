@@ -59,14 +59,14 @@ class TestEvaluateMany:
         from repro.tech import TECH_90NM
 
         model = PerformanceModel(DesignSpace(TECH_90NM))
-        points = model.space.grid_points(
+        points = list(model.space.grid(
             lengths=(7, 13),
             f_samples=(1e3,),
             counter_bits=(8, 12),
             t_enables=(1e-5,),
             nvm_entries=(64,),
             entry_bits=(12,),
-        )
+        ))
         many = evaluate_many(points, model=model)
         single = [model.evaluate(p) for p in points]
         assert many == single

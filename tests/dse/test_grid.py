@@ -14,10 +14,10 @@ def model():
 
 @pytest.fixture(scope="module")
 def small_grid(model):
-    points = model.space.grid_points(
+    points = list(model.space.grid(
         lengths=(7, 21), f_samples=(1e3, 1e4), counter_bits=(8, 12),
         t_enables=(2e-6, 1e-5), nvm_entries=(16, 64), entry_bits=(8, 10),
-    )
+    ))
     return grid_explore(model, points)
 
 

@@ -51,7 +51,7 @@ def model_90nm():
 class TestMatchesOracle:
     def test_every_default_grid_point(self, model):
         table = model.evaluate_many(model.space.grid())
-        points = model.space.grid_points()
+        points = list(model.space.grid())
         assert len(table) == len(points) == 23520
         evaluations = table.rows()
         assert _mismatches(model, points, evaluations) == []
@@ -76,7 +76,7 @@ class TestMatchesOracle:
     def test_off_default_supply_and_temperature(self):
         for tech in ALL_NODES:
             model = PerformanceModel(DesignSpace(tech, v_supply_range=(1.8, 3.3)), temp_k=358.0)
-            points = model.space.grid_points(lengths=(3, 13, 37, 73), counter_bits=(4, 10, 16))
+            points = list(model.space.grid(lengths=(3, 13, 37, 73), counter_bits=(4, 10, 16)))
             assert _mismatches(model, points, model.evaluate_many(points).rows()) == []
 
     def test_transistor_bound_reasons_counted_per_count(self, model_90nm):
@@ -92,7 +92,7 @@ class TestMatchesOracle:
 @pytest.mark.parametrize("tech", ALL_NODES, ids=lambda tech: tech.name)
 def test_fig6_grids_match_oracle_sweep(tech):
     model = PerformanceModel(DesignSpace(tech))
-    points = model.space.grid_points(f_samples=(5e3,))
+    points = list(model.space.grid(f_samples=(5e3,)))
     expected = oracle.grid_explore(model, points)
     for given in (model.space.grid(f_samples=(5e3,)), points):
         got = grid_explore(model, given)
@@ -114,7 +114,6 @@ class TestGridColumns:
             for values in itertools.product(*axes.values())
         ]
         assert list(space.grid(**axes)) == expected
-        assert space.grid_points(**axes) == expected
         assert [space.grid(**axes)[i] for i in range(len(expected))] == expected
 
     def test_rows_are_python_numbers(self):
@@ -123,7 +122,7 @@ class TestGridColumns:
         assert [type(v) for v in point.as_tuple()] == [int, float, int, float, int, int]
 
     def test_columns_of_points_round_trip(self):
-        points = DesignSpace(TECH_90NM).grid_points(lengths=(7,), counter_bits=(8, 12))
+        points = list(DesignSpace(TECH_90NM).grid(lengths=(7,), counter_bits=(8, 12)))
         columns = DesignColumns.of(points)
         assert DesignColumns.of(columns) is columns
         assert list(columns) == points

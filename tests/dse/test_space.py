@@ -80,9 +80,9 @@ class TestToConfig:
 
 class TestGrid:
     def test_grid_size(self, space):
-        pts = space.grid_points(lengths=(3, 7), f_samples=(1e3,), counter_bits=(8,),
-                                t_enables=(1e-6, 2e-6), nvm_entries=(16,), entry_bits=(8,))
+        pts = list(space.grid(lengths=(3, 7), f_samples=(1e3,), counter_bits=(8,),
+                              t_enables=(1e-6, 2e-6), nvm_entries=(16,), entry_bits=(8,)))
         assert len(pts) == 4
 
     def test_default_grid_nonempty(self, space):
-        assert len(space.grid_points()) > 1000
+        assert len(space.grid()) > 1000

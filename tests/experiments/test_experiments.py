@@ -259,11 +259,11 @@ class TestNodePowerScaling:
 
         space = DesignSpace(tech)
         model = PerformanceModel(space)
-        points = space.grid_points(
+        points = list(space.grid(
             lengths=(7, 13), f_samples=(5e3,), counter_bits=(10, 12),
             t_enables=tuple(x * 1e-6 for x in (2, 3, 4, 5, 6, 8, 10, 12, 16, 20)),
             nvm_entries=(64,), entry_bits=(10,),
-        )
+        ))
         grid = grid_explore(model, points)
         idx = pareto_front([(e.mean_current, e.granularity) for e in grid.pareto])
         return [grid.pareto[i] for i in idx]

@@ -3,11 +3,13 @@
 Two contracts: the scalar and numpy forms agree bit for bit (the
 fast↔batch equivalence rests on it), and both solve
 ``C·v·dv/dt = P − I·v`` to near double precision, checked against a
-60-digit :mod:`decimal` evaluation of the closed form.
+60-digit :mod:`decimal` evaluation of the closed form.  A third holds
+the scalar engines' windowed :class:`Supply` to the whole-trace table.
 """
 
 import math
 import random
+import struct
 from decimal import Decimal, getcontext
 
 import pytest
@@ -17,21 +19,33 @@ np = pytest.importorskip("numpy")
 #: The numpy forms evaluate discarded branches; callers silence them.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
+from repro.errors import ConfigurationError
 from repro.harvest import segment
+from repro.harvest.capacitor import BufferCapacitor
+from repro.harvest.panel import SolarPanel
 from repro.harvest.segment import (
     DOWN,
     FULL,
     HELD,
     SPAN,
     UP,
+    Supply,
     advance,
     advance_np,
     crossing_time,
     crossing_time_np,
     load_energy,
+    next_changes,
     power_changes,
     voltage_after,
     voltage_after_np,
+)
+from repro.harvest.traces import (
+    IrradianceTrace,
+    constant_trace,
+    diurnal_trace,
+    nyc_pedestrian_night,
+    rfid_reader_trace,
 )
 
 getcontext().prec = 60
@@ -293,3 +307,81 @@ class TestPowerChanges:
     def test_change_indices(self):
         assert power_changes([1.0, 1.0, 2.0, 2.0, 0.0]).tolist() == [2, 4, 5]
         assert power_changes([]).tolist() == [0]
+
+
+def _full_table_lookup(panel, trace):
+    """``Supply.at`` over tables built for the whole trace at once: the
+    answer every window size must reproduce."""
+    power = panel.power_curve(trace.values).tolist()
+    ends = next_changes(power).tolist()
+    last = len(power) - 1
+
+    def at(t):
+        seg = min(math.floor(t / trace.dt + 1e-9), last)
+        t_change = ends[seg] * trace.dt
+        return power[seg], (t_change if t_change > t else math.inf)
+
+    return at
+
+
+def _packed(lookup):
+    return struct.pack("<dd", *lookup)
+
+
+class TestSupplyWindows:
+    """:class:`Supply` builds its tables in doubling windows; every
+    lookup equals the whole-trace table's bit for bit, whatever the
+    first window and however the lookups jump around."""
+
+    @staticmethod
+    def _traces(seed):
+        rng = random.Random(seed)
+        steps = [rng.choice((0.0, 0.0, 0.4, 1.5, 3.0)) for _ in range(400)]
+        return [
+            nyc_pedestrian_night(duration=90.0, seed=seed),
+            rfid_reader_trace(duration=60.0, seed=seed),
+            diurnal_trace(duration=86400.0, dt=60.0, seed=seed),
+            constant_trace(0.7, 12.0),
+            IrradianceTrace(0.25, steps),
+            IrradianceTrace(1.0, [2.0]),
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_lookup_equals_the_full_table(self, seed, monkeypatch):
+        panel, cap = SolarPanel(), BufferCapacitor()
+        rng = random.Random(100 + seed)
+        for trace in self._traces(seed):
+            n = len(trace.values)
+            full = _full_table_lookup(panel, trace)
+            changes = power_changes(panel.power_curve(trace.values)).tolist()
+            # 1, windows ending exactly on (and either side of) the first
+            # power changes, and windows longer than the trace.
+            windows = {1, 2, 3, n, n + 1, 4 * n}
+            for c in changes[:4]:
+                windows.update((c - 1, c, c + 1))
+            ends = [k * trace.dt for k in range(n + 2)]
+            times = sorted(
+                [rng.uniform(0.0, 1.2 * trace.duration) for _ in range(300)] + ends
+            )
+            shuffled = times[:]
+            rng.shuffle(shuffled)
+            for window in sorted(w for w in windows if w >= 1):
+                monkeypatch.setattr(segment, "SUPPLY_WINDOW", window)
+                for order in (times, shuffled):
+                    supply = Supply(panel, trace, cap)
+                    for t in order:
+                        assert _packed(supply.at(t)) == _packed(full(t)), (window, t)
+
+    def test_empty_trace_supplies_nothing(self):
+        supply = Supply(SolarPanel(), IrradianceTrace(0.1, []), BufferCapacitor())
+        assert supply.at(0.05) == (0.0, 0.1)
+        assert supply.at(7.0) == (0.0, math.inf)
+
+    def test_negative_irradiance_rejected_when_its_window_is_built(self, monkeypatch):
+        monkeypatch.setattr(segment, "SUPPLY_WINDOW", 8)
+        trace = IrradianceTrace(1.0, [1.0, 2.0] * 50)
+        trace.values[70] = -1.0   # past the constructor's check
+        supply = Supply(SolarPanel(), trace, BufferCapacitor())
+        assert supply.at(10.0)[0] > 0
+        with pytest.raises(ConfigurationError, match="cannot be negative"):
+            supply.at(80.0)

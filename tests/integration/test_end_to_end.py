@@ -27,10 +27,10 @@ class TestDSEToSystem:
     @pytest.fixture(scope="class")
     def pareto_config(self):
         model = PerformanceModel(DesignSpace(TECH_90NM))
-        points = model.space.grid_points(
+        points = list(model.space.grid(
             lengths=(7, 13), f_samples=(1e3, 5e3), counter_bits=(8, 10, 12),
             t_enables=(2e-6, 5e-6, 1e-5), nvm_entries=(32, 64), entry_bits=(8, 10),
-        )
+        ))
         result = grid_explore(model, points)
         assert result.pareto
         best = min(result.pareto, key=lambda e: e.mean_current)

@@ -10,8 +10,10 @@ and — across power failures on the intermittent machine — the entire
 ``IntermittentRunResult`` including checkpoint/restore sequences.  The
 lockstep contract tests compare state after every ``run()`` call: budget
 splits, mid-block faults, MCYCLE reads, interrupt boundaries, stores
-into the running block, and the paths the engine cannot compile from
-RAM (illegal words, NVM code, unmapped and misaligned fetches).
+into the running block, every exit of a loop block that iterates in
+place, and the paths the engine cannot compile from RAM (illegal words,
+NVM code, unmapped and misaligned fetches).  They run twice: on the
+host's templates and on the ``struct`` templates a big-endian host uses.
 """
 
 import copy
@@ -37,6 +39,7 @@ from repro.riscv import (
     get_workload,
 )
 from repro.riscv.csr import CAUSE_ILLEGAL_INSTRUCTION, CAUSE_MACHINE_EXTERNAL
+from repro.riscv.encoding import decode
 from repro.riscv.fs_device import FSDevice
 from repro.runtimes.policies import AdaptiveTimerPolicy, ContinuousPolicy
 from repro.trace import Recording, TraceRecorder, replay
@@ -52,8 +55,10 @@ _ALU_RI = ["addi", "xori", "ori", "andi", "slti", "sltiu"]
 _SHIFT_RI = ["slli", "srli", "srai"]
 
 
-def random_program(rng: random.Random, iterations: int) -> str:
-    """A seeded loop of random ALU/memory/console traffic."""
+def random_program(rng: random.Random, iterations: int, console: bool = True) -> str:
+    """A seeded loop of random ALU/memory/console traffic; without
+    ``console`` the console bytes go to scratch RAM instead, so the loop
+    body is one loop block that iterates in place."""
     lines = [
         f"    li   s0, {iterations}",
         "    li   s1, 0x80001000",    # scratch inside the 8 KiB footprint
@@ -88,7 +93,8 @@ def random_program(rng: random.Random, iterations: int) -> str:
             offset = rng.randrange(0, 256, align)
             lines.append(f"    {op} {rd}, {offset}(s1)")
         else:
-            lines.append(f"    sb {rng.choice(_POOL)}, 0(t6)")  # console byte
+            base = "t6" if console else "s1"
+            lines.append(f"    sb {rng.choice(_POOL)}, 0({base})")  # console byte
     lines.append("    addi s0, s0, -1")
     lines.append("    bnez s0, loop")
     lines.append("    li   a0, 0")
@@ -397,21 +403,25 @@ def _faults_alike(pair, budget):
 
 
 class TestBudgetSplits:
-    """``run(b)`` for every b up to one more than the longest block: the
-    budget splits every block at every offset (prefix blocks), and the
-    state matches the oracle after every call."""
+    """``run(b)`` for every b up to one more than the longest block, and
+    budgets that span several loop passes: the budget splits every block
+    at every offset (prefix blocks) and a loop block's 1st, 2nd and later
+    passes, and the state matches the oracle after every call."""
+
+    BUDGETS = [*range(1, block_engine.MAX_BLOCK_OPS + 2), 97, 131, 200, 257]
 
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_every_split_matches(self, seed):
-        program = assemble(random_program(random.Random(seed), iterations=2))
-        for budget in range(1, block_engine.MAX_BLOCK_OPS + 2):
-            pair = _lockstep_pair(program)
-            while _call_both(pair, budget):
-                pass
-            (cpu_f, _), (cpu_s, _) = pair
-            assert cpu_f.halted and cpu_s.halted, budget
-            assert cpu_f.memory.console.text() == cpu_s.memory.console.text()
-            assert bytes(cpu_f.memory.ram.data) == bytes(cpu_s.memory.ram.data)
+        for console in (True, False):
+            program = assemble(random_program(random.Random(seed), iterations=6, console=console))
+            for budget in self.BUDGETS:
+                pair = _lockstep_pair(program)
+                while _call_both(pair, budget):
+                    pass
+                (cpu_f, _), (cpu_s, _) = pair
+                assert cpu_f.halted and cpu_s.halted, (console, budget)
+                assert cpu_f.memory.console.text() == cpu_s.memory.console.text()
+                assert bytes(cpu_f.memory.ram.data) == bytes(cpu_s.memory.ram.data)
 
 
 class TestMidBlockFault:
@@ -609,6 +619,162 @@ class TestStoreIntoRunningBlock:
             assert cpu.exit_code == 300
 
 
+def _run_to_fault(pair, budget):
+    """``run(budget)`` on both sides in lockstep until both fault alike."""
+    while True:
+        outcomes = []
+        for cpu, driver in pair:
+            try:
+                outcomes.append(driver.run(budget))
+            except MemoryAccessError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        (cpu_f, _), (cpu_s, _) = pair
+        assert arch_state(cpu_f) == arch_state(cpu_s)
+        if isinstance(outcomes[0], str):
+            return
+        assert outcomes[0], "ran to the end without faulting"
+
+
+def _dispatches(engine):
+    return engine.block_hits + engine.blocks_compiled
+
+
+class TestLoopBlocks:
+    """A block that branches back to its own start iterates in place,
+    with its registers in locals, and leaves through every exit a
+    straight-line block has: the loop exit, a budget that runs out
+    mid-pass, a store into its own code, a fault, and an MMIO access."""
+
+    def test_loop_iterates_in_place(self):
+        program = assemble("""
+            li   s0, 100
+            li   s2, 0
+        loop:
+            addi s2, s2, 3
+            xor  s3, s3, s2
+            addi s0, s0, -1
+            bnez s0, loop
+            mv   a0, s2
+            ecall
+        """)
+        pair = _lockstep_pair(program)
+        while _call_both(pair, 10_000):
+            pass
+        (cpu, fast), _ = pair
+        assert cpu.exit_code == 300
+        # Entry block (through the first pass), the loop, the exit.
+        assert _dispatches(fast) == 3
+
+    @pytest.mark.parametrize("budget", [10_000, 7, 13, 29])
+    def test_store_patches_running_loop_on_later_pass(self, budget):
+        # The store writes scratch RAM while s0 >= 3 and the slot of its
+        # own loop from then on: the loop runs whole passes in place,
+        # then leaves through the code-page exit mid-pass, and the
+        # patched word executes on that very pass.
+        [patched] = assemble("addi s4, s4, 100")
+        program = assemble(f"""
+            li    s0, 6
+            li    s4, 0
+            la    t0, slot
+            li    t1, {patched}
+            li    s1, 0x80001000
+            sub   t2, t0, s1
+        loop:
+            sltiu t3, s0, 3
+            sub   t3, zero, t3
+            and   t3, t3, t2
+            add   t4, s1, t3
+            sw    t1, 0(t4)
+        slot:
+            addi  s4, s4, 1
+            addi  s0, s0, -1
+            bnez  s0, loop
+            mv    a0, s4
+            ecall
+        """)
+        pair = _lockstep_pair(program)
+        while _call_both(pair, budget):
+            pass
+        (cpu, _), _ = pair
+        assert cpu.exit_code == 4 + 100 + 100
+
+    @pytest.mark.parametrize("access", ["lw   t0, 0(t4)", "sw   s2, 0(t4)", "lbu  t0, 0(t4)", "sh   s2, 0(t4)"])
+    @pytest.mark.parametrize("budget", [1000, 5, 13])
+    def test_fault_on_later_pass_commits_completed_passes(self, access, budget):
+        # The access reads scratch RAM while s0 >= 3 and an unmapped
+        # address on the 4th pass: the 3rd pass of the loop block.
+        program = assemble(f"""
+            li    s0, 5
+            li    s1, 0x80001000
+            li    t5, 0x20000000
+            sub   t2, t5, s1
+            li    s2, 0
+        loop:
+            sltiu t3, s0, 3
+            sub   t3, zero, t3
+            and   t3, t3, t2
+            add   t4, s1, t3
+            addi  s2, s2, 1
+            {access}
+            addi  s0, s0, -1
+            bnez  s0, loop
+            ecall
+        """)
+        pair = _lockstep_pair(program)
+        _run_to_fault(pair, budget)
+        (cpu, _), _ = pair
+        assert program[(cpu.pc - 0x8000_0000) // 4] == assemble(access)[0]
+        assert cpu.registers[18] == 4               # s2: the pass that faulted
+        assert cpu.instructions_retired == (cpu.pc - 0x8000_0000) // 4 + 3 * 8
+        assert cpu.csr.cycle_count == cpu.instructions_retired
+
+    @pytest.mark.parametrize("budget", [10_000, 11, 17, 50])
+    def test_mcycle_read_after_loop_exits_mid_budget(self, budget):
+        program = assemble("""
+            li   s0, 9
+        loop:
+            addi t0, t0, 3
+            addi t1, t1, 5
+            addi s0, s0, -1
+            bnez s0, loop
+            csrr a1, mcycle
+            csrr a2, mcycleh
+            mv   a0, a1
+            ecall
+        """)
+        pair = _lockstep_pair(program)
+        while _call_both(pair, budget):
+            pass
+        (cpu, _), _ = pair
+        # 2 (li) + 9 * 4 (loop) instructions retired before the read.
+        assert cpu.registers[11] == 2 + 9 * 4
+        assert cpu.registers[12] == 0
+
+    @pytest.mark.parametrize("budget", [10_000, 3, 7])
+    def test_console_store_in_loop_leaves_through_slow_path(self, budget):
+        program = assemble("""
+            li   s0, 5
+            li   t6, 0x10000000
+            li   t2, 65
+        loop:
+            sb   t2, 0(t6)
+            addi t2, t2, 1
+            addi s0, s0, -1
+            bnez s0, loop
+            mv   a0, t2
+            ecall
+        """)
+        pair = _lockstep_pair(program)
+        while _call_both(pair, budget):
+            pass
+        (cpu_f, fast), (cpu_s, _) = pair
+        assert cpu_f.exit_code == 70
+        assert cpu_f.memory.console.text() == cpu_s.memory.console.text() == "ABCDE"
+        # Every pass ends the loop block at its console byte.
+        assert _dispatches(fast) >= 2 * 5
+
+
 ILLEGAL_WORD = 0xFFFFFFFF
 
 
@@ -742,3 +908,32 @@ class TestCodeCache:
             run_cpu(assemble("\n".join(lines)), "fast")
             assert len(block_engine._FACTORIES) <= block_engine.CODE_CACHE_BLOCKS
         assert len(block_engine._FACTORIES) == block_engine.CODE_CACHE_BLOCKS
+
+
+# ----------------------------------------------------------------------
+# The same lockstep contracts on the ``struct`` templates
+# ----------------------------------------------------------------------
+class TestLockstepOnStructTemplates(
+    TestBudgetSplits,
+    TestMidBlockFault,
+    TestDeferredCycleCounter,
+    TestInterruptBoundaries,
+    TestStoreIntoRunningBlock,
+    TestLoopBlocks,
+    TestFallbackPaths,
+):
+    """Every lockstep contract again with aligned words read and written
+    through ``struct`` instead of the RAM word view: the templates a
+    big-endian host runs, kept under test on any host."""
+
+    @pytest.fixture(autouse=True)
+    def _struct_templates(self, monkeypatch):
+        monkeypatch.setattr(block_engine, "_WORD_VIEW", False)
+        monkeypatch.setattr(block_engine, "_FACTORIES", {})
+
+    def test_struct_templates_in_use(self):
+        [lw, sw] = assemble("lw t0, 0(s1)\nsw t0, 4(s1)")
+        insns = [decode(lw, 0x8000_0000), decode(sw, 0x8000_0004)]
+        source = block_engine._block_source(0x8000_0000, insns, 0x8000_0000, 8192)
+        assert "_u32(ram, o)" in source and "_p32(ram, o," in source
+        assert "_word_view" not in source
