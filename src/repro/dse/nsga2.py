@@ -5,16 +5,23 @@ binary crossover (SBX), polynomial mutation, elitist (mu + lambda)
 environmental selection by non-dominated fronts with crowding-distance
 truncation.  Infeasible designs (rejected by the performance model) are
 handled with constrained dominance: feasible always beats infeasible.
+
+A generation is decoded, evaluated, ranked and selected as columns
+(:class:`~repro.dse.objectives.EvaluationColumns`); tournament, SBX and
+mutation draw from the RNG one member at a time.
 """
 
 from __future__ import annotations
 
+import numbers
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
-from repro.dse.objectives import Evaluation, PerformanceModel
-from repro.dse.pareto import crowding_distance, non_dominated_sort, pareto_front
+import numpy as np
+
+from repro.dse.objectives import Evaluation, EvaluationColumns, PerformanceModel
+from repro.dse.pareto import front_crowding, non_dominated_sort, pareto_front
 from repro.dse.space import GENOME_SIZE
 from repro.errors import ConfigurationError
 from repro.obs import OBS
@@ -62,6 +69,22 @@ class NSGA2Result:
         )
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_sizes(population_size, generations) -> None:
+    """Refuse sizes :class:`NSGA2` cannot run, with a
+    :class:`ConfigurationError`: the population must be an even integer
+    >= 4 and the generations an integer >= 1 (a bool is neither)."""
+    if not _is_integer(population_size) or population_size < 4 or population_size % 2:
+        raise ConfigurationError(
+            f"population must be an even integer >= 4, got {population_size!r}"
+        )
+    if not _is_integer(generations) or generations < 1:
+        raise ConfigurationError(f"need an integer >= 1 of generations, got {generations!r}")
+
+
 @dataclass
 class NSGA2:
     """The optimizer.
@@ -87,10 +110,7 @@ class NSGA2:
     on_generation: Optional[Callable[[int, List[Evaluation]], None]] = None
 
     def __post_init__(self) -> None:
-        if self.population_size < 4 or self.population_size % 2:
-            raise ConfigurationError("population must be even and >= 4")
-        if self.generations < 1:
-            raise ConfigurationError("need at least one generation")
+        check_sizes(self.population_size, self.generations)
 
     # ------------------------------------------------------------------
     def run(self) -> NSGA2Result:
@@ -100,11 +120,11 @@ class NSGA2:
             seed=self.seed,
         ):
             population = [self._random_genome(rng) for _ in range(self.population_size)]
-            evals = self._evaluate_generation(population)
+            table = self._evaluate_generation(population)
             evaluated = len(population)
 
             for generation in range(self.generations):
-                ranks, crowding = self._rank(evals)
+                ranks, crowding = self._rank(table)
                 offspring: List[Genome] = []
                 while len(offspring) < self.population_size:
                     p1 = self._tournament(rng, ranks, crowding)
@@ -113,40 +133,38 @@ class NSGA2:
                     offspring.append(self._mutate(rng, c1))
                     if len(offspring) < self.population_size:
                         offspring.append(self._mutate(rng, c2))
-                off_evals = self._evaluate_generation(offspring)
                 evaluated += len(offspring)
-                population, evals = self._environmental_selection(
-                    population + offspring, evals + off_evals
+                population, table = self._environmental_selection(
+                    population + offspring,
+                    EvaluationColumns.concatenate((table, self._evaluate_generation(offspring))),
                 )
-                self._observe_generation(generation, evals)
+                self._observe_generation(generation, table)
                 if self.on_generation is not None:
-                    self.on_generation(generation, evals)
+                    self.on_generation(generation, table.rows())
             OBS.metrics.incr("dse.evaluations", evaluated)
             return NSGA2Result(
-                evaluations=evals,
+                evaluations=table.rows(),
                 genomes=population,
                 generations=self.generations,
                 evaluated_total=evaluated,
             )
 
     # ------------------------------------------------------------------
-    def _observe_generation(self, generation: int, evals: List[Evaluation]) -> None:
+    def _observe_generation(self, generation: int, table: EvaluationColumns) -> None:
         """Per-generation progress metrics: first-front size and a
         hypervolume proxy (product of the front's per-objective extents
         — cheap, monotone under front spread, good enough to watch
         convergence)."""
         if not OBS.enabled:
             return
-        feasible = [e for e in evals if e.feasible]
+        objs = table.objectives[table.feasible]
         front_size = 0
         hv_proxy = 0.0
-        if feasible:
-            objs = [e.objectives() for e in feasible]
-            front = pareto_front(objs)
+        if len(objs):
+            front = objs[pareto_front(objs)]
             front_size = len(front)
             hv_proxy = 1.0
-            for axis in range(len(objs[0])):
-                values = [objs[i][axis] for i in front]
+            for values in front.T.tolist():
                 hv_proxy *= max(values) - min(values) + 1e-30
         OBS.metrics.observe("dse.front_size", front_size)
         OBS.metrics.gauge("dse.hypervolume_proxy", hv_proxy)
@@ -154,23 +172,19 @@ class NSGA2:
             "dse.nsga2.generation",
             generation=generation,
             front_size=front_size,
-            feasible=len(feasible),
+            feasible=len(objs),
             hypervolume_proxy=hv_proxy,
         )
 
     # ------------------------------------------------------------------
-    def _evaluate_generation(self, genomes: List[Genome]) -> List[Evaluation]:
-        """One columnar model call per generation (identical results to
-        evaluating each decoded genome on its own)."""
-        from repro.batch import evaluate_many
-
-        points = [self.model.space.decode(g) for g in genomes]
-        return evaluate_many(points, model=self.model)
+    def _evaluate_generation(self, genomes: List[Genome]) -> EvaluationColumns:
+        """One decode and one columnar model call per generation."""
+        return self.model.evaluate_many(self.model.space.decode_many(genomes))
 
     def _random_genome(self, rng: random.Random) -> Genome:
         return tuple(rng.random() for _ in range(GENOME_SIZE))
 
-    def _rank(self, evals: List[Evaluation]) -> Tuple[List[int], List[float]]:
+    def _rank(self, table: EvaluationColumns) -> Tuple[List[int], List[float]]:
         """Constrained ranks + crowding for the whole population.
 
         Feasible members get fronts 0..k; infeasible members all share a
@@ -181,26 +195,20 @@ class NSGA2:
         population (position-based tie-breaking made selection depend
         on list layout, which threatened seed-reproducibility).
         """
-        feasible_idx = [i for i, e in enumerate(evals) if e.feasible]
-        infeasible_idx = [i for i, e in enumerate(evals) if not e.feasible]
-        ranks = [0] * len(evals)
-        crowd = [0.0] * len(evals)
-        if feasible_idx:
-            objs = [evals[i].objectives() for i in feasible_idx]
+        feasible = np.flatnonzero(table.feasible)
+        ranks = np.zeros(len(table), dtype=np.int64)
+        crowd = -table.violation
+        worst_front = 0
+        if feasible.size:
+            objs = table.objectives[feasible]
             fronts = non_dominated_sort(objs)
             worst_front = len(fronts)
             for front_rank, front in enumerate(fronts):
-                dist = crowding_distance(objs, front)
-                for local in front:
-                    global_idx = feasible_idx[local]
-                    ranks[global_idx] = front_rank
-                    crowd[global_idx] = dist[local]
-        else:
-            worst_front = 0
-        for i in infeasible_idx:
-            ranks[i] = worst_front + 1
-            crowd[i] = -evals[i].violation
-        return ranks, crowd
+                members = feasible[front]
+                ranks[members] = front_rank
+                crowd[members] = front_crowding(objs[front])
+        ranks[~table.feasible] = worst_front + 1
+        return ranks.tolist(), crowd.tolist()
 
     def _tournament(self, rng: random.Random, ranks: List[int], crowd: List[float]) -> int:
         a = rng.randrange(len(ranks))
@@ -210,16 +218,18 @@ class NSGA2:
         return a if crowd[a] >= crowd[b] else b
 
     def _crossover(self, rng: random.Random, a: Genome, b: Genome) -> Tuple[Genome, Genome]:
-        if rng.random() > self.crossover_probability:
+        draw = rng.random
+        if draw() > self.crossover_probability:
             return a, b
+        exponent = 1.0 / (self.eta_crossover + 1)
         c1, c2 = [], []
         for x, y in zip(a, b):
-            if rng.random() < 0.5 and abs(x - y) > 1e-12:
-                u = rng.random()
+            if draw() < 0.5 and abs(x - y) > 1e-12:
+                u = draw()
                 if u <= 0.5:
-                    beta = (2 * u) ** (1.0 / (self.eta_crossover + 1))
+                    beta = (2 * u) ** exponent
                 else:
-                    beta = (1.0 / (2 * (1 - u))) ** (1.0 / (self.eta_crossover + 1))
+                    beta = (1.0 / (2 * (1 - u))) ** exponent
                 child1 = 0.5 * ((1 + beta) * x + (1 - beta) * y)
                 child2 = 0.5 * ((1 - beta) * x + (1 + beta) * y)
                 c1.append(min(1.0, max(0.0, child1)))
@@ -230,26 +240,29 @@ class NSGA2:
         return tuple(c1), tuple(c2)
 
     def _mutate(self, rng: random.Random, genome: Genome) -> Genome:
+        draw = rng.random
+        probability = self.mutation_probability
+        exponent = 1.0 / (self.eta_mutation + 1)
         out = []
         for x in genome:
-            if rng.random() < self.mutation_probability:
-                u = rng.random()
+            if draw() < probability:
+                u = draw()
                 if u < 0.5:
-                    delta = (2 * u) ** (1.0 / (self.eta_mutation + 1)) - 1
+                    delta = (2 * u) ** exponent - 1
                 else:
-                    delta = 1 - (2 * (1 - u)) ** (1.0 / (self.eta_mutation + 1))
+                    delta = 1 - (2 * (1 - u)) ** exponent
                 out.append(min(1.0, max(0.0, x + delta)))
             else:
                 out.append(x)
         return tuple(out)
 
     def _environmental_selection(
-        self, genomes: List[Genome], evals: List[Evaluation]
-    ) -> Tuple[List[Genome], List[Evaluation]]:
-        ranks, crowd = self._rank(evals)
+        self, genomes: List[Genome], table: EvaluationColumns
+    ) -> Tuple[List[Genome], EvaluationColumns]:
+        ranks, crowd = self._rank(table)
         order = sorted(
             range(len(genomes)),
             key=lambda i: (ranks[i], -crowd[i]),
         )
         chosen = order[: self.population_size]
-        return [genomes[i] for i in chosen], [evals[i] for i in chosen]
+        return [genomes[i] for i in chosen], table.take(chosen)

@@ -9,9 +9,11 @@ Table III performance parameters —
     (mean current, sampling frequency, granularity, NVM bytes,
      transistor count)
 
-— with heavy physics cached per (technology, ring length).  The
-rejection cascade and the objectives are computed as numpy columns over
-a whole batch (:meth:`PerformanceModel.evaluate_many` returns
+— with the heavy ring physics kept once per process, per (technology,
+supply range, temperature, ring length), in a table every model shares
+(:func:`ring_physics`).  The rejection cascade and the objectives are
+computed as numpy columns over a whole batch
+(:meth:`PerformanceModel.evaluate_many` returns
 :class:`EvaluationColumns`), so the 23,520-point default grid evaluates
 in milliseconds; :class:`Evaluation` objects are built only for the
 rows a caller reads.  ``tests/oracles/dse.py`` keeps the per-point
@@ -21,6 +23,7 @@ cascade this must match.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -134,6 +137,17 @@ REASONS = (
 )
 _TRANSISTOR_BOUND = 6  # the REASONS code formatted with a count
 
+#: The per-row result columns of :class:`EvaluationColumns`.
+_COLUMNS = ("feasible", "reason", "violation", "objectives", "transistors")
+
+
+def _take_points(points, index: np.ndarray):
+    """``points[i]`` for each ``i`` of ``index``, as columns when
+    ``points`` are."""
+    if isinstance(points, DesignColumns):
+        return points.take(index)
+    return [points[i] for i in index.tolist()]
+
 
 @dataclass(eq=False)
 class EvaluationColumns:
@@ -157,6 +171,22 @@ class EvaluationColumns:
     def __len__(self) -> int:
         return len(self.feasible)
 
+    @classmethod
+    def concatenate(cls, tables: Sequence["EvaluationColumns"]) -> "EvaluationColumns":
+        """One table holding the rows of ``tables`` in order; each
+        table's ``points`` are :class:`~repro.dse.space.DesignColumns`."""
+        return cls(
+            DesignColumns.concatenate([table.points for table in tables]),
+            *(np.concatenate([getattr(table, name) for table in tables]) for name in _COLUMNS),
+        )
+
+    def take(self, rows: Sequence[int]) -> "EvaluationColumns":
+        """The table of ``rows``, in that order."""
+        index = np.asarray(rows, dtype=np.intp)
+        return EvaluationColumns(
+            _take_points(self.points, index), *(getattr(self, name)[index] for name in _COLUMNS)
+        )
+
     def row(self, row: int) -> Evaluation:
         return self.rows([row])[0]
 
@@ -164,15 +194,14 @@ class EvaluationColumns:
         """The :class:`Evaluation` of each of ``rows`` (default: all)."""
         index = np.arange(len(self)) if rows is None else np.asarray(rows, dtype=np.intp)
         out = []
-        for i, feasible, reason, violation, objectives, transistors in zip(
-            index.tolist(),
+        for point, feasible, reason, violation, objectives, transistors in zip(
+            _take_points(self.points, index),
             self.feasible[index].tolist(),
             self.reason[index].tolist(),
             self.violation[index].tolist(),
             self.objectives[index].tolist(),
             self.transistors[index].tolist(),
         ):
-            point = self.points[i]
             if not feasible:
                 out.append(Evaluation(
                     point=point,
@@ -212,7 +241,7 @@ class EvaluationColumns:
 
 @dataclass(frozen=True)
 class _RingPhysics:
-    """Cached per-(tech, ring length) quantities."""
+    """Per-(tech, supply range, temperature, ring length) quantities."""
 
     slope_eval: float          # |df/dVsupply| at the checkpoint point (Hz/V)
     rel_sens_eval: float       # |dlnf/dVsupply| there (1/V)
@@ -230,8 +259,105 @@ _PHYSICS_FIELDS = tuple(f.name for f in fields(_RingPhysics))
 _physics_row = attrgetter(*_PHYSICS_FIELDS)
 
 
+#: Most entries the process-wide ring-physics table holds.  A corner's
+#: 36 odd ring lengths are 36 entries; past the bound the oldest entry
+#: is evicted first.
+PHYSICS_TABLE_SIZE = 1024
+
+PhysicsKey = Tuple[TechnologyCard, Tuple[float, float], float, int]
+
+#: ``(tech, v_supply_range, temp_k, ro_length) -> _RingPhysics``, shared
+#: by every :class:`PerformanceModel` in the process and filled on
+#: first use.  The physics depends on nothing else, so a shared entry
+#: is the value a fresh computation gives.
+_PHYSICS: Dict[PhysicsKey, _RingPhysics] = {}
+_PHYSICS_LOCK = threading.Lock()
+
+
+def ring_physics(
+    tech: TechnologyCard, v_supply_range: Tuple[float, float], temp_k: float, ro_length: int
+) -> _RingPhysics:
+    """The ring physics of one corner and length, from the shared table."""
+    key = (tech, tuple(v_supply_range), temp_k, ro_length)
+    cached = _PHYSICS.get(key)
+    if cached is not None:
+        return cached
+    physics = _compute_ring_physics(*key)
+    with _PHYSICS_LOCK:
+        if len(_PHYSICS) >= PHYSICS_TABLE_SIZE:
+            del _PHYSICS[next(iter(_PHYSICS))]
+        return _PHYSICS.setdefault(key, physics)
+
+
+def _compute_ring_physics(
+    tech: TechnologyCard, v_supply_range: Tuple[float, float], temp_k: float, ro_length: int
+) -> _RingPhysics:
+    ro = RingOscillator(tech, ro_length)
+    divider = VoltageDivider(tech)
+    v_lo, v_hi = v_supply_range
+    region = checkpoint_region(v_supply_range)
+    v_eval = 0.5 * (region[0] + region[1])
+
+    slope = supply_sensitivity(ro, divider, v_eval, temp_k)
+    rel = supply_relative_sensitivity(ro, divider, v_eval, temp_k)
+
+    def frequencies(volts):
+        return monitor_frequency_array(ro, divider, volts, temp_k)
+
+    sweep = frequencies(v_lo + np.arange(9) * (v_hi - v_lo) / 8)
+    f_lo = float(sweep[0])
+    f_max = float(sweep.max())
+
+    monotonic = True
+    curvature = math.inf
+    span = 0.0
+    try:
+        f_min_m, f_max_m, _dv, curvature = voltage_of_frequency_derivatives(
+            frequencies, v_lo, v_hi
+        )
+        span = f_max_m - f_min_m
+    except CalibrationError:
+        monotonic = False
+
+    # Enabled current: ring + divider + level shifter + per-edge
+    # counter charge, averaged over three supply points.
+    shifter = LevelShifter(tech)
+    total = 0.0
+    for v in (v_lo, 0.5 * (v_lo + v_hi), v_hi):
+        v_ro = divider.nominal_output(v)
+        f = ro.frequency(v_ro, temp_k)
+        c_bit = _COUNTER_CAP_FACTOR * tech.c_switch
+        total += (
+            ro.enabled_current(v_ro, temp_k)
+            + divider.bias_current(v, temp_k)
+            + shifter.dynamic_current(f, v)
+            + 2.0 * c_bit * v * f
+        )
+    return _RingPhysics(
+        slope_eval=slope,
+        rel_sens_eval=rel,
+        f_max=f_max,
+        f_lo=f_lo,
+        interp_curvature=curvature,
+        f_span=span,
+        enabled_current=total / 3.0,
+        monotonic=monotonic,
+        shifter_follows=shifter.can_follow(f_max, v_lo, temp_k),
+        fixed_transistors=(
+            ro.transistor_count()
+            + divider.transistor_count()
+            + 2 * shifter.transistor_count()
+            + _CONTROL_TRANSISTORS
+        ),
+    )
+
+
 class PerformanceModel:
-    """Evaluate design points for one technology/supply range."""
+    """Evaluate design points for one technology/supply range.
+
+    The per-length ring physics lives in the process-wide table behind
+    :func:`ring_physics`, so models on one corner share it.
+    """
 
     def __init__(
         self,
@@ -243,74 +369,10 @@ class PerformanceModel:
         self.tech: TechnologyCard = space.tech
         self.temp_k = temp_k
         self.thermal_fraction = thermal_fraction
-        self._physics: Dict[int, _RingPhysics] = {}
 
     # ------------------------------------------------------------------
     def _ring_physics(self, ro_length: int) -> _RingPhysics:
-        cached = self._physics.get(ro_length)
-        if cached is not None:
-            return cached
-
-        ro = RingOscillator(self.tech, ro_length)
-        divider = VoltageDivider(self.tech)
-        v_lo, v_hi = self.space.v_supply_range
-        region = checkpoint_region(self.space.v_supply_range)
-        v_eval = 0.5 * (region[0] + region[1])
-
-        slope = supply_sensitivity(ro, divider, v_eval, self.temp_k)
-        rel = supply_relative_sensitivity(ro, divider, v_eval, self.temp_k)
-
-        def frequencies(volts):
-            return monitor_frequency_array(ro, divider, volts, self.temp_k)
-
-        sweep = frequencies(v_lo + np.arange(9) * (v_hi - v_lo) / 8)
-        f_lo = float(sweep[0])
-        f_max = float(sweep.max())
-
-        monotonic = True
-        curvature = math.inf
-        span = 0.0
-        try:
-            f_min_m, f_max_m, _dv, curvature = voltage_of_frequency_derivatives(
-                frequencies, v_lo, v_hi
-            )
-            span = f_max_m - f_min_m
-        except CalibrationError:
-            monotonic = False
-
-        # Enabled current: ring + divider + level shifter + per-edge
-        # counter charge, averaged over three supply points.
-        shifter = LevelShifter(self.tech)
-        total = 0.0
-        for v in (v_lo, 0.5 * (v_lo + v_hi), v_hi):
-            v_ro = divider.nominal_output(v)
-            f = ro.frequency(v_ro, self.temp_k)
-            c_bit = _COUNTER_CAP_FACTOR * self.tech.c_switch
-            total += (
-                ro.enabled_current(v_ro, self.temp_k)
-                + divider.bias_current(v, self.temp_k)
-                + shifter.dynamic_current(f, v)
-                + 2.0 * c_bit * v * f
-            )
-        physics = _RingPhysics(
-            slope_eval=slope,
-            rel_sens_eval=rel,
-            f_max=f_max,
-            f_lo=f_lo,
-            interp_curvature=curvature,
-            f_span=span,
-            enabled_current=total / 3.0,
-            monotonic=monotonic,
-            shifter_follows=shifter.can_follow(f_max, v_lo, self.temp_k),
-            fixed_transistors=(
-                ro.transistor_count()
-                + divider.transistor_count()
-                + 2 * shifter.transistor_count()
-                + _CONTROL_TRANSISTORS
-            ),
-        )
-        self._physics[ro_length] = physics
-        return physics
+        return ring_physics(self.tech, self.space.v_supply_range, self.temp_k, ro_length)
 
     # ------------------------------------------------------------------
     def evaluate_many(self, points) -> "EvaluationColumns":
@@ -318,8 +380,8 @@ class PerformanceModel:
 
         ``points`` is a :class:`~repro.dse.space.DesignColumns` or any
         iterable of :class:`~repro.dse.space.DesignPoint`.  The heavy
-        physics is per (technology, ring length), computed once per
-        distinct length in ascending order; the rejection cascade and
+        physics is read from the shared table once per distinct ring
+        length, in ascending order; the rejection cascade and
         the objectives are then a few numpy passes over the columns.
         :meth:`EvaluationColumns.row` builds an :class:`Evaluation` only
         for a row a caller reads (:func:`repro.batch.evaluate_many`

@@ -3,7 +3,8 @@
 All objective vectors are *minimization* tuples (the performance model
 negates sampling frequency).  The implementations follow Deb's NSGA-II
 paper: fast non-dominated sort and the standard boundary-infinite
-crowding distance.
+crowding distance, computed per front as columns
+(:func:`front_crowding`).
 
 The kernels are vectorized: dominance between whole blocks of points
 is one set of numpy comparisons per objective, never a Python call per
@@ -145,25 +146,40 @@ def non_dominated_sort(objectives: Sequence[Objectives]) -> List[List[int]]:
 
 def crowding_distance(objectives: Sequence[Objectives], front: Sequence[int]) -> dict:
     """Crowding distance of each index in ``front`` (boundaries: inf)."""
-    distances = {i: 0.0 for i in front}
     if len(front) <= 2:
         return {i: math.inf for i in front}
-    n_obj = len(objectives[front[0]])
-    for m in range(n_obj):
-        ordered = sorted(front, key=lambda i: objectives[i][m])
-        lo = objectives[ordered[0]][m]
-        hi = objectives[ordered[-1]][m]
-        distances[ordered[0]] = math.inf
-        distances[ordered[-1]] = math.inf
-        span = hi - lo
-        if span <= 0:
-            continue
-        for k in range(1, len(ordered) - 1):
-            idx = ordered[k]
-            if math.isinf(distances[idx]):
-                continue
-            gap = objectives[ordered[k + 1]][m] - objectives[ordered[k - 1]][m]
-            distances[idx] += gap / span
+    points = _as_matrix([objectives[i] for i in front])
+    return dict(zip(front, front_crowding(points).tolist()))
+
+
+def front_crowding(points: np.ndarray) -> np.ndarray:
+    """Crowding distance of each row of one front's (K, M) objective
+    matrix (boundaries: inf).
+
+    Per objective, a stable sort ranks the rows (ties keep row order)
+    and its two ends become inf; when the objective's span is positive,
+    each interior row adds its neighbours' gap over the span.  The
+    per-point loop skips a row once it is inf; here its additions are
+    made and the row set to inf after, and a skipped objective adds
+    0.0, which leaves every distance as it was (none is -0.0).  So each
+    row's distance is the loop's float additions, in objective order.
+    Objectives holding NaN have no order; numpy sorts NaN last.
+    """
+    rows, objectives = points.shape
+    if rows <= 2:
+        return np.full(rows, math.inf)
+    order = np.argsort(points, axis=0, kind="stable")
+    ranked = np.take_along_axis(points, order, axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):  # inf - inf is NaN, as in Python
+        span = ranked[-1] - ranked[0]
+        gaps = (ranked[2:] - ranked[:-2]) / span
+    gaps[:, span <= 0] = 0.0  # the loop skips these objectives
+    added = np.zeros_like(points)
+    added[order[1:-1], np.arange(objectives)] = gaps
+    distances = np.zeros(rows)
+    for column in added.T:
+        distances += column
+    distances[order[[0, -1]]] = math.inf
     return distances
 
 

@@ -156,6 +156,25 @@ class DesignColumns:
             return cls(*([],) * len(FIELDS))
         return cls(*zip(*rows))
 
+    @classmethod
+    def _unchecked(cls, columns) -> "DesignColumns":
+        """Columns already checked, as they are."""
+        out = cls.__new__(cls)
+        for name, column in zip(FIELDS, columns):
+            setattr(out, name, column)
+        return out
+
+    @classmethod
+    def concatenate(cls, batches: Sequence["DesignColumns"]) -> "DesignColumns":
+        """One batch holding the rows of ``batches`` in order."""
+        return cls._unchecked(
+            np.concatenate([getattr(batch, name) for batch in batches]) for name in FIELDS
+        )
+
+    def take(self, rows: np.ndarray) -> "DesignColumns":
+        """The batch of ``rows`` (an index array), in that order."""
+        return self._unchecked(getattr(self, name)[rows] for name in FIELDS)
+
     def __len__(self) -> int:
         return len(self.ro_length)
 
@@ -181,32 +200,45 @@ class DesignSpace:
 
     # ------------------------------------------------------------------
     def decode(self, genome: Sequence[float]) -> DesignPoint:
-        """Map a [0,1]^6 genome onto engineering values.
+        """Map a [0,1]^6 genome onto engineering values: the one-row case
+        of :meth:`decode_many`."""
+        return self.decode_many([genome])[0]
 
-        Enable time decodes on a log scale (it spans three decades);
-        sampling frequency decodes linearly over 1-10 kHz; the discrete
-        parameters round to their grids.
+    def decode_many(self, genomes: Sequence[Sequence[float]]) -> DesignColumns:
+        """Map a batch of [0,1]^6 genomes onto engineering values, one
+        row per genome.
+
+        Genes clamp into [0, 1] (NaN to 0).  Enable time decodes on a
+        log scale (it spans three decades); sampling frequency decodes
+        linearly over 1-10 kHz; the discrete parameters round to their
+        grids.
         """
-        if len(genome) != GENOME_SIZE:
+        try:
+            g = np.asarray(genomes, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ConfigurationError("genomes must be sequences of numbers") from None
+        if g.ndim != 2 or g.shape[1] != GENOME_SIZE:
             raise ConfigurationError(f"genome must have {GENOME_SIZE} entries")
-        g = [min(1.0, max(0.0, float(x))) for x in genome]
-        length = self._lengths[min(int(g[0] * len(self._lengths)), len(self._lengths) - 1)]
+        # min(1.0, max(0.0, x)) per gene, NaN included.
+        g = np.where(g > 0.0, g, 0.0)
+        g = np.where(g < 1.0, g, 1.0).T
+
+        def level(gene: np.ndarray, lo: int, hi: int) -> np.ndarray:
+            return lo + np.minimum((gene * (hi - lo + 1)).astype(np.int64), hi - lo)
+
+        lengths = np.array(self._lengths)[level(g[0], 0, len(self._lengths) - 1)]
         f_sample = F_SAMPLE_MIN + g[1] * (F_SAMPLE_MAX - F_SAMPLE_MIN)
-        counter_bits = COUNTER_BITS_MIN + min(
-            int(g[2] * (COUNTER_BITS_MAX - COUNTER_BITS_MIN + 1)),
-            COUNTER_BITS_MAX - COUNTER_BITS_MIN,
-        )
         log_lo, log_hi = math.log10(T_ENABLE_MIN), math.log10(T_ENABLE_MAX)
-        t_enable = 10 ** (log_lo + g[3] * (log_hi - log_lo))
-        nvm_entries = NVM_ENTRIES_MIN + min(
-            int(g[4] * (NVM_ENTRIES_MAX - NVM_ENTRIES_MIN + 1)),
-            NVM_ENTRIES_MAX - NVM_ENTRIES_MIN,
+        # Python's pow, not numpy's: its last bit may differ between CPUs.
+        t_enable = [10 ** x for x in (log_lo + g[3] * (log_hi - log_lo)).tolist()]
+        return DesignColumns(
+            lengths,
+            f_sample,
+            level(g[2], COUNTER_BITS_MIN, COUNTER_BITS_MAX),
+            t_enable,
+            level(g[4], NVM_ENTRIES_MIN, NVM_ENTRIES_MAX),
+            level(g[5], ENTRY_BITS_MIN, ENTRY_BITS_MAX),
         )
-        entry_bits = ENTRY_BITS_MIN + min(
-            int(g[5] * (ENTRY_BITS_MAX - ENTRY_BITS_MIN + 1)),
-            ENTRY_BITS_MAX - ENTRY_BITS_MIN,
-        )
-        return DesignPoint(length, f_sample, counter_bits, t_enable, nvm_entries, entry_bits)
 
     def to_config(self, point: DesignPoint) -> FSConfig:
         """Build the validated configuration for a decoded point."""

@@ -64,7 +64,7 @@ import functools
 from typing import Dict, List, Optional
 
 from repro.batch import ENGINES as EVAL_ENGINES
-from repro.dse.nsga2 import NSGA2
+from repro.dse.nsga2 import NSGA2, check_sizes
 from repro.dse.objectives import PerformanceModel
 from repro.dse.pareto import non_dominated_sort
 from repro.dse.space import DesignSpace
@@ -310,14 +310,21 @@ def _pareto_front(evaluations) -> List[Dict]:
 
 
 def dse_request(request: Dict):
-    """``(tech card, NSGA2 kwargs)`` for a ``dse`` job; an unknown tech
-    or a non-integer field raises :class:`ConfigurationError`."""
+    """``(tech card, NSGA2 kwargs)`` for a ``dse`` job; an unknown tech,
+    a seed that is not an integer or sizes :class:`NSGA2` refuses raise
+    :class:`ConfigurationError`."""
     tech = get_technology(request.get("tech", "90nm"))
-    keys = [key for key in ("population_size", "generations", "seed") if key in request]
-    try:
-        return tech, {key: int(request[key]) for key in keys}
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed dse request: {exc}") from None
+    kwargs = {
+        key: request[key] for key in ("population_size", "generations", "seed") if key in request
+    }
+    seed = kwargs.get("seed", NSGA2.seed)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
+    check_sizes(
+        kwargs.get("population_size", NSGA2.population_size),
+        kwargs.get("generations", NSGA2.generations),
+    )
+    return tech, kwargs
 
 
 def handle_dse(context: JobContext, request: Dict) -> Dict:

@@ -30,6 +30,13 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             NSGA2(model, generations=0)
 
+    @pytest.mark.parametrize("sizes", [
+        {"population_size": 4.5}, {"population_size": True}, {"generations": 1.0},
+    ])
+    def test_non_integer_sizes_rejected(self, model, sizes):
+        with pytest.raises(ConfigurationError):
+            NSGA2(model, **sizes)
+
 
 class TestRun:
     def test_population_size_maintained(self, result):
@@ -88,14 +95,15 @@ class TestInfeasibleCrowdingDeterminism:
         from repro.dse.space import DesignPoint
         nsga = NSGA2(model, population_size=8, generations=1)
         # One feasible-shaped eval plus two infeasible with known violations.
-        evals = [
-            model.evaluate(DesignPoint(7, 1e3, 10, 2e-6, 64, 10)),
-            model.evaluate(DesignPoint(7, 1e4, 4, 1e-4, 64, 10)),   # counter overflow
-            model.evaluate(DesignPoint(73, 1e4, 16, 1e-4, 128, 16)),
-        ]
+        table = model.evaluate_many([
+            DesignPoint(7, 1e3, 10, 2e-6, 64, 10),
+            DesignPoint(7, 1e4, 4, 1e-4, 64, 10),   # counter overflow
+            DesignPoint(73, 1e4, 16, 1e-4, 128, 16),
+        ])
+        evals = table.rows()
         infeasible = [e for e in evals if not e.feasible]
         assert infeasible, "fixture should include infeasible points"
-        ranks, crowd = nsga._rank(evals)
+        ranks, crowd = nsga._rank(table)
         for i, e in enumerate(evals):
             if not e.feasible:
                 assert crowd[i] == -e.violation
@@ -108,15 +116,17 @@ class TestInfeasibleCrowdingDeterminism:
         nsga = NSGA2(model, population_size=4, generations=1)
         # Same reject category, different magnitudes (longer enable
         # window -> more counter overflow).
-        mild = model.evaluate(DesignPoint(7, 1e4, 4, 2e-5, 64, 10))
-        severe = model.evaluate(DesignPoint(7, 1e4, 4, 1e-4, 64, 10))
+        mild_point = DesignPoint(7, 1e4, 4, 2e-5, 64, 10)
+        severe_point = DesignPoint(7, 1e4, 4, 1e-4, 64, 10)
+        mild = model.evaluate(mild_point)
+        severe = model.evaluate(severe_point)
         assert not mild.feasible and not severe.feasible
         assert mild.violation < severe.violation
         feasible_point = DesignPoint(7, 1e3, 10, 2e-6, 64, 10)
         genomes = [(0.1,) * 6, (0.2,) * 6, (0.3,) * 6, (0.4,) * 6, (0.5,) * 6]
-        evals = [model.evaluate(feasible_point)] * 3 + [severe, mild]
-        chosen_genomes, chosen_evals = nsga._environmental_selection(genomes, evals)
-        kept_infeasible = [e for e in chosen_evals if not e.feasible]
+        table = model.evaluate_many([feasible_point] * 3 + [severe_point, mild_point])
+        chosen_genomes, chosen = nsga._environmental_selection(genomes, table)
+        kept_infeasible = [e for e in chosen.rows() if not e.feasible]
         assert kept_infeasible == [mild]
 
     def test_fixed_seed_repeat_run_pareto_identical(self, model):

@@ -57,11 +57,12 @@ class TestEvaluation:
 
     def test_physics_cache_reused(self, model):
         model.evaluate(GOOD)
-        assert 7 in model._physics
+        before = model._ring_physics(7)
         # Second evaluation with same length reuses the entry.
-        before = model._physics[7]
         model.evaluate(DesignPoint(7, 1e3, 12, 4e-6, 16, 8))
-        assert model._physics[7] is before
+        assert model._ring_physics(7) is before
+        # So does a second model on the same corner.
+        assert PerformanceModel(DesignSpace(TECH_90NM))._ring_physics(7) is before
 
 
 class TestRejection:

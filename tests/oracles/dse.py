@@ -1,19 +1,37 @@
-"""The performance model's rejection cascade, one design point at a time.
+"""The design-space exploration one design point at a time.
 
 The oracle for :class:`repro.dse.objectives.PerformanceModel`, whose
 columnar cascade must give every point the :class:`Evaluation` this
 per-point version gives it (``to_dict()`` identical).  The per-length
-ring physics is the model's own cache: what is checked here is the
+ring physics is the model's shared table: what is checked here is the
 cascade and the objective arithmetic on top of it.  :func:`grid_explore`
 is the grid sweep built on it, with the dense Pareto oracle.
+
+:class:`ScalarNSGA2` is the optimizer a generation at a time in Python
+lists: per-genome :func:`decode`, per-point :func:`evaluate`, and the
+dict-based :func:`crowding_distance`.  :class:`repro.dse.NSGA2`, which
+keeps a generation as columns, must give the same
+``NSGA2Result.to_dict()``.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import math
+import random
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.calibration import entry_precision_floor, piecewise_linear_error_bound
 from repro.core.config import (
+    COUNTER_BITS_MAX,
+    COUNTER_BITS_MIN,
+    ENTRY_BITS_MAX,
+    ENTRY_BITS_MIN,
+    F_SAMPLE_MAX,
+    F_SAMPLE_MIN,
+    NVM_ENTRIES_MAX,
+    NVM_ENTRIES_MIN,
+    T_ENABLE_MAX,
+    T_ENABLE_MIN,
     MEAN_CURRENT_MAX,
     GRANULARITY_MAX,
     NVM_OVERHEAD_MAX_BYTES,
@@ -21,8 +39,11 @@ from repro.core.config import (
 )
 from repro.core.monitor import _TRANSISTORS_PER_COMPARATOR_BIT, _TRANSISTORS_PER_COUNTER_BIT
 from repro.dse.grid import GridResult
+from repro.dse.nsga2 import NSGA2, NSGA2Result
 from repro.dse.objectives import Evaluation, PerformanceModel
-from repro.dse.space import DesignPoint
+from repro.dse.pareto import non_dominated_sort
+from repro.dse.space import GENOME_SIZE, DesignPoint, DesignSpace
+from repro.errors import ConfigurationError
 from tests.oracles.pareto import dense_front
 
 
@@ -144,3 +165,119 @@ def grid_explore(model: PerformanceModel, points) -> GridResult:
         total_count=len(points),
         reject_reasons=reasons,
     )
+
+
+def decode(space: DesignSpace, genome: Sequence[float]) -> DesignPoint:
+    """:meth:`DesignSpace.decode`, one gene at a time."""
+    if len(genome) != GENOME_SIZE:
+        raise ConfigurationError(f"genome must have {GENOME_SIZE} entries")
+    g = [min(1.0, max(0.0, float(x))) for x in genome]
+    lengths = space._lengths
+    length = lengths[min(int(g[0] * len(lengths)), len(lengths) - 1)]
+    f_sample = F_SAMPLE_MIN + g[1] * (F_SAMPLE_MAX - F_SAMPLE_MIN)
+    counter_bits = COUNTER_BITS_MIN + min(
+        int(g[2] * (COUNTER_BITS_MAX - COUNTER_BITS_MIN + 1)),
+        COUNTER_BITS_MAX - COUNTER_BITS_MIN,
+    )
+    log_lo, log_hi = math.log10(T_ENABLE_MIN), math.log10(T_ENABLE_MAX)
+    t_enable = 10 ** (log_lo + g[3] * (log_hi - log_lo))
+    nvm_entries = NVM_ENTRIES_MIN + min(
+        int(g[4] * (NVM_ENTRIES_MAX - NVM_ENTRIES_MIN + 1)),
+        NVM_ENTRIES_MAX - NVM_ENTRIES_MIN,
+    )
+    entry_bits = ENTRY_BITS_MIN + min(
+        int(g[5] * (ENTRY_BITS_MAX - ENTRY_BITS_MIN + 1)),
+        ENTRY_BITS_MAX - ENTRY_BITS_MIN,
+    )
+    return DesignPoint(length, f_sample, counter_bits, t_enable, nvm_entries, entry_bits)
+
+
+def crowding_distance(objectives, front: Sequence[int]) -> Dict[int, float]:
+    """Crowding distance of each index in ``front`` (boundaries: inf),
+    one objective and one point at a time."""
+    distances = {i: 0.0 for i in front}
+    if len(front) <= 2:
+        return {i: math.inf for i in front}
+    n_obj = len(objectives[front[0]])
+    for m in range(n_obj):
+        ordered = sorted(front, key=lambda i: objectives[i][m])
+        lo = objectives[ordered[0]][m]
+        hi = objectives[ordered[-1]][m]
+        distances[ordered[0]] = math.inf
+        distances[ordered[-1]] = math.inf
+        span = hi - lo
+        if span <= 0:
+            continue
+        for k in range(1, len(ordered) - 1):
+            idx = ordered[k]
+            if math.isinf(distances[idx]):
+                continue
+            gap = objectives[ordered[k + 1]][m] - objectives[ordered[k - 1]][m]
+            distances[idx] += gap / span
+    return distances
+
+
+class ScalarNSGA2(NSGA2):
+    """:class:`NSGA2` with each generation kept as a list of
+    :class:`Evaluation`; tournament, SBX and mutation are the
+    optimizer's own, so the RNG draws are the same."""
+
+    def run(self) -> NSGA2Result:
+        rng = random.Random(self.seed)
+        population = [self._random_genome(rng) for _ in range(self.population_size)]
+        evals = self._evaluate_generation(population)
+        evaluated = len(population)
+        for generation in range(self.generations):
+            ranks, crowding = self._rank(evals)
+            offspring = []
+            while len(offspring) < self.population_size:
+                p1 = self._tournament(rng, ranks, crowding)
+                p2 = self._tournament(rng, ranks, crowding)
+                c1, c2 = self._crossover(rng, population[p1], population[p2])
+                offspring.append(self._mutate(rng, c1))
+                if len(offspring) < self.population_size:
+                    offspring.append(self._mutate(rng, c2))
+            off_evals = self._evaluate_generation(offspring)
+            evaluated += len(offspring)
+            population, evals = self._environmental_selection(
+                population + offspring, evals + off_evals
+            )
+            if self.on_generation is not None:
+                self.on_generation(generation, evals)
+        return NSGA2Result(
+            evaluations=evals,
+            genomes=population,
+            generations=self.generations,
+            evaluated_total=evaluated,
+        )
+
+    def _evaluate_generation(self, genomes) -> List[Evaluation]:
+        return [evaluate(self.model, decode(self.model.space, g)) for g in genomes]
+
+    def _rank(self, evals: List[Evaluation]) -> Tuple[List[int], List[float]]:
+        feasible_idx = [i for i, e in enumerate(evals) if e.feasible]
+        infeasible_idx = [i for i, e in enumerate(evals) if not e.feasible]
+        ranks = [0] * len(evals)
+        crowd = [0.0] * len(evals)
+        if feasible_idx:
+            objs = [evals[i].objectives() for i in feasible_idx]
+            fronts = non_dominated_sort(objs)
+            worst_front = len(fronts)
+            for front_rank, front in enumerate(fronts):
+                dist = crowding_distance(objs, front)
+                for local in front:
+                    global_idx = feasible_idx[local]
+                    ranks[global_idx] = front_rank
+                    crowd[global_idx] = dist[local]
+        else:
+            worst_front = 0
+        for i in infeasible_idx:
+            ranks[i] = worst_front + 1
+            crowd[i] = -evals[i].violation
+        return ranks, crowd
+
+    def _environmental_selection(self, genomes, evals):
+        ranks, crowd = self._rank(evals)
+        order = sorted(range(len(genomes)), key=lambda i: (ranks[i], -crowd[i]))
+        chosen = order[: self.population_size]
+        return [genomes[i] for i in chosen], [evals[i] for i in chosen]

@@ -127,10 +127,36 @@ class TestService:
             assert "\n" not in message and needle in message
         assert len(client.jobs()) == before
 
-    def test_result_of_unfinished_job_conflicts(self, client):
+    def test_bad_dse_sizes_refused_at_submit(self, client):
+        """NSGA2's own size checks run at submit: a population or
+        generation count it cannot run is a one-line 400, never a job
+        that fails when run or a size silently truncated."""
+        before = len(client.jobs())
+        requests = (
+            {"population_size": 3},
+            {"population_size": -4},
+            {"population_size": 4.5},
+            {"population_size": True},
+            {"generations": 0},
+            {"generations": 2.0},
+            {"seed": "5"},
+        )
+        for request in requests:
+            with pytest.raises(ServeError) as excinfo:
+                client.submit("dse", dict(request, tech="90nm"))
+            assert excinfo.value.status == 400
+            message = str(excinfo.value)
+            assert "\n" not in message and repr(next(iter(request.values()))) in message
+        assert len(client.jobs()) == before
+
+    def test_result_of_unfinished_job_conflicts(self, client, live_server, monkeypatch):
         # A failed job: /result answers 409 with the error, not 200.
-        # An odd population parses at submit but fails when run.
-        job = client.submit("dse", {"tech": "90nm", "population_size": 3})
+        # This kind parses at submit but fails when run.
+        def broken(context, request):
+            raise RuntimeError("fails when run")
+
+        monkeypatch.setitem(live_server.manager.handlers, "broken", broken)
+        job = client.submit("broken", {})
         final = client.wait(job["id"])
         assert final["state"] == "failed"
         with pytest.raises(ServeError) as excinfo:
@@ -172,6 +198,37 @@ class TestStreamedEqualsDirect:
             e for e in api.NSGA2Result.from_dict(streamed).pareto()
         ]
         assert generations[-1]["front_size"] == len(final_front)
+
+    def test_dse_generation_events(self, client):
+        """Each streamed ``generation`` event is what the direct run's
+        hook sees, and the result is the direct run's, byte for byte."""
+        from repro.serve.handlers import _pareto_front
+
+        request = {"tech": "65nm", "population_size": 20, "generations": 5, "seed": 3}
+        events = list(client.stream(client.submit("dse", request)["id"]))
+        streamed = [
+            {k: v for k, v in e.items() if k not in ("seq", "job")}
+            for e in events
+            if e["event"] == "generation"
+        ]
+        direct = []
+
+        def on_generation(generation, evaluations):
+            front = _pareto_front(evaluations)
+            direct.append({
+                "event": "generation",
+                "generation": generation,
+                "front_size": len(front),
+                "feasible": sum(1 for e in evaluations if e.feasible),
+                "pareto": front,
+            })
+
+        model = api.PerformanceModel(api.DesignSpace(get_technology("65nm")))
+        result = api.NSGA2(
+            model=model, population_size=20, generations=5, seed=3, on_generation=on_generation
+        ).run()
+        assert _canon(streamed) == _canon(direct)
+        assert _canon(client.result(events[0]["job"])) == _canon(result.to_dict())
 
     def test_experiments(self, client):
         job = client.submit("experiments", {"names": ["table2", "table3"]})

@@ -80,6 +80,34 @@ class TestRequestValidation:
         with pytest.raises(ConfigurationError, match="sweeps"):
             HANDLERS["characterize"](context, {})
 
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"population_size": 3},
+            {"population_size": -4},
+            {"population_size": 4.5},
+            {"population_size": True},
+            {"generations": 0},
+            {"generations": False},
+            {"seed": 1.5},
+        ],
+    )
+    def test_dse_sizes_checked_at_submit(self, request_):
+        with pytest.raises(ConfigurationError):
+            HANDLERS["dse"].validate(dict(request_, tech="90nm"))
+
+    def test_dse_sizes_match_nsga2(self):
+        """The validator applies NSGA2's own checks: a request it passes
+        constructs, and NSGA2 refuses what it refuses."""
+        from repro.dse import NSGA2
+
+        _tech, kwargs = HANDLERS["dse"].validate({"population_size": 6, "generations": 1})
+        assert kwargs == {"population_size": 6, "generations": 1}
+        NSGA2(model=None, **kwargs)
+        for size in (3, 4.5, True):
+            with pytest.raises(ConfigurationError):
+                NSGA2(model=None, population_size=size)
+
     def test_parallel_must_be_positive(self):
         context, _ = _context()
         with pytest.raises(ConfigurationError, match="parallel"):
