@@ -12,16 +12,35 @@ Irradiance values are W/m^2.  Night-time urban illuminance is on the
 order of 10-100 lux; at roughly 120 lux per W/m^2 for warm lighting the
 corresponding irradiance is ~0.1-1 W/m^2, which is the regime generated
 here.
+
+The generators draw their Gaussians in bulk (:func:`_gaussians`) and
+stay bit-identical to drawing them one ``rng.gauss`` at a time: the same
+values, the same RNG state afterwards and the same number of
+``random()`` calls, so recordings' draw counts do not depend on how a
+trace is built.  numpy does only the correctly rounded arithmetic
+(``+ - * /`` and ``sqrt``); ``log``, ``cos`` and ``sin`` come from
+:mod:`math` per element, because numpy's transcendental ufuncs may
+differ in the last bit between CPUs.  ``tests/oracles/traces.py`` holds
+the per-sample loops the generators must reproduce.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
+
+import numpy as np
 
 from repro.errors import ConfigurationError
+
+#: Samples drawn per bulk step: bounds the scratch arrays a long trace
+#: needs (a 36,000-sample trace would otherwise hold all its uniforms,
+#: logs and angles at once).
+_CHUNK = 2048
+_TWOPI = 2.0 * math.pi
 
 
 @dataclass
@@ -62,6 +81,62 @@ class IrradianceTrace:
         return IrradianceTrace(self.dt, [v * factor for v in self.values])
 
 
+def _steps(duration: float, dt: float) -> int:
+    """Sample count of a ``duration`` s trace at ``dt``, refusing what
+    cannot be a trace: a non-positive or non-finite ``dt``, a non-finite
+    ``duration``, or more samples than a list can index."""
+    if not 0 < dt < math.inf:
+        raise ConfigurationError(f"trace dt must be positive and finite (got {dt!r})")
+    if not math.isfinite(duration):
+        raise ConfigurationError(f"trace duration must be finite (got {duration!r})")
+    ratio = duration / dt
+    if not ratio < sys.maxsize:
+        raise ConfigurationError(
+            f"a {duration!r} s trace at dt={dt!r} has too many samples to index"
+        )
+    return max(1, int(round(ratio)))
+
+
+def _gaussians(rng: random.Random, n: int, mu: float, sigma: float) -> np.ndarray:
+    """``[rng.gauss(mu, sigma) for _ in range(n)]``, bit for bit, drawn in bulk.
+
+    Follows ``random.Random.gauss`` exactly: a ``gauss_next`` left by an
+    earlier call is used first, each pair of ``rng.random()`` uniforms
+    gives ``cos`` and ``sin`` Box-Muller deviates, and an odd count
+    leaves the pair's ``sin`` half in ``gauss_next``.  The uniforms come
+    from ``rng.random()`` itself, so a counting subclass counts them.
+    """
+    out = np.empty(n)
+    if n == 0:
+        return out
+    first = 0
+    z = rng.gauss_next
+    if z is not None:
+        rng.gauss_next = None
+        out[0] = z
+        first = 1
+    left = n - first
+    pairs = (left + 1) // 2
+    if pairs:
+        rand = rng.random
+        u = np.fromiter([rand() for _ in range(2 * pairs)], float, 2 * pairs)
+        x2pi = (u[0::2] * _TWOPI).tolist()
+        logs = np.fromiter(map(math.log, (1.0 - u[1::2]).tolist()), float, pairs)
+        g2rad = np.sqrt(-2.0 * logs)
+        sines = np.fromiter(map(math.sin, x2pi), float, pairs) * g2rad
+        out[first::2] = np.fromiter(map(math.cos, x2pi), float, pairs) * g2rad
+        out[first + 1::2] = sines[: left // 2]
+        if left % 2:
+            rng.gauss_next = float(sines[-1])
+    return mu + out * sigma
+
+
+def _chunks(steps: int):
+    """``(start, stop)`` bounds of the bulk steps over ``steps`` samples."""
+    for start in range(0, steps, _CHUNK):
+        yield start, min(start + _CHUNK, steps)
+
+
 def constant_trace(
     irradiance: float,
     duration: float,
@@ -77,10 +152,7 @@ def constant_trace(
     component, so neither changes the values (zero draws).
     """
     del seed, rng  # no stochastic component
-    if not math.isfinite(duration):
-        raise ConfigurationError(f"trace duration must be finite (got {duration!r})")
-    steps = max(1, int(round(duration / dt)))
-    return IrradianceTrace(dt, [irradiance] * steps)
+    return IrradianceTrace(dt, [irradiance] * _steps(duration, dt))
 
 
 def nyc_pedestrian_night(
@@ -111,16 +183,22 @@ def nyc_pedestrian_night(
     consumption site); it must be positioned where ``Random(seed)``
     would start for the trace to match.
     """
+    steps = _steps(duration, dt)
     rng = rng if rng is not None else random.Random(seed)
-    steps = max(1, int(round(duration / dt)))
     base = base_irradiance
-    values = [0.0] * steps
+    lo, hi = 0.2 * base_irradiance, 3.0 * base_irradiance
+    values: List[float] = []
+    append = values.append
 
-    # Ambient random walk.
-    for i in range(steps):
-        base += rng.gauss(0.0, 0.01) * math.sqrt(dt)
-        base = min(max(base, 0.2 * base_irradiance), 3.0 * base_irradiance)
-        values[i] = base
+    # Ambient random walk, clamped as min(max(base, lo), hi).
+    for start, stop in _chunks(steps):
+        for step in (_gaussians(rng, stop - start, 0.0, 0.01) * math.sqrt(dt)).tolist():
+            base += step
+            if lo > base:
+                base = lo
+            if hi < base:
+                base = hi
+            append(base)
 
     # Light-pool passes.
     t = 0.0
@@ -132,12 +210,9 @@ def nyc_pedestrian_night(
         width = rng.uniform(2.0, 6.0)  # seconds in the light pool
         start = int(t / dt)
         span = max(1, int(width / dt))
-        for k in range(span):
-            idx = start + k
-            if idx >= steps:
-                break
-            phase = k / span
-            values[idx] += peak * 0.5 * (1.0 - math.cos(2 * math.pi * phase))
+        half = peak * 0.5
+        for k in range(min(span, steps - start)):
+            values[start + k] += half * (1.0 - math.cos(_TWOPI * (k / span)))
 
     # Shadow dropouts.
     t = 0.0
@@ -147,11 +222,8 @@ def nyc_pedestrian_night(
             break
         width = rng.uniform(1.0, 3.0)
         start = int(t / dt)
-        for k in range(max(1, int(width / dt))):
-            idx = start + k
-            if idx >= steps:
-                break
-            values[idx] *= 0.1
+        stop = min(start + max(1, int(width / dt)), steps)
+        values[start:stop] = [v * 0.1 for v in values[start:stop]]
 
     return IrradianceTrace(dt, values)
 
@@ -173,20 +245,30 @@ def diurnal_trace(
     """
     if not 0 <= sunrise < sunset <= duration:
         raise ConfigurationError("sunrise/sunset must order within the day")
+    steps = _steps(duration, dt)
     rng = rng if rng is not None else random.Random(seed)
-    steps = max(1, int(round(duration / dt)))
-    values = []
+    values: List[float] = []
     cloud = 1.0
-    for i in range(steps):
-        t = i * dt
-        if sunrise <= t <= sunset:
-            phase = (t - sunrise) / (sunset - sunrise)
-            sun = peak_irradiance * math.sin(math.pi * phase)
-        else:
-            sun = 0.0
-        cloud += rng.gauss(0.0, 0.05)
-        cloud = min(1.0, max(1.0 - cloud_depth, cloud))
-        values.append(max(0.0, sun * cloud))
+    lo = 1.0 - cloud_depth
+    for start, stop in _chunks(steps):
+        t = np.arange(start, stop) * dt
+        day = (sunrise <= t) & (t <= sunset)
+        phase = (t[day] - sunrise) / (sunset - sunrise)
+        arc = np.fromiter(map(math.sin, (math.pi * phase).tolist()), float, len(phase))
+        sun = np.zeros(stop - start)
+        sun[day] = peak_irradiance * arc
+        # Cloud walk, clamped as min(1.0, max(lo, cloud)).
+        clouds = []
+        for step in _gaussians(rng, stop - start, 0.0, 0.05).tolist():
+            cloud += step
+            if not cloud > lo:
+                cloud = lo
+            if not cloud < 1.0:
+                cloud = 1.0
+            clouds.append(cloud)
+        lit = sun * np.array(clouds)
+        # max(0.0, lit), which np.maximum is not: it can return -0.0.
+        values += np.where(lit > 0.0, lit, 0.0).tolist()
     return IrradianceTrace(dt, values)
 
 
@@ -206,17 +288,19 @@ def rfid_reader_trace(
     only the on/off envelope matters to the system dynamics.  Dwell and
     gap lengths are exponential with the given means.
     """
+    steps = _steps(duration, dt)
+    if not (0 < dwell_mean < math.inf and 0 < gap_mean < math.inf):
+        raise ConfigurationError(
+            f"dwell and gap means must be positive and finite (got {dwell_mean!r}, {gap_mean!r})"
+        )
     rng = rng if rng is not None else random.Random(seed)
-    steps = max(1, int(round(duration / dt)))
     values = [0.0] * steps
     t = rng.expovariate(1.0 / gap_mean)
     while t < duration:
         dwell = rng.expovariate(1.0 / dwell_mean)
         start = int(t / dt)
-        for k in range(max(1, int(dwell / dt))):
-            if start + k >= steps:
-                break
-            values[start + k] = field_irradiance
+        stop = min(start + max(1, int(dwell / dt)), steps)
+        values[start:stop] = [field_irradiance] * (stop - start)
         t += dwell + rng.expovariate(1.0 / gap_mean)
     return IrradianceTrace(dt, values)
 
@@ -237,12 +321,12 @@ def thermal_gradient_trace(
     the intermittent duty cycle qualitatively: long steady charging,
     regular bursts.
     """
+    steps = _steps(duration, dt)
     rng = rng if rng is not None else random.Random(seed)
-    steps = max(1, int(round(duration / dt)))
-    values = []
-    for i in range(steps):
-        t = i * dt
-        drift = 0.3 * math.sin(2 * math.pi * t / drift_period)
-        wobble = rng.gauss(0.0, noise)
-        values.append(max(0.05, base_irradiance * (1.0 + drift) + wobble))
+    values: List[float] = []
+    for start, stop in _chunks(steps):
+        angle = (_TWOPI * (np.arange(start, stop) * dt)) / drift_period
+        drift = 0.3 * np.fromiter(map(math.sin, angle.tolist()), float, stop - start)
+        level = base_irradiance * (1.0 + drift) + _gaussians(rng, stop - start, 0.0, noise)
+        values += np.where(level > 0.05, level, 0.05).tolist()
     return IrradianceTrace(dt, values)
