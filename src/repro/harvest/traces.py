@@ -76,9 +76,16 @@ class IrradianceTrace:
         return max(self.values) if self.values else 0.0
 
     def scaled(self, factor: float) -> "IrradianceTrace":
+        """This trace times ``factor``.  Scaling a valid trace by a finite
+        non-negative factor can only break it by overflow, and only at
+        its peak, so the copy is not validated sample by sample again."""
         if not 0 <= factor < math.inf:
             raise ConfigurationError(f"scale factor must be non-negative and finite (got {factor!r})")
-        return IrradianceTrace(self.dt, [v * factor for v in self.values])
+        if factor > 1 and not self.peak() * factor < math.inf:
+            raise ConfigurationError(f"irradiance must be finite (got {math.inf!r})")
+        trace = object.__new__(IrradianceTrace)
+        trace.dt, trace.values = self.dt, [v * factor for v in self.values]
+        return trace
 
 
 def _steps(duration: float, dt: float) -> int:

@@ -28,6 +28,17 @@ survives as the test oracle ``tests/oracles/riscv.py``):
   the register file before every exit: the loop exit, the budget exit,
   each slow-path call and the store-into-code exit.  A loop block holds
   no CSR, system or FS instruction, so it never changes interrupt state.
+* **Counted loop blocks.**  When every load/store base of a loop block
+  changes only through one ``addi rB, rB, c`` per pass (or not at all),
+  its entry proves once how many passes keep every access inside RAM,
+  aligned and off code pages, and runs them with bare RAM indexing,
+  marking the pages their stores dirty (and no page a stride of a page
+  or more skips).  When the closing branch compares such a register
+  with ``x0`` or a loop-invariant register, the entry also takes the
+  trip count, the proven passes run with no per-pass test, and the
+  stepping registers nothing else reads are written back once as
+  ``r0 + P*c``.  Passes past the proven range, and every loop with a
+  non-affine access, run the checked loop in the same function.
 * **RAM fast path.**  Loads and stores are inlined against the RAM
   region's bounds and hit the backing ``bytearray`` directly; on a
   little-endian host aligned ``lw``/``sw`` index a word view of it
@@ -88,7 +99,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import CPUError, IllegalInstructionError
 from repro.riscv import csr as csrdef
 from repro.riscv.encoding import Decoded, decode, to_s32, to_u32
-from repro.riscv.memory import PAGE_SHIFT
+from repro.riscv.memory import PAGE_SHIFT, PAGE_SIZE
 
 #: Engine id riscv recordings carry in their header and config.
 ENGINE_ID = "fast"
@@ -185,10 +196,41 @@ def _word_view(ram: bytearray) -> memoryview:
     return memoryview(ram).cast("I")
 
 
+# ----------------------------------------------------------------------
+# Counted loop blocks
+# ----------------------------------------------------------------------
+def _trip(name: str, left: int, x: int, c: int, k: int) -> Tuple[int, int]:
+    """``(T, L)`` for a closing ``beq`` or ordered branch that compares
+    a register starting at ``x`` and stepping ``c`` (nonzero) each pass,
+    the left operand when ``left``, with a loop-invariant ``k``: the
+    first pass that falls through (0 when unproven) and how many passes
+    are proven to branch back or fall through.  (``bne`` is solved
+    inline: see :func:`_counted`.)"""
+    if name == "beq":
+        t = 2 if (k - x - c) & _M32 == 0 else 1
+        return t, t
+    if name in ("blt", "bge"):  # signed order is unsigned order biased by 2**31
+        x, k = x ^ _SIGN32, k ^ _SIGN32
+    # Taken while the register lies in [lo, hi].
+    if name in ("blt", "bltu"):
+        lo, hi = (0, k - 1) if left else (k + 1, _M32)
+    else:
+        lo, hi = (k, _M32) if left else (0, k)
+    # Passes before the register wraps; the order is monotone inside them.
+    wrap = (_M32 - x) // c if c > 0 else x // -c
+    if not wrap:
+        return 0, 0
+    if not lo <= x + c <= hi:
+        return 1, 1
+    t = (hi - x) // c + 1 if c > 0 else (x - lo) // -c + 1
+    return (t, t) if t <= wrap else (0, wrap)
+
+
 #: Everything generated source can name besides its bound arguments.
 _GEN_GLOBALS = {
     "__builtins__": {},
     "range": range,
+    "_trip": _trip,
     "_load": _load,
     "_store": _store,
     "_word_view": _word_view,
@@ -233,20 +275,21 @@ _ALU = {
     **{op: "{d} = _%s({a}, {b})" % op for op in _MULDIV_OPS},
 }
 
-#: Load mnemonic -> (width, alignment test, fast-path value, sign bit).
+#: Load mnemonic -> (width, alignment test, fast-path value at RAM
+#: offset ``{o}``, sign bit).
 _LOADS = {
-    "lw": (4, " and not a & 3", "_u32(ram, o)[0]", 0),
-    "lh": (2, " and not a & 1", "((_u16(ram, o)[0] ^ 0x8000) - 0x8000) & 0xFFFFFFFF", 0x8000),
-    "lhu": (2, " and not a & 1", "_u16(ram, o)[0]", 0),
-    "lb": (1, "", "((ram[o] ^ 0x80) - 0x80) & 0xFFFFFFFF", 0x80),
-    "lbu": (1, "", "ram[o]", 0),
+    "lw": (4, " and not a & 3", "_u32(ram, {o})[0]", 0),
+    "lh": (2, " and not a & 1", "((_u16(ram, {o})[0] ^ 0x8000) - 0x8000) & 0xFFFFFFFF", 0x8000),
+    "lhu": (2, " and not a & 1", "_u16(ram, {o})[0]", 0),
+    "lb": (1, "", "((ram[{o}] ^ 0x80) - 0x80) & 0xFFFFFFFF", 0x80),
+    "lbu": (1, "", "ram[{o}]", 0),
 }
 
 #: Store mnemonic -> (width, alignment test, fast-path write).
 _STORES = {
-    "sw": (4, " and not a & 3", "_p32(ram, o, {b})"),
-    "sh": (2, " and not a & 1", "_p16(ram, o, {b} & 0xFFFF)"),
-    "sb": (1, "", "ram[o] = {b} & 0xFF"),
+    "sw": (4, " and not a & 3", "_p32(ram, {o}, {b})"),
+    "sh": (2, " and not a & 1", "_p16(ram, {o}, {b} & 0xFFFF)"),
+    "sb": (1, "", "ram[{o}] = {b} & 0xFF"),
 }
 
 #: Whether aligned ``lw``/``sw`` index the word view ``w`` (RAM cast to
@@ -256,8 +299,8 @@ _STORES = {
 _WORD_VIEW = sys.byteorder == "little" and struct.calcsize("I") == 4
 
 #: The word-view forms of ``lw``'s value and ``sw``'s write.
-_VIEW_LW = "w[o >> 2]"
-_VIEW_SW = "w[o >> 2] = {b}"
+_VIEW_LW = "w[{o} >> 2]"
+_VIEW_SW = "w[{o} >> 2] = {b}"
 
 _BRANCHES = {
     "beq": "{a} == {b}",
@@ -283,6 +326,179 @@ _CLOSURE_TERMS = frozenset(
 _TERMINATORS = _CLOSURE_TERMS | {"jal", "jalr"} | set(_BRANCHES)
 
 
+def _alu_line(d: Decoded, at: int, reg: Callable[[int], str]) -> str:
+    """The line of ALU op ``d`` at ``at``; ``reg`` names a register."""
+    a = reg(d.rs1) if d.rs1 else "0"
+    b = reg(d.rs2) if d.rs2 else "0"
+    imm = d.imm
+    return _ALU[d.mnemonic].format(
+        d=reg(d.rd), a=a, b=b, imm=imm, uimm=imm & _M32, sh=imm & 31, rel=(at + imm) & _M32,
+    )
+
+
+def _counted(pc: int, insns: List[Decoded], base: int, size: int, view: bool, sync: List[str]) -> List[str]:
+    """The counted form of a loop block, run before its checked loop:
+    the ``P`` passes proven on entry to keep every access inside RAM,
+    aligned and off code pages, with bare accesses and, when the
+    closing branch has a trip count, no per-pass test.  The checked
+    loop then starts at pass ``P``.  Empty when some access is not
+    affine in the pass number (its base changes other than through
+    one ``addi rB, rB, c`` per pass) or there is nothing to hoist."""
+    n = len(insns)
+    last = insns[-1]
+    nxt = (pc + 4 * n) & _M32
+    writes: Dict[int, List[int]] = {}
+    for k, d in enumerate(insns):
+        if d.rd and (d.mnemonic in _ALU or d.mnemonic in _LOADS):
+            writes.setdefault(d.rd, []).append(k)
+    # Register -> per-pass step (0: never written); ``bump``: its addi.
+    step = {i: 0 for i in range(32) if i not in writes}
+    bump = {}
+    for i, (k, *more) in writes.items():
+        if not more and insns[k].mnemonic == "addi" and insns[k].rs1 == i:
+            step[i], bump[i] = insns[k].imm, k
+    mems = [(k, d) for k, d in enumerate(insns) if d.mnemonic in _LOADS or d.mnemonic in _STORES]
+    width = {k: (_LOADS.get(d.mnemonic) or _STORES[d.mnemonic])[0] for k, d in mems}
+    if any(step.get(d.rs1) is None or step[d.rs1] % width[k] for k, d in mems):
+        return []
+    # The closing branch's stepping register, its invariant operand and
+    # whether it is the left operand.
+    trip = next(
+        ((r, o, int(r == last.rs1)) for r, o in ((last.rs1, last.rs2), (last.rs2, last.rs1))
+         if step.get(r) and step.get(o) == 0),
+        None,
+    )
+    if not mems and trip is None:
+        return []
+    reads = {last.rs1, last.rs2} - {trip[0] if trip else 0}
+    for k, d in enumerate(insns):
+        if d.mnemonic in _ALU and bump.get(d.rd) != k:
+            reads |= {d.rs1, d.rs2}
+        elif d.mnemonic in _STORES:
+            reads.add(d.rs2)
+    # Stepping registers only addressing and the trip count read are
+    # not stepped per pass: they are written back as r0 + P*c.
+    elided = [i for i in sorted(bump) if step[i] and i not in reads]
+    offset = {k: d.imm + (step[d.rs1] if bump.get(d.rs1, n) < k else 0) for k, d in mems}
+    strided = [d.rs1 for k, d in mems if step[d.rs1]]
+    drive = strided[0] if strided else None
+    words = view and drive is not None and all(
+        d.mnemonic in ("lw", "sw") and not offset[k] & 3 for k, d in mems if d.rs1 == drive
+    )
+    reg = "x{}".format
+
+    def value(i: int) -> str:
+        return reg(i) if i else "0"
+
+    # The entry proof: P, the passes the budget, every access and the
+    # trip count allow, then the store pages those passes dirty.
+    out = [f"P = left // {n}"]
+    spans: Dict[Tuple[int, int, int], int] = {}
+    for k, d in mems:
+        key = (d.rs1, offset[k], width[k])
+        spans[key] = spans.get(key, 0) | (d.mnemonic in _STORES)
+    checks: List[str] = []
+    stored: List[Tuple[str, int]] = []
+    for j, ((b, e, w), store) in enumerate(spans.items()):
+        o, c, top = f"s{j}", step[b], size - w
+        at = value(b) + (f" + {e}" if e else "")
+        out += [f"{o} = {value(b)} - {base - e}", f"if {f'{at} & {w - 1} or ' if w > 1 else ''}not 0 <= {o} <= {top}:", "    P = 0"]
+        if c:
+            room = f"({top} - {o}) // {c}" if c > 0 else f"{o} // {-c}"
+            out += [f"elif P > {room}:", f"    P = {room} + 1"]
+        if not store:
+            continue
+        stored.append((o, c))
+        # The pages of the first and the last of the P passes.
+        first, end = f"({o} >> {PAGE_SHIFT})", f"({o} + P * {c} - {c} >> {PAGE_SHIFT})"
+        if c > 0:
+            checks += [f"q = code.find(1, {first}, {end} + 1)", "if q >= 0:",
+                       f"    P = ((q << {PAGE_SHIFT}) - {o} + {c - 1}) // {c} if q > {first} else 0"]
+        elif c < 0:
+            checks += [f"q = code.rfind(1, {end}, {first} + 1)", "if q >= 0:",
+                       f"    P = ({o} - (q + 1 << {PAGE_SHIFT})) // {-c} + 1 if q < {first} else 0"]
+        else:
+            checks += [f"if code[{first}]:", "    P = 0"]
+
+    def mark(count: str) -> List[str]:
+        """Mark the pages the stores of the first ``count`` passes dirtied."""
+        lines = []
+        for o, c in stored:
+            first, end = f"({o} >> {PAGE_SHIFT})", f"({o} + {count} * {c} - {c} >> {PAGE_SHIFT})"
+            if -PAGE_SIZE < c < PAGE_SIZE:
+                lo, hi = (first, "h") if c >= 0 else ("h", first)
+                lines += [f"h = {end}", f"dirty[{lo}:{hi} + 1] = b'\\x01' * ({hi} - {lo} + 1)"]
+            else:  # a stride of a page or more skips pages
+                lines += [f"for k in range({count}):", f"    dirty[{o} + k * {c} >> {PAGE_SHIFT}] = 1"]
+        return lines
+
+    if trip:
+        r, o, left = trip
+        c = step[r]
+        if last.mnemonic == "bne":
+            # The first m >= 1 with m * c == k - x (mod 2**32).
+            g = c & -c
+            mod = (1 << 32) // g
+            inv = pow(c // g, -1, mod)
+            if g == 1:
+                out.append(f"T = ({value(o)} - x{r}) * {inv} & 0xFFFFFFFF or {mod}")
+            else:
+                out.append(f"T = ({value(o)} - x{r}) & 0xFFFFFFFF")
+                out.append(f"T = 0 if T % {g} else T // {g} * {inv} % {mod} or {mod}")
+            out += ["if 0 < T < P:", "    P = T"]
+        else:
+            out += [f"T, L = _trip({last.mnemonic!r}, {left}, x{r}, {c}, {value(o)})", "if L < P:", "    P = L"]
+    if checks:
+        out += ["if P:"] + ["    " + line for line in checks]
+    out.append("if P:")
+    others = sorted({d.rs1 for k, d in mems} - {drive})
+    out += [f"    u{b} = {value(b)} - {base}" for b in others]
+    if drive is None:
+        out.append("    for j in range(P):")
+        done = "j + 1"
+    else:
+        s = step[drive] >> 2 if words else step[drive]
+        out.append(f"    v0 = (x{drive} - {base}) >> 2" if words else f"    v0 = x{drive} - {base}")
+        out.append(f"    for v in range(v0, v0 + P * {s}, {s}):")
+        done = f"(v - v0) // {s} + 1"
+    body = []
+    for k, d in enumerate(insns):
+        name = d.mnemonic
+        if name in _ALU and d.rd and d.rd not in elided:
+            body.append(_alu_line(d, pc + 4 * k, reg))
+        elif name in _LOADS or name in _STORES:
+            e = offset[k]
+            if d.rs1 == drive and words:
+                where = f"v + {e >> 2}" if e else "v"
+                template = "w[{o}]" if name == "lw" else "w[{o}] = {b}"
+            else:
+                where = ("v" if d.rs1 == drive else f"u{d.rs1}") + (f" + {e}" if e else "")
+                if name in _LOADS:
+                    template = _VIEW_LW if view and name == "lw" else _LOADS[name][2]
+                else:
+                    template = _VIEW_SW if view and name == "sw" else _STORES[name][2]
+            access = template.format(o=where, b=value(d.rs2))
+            if name in _STORES:
+                body.append(access)
+            elif d.rd:
+                body.append(f"{reg(d.rd)} = {access}")
+        elif name in _BRANCHES and not trip:
+            body.append(f"if not ({_BRANCHES[name].format(a=value(d.rs1), b=value(d.rs2))}):")
+            body.append(f"    m = {done}")
+            body += ["    " + line for line in mark("m")]
+            body += [f"    x{i} = (x{i} + m * {step[i]}) & 0xFFFFFFFF" for i in elided]
+            body += ["    " + line for line in sync]
+            body += [f"    cpu.pc = {nxt}", f"    return m * {n}"]
+    body += [f"u{b} += {step[b]}" for b in others if step[b]]
+    out += ["        " + line for line in body or ["pass"]]
+    out += ["    " + line for line in mark("P")]
+    out += [f"    x{i} = (x{i} + P * {step[i]}) & 0xFFFFFFFF" for i in elided]
+    if trip:
+        out += ["    if P == T:"] + ["        " + line for line in sync]
+        out += [f"        cpu.pc = {nxt}", f"        return P * {n}"]
+    return out
+
+
 def _block_source(pc: int, insns: List[Decoded], base: int, size: int) -> str:
     """The source of ``make(r, ram, cpu, mem, dirty, code)``, which
     returns the block function ``block(left)`` for ``insns`` decoded
@@ -291,9 +507,10 @@ def _block_source(pc: int, insns: List[Decoded], base: int, size: int) -> str:
 
     A block whose last instruction branches back to ``pc`` is a loop
     block: it loads every register its instructions name into a local
-    ``x<i>`` once, runs whole passes while another fits in ``left``,
-    and writes the registers it changed back to ``r`` before every
-    exit.  Its slow paths report the slots of every completed pass."""
+    ``x<i>`` once, runs whole passes while another fits in ``left``
+    (the counted passes of :func:`_counted` first), and writes the
+    registers it changed back to ``r`` before every exit.  Its slow
+    paths report the slots of every completed pass."""
     n = len(insns)
     last = insns[-1]
     loop = last.mnemonic in _BRANCHES and (pc + 4 * (n - 1) + last.imm) & _M32 == pc
@@ -331,10 +548,7 @@ def _block_source(pc: int, insns: List[Decoded], base: int, size: int) -> str:
         nxt = (at + 4) & _M32
         if name in _ALU:
             if rd:
-                emit(_ALU[name].format(
-                    d=reg(rd), a=a, b=b, imm=imm, uimm=imm & _M32, sh=imm & 31,
-                    rel=(at + imm) & _M32,
-                ))
+                emit(_alu_line(d, at, reg))
         elif name in _LOADS:
             width, aligned, value, sign = _LOADS[name]
             if view and name == "lw":
@@ -342,7 +556,7 @@ def _block_source(pc: int, insns: List[Decoded], base: int, size: int) -> str:
             emit(f"a = ({a} + {imm}) & 0xFFFFFFFF" if imm else f"a = {a}")
             emit(f"o = a - {base}")
             emit(f"if 0 <= o <= {size - width}{aligned}:")
-            emit(f"{reg(rd)} = {value}" if rd else "pass", 1)
+            emit(f"{reg(rd)} = {value.format(o='o')}" if rd else "pass", 1)
             emit("else:")
             leave(f"_load(cpu, a, {width}, {rd}, {sign}, {at}, {slots(k)})", 1)
         elif name in _STORES:
@@ -352,7 +566,7 @@ def _block_source(pc: int, insns: List[Decoded], base: int, size: int) -> str:
             emit(f"a = ({a} + {imm}) & 0xFFFFFFFF" if imm else f"a = {a}")
             emit(f"o = a - {base}")
             emit(f"if 0 <= o <= {size - width}{aligned}:")
-            emit(write.format(b=b), 1)
+            emit(write.format(o="o", b=b), 1)
             emit(f"p = o >> {PAGE_SHIFT}", 1)
             emit("dirty[p] = 1", 1)
             emit("if code[p]:", 1)
@@ -393,7 +607,9 @@ def _block_source(pc: int, insns: List[Decoded], base: int, size: int) -> str:
     lines.append("    def block(left):")
     if loop:
         lines += [f"        x{i} = r[{i}]" for i in touched]
-        lines.append(f"        for i in range(0, left - {n - 1}, {n}):")
+        counted = _counted(pc, insns, base, size, view, sync)
+        lines += ["        " + line for line in counted]
+        lines.append(f"        for i in range({f'P * {n}' if counted else 0}, left - {n - 1}, {n}):")
         lines += ["            " + line for line in body]
         lines += ["        " + line for line in sync]
         lines += [f"        cpu.pc = {pc}", f"        return left - left % {n}"]

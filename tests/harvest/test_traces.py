@@ -68,6 +68,18 @@ class TestContainer:
         t = IrradianceTrace(1.0, [1.0, 2.0]).scaled(2.0)
         assert t.values == [2.0, 4.0]
 
+    def test_scale_overflowing_to_inf_rejected(self):
+        trace = IrradianceTrace(1.0, [1.0, 1e300, 2.0])
+        with pytest.raises(ConfigurationError, match=r"^irradiance must be finite \(got inf\)$"):
+            trace.scaled(1e10)
+
+    @pytest.mark.parametrize("factor", [0.0, 5e-324, 0.37, 1.0, 1.5, 3e7])
+    def test_scaled_matches_a_validated_copy(self, factor):
+        trace = nyc_pedestrian_night(duration=60.0, seed=3)
+        scaled = trace.scaled(factor)
+        assert scaled == IrradianceTrace(trace.dt, [v * factor for v in trace.values])
+        assert IrradianceTrace(1.0, []).scaled(factor).values == []
+
     def test_stats(self):
         t = IrradianceTrace(1.0, [1.0, 3.0])
         assert t.mean() == 2.0

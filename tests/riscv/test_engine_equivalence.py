@@ -11,9 +11,12 @@ and — across power failures on the intermittent machine — the entire
 lockstep contract tests compare state after every ``run()`` call: budget
 splits, mid-block faults, MCYCLE reads, interrupt boundaries, stores
 into the running block, every exit of a loop block that iterates in
-place, and the paths the engine cannot compile from RAM (illegal words,
-NVM code, unmapped and misaligned fetches).  They run twice: on the
-host's templates and on the ``struct`` templates a big-endian host uses.
+place, the counted passes of a loop block whose accesses step through
+memory and every way out of them, and the paths the engine cannot
+compile from RAM (illegal words, NVM code, unmapped and misaligned
+fetches); after every call RAM and the dirty- and code-page maps are
+compared too.  They run twice: on the host's templates and on the
+``struct`` templates a big-endian host uses.
 """
 
 import copy
@@ -33,6 +36,8 @@ from repro.riscv import (
     ComparatorDevice,
     FastEngine,
     NVM_BASE,
+    RAM_BASE,
+    RAM_SIZE,
     IntermittentMachine,
     MemoryMap,
     assemble,
@@ -41,6 +46,7 @@ from repro.riscv import (
 from repro.riscv.csr import CAUSE_ILLEGAL_INSTRUCTION, CAUSE_MACHINE_EXTERNAL
 from repro.riscv.encoding import decode
 from repro.riscv.fs_device import FSDevice
+from repro.riscv.memory import PAGE_SHIFT
 from repro.runtimes.policies import AdaptiveTimerPolicy, ContinuousPolicy
 from repro.trace import Recording, TraceRecorder, replay
 from repro.trace.format import canonical_json
@@ -380,13 +386,33 @@ def _lockstep_pair(program, fs_devices=(None, None)):
     return pair
 
 
+def _memory_alike(pair):
+    """RAM and the dirty-page map match the oracle's byte for byte, and
+    the fast engine's code-page map marks exactly the pages of the
+    blocks it holds bound (the step oracle compiles nothing, so its map
+    stays clear)."""
+    (cpu_f, fast), (cpu_s, _) = pair
+    mem_f, mem_s = cpu_f.memory, cpu_s.memory
+    assert mem_f.ram.data == mem_s.ram.data
+    assert mem_f.dirty_pages == mem_s.dirty_pages
+    bound = [(pc, slots) for pc, (_, _, slots) in fast._blocks.items()] + list(fast._prefixes)
+    expected = bytearray(len(mem_f.code_pages))
+    for pc, slots in bound:
+        first = (pc - RAM_BASE) >> PAGE_SHIFT
+        last = (pc + 4 * slots - 1 - RAM_BASE) >> PAGE_SHIFT
+        expected[first : last + 1] = b"\x01" * (last - first + 1)
+    assert mem_f.code_pages == expected
+    assert not any(mem_s.code_pages)
+
+
 def _call_both(pair, budget):
     """One ``run(budget)`` on each side; both must consume the same
-    slots and leave the same architectural state."""
+    slots and leave the same architectural state and memory."""
     (cpu_f, fast), (cpu_s, step) = pair
     consumed = fast.run(budget)
     assert consumed == step.run(budget)
     assert arch_state(cpu_f) == arch_state(cpu_s)
+    _memory_alike(pair)
     return consumed
 
 
@@ -400,6 +426,7 @@ def _faults_alike(pair, budget):
     assert messages[0] == messages[1]
     (cpu_f, _), (cpu_s, _) = pair
     assert arch_state(cpu_f) == arch_state(cpu_s)
+    _memory_alike(pair)
 
 
 class TestBudgetSplits:
@@ -619,21 +646,33 @@ class TestStoreIntoRunningBlock:
             assert cpu.exit_code == 300
 
 
-def _run_to_fault(pair, budget):
-    """``run(budget)`` on both sides in lockstep until both fault alike."""
+def _lockstep_until(pair, budget, slots=10**9):
+    """``run(budget)`` on both sides in lockstep until both halt, both
+    fault alike, or ``slots`` have run; returns the last outcome (slots
+    consumed, or the fault's text)."""
+    total = 0
     while True:
         outcomes = []
         for cpu, driver in pair:
             try:
                 outcomes.append(driver.run(budget))
-            except MemoryAccessError as exc:
-                outcomes.append(str(exc))
+            except CPUError as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
         assert outcomes[0] == outcomes[1]
         (cpu_f, _), (cpu_s, _) = pair
         assert arch_state(cpu_f) == arch_state(cpu_s)
-        if isinstance(outcomes[0], str):
-            return
-        assert outcomes[0], "ran to the end without faulting"
+        _memory_alike(pair)
+        if isinstance(outcomes[0], str) or not outcomes[0]:
+            return outcomes[0]
+        total += outcomes[0]
+        if total >= slots:
+            return outcomes[0]
+
+
+def _run_to_fault(pair, budget):
+    """``run(budget)`` on both sides in lockstep until both fault alike."""
+    outcome = _lockstep_until(pair, budget)
+    assert "MemoryAccessError" in str(outcome), "ran to the end without faulting"
 
 
 def _dispatches(engine):
@@ -773,6 +812,421 @@ class TestLoopBlocks:
         assert cpu_f.memory.console.text() == cpu_s.memory.console.text() == "ABCDE"
         # Every pass ends the loop block at its console byte.
         assert _dispatches(fast) >= 2 * 5
+
+
+def _budgets(n, every=True):
+    """Budgets that split a loop of ``n`` instructions' first, second and
+    a later pass at every offset (or, unless ``every``, at its ends and
+    middle), plus a few long ones."""
+    splits = range(1, 2 * n + 2) if every else sorted({1, 2, n // 2, n - 1, n, n + 1, 2 * n - 1, 2 * n + 1})
+    return [*splits, 3 * n + 2, 97, 1000, 100_000]
+
+
+# The data region the counted-loop programs walk (well above their code).
+DATA = RAM_BASE + 0x2000
+
+
+def random_counted_loop(rng: random.Random) -> str:
+    """A loop block whose accesses step through memory: one to three
+    base registers, each moved by at most one ``addi`` per pass (stride
+    0 included) at a random point of the body, random widths, offsets
+    and starts (some misaligned, some near RAM's ends or the code), and
+    a closing branch on a stepping counter against an invariant
+    register, or on a shifted (non-affine) value."""
+    bases = rng.sample(["t0", "t4", "t5", "a4"], rng.randint(1, 3))
+    starts = [0x100, 0x2000, 0x2001, 0x2002, 0x7F00, RAM_SIZE - 64, RAM_SIZE - 6, 0x1_0000_0000 - RAM_BASE]
+    strides = [0, 1, 2, 3, 4, -4, 8, -8, 6, 256, -260, 512]
+    lines = [f"    li {b}, {(RAM_BASE + rng.choice(starts) + rng.randint(-2, 2) * 4) & 0xFFFFFFFF}" for b in bases]
+    lines += [f"    li s{i}, {rng.randint(0, 1 << 31)}" for i in (2, 3)]
+    counter = rng.choice([0, 1, 2, 5, 37, 0x7FFFFFFE, 0xFFFFFFF0, 0xFFFFFFFF])
+    limit = rng.choice([0, 3, 40, 0x80000000, 0xFFFFFFFF])
+    lines += [f"    li t1, {counter}", f"    li t3, {limit}"]
+    if rng.random() < 0.5:
+        lines.append("    j loop")      # the loop block runs the first pass too
+    lines.append("loop:")
+    body = []
+    for _ in range(rng.randint(1, 5)):
+        base = rng.choice(bases)
+        width = rng.choice(["w", "h", "b"])
+        offset = rng.choice([-8, -4, -2, -1, 0, 0, 1, 2, 4, 8])
+        if rng.random() < 0.5:
+            body.append(f"    l{width}{rng.choice(['', 'u']) if width != 'w' else ''} s4, {offset}({base})")
+            body.append("    add s2, s2, s4")
+        else:
+            body.append(f"    s{width} s{rng.choice([2, 3])}, {offset}({base})")
+        body.append(f"    {rng.choice(['add', 'xor', 'sub'])} s3, s3, s2")
+    for base in bases:
+        stride = rng.choice(strides)
+        if stride:
+            body.insert(rng.randint(0, len(body)), f"    addi {base}, {base}, {stride}")
+    if rng.random() < 0.2:
+        body.append(f"    add s3, s3, {bases[0]}")    # a stepping base read as data
+    if rng.random() < 0.2:
+        body += ["    srli t1, t1, 1", "    bnez t1, loop"]
+    else:
+        body.append(f"    addi t1, t1, {rng.choice([-1, 1, -3, 2, 4])}")
+        branch = rng.choice(["beq", "bne", "blt", "bge", "bltu", "bgeu"])
+        operands = ["t1", rng.choice(["t3", "zero"])]
+        rng.shuffle(operands)
+        body.append(f"    {branch} {operands[0]}, {operands[1]}, loop")
+    lines += body + ["    xor a0, s2, s3", "    ecall"]
+    return "\n".join(lines)
+
+
+class TestCountedLoops:
+    """Loop blocks whose accesses step through memory run the passes
+    proven on entry with no per-access checks (and, given a trip count,
+    no per-pass test), then fall back to the checked loop.  Every exit
+    from that proven range must match the oracle: a pointer leaving
+    RAM, a misaligned or mis-strided access, a store reaching compiled
+    code, MMIO, a counter that never reaches its bound, every closing
+    branch kind, and every budget split."""
+
+    @staticmethod
+    def _run(program, budgets, slots=10**9):
+        outcomes = []
+        for budget in budgets:
+            pair = _lockstep_pair(program)
+            outcomes.append(_lockstep_until(pair, budget, slots))
+        return pair, outcomes
+
+    @pytest.mark.parametrize("start, stride, access", [
+        (RAM_BASE + RAM_SIZE - 16, 4, "sw   s2, 0(t0)"),     # off the top
+        (RAM_BASE + RAM_SIZE - 6, 2, "sh   s2, 2(t0)"),
+        (RAM_BASE + RAM_SIZE - 3, 1, "sb   s2, 0(t0)"),
+        (RAM_BASE + 0x200, -4, "lw   t2, 0(t0)"),         # off the bottom
+        (RAM_BASE + 0x101, -2, "lbu  t2, -1(t0)"),
+    ])
+    def test_pointer_walks_off_ram(self, start, stride, access):
+        program = assemble(f"""
+            li   t0, {start}
+            li   t1, 2000
+            li   s2, 0
+            j    loop
+        loop:
+            lbu  t2, 0(t0)
+            add  s2, s2, t2
+            {access}
+            addi t0, t0, {stride}
+            addi t1, t1, -1
+            bnez t1, loop
+            ecall
+        """)
+        _, outcomes = self._run(program, _budgets(6, every=False))
+        assert all(isinstance(o, str) and "0x" in o for o in outcomes), outcomes
+
+    @pytest.mark.parametrize("offset, stride, access", [
+        (2, 4, "lw   t2, 0(t0)"),     # misaligned base
+        (0, 4, "sw   s2, 2(t0)"),     # misaligned displacement
+        (1, 2, "lh   t2, 0(t0)"),
+        (0, 6, "lw   t2, 0(t0)"),     # stride not a multiple of the width
+        (0, 3, "sh   s2, 0(t0)"),
+        (0, 2, "lw   t2, 0(t0)"),
+    ])
+    def test_misalignment(self, offset, stride, access):
+        # The jump makes the loop block itself run the first pass.
+        program = assemble(f"""
+            li   t0, {DATA + offset}
+            li   t1, 50
+            j    loop
+        loop:
+            addi s2, s2, 7
+            {access}
+            addi t0, t0, {stride}
+            addi t1, t1, -1
+            bnez t1, loop
+            ecall
+        """)
+        _, outcomes = self._run(program, _budgets(5, every=False))
+        assert all(isinstance(o, str) and "misaligned" in o for o in outcomes), outcomes
+
+    @pytest.mark.parametrize("stride", [256, 260, 512, 1024, -256, -300])
+    def test_page_stride_marks_only_pages_stored_to(self, stride):
+        passes = 20
+        start = RAM_BASE + 0x8000
+        program = assemble(f"""
+            li   t0, {start}
+            li   t1, {passes}
+        loop:
+            addi s2, s2, 3
+            sw   s2, 0(t0)
+            addi t0, t0, {stride}
+            addi t1, t1, -1
+            bnez t1, loop
+            mv   a0, s2
+            ecall
+        """)
+        pair, _ = self._run(program, _budgets(5))
+        (cpu, _), _ = pair
+        assert cpu.exit_code == 3 * passes
+        stored = {(start - RAM_BASE + j * stride) >> PAGE_SHIFT for j in range(passes)}
+        dirty = {p for p, bit in enumerate(cpu.memory.dirty_pages) if bit}
+        assert dirty - {0} == stored     # page 0 holds the loaded program
+
+    def test_store_reaches_own_code_page_on_later_pass(self):
+        # The loop sits on page 4; its store walks down from page 6 and
+        # lands on page 4, above the loop's words, from the 66th pass on.
+        program = assemble(f"""
+            li   t0, {RAM_BASE + 0x600}
+            li   t1, 100
+            j    loop
+            .org {RAM_BASE + 0x400}
+        loop:
+            addi s2, s2, 5
+            sw   s2, 0(t0)
+            addi t0, t0, -4
+            addi t1, t1, -1
+            bnez t1, loop
+            mv   a0, s2
+            ecall
+        """)
+        pair, _ = self._run(program, _budgets(5))
+        (cpu, fast), _ = pair
+        assert cpu.exit_code == 500
+        assert cpu.memory.ram_image_version > 1   # the code-page exit ran
+
+    def test_store_walking_up_overwrites_itself(self):
+        # The loop starts page 4; its store walks up from page 3 and on
+        # the 21st pass overwrites the store itself with `addi s4, s4,
+        # 100`, which every later pass runs instead.
+        [patched] = assemble("addi s4, s4, 100")
+        program = assemble(f"""
+            li   t0, {RAM_BASE + 0x400 - 4 * 20}
+            li   t1, {patched}
+            li   t2, 40
+            j    loop
+            .org {RAM_BASE + 0x400}
+        loop:
+            sw   t1, 0(t0)
+            addi t0, t0, 4
+            addi s4, s4, 1
+            addi t2, t2, -1
+            bnez t2, loop
+            mv   a0, s4
+            ecall
+        """)
+        pair, _ = self._run(program, _budgets(5))
+        (cpu, _), _ = pair
+        assert cpu.exit_code == 21 + 19 * 101
+
+    def test_store_walking_down_patches_closing_branch(self):
+        # The loop ends page 4; its store walks down from page 5 and on
+        # the 21st pass replaces the closing branch, later in that very
+        # pass, with `addi s4, s4, 100`: the loop falls through into the
+        # 20 words it patched before, and on to the exit.
+        [patched] = assemble("addi s4, s4, 100")
+        program = assemble(f"""
+            li   t0, {RAM_BASE + 0x4FC + 4 * 20}
+            li   t1, {patched}
+            li   t2, 40
+            j    loop
+            .org {RAM_BASE + 0x4EC}
+        loop:
+            sw   t1, 0(t0)
+            addi t0, t0, -4
+            addi s4, s4, 1
+            addi t2, t2, -1
+            bnez t2, loop
+            .org {RAM_BASE + 0x500 + 4 * 20}
+            mv   a0, s4
+            ecall
+        """)
+        pair, _ = self._run(program, _budgets(5))
+        (cpu, _), _ = pair
+        assert cpu.exit_code == 21 + 100 + 20 * 100
+
+    def test_fixed_store_patches_own_loop(self):
+        # A store to a fixed address, a later slot of its own loop: the
+        # first pass patches it, and the patched word runs on that pass.
+        [patched] = assemble("addi s4, s4, 100")
+        program = assemble(f"""
+            la   t5, slot
+            li   t1, {patched}
+            li   t2, 3
+            j    loop
+        loop:
+            sw   t1, 0(t5)
+        slot:
+            addi s4, s4, 1
+            addi t2, t2, -1
+            bnez t2, loop
+            mv   a0, s4
+            ecall
+        """)
+        pair, _ = self._run(program, _budgets(4))
+        (cpu, _), _ = pair
+        assert cpu.exit_code == 300
+
+    def test_console_pointer(self):
+        program = assemble(f"""
+            li   t6, {MMIO_CONSOLE}
+            li   t0, {DATA}
+            li   t1, 5
+            li   t2, 65
+        loop:
+            sw   t2, 0(t0)
+            sb   t2, 0(t6)
+            addi t2, t2, 1
+            addi t0, t0, 4
+            addi t1, t1, -1
+            bnez t1, loop
+            mv   a0, t2
+            ecall
+        """)
+        pair, _ = self._run(program, _budgets(6))
+        (cpu_f, _), (cpu_s, _) = pair
+        assert cpu_f.exit_code == 70
+        assert cpu_f.memory.console.text() == cpu_s.memory.console.text() == "ABCDE"
+
+    def test_counter_from_zero_runs_until_budget(self):
+        # bnez on a counter that steps -1 from 0 exits after 2**32
+        # passes: every budget ends the run first.  The jump makes the
+        # loop block itself start at t1 = 0.
+        program = assemble(f"""
+            li   t0, {DATA}
+            li   t1, 0
+            j    loop
+        loop:
+            lw   t2, 0(t0)
+            addi t2, t2, 1
+            sw   t2, 0(t0)
+            addi t1, t1, -1
+            bnez t1, loop
+            ecall
+        """)
+        for budget in _budgets(5, every=False):
+            pair = _lockstep_pair(program)
+            assert _lockstep_until(pair, budget, slots=1000)
+            (cpu, _), _ = pair
+            assert not cpu.halted
+            assert cpu.memory.ram.data[0x2000] + 256 * cpu.memory.ram.data[0x2001] >= 1000 // 5 - 1
+
+    @pytest.mark.parametrize("branch, start, stride, bound", [
+        ("blt  t1, t3", -5, 1, 7),
+        ("blt  t1, t3", 0x7FFFFFF0, 4, 0x7FFFFFFF),     # wraps to negative, still below
+        ("bge  t1, t3", 10, -1, -3),
+        ("bge  t3, t1", -40, 3, 20),
+        ("bltu t1, t3", 0, 4, 400),
+        ("bltu t1, t3", 0xFFFFFFF0, 8, 0xFFFFFFFF),     # wraps past zero, still below
+        ("bltu t3, t1", 40, -2, 10),
+        ("bgeu t3, t1", 0, 3, 50),
+        ("bgeu t1, t3", 5, -1, 0),
+        ("bne  t1, t3", 0, 4, 40),
+        ("bne  t1, t3", 3, -3, 0x7FFFFFFF),
+        ("bne  t3, t1", 0, 2, 7),                       # never equal
+        ("bne  t1, zero", 3, -1, 0),
+        ("beq  t1, t3", 5, 1, 6),
+        ("beq  t1, t3", 5, 1, 9),
+    ])
+    @pytest.mark.parametrize("read", [False, True], ids=["elided", "read"])
+    def test_branch_against_invariant_register(self, branch, start, stride, bound, read):
+        program = assemble(f"""
+            li   t0, {DATA}
+            li   t1, {start}
+            li   t3, {bound}
+            j    loop
+        loop:
+            lw   t2, 0(t0)
+            addi s2, s2, 1
+            {"add  s2, s2, t1" if read else "nop"}
+            sw   s2, 0(t0)
+            addi t0, t0, 4
+            addi t1, t1, {stride}
+            {branch}, loop
+            mv   a0, s2
+            ecall
+        """)
+        self._run(program, _budgets(7, every=False), slots=500)
+
+    @pytest.mark.parametrize("budget", [1000, 5, 6, 7, 13, 64])
+    def test_non_affine_exit_keeps_per_pass_test(self, budget):
+        # bitcount's shift-and-test exit: the accesses are proven, the
+        # exit is tested every pass.
+        # The stores cross a page every 4 passes, so a pass count that
+        # is off shows in the dirty-page map.
+        program = assemble(f"""
+            li   t0, {DATA}
+            li   t1, 0x00F0F0F1
+            j    loop
+        loop:
+            andi t3, t1, 1
+            sw   t3, 0(t0)
+            srli t1, t1, 1
+            addi t0, t0, 64
+            bnez t1, loop
+            ecall
+        """)
+        pair = _lockstep_pair(program)
+        _lockstep_until(pair, budget)
+        (cpu, _), _ = pair
+        assert cpu.halted
+        assert cpu.registers[5] == DATA + 64 * 24
+
+    def test_byte_and_halfword_accesses(self):
+        rng = random.Random(4)
+        data = ", ".join(str(rng.getrandbits(32)) for _ in range(64))
+        program = assemble(f"""
+            li   t0, {DATA + 1}
+            li   t4, {DATA + 0x80}
+            li   t5, {DATA + 0x100}
+            li   t1, 40
+        loop:
+            lbu  t2, 0(t0)
+            lb   t3, 1(t0)
+            add  t2, t2, t3
+            sb   t2, 0(t0)
+            lh   a1, 0(t4)
+            lhu  a2, 2(t4)
+            sh   t2, -2(t4)
+            lw   a3, 0(t5)
+            add  a3, a3, a1
+            sub  a3, a3, a2
+            sw   a3, 0(t5)
+            addi t0, t0, 1
+            addi t4, t4, -2
+            addi t1, t1, -1
+            bnez t1, loop
+            mv   a0, a3
+            ecall
+            .org {DATA}
+            .word {data}
+        """)
+        self._run(program, _budgets(15))
+
+    def test_fletcher_inner_loop_compiles_counted(self):
+        # The passes proven on entry run with no access check and no
+        # per-pass test; the checked loop follows for the rest.
+        words = assemble("""
+        inner:
+            lw   t2, 0(t0)
+            add  s2, s2, t2
+            add  s3, s3, s2
+            addi s2, s2, 13
+            sw   s2, 0(t0)
+            addi t0, t0, 4
+            addi t1, t1, -1
+            bnez t1, inner
+        """)
+        insns = [decode(word, RAM_BASE + 4 * k) for k, word in enumerate(words)]
+        source = block_engine._block_source(RAM_BASE, insns, RAM_BASE, RAM_SIZE)
+        counted, checked = source.split("for i in range(P * 8,")
+        body = counted.split("for v in range(")[1].split("h = (s0")[0]
+        assert "if " not in body and "dirty" not in body and "x5 =" not in body and "x6 =" not in body
+        assert "_load(" in checked and "if not (x6 != 0):" in checked
+
+    def test_fletcher_inner_loop(self):
+        program = get_workload("fletcher").assemble()
+        for budget in (200, 7, 8, 9, 15, 17, 201):
+            pair = _lockstep_pair(program)
+            _lockstep_until(pair, budget, slots=4000)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_counted_loops(self, seed):
+        rng = random.Random(seed)
+        program = assemble(random_counted_loop(rng))
+        for budget in rng.sample(_budgets(12, every=False), 4):
+            pair = _lockstep_pair(program)
+            _lockstep_until(pair, budget, slots=600)
 
 
 ILLEGAL_WORD = 0xFFFFFFFF
@@ -920,6 +1374,7 @@ class TestLockstepOnStructTemplates(
     TestInterruptBoundaries,
     TestStoreIntoRunningBlock,
     TestLoopBlocks,
+    TestCountedLoops,
     TestFallbackPaths,
 ):
     """Every lockstep contract again with aligned words read and written

@@ -11,13 +11,21 @@ replayed in isolation.  Recordings of the fixed-step oracle carry the
 retired ``"reference"`` engine id and are refused.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.batch.scenario import Scenario
 from repro.errors import ConfigurationError
 from repro.harvest.monitors import IdealMonitor
 from repro.harvest.traces import constant_trace
-from repro.trace import ReplayMismatch, TraceRecorder, record_device, replay
+from repro.trace import (
+    Recording,
+    ReplayMismatch,
+    TraceRecorder,
+    record_device,
+    replay,
+)
 from tests.oracles.harvest import FixedStepSimulator
 
 
@@ -145,6 +153,20 @@ class TestRiscvReplay:
         recording = rec.recording
         kinds = {e.kind for e in recording.events}
         assert "power_on" in kinds
+        assert replay(recording).identical
+
+    def test_earlier_commit_recording_replays(self):
+        # Recorded by an earlier build of the engine: ``repro riscv
+        # --workload fletcher --capacitance 4.7 --irradiance 1
+        # --differential --duration 15 --record ...``.  A record->replay
+        # round trip on one build cannot see an engine change that moves
+        # a checkpoint; this file can.
+        data = Path(__file__).parents[1] / "riscv" / "data"
+        path = data / "fletcher_4u7_differential.jsonl"
+        recording = Recording.load(str(path))
+        kinds = [e.kind for e in recording.events]
+        assert kinds.count("power_on") == 11
+        assert kinds.count("checkpoint") == 10
         assert replay(recording).identical
 
     def test_custom_policy_rejected(self):
