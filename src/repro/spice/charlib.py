@@ -44,6 +44,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -55,8 +57,11 @@ from repro.analog.divider import (
     divider_tap_node,
 )
 from repro.analog.ring_oscillator import (
+    MAX_STAGES,
+    MIN_STAGES,
     RingOscillator,
     build_ro_circuit,
+    is_valid_ro_length,
     staggered_initial_condition,
 )
 from repro.errors import ConfigurationError, ConvergenceError
@@ -120,11 +125,17 @@ class RingSweep:
     period_rtol: float = 5e-3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "voltages", tuple(float(v) for v in self.voltages))
-        if not self.voltages:
-            raise ConfigurationError("RingSweep needs at least one voltage")
-        if self.periods < 3 or self.points_per_period < 8:
-            raise ConfigurationError("RingSweep horizon too short to measure a period")
+        _check_voltages(self)
+        n = self.n_stages
+        if isinstance(n, bool) or not isinstance(n, int) or not is_valid_ro_length(n):
+            raise ConfigurationError(
+                f"RingSweep: n_stages must be an odd int in [{MIN_STAGES}, {MAX_STAGES}], got {n!r}"
+            )
+        _check_number(self, "periods", int_min=3)
+        _check_number(self, "points_per_period", int_min=8)
+        _check_number(self, "temp_k")
+        _check_number(self, "load_cap", optional=True)
+        _check_number(self, "period_rtol")
 
 
 @dataclass(frozen=True)
@@ -140,14 +151,57 @@ class DividerSweep:
     temp_k: float = ROOM_TEMP_K
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "voltages", tuple(float(v) for v in self.voltages))
-        if not self.voltages:
-            raise ConfigurationError("DividerSweep needs at least one voltage")
-        # Validates tap/total/upper_width eagerly, at request-build time.
+        _check_voltages(self)
+        _check_number(self, "temp_k")
+        _check_number(self, "load_resistance", optional=True)
+        _check_number(self, "tap", int_min=1)
+        _check_number(self, "total", int_min=2)
+        _check_number(self, "upper_width")
+        # Validates the tap ratio and upper_width eagerly, at request-build time.
         VoltageDivider(self.tech, self.tap, self.total, self.upper_width)
 
 
 SweepRequest = Union[RingSweep, DividerSweep]
+
+
+def _check_voltages(request) -> None:
+    """Store ``voltages`` as a tuple of floats, each finite and > 0.
+
+    Points below the oscillation cutoff stay legitimate (a ring reports
+    them dead); a NaN, infinite or non-positive supply has no meaning.
+    """
+    name = type(request).__name__
+    try:
+        voltages = tuple(float(v) for v in request.voltages)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{name}: voltages must be a sequence of numbers, got {request.voltages!r}"
+        ) from None
+    if not voltages:
+        raise ConfigurationError(f"{name} needs at least one voltage")
+    bad = [v for v in voltages if not (math.isfinite(v) and v > 0.0)]
+    if bad:
+        raise ConfigurationError(f"{name}: voltages must be finite and > 0, got {bad[0]!r}")
+    object.__setattr__(request, "voltages", voltages)
+
+
+def _check_number(request, field_name: str, *, int_min=None, optional: bool = False) -> None:
+    """Refuse a field that is not a finite number > 0 or, given
+    ``int_min``, an int >= it; bools are not numbers here, and ``None``
+    passes only when ``optional``."""
+    value = getattr(request, field_name)
+    if optional and value is None:
+        return
+    if int_min is None:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+        what = "finite and > 0"
+    else:
+        ok = isinstance(value, int) and value >= int_min
+        what = f"an int >= {int_min}"
+    if isinstance(value, bool) or not ok:
+        raise ConfigurationError(
+            f"{type(request).__name__}: {field_name} must be {what}, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,18 @@ current at ``a`` and the negative of it at ``b``.
 The MOSFET uses the same alpha-power-law-with-mobility-degradation model
 as the analytic delay layer (:class:`repro.tech.ptm.TechnologyCard`), with
 a smooth tanh transition between the linear and saturation regions so the
-Newton solver converges reliably.
+Newton solver converges reliably.  Its analytic stamp has one
+implementation, :func:`stamp_bank`: the solver compiles a circuit's
+MOSFETs into bank rows (:meth:`MOSFET.bank_row`) once per solve, and
+:meth:`MOSFET.stamp` is a one-row bank.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, Mapping
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.spice.netlist import Device
@@ -225,67 +230,39 @@ class MOSFET(Device):
         v_knee = max(v_od, 4 * thermal_voltage(self.temp_k))
         return i_sat * math.tanh(max(v_ds, 0.0) / v_knee)
 
-    def _drain_current_derivs(self, v_gs: float, v_ds: float):
-        """``(I_d, dI/dv_gs, dI/dv_ds)`` — analytic mirror of
-        :meth:`_drain_current` for the solver's stamped Jacobian."""
+    def bank_row(self, idx, stride: int) -> tuple:
+        """This device's row of a compiled MOSFET bank (:func:`stamp_bank`).
+
+        ``idx`` holds the (drain, gate, source) positions in the node
+        vector and ``stride`` is the Jacobian's row length; the row
+        carries the six flattened Jacobian positions, the polarity and
+        every constant that cannot change within a solve.
+        """
         tech = self.tech
-        v_od, slope = tech.soft_overdrive_slope(v_gs, self.temp_k)
-        if v_od <= 0.0:
-            return 0.0, 0.0, 0.0
-        denom = 1.0 + tech.theta * v_od
-        pow_a = v_od**tech.alpha
-        scale = self.width * (tech.c_switch / tech.k_delay) * tech.mobility_factor(self.temp_k)
-        i_sat = scale * pow_a / denom
-        # d(drive)/d(v_od), quotient rule on v_od^alpha / (1 + theta v_od).
-        ddrive = (tech.alpha * pow_a / v_od * denom - pow_a * tech.theta) / (denom * denom)
-        di_sat = scale * ddrive * slope
-        vt4 = 4.0 * thermal_voltage(self.temp_k)
-        if v_od > vt4:
-            v_knee, dknee = v_od, slope
-        else:
-            v_knee, dknee = vt4, 0.0
-        vds_c = v_ds if v_ds > 0.0 else 0.0
-        th = math.tanh(vds_c / v_knee)
-        sech2 = 1.0 - th * th
-        i = i_sat * th
-        d_gs = di_sat * th - i_sat * sech2 * vds_c * dknee / (v_knee * v_knee)
-        d_ds = i_sat * sech2 / v_knee
-        return i, d_gs, d_ds
+        di, gi, si = idx
+        return (
+            di, gi, si,
+            di * stride + di, di * stride + gi, di * stride + si,
+            si * stride + di, si * stride + gi, si * stride + si,
+            self.polarity == "n",
+            tech.vth_at(self.temp_k),
+            tech.subthreshold_slope_factor * thermal_voltage(self.temp_k),
+            self.width * (tech.c_switch / tech.k_delay) * tech.mobility_factor(self.temp_k),
+            4.0 * thermal_voltage(self.temp_k),
+            tech.alpha,
+            tech.theta,
+        )
 
     def stamp(self, x, idx, jac, res) -> None:
-        """Analytic KCL stamp (gate carries no current).
-
-        Mirrors the source/drain-swap and PMOS sign logic of
-        :meth:`currents`; repeated node indices (diode-connected use)
-        accumulate naturally because everything is ``+=``.
-        """
-        di, gi, si = idx
-        vd, vg, vs = x[di], x[gi], x[si]
-        if self.polarity == "n":
-            if vd >= vs:
-                i, d1, d2 = self._drain_current_derivs(vg - vs, vd - vs)
-                ddd, ddg, dds = d2, d1, -d1 - d2
-            else:
-                ip, d1, d2 = self._drain_current_derivs(vg - vd, vs - vd)
-                i = -ip
-                ddd, ddg, dds = d1 + d2, -d1, -d2
-        else:
-            if vs >= vd:
-                ip, d1, d2 = self._drain_current_derivs(vs - vg, vs - vd)
-                i = -ip
-                ddd, ddg, dds = d2, d1, -d1 - d2
-            else:
-                i, d1, d2 = self._drain_current_derivs(vd - vg, vd - vs)
-                ddd, ddg, dds = d1 + d2, -d1, -d2
-        res[di] += i
-        res[si] -= i
+        """Analytic KCL stamp: this device as a one-row :func:`stamp_bank`."""
+        xs = np.asarray(x, dtype=float).tolist()
+        rs = res.tolist()
+        n1 = len(xs)
+        js = [0.0] * (n1 * n1) if jac is None else jac.ravel().tolist()
+        stamp_bank([self.bank_row(idx, n1)], xs, rs, js)
+        res[:] = rs
         if jac is not None:
-            jac[di, di] += ddd
-            jac[di, gi] += ddg
-            jac[di, si] += dds
-            jac[si, di] -= ddd
-            jac[si, gi] -= ddg
-            jac[si, si] -= dds
+            jac[:] = np.reshape(js, jac.shape)
 
     def currents(self, voltages: Mapping[str, float]) -> Dict[str, float]:
         d, g, s = self.terminals
@@ -314,6 +291,69 @@ class MOSFET(Device):
         for node, contribution in ((d, i), (g, 0.0), (s, -i)):
             out[node] = out.get(node, 0.0) + contribution
         return out
+
+
+def stamp_bank(rows, x, res, jac) -> None:
+    """Accumulate the KCL stamps of MOSFET bank rows, in row order.
+
+    ``rows`` come from :meth:`MOSFET.bank_row`; ``x``, ``res`` and the
+    row-major flattened ``jac`` are lists of floats.  Each row is
+    :meth:`MOSFET._drain_current` and its analytic derivatives after the
+    source/drain swap and PMOS mirror of :meth:`MOSFET.currents`; gate
+    current is zero, and repeated indices (diode-connected use)
+    accumulate.  Transcendentals come from :mod:`math`, so every CPU
+    gets the same bits.
+    """
+    exp, log1p, tanh = math.exp, math.log1p, math.tanh
+    for di, gi, si, jdd, jdg, jds, jsd, jsg, jss, nmos, vth, n_vt, scale, vt4, alpha, theta in rows:
+        vd, vg, vs = x[di], x[gi], x[si]
+        if nmos:
+            forward = vd >= vs
+            v_gs, v_ds = (vg - vs, vd - vs) if forward else (vg - vd, vs - vd)
+        else:
+            forward = vs >= vd
+            v_gs, v_ds = (vs - vg, vs - vd) if forward else (vd - vg, vd - vs)
+        # Softplus overdrive (TechnologyCard.soft_overdrive) and its
+        # logistic slope.
+        z = (v_gs - vth) / n_vt
+        if z > 40.0:
+            v_od, slope = v_gs - vth, 1.0
+        else:
+            e = exp(z)
+            v_od, slope = n_vt * log1p(e), e / (1.0 + e)
+        if v_od <= 0.0:
+            i = d1 = d2 = 0.0
+        else:
+            denom = 1.0 + theta * v_od
+            try:
+                pow_a = v_od**alpha
+            except OverflowError:  # absurd voltages: inf, as numpy scalars give
+                pow_a = math.inf
+            i_sat = scale * pow_a / denom
+            # d(drive)/d(v_od), quotient rule on v_od^alpha / (1 + theta v_od).
+            ddrive = (alpha * pow_a / v_od * denom - pow_a * theta) / (denom * denom)
+            di_sat = scale * ddrive * slope
+            if v_od > vt4:
+                v_knee, dknee = v_od, slope
+            else:
+                v_knee, dknee = vt4, 0.0
+            vds_c = v_ds if v_ds > 0.0 else 0.0
+            th = tanh(vds_c / v_knee)
+            sech2 = 1.0 - th * th
+            i = i_sat * th
+            d1 = di_sat * th - i_sat * sech2 * vds_c * dknee / (v_knee * v_knee)
+            d2 = i_sat * sech2 / v_knee
+        ddd, ddg, dds = (d2, d1, -d1 - d2) if forward else (d1 + d2, -d1, -d2)
+        if nmos != forward:
+            i = -i  # reversed NMOS, or a PMOS conducting source -> drain
+        res[di] += i
+        res[si] -= i
+        jac[jdd] += ddd
+        jac[jdg] += ddg
+        jac[jds] += dds
+        jac[jsd] -= ddd
+        jac[jsg] -= ddg
+        jac[jss] -= dds
 
 
 class DiodeConnectedMOSFET(MOSFET):

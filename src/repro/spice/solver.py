@@ -3,12 +3,15 @@
 The circuits this library simulates are small (a divider stack, a ring of
 a dozen inverters, a level shifter), but they sit on the hot path of every
 circuit-level workload.  Devices assemble their residual and analytic
-Jacobian directly into preallocated numpy arrays through an integer
-node-index map (:class:`_System`).  Linear devices are folded into a
-conductance matrix once per Newton solve; only the nonlinear devices are
-revisited per iteration.  A device that defines only ``currents`` still
-solves through :meth:`Device.stamp`'s per-device finite-difference
-fallback.
+Jacobian through an integer node-index map (:class:`_System`).  Linear
+devices are folded into a conductance matrix once per Newton solve.  The
+circuit's MOSFETs are compiled once per solve into a bank — one row of
+terminal indices, polarity and hoisted constants per device — and each
+Newton iteration walks the nonlinear devices in circuit order on plain
+Python floats (:func:`repro.spice.devices.stamp_bank`).  Any other
+nonlinear device stamps through its own :meth:`Device.stamp` at its place
+in that order; one that defines only ``currents`` still solves through
+the per-device finite-difference fallback.
 
 Damped Newton with automatic source-stepping fallback handles the
 strongly nonlinear MOSFET stacks; source stepping scales the sources
@@ -33,11 +36,13 @@ from repro.errors import ConvergenceError
 from repro.obs import OBS
 from repro.spice.netlist import Circuit, Device, GROUND
 from repro.spice.devices import (
+    MOSFET,
     Capacitor,
     CurrentSource,
     Resistor,
     Switch,
     VoltageSource,
+    stamp_bank,
 )
 from repro.spice.waveform import TransientResult
 
@@ -67,13 +72,22 @@ def _voltage_map(nodes: List[str], x: np.ndarray) -> Dict[str, float]:
     return volts
 
 
+#: Linear device kinds, fixed when a circuit is compiled.
+_LINEAR_KINDS = (Resistor, Switch, Capacitor, VoltageSource, CurrentSource)
+_RESISTOR, _SWITCH, _CAPACITOR, _VSOURCE, _ISOURCE = range(len(_LINEAR_KINDS))
+
+
 class _System:
     """A circuit compiled for repeated Newton solves.
 
     Holds the node ordering, integer terminal indices per device, and
-    scratch arrays sized ``n + 1``: the extra slot is the ground node,
+    assembly state sized ``n + 1``: the extra slot is the ground node,
     pinned at 0 V, so device stamps never branch on ground — its row and
     column are simply discarded before the linear solve.
+
+    Linear devices carry a kind and flattened matrix positions; the
+    nonlinear ones, in circuit order, become runs of MOSFET bank rows
+    (:meth:`MOSFET.bank_row`) and single devices outside the bank.
 
     ``vsrc_scale`` scales every :class:`VoltageSource` *through the
     assembly* (residual shift only; the conductance is unchanged), which
@@ -87,6 +101,7 @@ class _System:
         self.nodes = circuit.nodes()
         n = len(self.nodes)
         self.n = n
+        n1 = n + 1
         index = {node: i for i, node in enumerate(self.nodes)}
         index[GROUND] = n
         self.index = index
@@ -102,15 +117,26 @@ class _System:
             or type(dev).commit_step is not base.commit_step
         ]
         self._linear: list = []
-        self._nonlinear: list = []
+        self._runs: list = []  # (bank rows, None, None) or (None, device, idx)
         for dev, idx in zip(self.devices, self._idx):
-            if isinstance(dev, (Resistor, Switch, Capacitor, CurrentSource, VoltageSource)):
-                self._linear.append((dev, idx))
+            kind = next(
+                (k for k, cls in enumerate(_LINEAR_KINDS) if isinstance(dev, cls)), None
+            )
+            if kind is not None:
+                ia, ib = idx
+                self._linear.append(
+                    (kind, dev, ia, ib, ia * n1 + ia, ib * n1 + ib, ia * n1 + ib, ib * n1 + ia)
+                )
+            elif isinstance(dev, MOSFET):
+                if not self._runs or self._runs[-1][0] is None:
+                    self._runs.append(([], None, None))
+                self._runs[-1][0].append(dev.bank_row(idx, n1))
             else:
-                self._nonlinear.append((dev, idx))
-        self._x_ext = np.zeros(n + 1)
-        self._g = np.zeros((n + 1, n + 1))
-        self._b = np.zeros(n + 1)
+                self._runs.append((None, dev, idx))
+        self._x_ext = np.zeros(n1)
+        self._g = np.zeros((n1, n1))
+        self._g_flat = [0.0] * (n1 * n1)
+        self._b = np.zeros(n1)
 
     # ------------------------------------------------------------------
     def prepare(self) -> None:
@@ -121,53 +147,62 @@ class _System:
         source-stepping scale may all have changed since the last solve,
         but none of them change *within* one.
         """
-        g = self._g
-        b = self._b
-        g[:] = 0.0
-        b[:] = 0.0
+        n1 = self.n + 1
+        g = [0.0] * (n1 * n1)
+        b = [0.0] * n1
         scale = self.vsrc_scale
-        for dev, idx in self._linear:
-            ia, ib = idx
-            if isinstance(dev, Resistor):
-                self._conductance(g, ia, ib, 1.0 / dev.resistance)
-            elif isinstance(dev, Switch):
-                r = dev.on_resistance if dev.closed else dev.off_resistance
-                self._conductance(g, ia, ib, 1.0 / r)
-            elif isinstance(dev, Capacitor):
-                if dev._dt > 0.0:
-                    geq = dev.capacitance / dev._dt
-                    self._conductance(g, ia, ib, geq)
-                    shift = geq * dev._v_prev
-                    b[ia] -= shift
-                    b[ib] += shift
-            elif isinstance(dev, VoltageSource):
-                gc = dev.conductance
-                self._conductance(g, ia, ib, gc)
-                shift = gc * scale * dev.voltage
+        for kind, dev, ia, ib, aa, bb, ab, ba in self._linear:
+            if kind == _RESISTOR:
+                gv = 1.0 / dev.resistance
+            elif kind == _SWITCH:
+                gv = 1.0 / (dev.on_resistance if dev.closed else dev.off_resistance)
+            elif kind == _CAPACITOR:
+                if not dev._dt > 0.0:
+                    continue
+                gv = dev.capacitance / dev._dt
+                shift = gv * dev._v_prev
                 b[ia] -= shift
                 b[ib] += shift
-            else:  # CurrentSource
+            elif kind == _VSOURCE:
+                gv = dev.conductance
+                shift = gv * scale * dev.voltage
+                b[ia] -= shift
+                b[ib] += shift
+            else:  # _ISOURCE
                 b[ia] += dev.current
                 b[ib] -= dev.current
-
-    @staticmethod
-    def _conductance(g: np.ndarray, ia: int, ib: int, gv: float) -> None:
-        g[ia, ia] += gv
-        g[ib, ib] += gv
-        g[ia, ib] -= gv
-        g[ib, ia] -= gv
+                continue
+            g[aa] += gv
+            g[bb] += gv
+            g[ab] -= gv
+            g[ba] -= gv
+        self._g_flat = g
+        self._g = np.array(g).reshape(n1, n1)
+        self._b = np.array(b)
 
     # ------------------------------------------------------------------
     def stamp(self, x: np.ndarray):
-        """Residual and Jacobian at ``x`` via device stamps."""
+        """Residual and Jacobian at ``x``: the linear stamps, then every
+        nonlinear device in circuit order on plain floats."""
         n = self.n
         xe = self._x_ext
         xe[:n] = x
         xe[n] = 0.0
         res = self._g @ xe + self._b
-        jac = self._g.copy()
-        for dev, idx in self._nonlinear:
-            dev.stamp(xe, idx, jac, res)
+        xs = xe.tolist()
+        rs = res.tolist()
+        js = self._g_flat.copy()
+        for rows, dev, idx in self._runs:
+            if rows is not None:
+                stamp_bank(rows, xs, rs, js)
+            else:
+                res = np.array(rs)
+                jac = np.array(js).reshape(n + 1, n + 1)
+                dev.stamp(xe, idx, jac, res)
+                rs = res.tolist()
+                js = jac.ravel().tolist()
+        res = np.array(rs)
+        jac = np.array(js).reshape(n + 1, n + 1)
         return res[:n], jac[:n, :n]
 
 
@@ -197,7 +232,7 @@ def _newton(circuit, nodes: List[str], x0: np.ndarray, max_iter: int = MAX_ITERA
     residual_norm = math.inf
     for iteration in range(max_iter):
         f0, jac = system.stamp(x)
-        residual_norm = float(np.max(np.abs(f0)))
+        residual_norm = float(np.abs(f0).max())
         if residual_norm < RESIDUAL_TOL:
             return NewtonOutcome(x, iteration, residual_norm)
         try:
@@ -210,7 +245,7 @@ def _newton(circuit, nodes: List[str], x0: np.ndarray, max_iter: int = MAX_ITERA
                 return NewtonOutcome(None, iteration + 1, residual_norm)
         # Damping: limit per-iteration voltage movement to 0.5 V so the
         # exponential subthreshold region cannot fling the iterate.
-        max_step = np.max(np.abs(dx))
+        max_step = np.abs(dx).max()
         if max_step > 0.5:
             dx *= 0.5 / max_step
         x = x + dx

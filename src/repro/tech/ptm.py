@@ -124,21 +124,6 @@ class TechnologyCard:
             return vdd - vth
         return n_vt * math.log1p(math.exp(x))
 
-    def soft_overdrive_slope(self, vdd: float, temp_k: float = ROOM_TEMP_K) -> tuple:
-        """``(soft_overdrive, d/dVdd)`` — the softplus and its logistic slope.
-
-        The circuit simulator's analytic MOSFET stamps need the overdrive
-        derivative; keeping it next to :meth:`soft_overdrive` guarantees
-        the two can never drift apart.
-        """
-        vth = self.vth_at(temp_k)
-        n_vt = self.subthreshold_slope_factor * thermal_voltage(temp_k)
-        x = (vdd - vth) / n_vt
-        if x > 40.0:
-            return vdd - vth, 1.0
-        e = math.exp(x)
-        return n_vt * math.log1p(e), e / (1.0 + e)
-
     def vth_at(self, temp_k: float) -> float:
         """Threshold voltage at ``temp_k`` (falls with temperature)."""
         return self.vth - self.vth_temp_coeff * (temp_k - self.ref_temp_k)

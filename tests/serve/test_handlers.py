@@ -108,6 +108,39 @@ class TestRequestValidation:
             with pytest.raises(ConfigurationError):
                 NSGA2(model=None, population_size=size)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"n_stages": "5"},
+            {"n_stages": 5.0},
+            {"n_stages": 4},
+            {"voltages": [1.0, -1.0]},
+            {"voltages": ["nan"]},
+            {"temp_k": 0},
+            {"period_rtol": "nan"},
+            {"periods": 2},
+        ],
+        ids=repr,
+    )
+    def test_hostile_ring_sweep_refused_at_submit(self, fields):
+        payload = sweep_to_dict(RingSweep(tech=TECH_90NM, n_stages=5, voltages=(0.8, 1.0)))
+        payload.update(fields)
+        with pytest.raises(ConfigurationError):
+            sweep_from_dict(payload)
+        with pytest.raises(ConfigurationError):
+            HANDLERS["characterize"].validate({"sweeps": [payload]})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"voltages": [-2.0]}, {"temp_k": -1.0}, {"load_resistance": 0.0}],
+        ids=repr,
+    )
+    def test_hostile_divider_sweep_refused_at_submit(self, fields):
+        payload = sweep_to_dict(DividerSweep(tech=TECH_65NM, voltages=(2.0,)))
+        payload.update(fields)
+        with pytest.raises(ConfigurationError):
+            HANDLERS["characterize"].validate({"sweeps": [payload]})
+
     def test_parallel_must_be_positive(self):
         context, _ = _context()
         with pytest.raises(ConfigurationError, match="parallel"):

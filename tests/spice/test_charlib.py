@@ -69,6 +69,46 @@ class TestRingSweep:
         with pytest.raises(ConfigurationError):
             ring_sweep(periods=2)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_stages": "5"},
+            {"n_stages": 5.0},
+            {"n_stages": True},
+            {"n_stages": 4},
+            {"n_stages": 75},
+            {"voltages": (1.0, float("nan"))},
+            {"voltages": (float("inf"),)},
+            {"voltages": (-2.0,)},
+            {"voltages": (0.0,)},
+            {"voltages": ("high",)},
+            {"voltages": 1.0},
+            {"temp_k": 0.0},
+            {"temp_k": -1.0},
+            {"temp_k": float("nan")},
+            {"temp_k": "300"},
+            {"load_cap": 0.0},
+            {"load_cap": float("inf")},
+            {"period_rtol": float("nan")},
+            {"period_rtol": 0.0},
+            {"periods": 12.0},
+            {"periods": True},
+            {"points_per_period": 7},
+            {"points_per_period": "64"},
+        ],
+        ids=repr,
+    )
+    def test_hostile_input_refused_at_construction(self, overrides):
+        with pytest.raises(ConfigurationError) as excinfo:
+            ring_sweep(**overrides)
+        assert "\n" not in str(excinfo.value)
+
+    def test_numbers_of_any_real_type_accepted(self):
+        # Valid requests keep their fields (and so their fingerprints).
+        sweep = ring_sweep(temp_k=300, load_cap=1e-15, voltages=[1, 1.2])
+        assert sweep.temp_k == 300 and sweep.voltages == (1.0, 1.2)
+        assert ring_sweep(load_cap=None).load_cap is None
+
 
 class TestDividerSweep:
     @pytest.mark.parametrize(
@@ -91,6 +131,31 @@ class TestDividerSweep:
     def test_request_validates_ratio(self):
         with pytest.raises(ConfigurationError):
             DividerSweep(tech=TECH_90NM, voltages=(3.0,), tap=3, total=3)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"voltages": (float("nan"),)},
+            {"voltages": (3.0, float("-inf"))},
+            {"voltages": (-2.0,)},
+            {"temp_k": 0.0},
+            {"temp_k": float("nan")},
+            {"load_resistance": 0.0},
+            {"load_resistance": -1e6},
+            {"load_resistance": float("nan")},
+            {"tap": True},
+            {"tap": 1.0},
+            {"total": 3.0},
+            {"upper_width": float("nan")},
+            {"upper_width": float("inf")},
+        ],
+        ids=repr,
+    )
+    def test_hostile_input_refused_at_construction(self, overrides):
+        params = dict(tech=TECH_90NM, voltages=(3.0,))
+        params.update(overrides)
+        with pytest.raises(ConfigurationError):
+            DividerSweep(**params)
 
 
 class TestFingerprint:

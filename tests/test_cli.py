@@ -101,6 +101,25 @@ class TestCharacterizeCLI:
         assert "certified error" in out
         assert "(surrogate)" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "ring", "--voltages", "1.0", "--temp", "0"],
+            ["--kind", "ring", "--voltages", "1.0", "--temp", "nan"],
+            ["--kind", "ring", "--voltages", "1.0", "--stages", "4"],
+            ["--kind", "ring", "--voltages", "1.0,nan"],
+            ["--voltages", "-2.0"],
+            ["--voltages", "2.0", "--temp", "-5"],
+        ],
+        ids=" ".join,
+    )
+    def test_hostile_sweep_exits_cleanly(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["characterize", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_voltage_spec_exits_cleanly(self, capsys):
         for spec in ("nope", "1.0:3.5", "1.0:3.5:0"):
             with pytest.raises(SystemExit) as excinfo:
