@@ -9,7 +9,7 @@ execution is bit-for-bit equivalent to serial.
 import time
 
 from repro.experiments import ext_fleet
-from repro.fleet import CalibrationCache, FleetRunner, synthesize_fleet
+from repro.fleet import CalibrationCache, FleetRunner, build_record, synthesize_fleet
 
 
 def test_ext_fleet(benchmark, record_experiment):
@@ -31,22 +31,30 @@ def test_ext_fleet(benchmark, record_experiment):
 def test_calibration_cache_speedup():
     """Devices sharing a tech node + monitor design enroll once.
 
-    Times ``work_items()``, where enrollment happens; the devices'
-    replays cost the same either way and their noise would swamp the
-    few milliseconds an enrollment takes.
+    Times enrollment alone: one cached ``get`` per device against a
+    fresh ``build_record`` per device, the cache-off baseline.  The
+    devices' replays cost the same either way and their noise would
+    swamp the few milliseconds an enrollment takes.
     """
     fleet = synthesize_fleet(32, seed=21, duration=60.0)
+    keys = [device.calibration_key() for device in fleet.devices]
 
-    def enroll(enabled: bool):
-        cache = CalibrationCache(enabled=enabled)
+    def enroll_cached():
+        cache = CalibrationCache()
         start = time.perf_counter()
-        FleetRunner(fleet, cache=cache).work_items()
+        for key in keys:
+            cache.get(key)
         return time.perf_counter() - start, cache.stats.misses
 
+    def enroll_uncached():
+        start = time.perf_counter()
+        builds = len([build_record(key) for key in keys])
+        return time.perf_counter() - start, builds
+
     # One warm-up to stabilise imports/allocator, then best-of-3 each.
-    enroll(True)
-    cached = [enroll(True) for _ in range(3)]
-    uncached = [enroll(False) for _ in range(3)]
+    enroll_cached()
+    cached = [enroll_cached() for _ in range(3)]
+    uncached = [enroll_uncached() for _ in range(3)]
     assert {n for _, n in cached} == {len(fleet.calibration_keys())}
     assert {n for _, n in uncached} == {len(fleet)}
     cached_s = min(t for t, _ in cached)

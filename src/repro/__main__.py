@@ -16,7 +16,8 @@ Subcommands:
   surrogate over the requested span;
 * ``fleet [--devices N] [--jobs J]`` — simulate a heterogeneous device
   fleet and print aggregate duty/checkpoint distributions plus a
-  deployment-plan preview (``--no-plan`` to skip); ``--stream``
+  deployment-plan preview (``--no-plan`` to skip); each monitor design
+  enrolls once per run, in memory; ``--stream``
   switches to the sharded constant-memory mode (``--shard-size``,
   ``--sample``, ``--sample-seed``, ``--reservoir``), which scales to
   million-device fleets (``docs/fleet_scale.md``);
@@ -134,9 +135,8 @@ def _plan_preview() -> None:
 
 
 def cmd_fleet(args) -> None:
-    from repro.fleet import CalibrationCache, FleetRunner, synthesize_fleet
+    from repro.fleet import FleetRunner, synthesize_fleet
 
-    cache = CalibrationCache(enabled=not args.no_cache, cache_dir=args.cache_dir)
     recorder = None
     if args.record:
         from repro.trace import TraceRecorder
@@ -160,7 +160,6 @@ def cmd_fleet(args) -> None:
             name=f"synthetic-{args.devices}dev-seed{args.seed}",
             parallel=args.jobs,
             shard_size=args.shard_size,
-            cache=cache,
             eval_engine=args.eval_engine,
             sample=args.sample,
             sample_seed=args.sample_seed,
@@ -190,9 +189,7 @@ def cmd_fleet(args) -> None:
         duration=args.duration,
         trace=args.irradiance,
     )
-    runner = FleetRunner(
-        fleet, parallel=args.jobs, cache=cache, eval_engine=args.eval_engine
-    )
+    runner = FleetRunner(fleet, parallel=args.jobs, eval_engine=args.eval_engine)
     result = runner.run(record=recorder)
     if recorder is not None:
         print(f"(wrote the replay trace to {args.record})")
@@ -489,8 +486,6 @@ def main(argv=None) -> None:
     flt.add_argument("--record", metavar="PATH", default=None,
                      help="capture the run as a deterministic replay trace "
                           "(JSONL, .gz ok; see `replay` and docs/replay.md)")
-    flt.add_argument("--no-cache", action="store_true", help="disable the calibration cache")
-    flt.add_argument("--cache-dir", default=None, help="persist calibrations to this directory")
     flt.add_argument("--no-plan", action="store_true", help="skip the deployment-plan preview")
     rsv = sub.add_parser("riscv", help="run an RV32IM workload intermittently", parents=[obs_parent])
     rsv.add_argument("--workload", default="crc32",

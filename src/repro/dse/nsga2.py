@@ -73,16 +73,26 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+#: Size caps: above the repo's largest search (60 x 40), and low enough
+#: that no request makes a worker build an unbounded population.
+MAX_POPULATION = 512
+MAX_GENERATIONS = 500
+
+
 def check_sizes(population_size, generations) -> None:
     """Refuse sizes :class:`NSGA2` cannot run, with a
     :class:`ConfigurationError`: the population must be an even integer
-    >= 4 and the generations an integer >= 1 (a bool is neither)."""
-    if not _is_integer(population_size) or population_size < 4 or population_size % 2:
+    in [4, :data:`MAX_POPULATION`] and the generations an integer in
+    [1, :data:`MAX_GENERATIONS`] (a bool is neither)."""
+    population_ok = _is_integer(population_size) and 4 <= population_size <= MAX_POPULATION
+    if not population_ok or population_size % 2:
         raise ConfigurationError(
-            f"population must be an even integer >= 4, got {population_size!r}"
+            f"population must be an even integer in [4, {MAX_POPULATION}], got {population_size!r}"
         )
-    if not _is_integer(generations) or generations < 1:
-        raise ConfigurationError(f"need an integer >= 1 of generations, got {generations!r}")
+    if not _is_integer(generations) or not 1 <= generations <= MAX_GENERATIONS:
+        raise ConfigurationError(
+            f"need an integer in [1, {MAX_GENERATIONS}] of generations, got {generations!r}"
+        )
 
 
 @dataclass

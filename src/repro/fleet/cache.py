@@ -1,31 +1,28 @@
 """Shared calibration / monitor-curve cache.
 
-Building a monitor model is the fleet's per-device hot path: a Failure
-Sentinels instance runs RO frequency sweeps for its error budget and an
-enrollment sweep for its count-to-voltage curve (~20 ms), which rivals
-the cost of actually simulating a 300 s trace on the fast engine.  A
-fleet of hundreds of devices typically deploys a handful of monitor
-designs, so the enrollment work is massively redundant.
+Building a monitor model means enrolling it: a Failure Sentinels
+instance runs RO frequency sweeps for its error budget and an
+enrollment sweep for its count-to-voltage curve.  That takes 2-4 ms
+per design on a 2-core x86 VM, and a fleet of hundreds of devices
+typically deploys a handful of designs, so enrolling per device would
+repeat the same work hundreds of times.
 
 :class:`CalibrationCache` memoizes the finished
-:class:`~repro.fleet.cache.CalibrationRecord` per
-``(technology, monitor kind, design parameters)`` key.  Process safety
-comes from *where* the cache sits, not from locks: the runner resolves
-every unique key in the parent process before fanning out, and ships
-workers the finished (frozen, picklable) records.  Workers never write
-the cache, so parallel execution cannot race it.  An optional disk
-layer persists records across runs with atomic ``os.replace`` writes,
-which are safe against concurrent fleet runs on the same directory.
+:class:`~repro.fleet.cache.CalibrationRecord` in memory per
+``(technology, monitor kind, design parameters)`` key; there is no
+disk layer, since a cold enrollment costs less than importing the
+package.  Process safety comes from *where* the cache sits, not from
+locks: the fleet loop (:func:`repro.fleet.runner.run_shards`) looks
+every device up in the caller's process and ships workers the finished
+(frozen, picklable) monitor models.  Worker processes never touch the
+cache, so parallel execution cannot race it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
-import tempfile
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+import threading
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.core.config import FSConfig
 from repro.core.monitor import FailureSentinels
@@ -115,83 +112,33 @@ def build_record(key: Tuple) -> CalibrationRecord:
 class CacheStats:
     hits: int = 0
     misses: int = 0
-    disk_hits: int = 0
 
     def summary(self) -> str:
-        return f"{self.hits} hits, {self.misses} misses, {self.disk_hits} from disk"
+        return f"{self.hits} hits, {self.misses} misses"
 
 
 class CalibrationCache:
-    """Memoized calibration records, optionally persisted to disk.
+    """Calibration records memoized in memory: one enrollment per key.
 
-    ``enabled=False`` turns every lookup into a cold build — the
-    cache-off baseline the fleet benchmark measures against.
+    Lookups hold a lock, so the serve worker threads sharing one cache
+    enroll each key once and count every lookup.
     """
 
-    def __init__(self, enabled: bool = True, cache_dir: Optional[str] = None):
-        self.enabled = enabled
-        self.cache_dir = cache_dir
+    def __init__(self) -> None:
         self._records: Dict[Tuple, CalibrationRecord] = {}
+        self._lock = threading.Lock()
         self.stats = CacheStats()
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
 
-    # ------------------------------------------------------------------
     def get(self, key: Tuple) -> CalibrationRecord:
-        """The record for ``key`` — memoized, disk-backed, or cold."""
-        if not self.enabled:
-            self.stats.misses += 1
-            return build_record(key)
-        record = self._records.get(key)
-        if record is not None:
-            self.stats.hits += 1
+        """The record for ``key``, enrolled on its first lookup."""
+        with self._lock:
+            record = self._records.get(key)
+            if record is None:
+                self.stats.misses += 1
+                record = self._records[key] = build_record(key)
+            else:
+                self.stats.hits += 1
             return record
-        record = self._load_disk(key)
-        if record is not None:
-            self.stats.disk_hits += 1
-        else:
-            self.stats.misses += 1
-            record = build_record(key)
-            self._store_disk(key, record)
-        self._records[key] = record
-        return record
 
     def __len__(self) -> int:
         return len(self._records)
-
-    # ------------------------------------------------------------------
-    def _path(self, key: Tuple) -> Optional[str]:
-        if not self.cache_dir:
-            return None
-        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:24]
-        return os.path.join(self.cache_dir, f"calibration-{digest}.pkl")
-
-    def _load_disk(self, key: Tuple) -> Optional[CalibrationRecord]:
-        path = self._path(key)
-        if path is None or not os.path.exists(path):
-            return None
-        try:
-            with open(path, "rb") as handle:
-                record = pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError):
-            return None
-        if not isinstance(record, CalibrationRecord) or record.key != key:
-            return None
-        return record
-
-    def _store_disk(self, key: Tuple, record: CalibrationRecord) -> None:
-        path = self._path(key)
-        if path is None:
-            return
-        # Atomic publish: concurrent writers of the same key both write
-        # identical bytes, so last-rename-wins is harmless.
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(record, handle)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass

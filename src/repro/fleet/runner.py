@@ -1,17 +1,18 @@
-"""Parallel fleet execution.
+"""Parallel fleet execution through one shard loop.
 
-:class:`FleetRunner` turns a :class:`~repro.fleet.spec.FleetSpec` into a
-:class:`~repro.fleet.report.FleetReport`:
+:func:`run_shards` is the one fleet loop: :class:`FleetRunner` (the
+whole fleet as one shard), :func:`~repro.fleet.stream.stream_fleet`
+and the serve ``fleet`` job all run through it.  Per shard it
 
-1. resolve every unique calibration key through the shared
-   :class:`~repro.fleet.cache.CalibrationCache` *in the parent process*
-   (devices sharing a tech node + monitor design enroll exactly once);
-2. hand the devices to :func:`simulate_devices` in one contiguous chunk
+1. looks each device up in the shared
+   :class:`~repro.fleet.cache.CalibrationCache` *in the caller's
+   process* (devices sharing a tech node + monitor design enroll once);
+2. hands the shard to :func:`simulate_devices` in one contiguous chunk
    per worker through the :mod:`repro.exec` backbone — serially when
    ``parallel <= 1`` (the deterministic mode tests use) — so chunks of
    at least :data:`~repro.batch.dispatch.AUTO_BATCH_MIN` fast-engine
    devices vectorize through the batch kernel;
-3. aggregate results in device-id order, so serial and parallel runs
+3. yields results in device order, so serial and parallel runs
    produce byte-identical reports.
 
 Observability never changes this path: with :mod:`repro.obs` on or
@@ -25,9 +26,10 @@ dataclasses of primitives, which is what makes the fan-out picklable.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.batch import ENGINES as EVAL_ENGINES, Scenario, evaluate_many
 from repro.errors import ConfigurationError
@@ -62,6 +64,41 @@ def simulate_devices(
         )
         for (device, _monitor), report in zip(work, reports)
     ]
+
+
+def run_shards(
+    devices: Iterable[DeviceSpec],
+    cache: CalibrationCache,
+    *,
+    parallel: int,
+    shard_size: int,
+    eval_engine: str,
+    label: str,
+    admit: Optional[Callable[[DeviceSpec], bool]] = None,
+) -> Iterator[Tuple[List[DeviceSpec], List[Optional[DeviceResult]]]]:
+    """Simulate ``devices`` ``shard_size`` at a time: the one fleet loop.
+
+    Yields ``(shard, results)`` per shard, where ``results`` holds one
+    :class:`DeviceResult` per device in shard order, and ``None`` where
+    ``admit(device)`` refused the device.  Enrollment goes through
+    ``cache.get``, one call per admitted device, in the caller's
+    process.  Each shard's ``run_tasks`` pool has been joined before
+    the shard is yielded, so a consumer may raise (serve's cancellation
+    does) without stranding workers, and at most one shard of specs,
+    work items and results is alive at a time.
+    """
+    worker = functools.partial(simulate_devices, engine=eval_engine)
+    iterator = iter(devices)
+    while True:
+        shard = list(itertools.islice(iterator, shard_size))
+        if not shard:
+            return
+        admitted = [admit is None or admit(device) for device in shard]
+        work = [(d, cache.get(d.calibration_key()).model) for d, ok in zip(shard, admitted) if ok]
+        done = iter(run_tasks(worker, work, parallel=parallel, chunked=True, label=label))
+        del work
+        yield shard, [next(done) if ok else None for ok in admitted]
+        del shard, admitted, done
 
 
 @dataclass
@@ -102,26 +139,6 @@ class FleetRunner:
         self.eval_engine = eval_engine
 
     # ------------------------------------------------------------------
-    def work_items(self) -> List[Tuple[DeviceSpec, MonitorModel]]:
-        """One ``(device, monitor)`` pair per device, in device order.
-
-        The payload :func:`simulate_devices` takes; enrollment happens
-        here, in the caller's process, through :attr:`cache`.
-        """
-        if self.cache.enabled:
-            # Enroll every unique monitor design once.
-            records = {key: self.cache.get(key) for key in self.fleet.calibration_keys()}
-            return [
-                (device, records[device.calibration_key()].model)
-                for device in self.fleet.devices
-            ]
-        # Cache-off baseline: every device pays a cold enrollment, the
-        # way the single-device simulator API does today.
-        return [
-            (device, self.cache.get(device.calibration_key()).model)
-            for device in self.fleet.devices
-        ]
-
     def run(self, record=None) -> FleetRunResult:
         """Execute the fleet.
 
@@ -141,15 +158,18 @@ class FleetRunner:
             devices=len(self.fleet.devices),
             parallel=self.parallel,
         ) as span:
-            # One contiguous chunk of devices per worker: the kernel's
-            # throughput grows with lane count.
-            results = run_tasks(
-                functools.partial(simulate_devices, engine=self.eval_engine),
-                self.work_items(),
+            # The whole fleet is one shard, so each worker gets one
+            # contiguous chunk: the kernel's throughput grows with lanes.
+            results = []
+            for _shard, shard_results in run_shards(
+                self.fleet.devices,
+                self.cache,
                 parallel=self.parallel,
-                chunked=True,
+                shard_size=max(1, len(self.fleet)),
+                eval_engine=self.eval_engine,
                 label="fleet.batched",
-            )
+            ):
+                results += shard_results
             report = FleetReport(fleet_name=self.fleet.name, results=results)
             if record is not None:
                 record_fleet_run(record, self.fleet, self.eval_engine, results, report)

@@ -3,7 +3,7 @@
 Every fleet figure comes from one aggregator, :class:`FleetSketch`.
 :class:`~repro.fleet.report.FleetReport` folds its materialized
 results into a sketch whose reservoir holds them all (exact figures);
-this module's shard loop folds a fleet of any size — the 10^6-10^7
+:func:`stream_fleet` folds a fleet of any size — the 10^6-10^7
 devices the paper's *ubiquity* claim is about — into a fixed-size one.
 The pieces:
 
@@ -13,9 +13,9 @@ The pieces:
   one :class:`FleetSketch`.  Every sketch supports ``merge()`` and a
   JSON ``to_dict()``/``from_dict()`` round trip, so shard-local sketches
   fold into one fleet answer;
-* **a shard loop** — :func:`stream_fleet` pulls devices from any
-  iterable (a generator for synthetic fleets), simulates one shard at a
-  time on top of :func:`repro.exec.run_tasks`, folds each shard into
+* **a sharded run** — :func:`stream_fleet` pulls devices from any
+  iterable (a generator for synthetic fleets) through the one fleet
+  loop, :func:`repro.fleet.runner.run_shards`, folds each shard into
   the sketch, and never holds more than one shard of results;
 * **stratified sampling** — :class:`StratifiedSampler` admits a seeded,
   order-independent subset of devices per ``(monitor, policy)`` stratum
@@ -40,16 +40,13 @@ devices with the smallest seeded hash — a pure function of the device
 
 from __future__ import annotations
 
-import functools
 import heapq
-import itertools
 import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.exec import run_tasks
 from repro.fleet.cache import CalibrationCache
 from repro.fleet.report import (
     _METRICS,
@@ -57,7 +54,7 @@ from repro.fleet.report import (
     format_duration_span,
     percentile,
 )
-from repro.fleet.runner import simulate_devices
+from repro.fleet.runner import run_shards
 from repro.obs import OBS
 from repro.trace.format import payload_digest
 
@@ -697,7 +694,7 @@ def _render_fleet(fleet_name: str, sketch: FleetSketch, confidence: bool) -> str
 
 
 # ----------------------------------------------------------------------
-# The shard loop
+# Sharded execution
 # ----------------------------------------------------------------------
 @dataclass
 class FleetStreamResult:
@@ -775,59 +772,42 @@ def stream_fleet(
                 "capacity": capacity,
             },
         )
-    worker = functools.partial(simulate_devices, engine=eval_engine)
     start = time.perf_counter()
     shards = 0
-    iterator = iter(devices)
     with OBS.tracer.span(
         "fleet.stream", fleet=name, shard_size=shard_size, parallel=parallel
     ) as span:
-        while True:
-            shard = list(itertools.islice(iterator, shard_size))
-            if not shard:
-                break
+        for shard, results in run_shards(
+            devices,
+            cache,
+            parallel=parallel,
+            shard_size=shard_size,
+            eval_engine=eval_engine,
+            label="fleet.stream",
+            admit=sampler.admit,
+        ):
             shards += 1
-            work = []
-            strata = []
-            admitted = []
-            for device in shard:
+            # Fold and emit in arrival order (results keep device
+            # order), so the stream is deterministic under any
+            # parallelism.
+            for device, result in zip(shard, results):
                 stratum = device_stratum(device)
-                if sampler.admit(device):
-                    work.append((device, cache.get(device.calibration_key()).model))
-                    strata.append(stratum)
-                    admitted.append(True)
-                else:
+                if result is None:
                     sketch.skip(stratum)
-                    admitted.append(False)
-            results: List[DeviceResult] = []
-            if work:
-                results = run_tasks(
-                    worker,
-                    work,
-                    parallel=parallel,
-                    chunked=True,
-                            label="fleet.stream",
-                )
-                for stratum, result in zip(strata, results):
+                else:
                     sketch.update(result, stratum=stratum)
-            if record is not None:
-                # Emit in arrival order (run_tasks preserves result
-                # order) so the stream is deterministic under any
-                # parallelism.
-                result_iter = iter(results)
-                for device, ok in zip(shard, admitted):
-                    if ok:
-                        record.event(
-                            "device",
-                            device=device.device_id,
-                            spec=device.to_dict(),
-                            digest=payload_digest(next(result_iter).to_dict()),
-                        )
-                    else:
-                        record.event(
-                            "skip", device=device.device_id, spec=device.to_dict()
-                        )
-            del shard, work, strata, admitted, results
+                if record is None:
+                    continue
+                if result is None:
+                    record.event("skip", device=device.device_id, spec=device.to_dict())
+                else:
+                    record.event(
+                        "device",
+                        device=device.device_id,
+                        spec=device.to_dict(),
+                        digest=payload_digest(result.to_dict()),
+                    )
+            del shard, results
             if on_shard is not None:
                 on_shard(shards, sketch)
         span.set(shards=shards, seen=sketch.seen, simulated=sketch.count)

@@ -15,8 +15,9 @@ Job types:
     order); final result is ``FleetReport.to_dict()``.  Calibration
     goes through the manager's process-lifetime shared cache.  With
     ``"stream": true`` (plus optional ``shard_size`` / ``sample`` /
-    ``sample_seed`` / ``capacity``) the fleet runs through the
-    constant-memory sharded path instead: one ``sketch`` snapshot
+    ``sample_seed`` / ``capacity``, fields a job without ``stream``
+    refuses, as a streamed job refuses ``wave``) the fleet runs through
+    the constant-memory sharded path instead: one ``sketch`` snapshot
     event per shard (mergeable :class:`~repro.fleet.stream.FleetSketch`
     wire form), final result ``FleetSketchReport.to_dict()``, and
     cancellation lands at shard granularity.  ``"record": true`` (both
@@ -50,17 +51,17 @@ the experiment list or the :class:`~repro.trace.Recording`, and checks
 the ``parallel``, ``wave``, ``eval_engine`` and stream fields the job
 reads.
 
-Handlers fan heavy work out through
-:meth:`~repro.serve.jobs.JobContext.wave_run`, so every job type honors
-cancellation at wave granularity and streams as waves complete.  A
-request may set ``"wave": n`` to tighten that granularity (tests use
-``wave=1`` to stream/cancel per item).
+Handlers fan heavy work out in waves — fleet jobs as the shards of
+the one fleet loop, :func:`~repro.fleet.runner.run_shards`, the others
+through :meth:`~repro.serve.jobs.JobContext.wave_run` or per-wave
+calls — so every job type honors cancellation at wave granularity and
+streams as waves complete.  A request may set ``"wave": n`` to tighten
+that granularity (tests use ``wave=1`` to stream/cancel per item).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Dict, List, Optional
 
 from repro.batch import ENGINES as EVAL_ENGINES
@@ -70,14 +71,14 @@ from repro.dse.pareto import non_dominated_sort
 from repro.dse.space import DesignSpace
 from repro.errors import ConfigurationError
 from repro.fleet.report import FleetReport
-from repro.fleet.runner import FleetRunner, record_fleet_run, simulate_devices
+from repro.fleet.runner import record_fleet_run, run_shards
 from repro.fleet.spec import FleetSpec
 from repro.fleet.stream import (
     DEFAULT_RESERVOIR_CAPACITY,
     DEFAULT_SHARD_SIZE,
     stream_fleet,
 )
-from repro.serve.jobs import JobContext
+from repro.serve.jobs import WAVE_FACTOR, JobContext
 from repro.trace import Recording, TraceRecorder, replay
 from repro.trace.replayer import check_riscv
 from repro.spice.charlib import (
@@ -124,11 +125,17 @@ def _wave(request: Dict) -> Optional[int]:
 # ----------------------------------------------------------------------
 # fleet
 # ----------------------------------------------------------------------
+#: The fields only a ``"stream": true`` fleet job reads; ``wave`` is
+#: the one only a fleet job without it reads.
+_STREAM_FIELDS = ("shard_size", "sample", "sample_seed", "capacity")
+
+
 def fleet_request(request: Dict):
     """``(fleet, parallel, wave, eval_engine, stream)`` for a ``fleet``
     job, where ``stream`` is None or, for a ``"stream": true`` job, the
     shard, sample and reservoir keywords of :func:`stream_fleet`; a
-    malformed payload or field raises :class:`ConfigurationError`."""
+    malformed payload or field, or a field of the other mode, raises
+    :class:`ConfigurationError`."""
     if "fleet" not in request:
         raise ConfigurationError('fleet job needs a "fleet" payload')
     fleet = FleetSpec.from_dict(request["fleet"])
@@ -137,8 +144,13 @@ def fleet_request(request: Dict):
         raise ConfigurationError(
             f"unknown eval engine {eval_engine!r}; choose from {EVAL_ENGINES}"
         )
+    streamed = bool(request.get("stream"))
+    for field in ("wave",) if streamed else _STREAM_FIELDS:
+        if field in request:
+            mode = 'without "stream": true' if streamed else 'with "stream": true'
+            raise ConfigurationError(f"{field} applies only to fleet jobs {mode}")
     stream = None
-    if request.get("stream"):
+    if streamed:
         sample = request.get("sample", 1.0)
         numeric = isinstance(sample, (int, float)) and not isinstance(sample, bool)
         if not (numeric and 0.0 < sample <= 1.0):
@@ -156,33 +168,28 @@ def fleet_request(request: Dict):
 
 
 def handle_fleet(context: JobContext, request: Dict) -> Dict:
-    """Replay a fleet, streaming per-device results as they land."""
+    """Replay a fleet, streaming per-device results shard by shard."""
     fleet, parallel, wave, eval_engine, stream = fleet_request(request)
     if stream is not None:
         return _handle_fleet_stream(context, fleet, request, parallel, eval_engine, stream)
-    runner = FleetRunner(
-        fleet,
-        parallel=parallel,
-        cache=context.manager.calibration_cache,
-        eval_engine=eval_engine,
-    )
     context.emit("fleet", name=fleet.name, devices=len(fleet))
-    work = runner.work_items()
-
-    def on_item(index: int, outcome) -> None:
-        context.emit("device", index=index, result=outcome.to_dict())
-
-    results = context.wave_run(
-        functools.partial(simulate_devices, engine=eval_engine),
-        work,
+    results = []
+    for _shard, shard_results in run_shards(
+        fleet.devices,
+        context.manager.calibration_cache,
         parallel=parallel,
-        chunked=True,
-        on_item=on_item,
-        wave=wave,
+        shard_size=wave or parallel * WAVE_FACTOR,
+        eval_engine=eval_engine,
         label="serve.fleet",
-    )
-    # Same aggregation as FleetRunner.run(): DeviceResults in id order,
-    # so this payload is byte-identical to the direct run's report.
+    ):
+        # The shard's pool is joined: cancelling here strands nothing.
+        context.check_cancelled()
+        for result in shard_results:
+            context.emit("device", index=len(results), result=result.to_dict())
+            results.append(result)
+        context.emit_metrics()
+    # Device order, as in FleetRunner.run(), so this payload is
+    # byte-identical to the direct run's report.
     report = FleetReport(fleet_name=fleet.name, results=results)
     if request.get("record"):
         # Same recording layout as FleetRunner.run(record=...) — one
@@ -474,7 +481,7 @@ def handle_characterize(context: JobContext, request: Dict) -> Dict:
     """
     sweeps, engine, tolerance, parallel, wave = characterize_request(request)
     cache = context.manager.characterization_cache
-    wave = wave or parallel * 4
+    wave = wave or parallel * WAVE_FACTOR
     results = []
     hits0, misses0 = cache.stats.hits, cache.stats.misses
     surrogate0 = cache.stats.surrogate_hits

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dse import DesignSpace, NSGA2, PerformanceModel, dominates, grid_explore
+from repro.dse.nsga2 import MAX_GENERATIONS, MAX_POPULATION, check_sizes
 from repro.errors import ConfigurationError
 from repro.tech import TECH_90NM
 
@@ -36,6 +37,24 @@ class TestConfiguration:
     def test_non_integer_sizes_rejected(self, model, sizes):
         with pytest.raises(ConfigurationError):
             NSGA2(model, **sizes)
+
+    @pytest.mark.parametrize("sizes", [
+        {"population_size": 2**40},
+        {"population_size": MAX_POPULATION + 2},
+        {"generations": 2**40},
+        {"generations": MAX_GENERATIONS + 1},
+    ], ids=repr)
+    def test_oversized_searches_rejected(self, sizes):
+        # Refused at construction: nothing is ever allocated at this size.
+        with pytest.raises(ConfigurationError, match=repr(next(iter(sizes.values())))):
+            NSGA2(model=None, **sizes)
+
+    def test_caps_admit_every_search_in_the_repo(self):
+        """NSGA2's defaults (60 x 40) and fig5's 60 x 30 fit, and so do
+        the caps themselves."""
+        assert MAX_POPULATION >= NSGA2.population_size >= 60
+        assert MAX_GENERATIONS >= NSGA2.generations >= 40
+        check_sizes(MAX_POPULATION, MAX_GENERATIONS)
 
 
 class TestRun:

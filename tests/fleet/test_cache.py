@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.monitor import FailureSentinels
 from repro.errors import ConfigurationError
-from repro.fleet import CalibrationCache, build_record
+from repro.fleet import CalibrationCache, CalibrationRecord, build_record
 from repro.harvest.monitors import (
+    IdealMonitor,
     fs_low_power_config,
     fs_low_power_monitor,
 )
@@ -62,15 +63,6 @@ class TestMemoization:
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
-    def test_disabled_cache_always_rebuilds(self):
-        cache = CalibrationCache(enabled=False)
-        first = cache.get(LP_KEY)
-        second = cache.get(LP_KEY)
-        assert second is not first
-        assert second == first  # same values, no sharing
-        assert cache.stats.misses == 2
-        assert len(cache) == 0
-
     def test_distinct_keys_distinct_records(self):
         cache = CalibrationCache()
         lp = cache.get(LP_KEY)
@@ -78,27 +70,50 @@ class TestMemoization:
         assert lp.model != hp.model
         assert len(cache) == 2
 
+    def test_summary_counts_hits_and_misses(self):
+        cache = CalibrationCache()
+        for _ in range(3):
+            cache.get(LP_KEY)
+        assert cache.stats.summary() == "2 hits, 1 misses"
 
-class TestDiskLayer:
-    def test_roundtrip_across_cache_instances(self, tmp_path):
-        cache_dir = str(tmp_path / "calib")
-        warm = CalibrationCache(cache_dir=cache_dir)
-        stored = warm.get(LP_KEY)
-        assert warm.stats.misses == 1
+    def test_threads_enroll_each_key_once(self, monkeypatch):
+        """Serve's worker threads share one cache: each key enrolls
+        once and every lookup is counted."""
+        import sys
+        import threading
+        import time
 
-        cold = CalibrationCache(cache_dir=cache_dir)
-        loaded = cold.get(LP_KEY)
-        assert cold.stats.disk_hits == 1
-        assert cold.stats.misses == 0
-        assert loaded == stored
+        from repro.fleet import cache as cache_module
 
-    def test_corrupt_file_falls_back_to_build(self, tmp_path):
-        cache_dir = str(tmp_path / "calib")
-        warm = CalibrationCache(cache_dir=cache_dir)
-        warm.get(LP_KEY)
-        for path in (tmp_path / "calib").iterdir():
-            path.write_bytes(b"not a pickle")
-        cold = CalibrationCache(cache_dir=cache_dir)
-        record = cold.get(LP_KEY)
-        assert record == warm.get(LP_KEY)
-        assert cold.stats.misses == 1
+        def slow_build(key):
+            time.sleep(0.001)
+            return CalibrationRecord(key=key, model=IdealMonitor())
+
+        monkeypatch.setattr(cache_module, "build_record", slow_build)
+        cache = CalibrationCache()
+        keys = [("90nm", "fs", (("ro_length", n),)) for n in (3, 5, 7, 9)]
+
+        def lookups():
+            for _ in range(50):
+                for key in keys:
+                    cache.get(key)
+
+        threads = [threading.Thread(target=lookups) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.stats.misses == len(cache) == len(keys)
+        assert cache.stats.hits + cache.stats.misses == len(threads) * 50 * len(keys)
+
+    def test_takes_no_arguments(self):
+        """A memo only: no off switch and no disk directory."""
+        for kwargs in ({"enabled": False}, {"cache_dir": "calib"}):
+            with pytest.raises(TypeError):
+                CalibrationCache(**kwargs)

@@ -6,10 +6,14 @@ import pytest
 from repro.fleet import (
     CalibrationCache,
     DeviceSpec,
+    FleetReport,
     FleetRunner,
     FleetSpec,
+    build_record,
+    simulate_devices,
     synthesize_fleet,
 )
+from repro.fleet.runner import run_shards
 from repro.errors import ConfigurationError
 from repro.exec import BACKEND_ENV, backbone
 from repro.harvest import fs_low_power_monitor, nyc_pedestrian_night
@@ -89,15 +93,75 @@ class TestJobsKwargRemoved:
 
 class TestCacheTransparency:
     def test_cache_on_off_identical_results(self, small_fleet):
+        """Memoized enrollment simulates exactly like a fresh
+        ``build_record`` per device."""
         cached = FleetRunner(small_fleet, cache=CalibrationCache()).run()
-        uncached = FleetRunner(small_fleet, cache=CalibrationCache(enabled=False)).run()
-        assert cached.report.render() == uncached.report.render()
+        cold = simulate_devices(
+            [
+                (device, build_record(device.calibration_key()).model)
+                for device in small_fleet.devices
+            ]
+        )
+        uncached = FleetReport(fleet_name=small_fleet.name, results=cold)
+        assert cached.report.render() == uncached.render()
+        assert cached.report.to_dict() == uncached.to_dict()
 
     def test_shared_designs_enroll_once(self, small_fleet):
         cache = CalibrationCache()
         FleetRunner(small_fleet, cache=cache).run()
         assert len(cache) == len(small_fleet.calibration_keys())
         assert cache.stats.misses == len(small_fleet.calibration_keys())
+
+
+class TestRunShards:
+    """The one fleet loop under every fleet run."""
+
+    @staticmethod
+    def _admit(device):
+        return device.device_id % 3 != 1
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_refused_devices_are_none_in_device_order(self, small_fleet, parallel):
+        cache = CalibrationCache()
+        shards = list(
+            run_shards(
+                small_fleet.devices,
+                cache,
+                parallel=parallel,
+                shard_size=3,
+                eval_engine="auto",
+                label="test.shards",
+                admit=self._admit,
+            )
+        )
+        assert [len(shard) for shard, _results in shards] == [3, 3, 2]
+        assert [len(results) for _shard, results in shards] == [3, 3, 2]
+        devices = [device for shard, _results in shards for device in shard]
+        results = [result for _shard, shard_results in shards for result in shard_results]
+        assert devices == list(small_fleet.devices)
+        direct = FleetRunner(small_fleet).run().report.results
+        for device, result, expected in zip(devices, results, direct):
+            if self._admit(device):
+                assert result.to_dict() == expected.to_dict()
+            else:
+                assert result is None
+        # One cache lookup per admitted device, none for refused ones.
+        admitted = sum(map(self._admit, small_fleet.devices))
+        assert cache.stats.hits + cache.stats.misses == admitted
+
+    def test_all_refused_shard_runs_nothing(self, small_fleet):
+        cache = CalibrationCache()
+        [(shard, results)] = run_shards(
+            small_fleet.devices,
+            cache,
+            parallel=1,
+            shard_size=len(small_fleet),
+            eval_engine="auto",
+            label="test.shards",
+            admit=lambda device: False,
+        )
+        assert results == [None] * len(small_fleet)
+        assert len(cache) == 0
 
 
 class TestPolicies:

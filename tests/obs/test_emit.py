@@ -14,7 +14,7 @@ import pytest
 
 import repro.obs as obs
 from repro.batch import Scenario, evaluate_many
-from repro.fleet import CalibrationCache, FleetRunner, synthesize_fleet
+from repro.fleet import CalibrationCache, synthesize_fleet
 from repro.harvest.fast import FastIntermittentSimulator
 from repro.harvest.monitors import fs_low_power_monitor
 from repro.harvest.traces import nyc_pedestrian_night
@@ -51,8 +51,11 @@ def _traced(layer, run):
 
 
 def _fleet_scenarios(devices, duration):
-    runner = FleetRunner(synthesize_fleet(devices, duration=duration), cache=CalibrationCache())
-    return [Scenario.from_device(d, m) for d, m in runner.work_items()]
+    cache = CalibrationCache()
+    return [
+        Scenario.from_device(d, cache.get(d.calibration_key()).model)
+        for d in synthesize_fleet(devices, duration=duration).devices
+    ]
 
 
 class TestEmitter:

@@ -88,6 +88,8 @@ class TestService:
             {"fleet": good, "stream": True, "shard_size": 0},
             {"fleet": good, "stream": True, "sample": 2.0},
             {"fleet": good, "stream": True, "capacity": -1},
+            {"fleet": good, "stream": True, "wave": 2},
+            {"fleet": good, "shard_size": 2},
         )
         for request in requests:
             with pytest.raises(ServeError) as excinfo:
@@ -99,7 +101,10 @@ class TestService:
         assert "trace_duration" in messages[1]
         assert "malformed fleet payload" in messages[2]
         assert "'reference'" in messages[3]
-        needles = ("parallel", "parallel", "'gpu'", "wave", "shard_size", "sample", "capacity")
+        needles = (
+            "parallel", "parallel", "'gpu'", "wave", "shard_size", "sample", "capacity",
+            "wave", "shard_size",
+        )
         for message, needle in zip(messages[4:], needles):
             assert needle in message
         assert len(client.jobs()) == before
@@ -140,6 +145,7 @@ class TestService:
             {"generations": 0},
             {"generations": 2.0},
             {"seed": "5"},
+            {"population_size": 2**40},
         )
         for request in requests:
             with pytest.raises(ServeError) as excinfo:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dse.nsga2 import MAX_GENERATIONS, MAX_POPULATION
 from repro.errors import ConfigurationError
 from repro.serve.handlers import HANDLERS, sweep_from_dict, sweep_to_dict
 from repro.serve.jobs import JobCancelled, JobContext, JobManager
@@ -90,11 +91,48 @@ class TestRequestValidation:
             {"generations": 0},
             {"generations": False},
             {"seed": 1.5},
+            # Hostile sizes: only the validator runs, so nothing is
+            # ever built at this size.
+            {"population_size": 2**40},
+            {"generations": 2**40},
+            {"population_size": MAX_POPULATION + 2},
+            {"generations": MAX_GENERATIONS + 1},
         ],
     )
     def test_dse_sizes_checked_at_submit(self, request_):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as excinfo:
             HANDLERS["dse"].validate(dict(request_, tech="90nm"))
+        message = str(excinfo.value)
+        assert "\n" not in message and repr(next(iter(request_.values()))) in message
+
+    def test_dse_caps_accepted_at_submit(self):
+        _tech, kwargs = HANDLERS["dse"].validate(
+            {"population_size": MAX_POPULATION, "generations": MAX_GENERATIONS}
+        )
+        assert kwargs == {"population_size": MAX_POPULATION, "generations": MAX_GENERATIONS}
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("shard_size", 2), ("sample", 0.5), ("sample_seed", 3), ("capacity", 8)],
+    )
+    def test_fleet_run_job_refuses_stream_fields(self, field, value):
+        from repro.fleet import synthesize_fleet
+
+        fleet = synthesize_fleet(2, seed=3, duration=10.0).to_dict()
+        for request in ({"fleet": fleet}, {"fleet": fleet, "stream": False}):
+            with pytest.raises(ConfigurationError, match=field) as excinfo:
+                HANDLERS["fleet"].validate(dict(request, **{field: value}))
+            assert "\n" not in str(excinfo.value)
+        HANDLERS["fleet"].validate({"fleet": fleet, "stream": True, field: value})
+
+    def test_fleet_stream_job_refuses_wave(self):
+        from repro.fleet import synthesize_fleet
+
+        fleet = synthesize_fleet(2, seed=3, duration=10.0).to_dict()
+        with pytest.raises(ConfigurationError, match="wave") as excinfo:
+            HANDLERS["fleet"].validate({"fleet": fleet, "stream": True, "wave": 1})
+        assert "\n" not in str(excinfo.value)
+        HANDLERS["fleet"].validate({"fleet": fleet, "wave": 1})
 
     def test_dse_sizes_match_nsga2(self):
         """The validator applies NSGA2's own checks: a request it passes
@@ -174,6 +212,70 @@ class TestInlineExecution:
         sweep = sweep_to_dict(RingSweep(tech=TECH_90NM, n_stages=5, voltages=(0.8, 1.0)))
         with pytest.raises(JobCancelled):
             HANDLERS["characterize"](context, {"sweeps": [sweep]})
+
+
+class TestFleetRun:
+    """Run-mode fleet jobs go through the same shard loop as
+    :class:`FleetRunner`, whatever the wave size and parallelism."""
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    @pytest.mark.parametrize("wave", [1, 3, None], ids=["wave1", "wave3", "default"])
+    def test_job_equals_direct_run(self, parallel, wave):
+        import json
+
+        from repro.fleet import FleetRunner, synthesize_fleet
+
+        fleet = synthesize_fleet(7, seed=5, duration=10.0)
+        request = {"fleet": fleet.to_dict(), "parallel": parallel}
+        if wave is not None:
+            request["wave"] = wave
+        context, job = _context()
+        out = HANDLERS["fleet"](context, request)
+        direct = FleetRunner(fleet, parallel=parallel).run().report
+        assert json.dumps(out) == json.dumps(direct.to_dict())
+        devices = [
+            {k: v for k, v in e.items() if k != "event"}
+            for e in job.published
+            if e["event"] == "device"
+        ]
+        expected = [
+            {"index": i, "result": result.to_dict()} for i, result in enumerate(direct.results)
+        ]
+        assert json.dumps(devices) == json.dumps(expected)
+
+    def test_cancel_lands_at_shard_boundary(self):
+        from repro.fleet import synthesize_fleet
+
+        fleet = synthesize_fleet(6, seed=11, duration=10.0)
+        context, job = _context()
+        job.cancel_event.set()
+        with pytest.raises(JobCancelled):
+            HANDLERS["fleet"](context, {"fleet": fleet.to_dict(), "wave": 2})
+        # The first shard ran, but none of its devices was streamed.
+        assert [e for e in job.published if e["event"] == "device"] == []
+
+
+class TestCharacterizeWaves:
+    def test_default_wave_is_parallel_times_wave_factor(self, monkeypatch):
+        from repro.serve import handlers
+        from repro.serve.jobs import WAVE_FACTOR
+
+        waves = []
+
+        class _Result:
+            def to_dict(self):
+                return {}
+
+        def fake_characterize_many(sweeps, **kwargs):
+            waves.append(len(sweeps))
+            return [_Result() for _ in sweeps]
+
+        monkeypatch.setattr(handlers, "characterize_many", fake_characterize_many)
+        sweep = sweep_to_dict(RingSweep(tech=TECH_90NM, n_stages=5, voltages=(1.0,)))
+        count = 2 * WAVE_FACTOR + 1
+        context, _job = _context()
+        HANDLERS["characterize"](context, {"sweeps": [sweep] * count, "parallel": 2})
+        assert waves == [2 * WAVE_FACTOR, 1]
 
 
 class TestFleetStreaming:
@@ -292,11 +394,10 @@ class TestWorkerFailure:
         ``device`` event is streamed for an item that never finished."""
         import time
 
-        from repro.fleet import synthesize_fleet
-        from repro.serve import handlers
+        from repro.fleet import runner, synthesize_fleet
         from repro.serve.jobs import TERMINAL_STATES
 
-        monkeypatch.setattr(handlers, "simulate_devices", diverging_devices)
+        monkeypatch.setattr(runner, "simulate_devices", diverging_devices)
         manager = JobManager(workers=1).start()
         try:
             fleet = synthesize_fleet(3, seed=11, duration=10.0)

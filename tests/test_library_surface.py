@@ -42,6 +42,8 @@ KEEP = {
     "experiments.runner.available_experiments": "the benchmark ledger lists experiments with it",
     "serve.client.ServeClient.health": "CI's serve smoke step calls it",
     "units.to_milli": "examples/quickstart.py",
+    "fleet.spec.FleetSpec.calibration_keys":
+        "docs/api.md's replacement for FleetRunner.work_items(); bench_ext_fleet counts designs with it",
     # Called by the standard library, never by name.
     "trace.recorder.CountingRandom.getrandbits": "random.Random draws its bits through it",
 }
