@@ -42,7 +42,7 @@ def _sweep(**overrides) -> RingSweep:
 
 
 def _cold_run(sweep, fd=False):
-    cold = CharacterizationCache(enabled=False)
+    cold = CharacterizationCache()
     start = time.perf_counter()
     if fd:
         with fd_jacobian():

@@ -200,7 +200,6 @@ class JobContext:
         items: Sequence,
         *,
         parallel: Optional[int] = None,
-        chunked: bool = False,
         on_item: Optional[Callable[[int, object], None]] = None,
         wave: Optional[int] = None,
         label: Optional[str] = None,
@@ -241,7 +240,6 @@ class JobContext:
                     fn,
                     items[start : start + wave],
                     parallel=parallel,
-                    chunked=chunked,
                     label=label,
                     on_result=_on_result(start),
                 )

@@ -24,14 +24,15 @@ module is the front door for that pattern, mirroring
   otherwise.  With no fitted models this is byte-identical to
   ``"exact"``, so the default is fully backward compatible.
 
-Results are cached in memory and (by default) on disk, keyed by a
-fingerprint of *everything that determines the answer*: a schema
-version, every field of the technology card, every field of the sweep
-request, and the solver tolerances.  Editing a tech card therefore
-busts the cache automatically — the key changes, the old entry is
-simply never looked up again.  Set ``REPRO_CHARLIB_CACHE`` to move the
-disk cache, or pass ``cache=CharacterizationCache(enabled=False)`` to
-force cold runs.
+Curves and certified surrogate models share one store,
+:class:`CharacterizationCache`: memory in front of one JSON file per
+key, on disk by default.  A curve's key is a fingerprint of
+*everything that determines the answer*: a schema version, every field
+of the technology card, every field of the sweep request, and the
+solver tolerances.  Editing a tech card therefore busts the cache
+automatically — the key changes, the old entry is simply never looked
+up again.  Set ``REPRO_CHARLIB_CACHE`` to move the disk cache, or pass
+a fresh ``cache=CharacterizationCache()`` (memory only) for cold runs.
 
 Parallelism follows the fleet/batch idiom: the parent process resolves
 every request against the cache first, fans only the misses out through
@@ -41,6 +42,7 @@ never touch the cache, so parallel runs cannot race it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -48,7 +50,7 @@ import math
 import numbers
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analog.divider import (
@@ -94,6 +96,11 @@ JACOBIAN_ID = "stamp"
 #: Valid values for ``characterize_many(engine=)``.
 CHAR_ENGINES = ("auto", "exact", "surrogate")
 
+#: Bound on ``RingSweep.periods * points_per_period``: the backward-Euler
+#: steps one voltage point may take.  The default request takes
+#: 12 x 64 = 768.
+MAX_RING_STEPS = 100_000
+
 #: Rising edges discarded before measuring frequency/current — the
 #: staggered start needs a couple of periods to settle into the limit
 #: cycle.
@@ -133,6 +140,11 @@ class RingSweep:
             )
         _check_number(self, "periods", int_min=3)
         _check_number(self, "points_per_period", int_min=8)
+        if self.periods * self.points_per_period > MAX_RING_STEPS:
+            raise ConfigurationError(
+                f"RingSweep: periods x points_per_period must be <= {MAX_RING_STEPS} steps, "
+                f"got {self.periods} x {self.points_per_period}"
+            )
         _check_number(self, "temp_k")
         _check_number(self, "load_cap", optional=True)
         _check_number(self, "period_rtol")
@@ -237,14 +249,21 @@ class SweepResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepResult":
+        """Rebuild a stored result; curves that are not numbers aligned
+        with ``voltages`` (or empty) raise instead."""
+        voltages = tuple(map(float, data["voltages"]))
+        curves = {
+            name: tuple(map(float, data.get(name, ())))
+            for name in ("frequency", "current", "tap")
+        }
+        if any(curve and len(curve) != len(voltages) for curve in curves.values()):
+            raise ValueError("SweepResult curves must align with its voltages")
         return cls(
             kind=data["kind"],
             fingerprint=data["fingerprint"],
-            voltages=tuple(data["voltages"]),
-            frequency=tuple(data.get("frequency", ())),
-            current=tuple(data.get("current", ())),
-            tap=tuple(data.get("tap", ())),
+            voltages=voltages,
             source=data.get("source", "exact"),
+            **curves,
         )
 
 
@@ -466,26 +485,22 @@ class CharlibStats:
 
 
 class CharacterizationCache:
-    """Two-layer (memory + JSON-on-disk) store of :class:`SweepResult`.
+    """One keyed JSON store for sweep results and certified surrogate models.
 
-    Disk entries are one human-readable JSON file per fingerprint,
-    published with atomic ``os.replace`` — concurrent writers of the
-    same key write identical bytes, so last-rename-wins is harmless.
-    ``enabled=False`` makes every lookup a miss (the cold baseline the
-    benchmark measures against).  ``cache_dir=None`` keeps the cache
-    memory-only.
-
-    The cache also stores certified
-    :class:`repro.spice.surrogate.SurrogateModel` fits
-    (``surrogate-*.json`` disk files) under
-    :func:`~repro.spice.surrogate.model_fingerprint` keys — which
-    include the tolerance and anchor schema, so a tightened tolerance
-    is always a miss — and indexes them by circuit structure for the
+    Both live in memory and, given ``cache_dir``, as one JSON file per
+    key: ``charlib-<fp>.json`` holds a :class:`SweepResult`,
+    ``surrogate-<fp>.json`` a :class:`repro.spice.surrogate.SurrogateModel`
+    under its :func:`~repro.spice.surrogate.model_fingerprint` (which
+    includes the tolerance, so a tightened tolerance is always a miss).
+    Files pass through one reader, :meth:`_read`, and one atomic writer,
+    :meth:`_write`; a missing, unreadable or non-object file reads as
+    absent, so a corrupt entry is recomputed and a corrupt model skipped.
+    ``cache_dir=None``, or a directory that cannot be created, keeps the
+    cache memory-only.  Models are indexed by circuit structure for the
     ``engine="auto"|"surrogate"`` dispatch.
     """
 
-    def __init__(self, cache_dir: Optional[str] = None, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self, cache_dir: Optional[str] = None):
         self.cache_dir = cache_dir
         self._memory: Dict[str, SweepResult] = {}
         self._models: Dict[str, object] = {}
@@ -505,28 +520,31 @@ class CharacterizationCache:
 
     # ------------------------------------------------------------------
     def get(self, fp: str) -> Optional[SweepResult]:
-        if not self.enabled:
-            self.stats.misses += 1
-            return None
         result = self._memory.get(fp)
         if result is not None:
             self.stats.hits += 1
-            OBS.metrics.incr("spice.charlib_hits")
-            return result
-        result = self._load_disk(fp)
-        if result is not None:
+        else:
+            result = self._load(fp)
+            if result is None:
+                self.stats.misses += 1
+                return None
             self._memory[fp] = result
             self.stats.disk_hits += 1
-            OBS.metrics.incr("spice.charlib_hits")
-            return result
-        self.stats.misses += 1
-        return None
+        OBS.metrics.incr("spice.charlib_hits")
+        return result
 
     def put(self, fp: str, result: SweepResult) -> None:
-        if not self.enabled:
-            return
         self._memory[fp] = result
-        self._store_disk(fp, result)
+        self._write(f"charlib-{fp[:32]}.json", result.to_dict())
+
+    def _load(self, fp: str) -> Optional[SweepResult]:
+        data = self._read(f"charlib-{fp[:32]}.json")
+        if data is None or data.get("schema") != SCHEMA_VERSION or data.get("fingerprint") != fp:
+            return None
+        try:
+            return SweepResult.from_dict(data)
+        except (KeyError, TypeError, ValueError):
+            return None
 
     # ------------------------------------------------------------------
     # Surrogate-model layer
@@ -534,46 +552,21 @@ class CharacterizationCache:
     def has_models(self) -> bool:
         """Whether any certified surrogate model is available — the
         ``engine="auto"`` gate (False means auto is exactly exact)."""
-        if not self.enabled:
-            return False
-        if self._models:
-            return True
         self._scan_models()
         return bool(self._models)
 
     def get_model(self, fp: str):
         """Certified model under ``fp`` (memory, then disk), or None."""
-        if not self.enabled:
-            return None
-        model = self._models.get(fp)
-        if model is None:
-            self._scan_models()
-            model = self._models.get(fp)
-        return model
+        self._scan_models()
+        return self._models.get(fp)
 
     def put_model(self, model) -> None:
-        if not self.enabled:
-            return
         self._index_model(model)
-        path = self._model_path(model.fingerprint)
-        if path is None:
-            return
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(model.to_dict(), handle)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except (OSError, UnboundLocalError):
-                pass
+        self._write(f"surrogate-{model.fingerprint[:32]}.json", model.to_dict())
 
     def find_models(self, structure_key: tuple) -> List:
         """Models able to answer requests with this circuit structure,
         tightest tolerance first (deterministic order)."""
-        if not self.enabled:
-            return []
         self._scan_models()
         return self._model_index.get(structure_key, [])
 
@@ -584,11 +577,6 @@ class CharacterizationCache:
         bucket = self._model_index.setdefault(model.structure_key(), [])
         bucket.append(model)
         bucket.sort(key=lambda m: (m.tolerance, m.v_anchors[0], -m.v_anchors[-1], m.fingerprint))
-
-    def _model_path(self, fp: str) -> Optional[str]:
-        if not self.cache_dir:
-            return None
-        return os.path.join(self.cache_dir, f"surrogate-{fp[:32]}.json")
 
     def _scan_models(self) -> None:
         """One-time lazy load of every ``surrogate-*.json`` disk model."""
@@ -605,50 +593,47 @@ class CharacterizationCache:
         for name in sorted(names):
             if not (name.startswith("surrogate-") and name.endswith(".json")):
                 continue
+            data = self._read(name)
+            if data is None:
+                continue
             try:
-                with open(os.path.join(self.cache_dir, name), "r", encoding="utf-8") as handle:
-                    data = json.load(handle)
                 model = SurrogateModel.from_dict(data)
-            except (OSError, ValueError, KeyError, TypeError, ConfigurationError):
-                continue  # unreadable/stale-schema models are simply skipped
+            except Exception:
+                continue  # a malformed or stale-schema model is skipped
             self._index_model(model)
 
     # ------------------------------------------------------------------
-    def _path(self, fp: str) -> Optional[str]:
+    # The disk layer: one reader, one writer
+    # ------------------------------------------------------------------
+    def _read(self, name: str) -> Optional[dict]:
+        """The JSON object stored as ``name``, or None when there is no
+        disk layer or the file is missing, unreadable or not an object."""
         if not self.cache_dir:
             return None
-        return os.path.join(self.cache_dir, f"charlib-{fp[:32]}.json")
-
-    def _load_disk(self, fp: str) -> Optional[SweepResult]:
-        path = self._path(fp)
-        if path is None or not os.path.exists(path):
-            return None
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(os.path.join(self.cache_dir, name), "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             return None
-        if data.get("schema") != SCHEMA_VERSION or data.get("fingerprint") != fp:
-            return None
-        try:
-            return SweepResult.from_dict(data)
-        except (KeyError, TypeError):
-            return None
+        return data if isinstance(data, dict) else None
 
-    def _store_disk(self, fp: str, result: SweepResult) -> None:
-        path = self._path(fp)
-        if path is None:
+    def _write(self, name: str, payload: dict) -> None:
+        """Publish ``payload`` as ``name`` with an atomic ``os.replace``
+        (writers of one key write identical bytes, so whichever rename
+        lands last is harmless); a failed write leaves no temporary file
+        behind."""
+        if not self.cache_dir:
             return
+        tmp = None
         try:
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(result.to_dict(), handle)
-            os.replace(tmp, path)
+                json.dump(payload, handle)
+            os.replace(tmp, os.path.join(self.cache_dir, name))
         except OSError:
-            try:
-                os.unlink(tmp)
-            except (OSError, UnboundLocalError):
-                pass
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
 
 
 def default_cache_dir() -> str:
@@ -679,7 +664,6 @@ def characterize_many(
     engine: str = "auto",
     parallel: Optional[int] = None,
     cache: Optional[CharacterizationCache] = None,
-    cache_dir: Optional[str] = None,
     tolerance: Optional[float] = None,
 ) -> List[SweepResult]:
     """Characterize a batch of sweeps, cached and optionally parallel.
@@ -694,10 +678,10 @@ def characterize_many(
     meet (default :data:`repro.spice.surrogate.DEFAULT_TOLERANCE`).
 
     ``cache`` defaults to the process-wide :func:`default_cache`; pass
-    ``cache_dir`` to point a fresh cache at a specific directory
-    instead, or a ``CharacterizationCache(enabled=False)`` to force
-    cold runs.  ``parallel=k`` fans exact cache misses out over ``k``
-    worker processes through :func:`repro.exec.run_tasks`
+    ``CharacterizationCache(cache_dir)`` to use a specific directory, or
+    a fresh ``CharacterizationCache()`` for cold runs.  ``parallel=k``
+    fans exact cache misses out over ``k`` worker processes through
+    :func:`repro.exec.run_tasks`
     (worker-recorded metrics merge back into the parent); the parent
     alone writes the cache.  Serial and parallel runs return identical
     results under every engine.
@@ -708,7 +692,7 @@ def characterize_many(
         )
     requests = list(requests)
     if cache is None:
-        cache = CharacterizationCache(cache_dir) if cache_dir else default_cache()
+        cache = default_cache()
     if engine == "exact" or not requests:
         return _characterize_exact(requests, parallel=parallel, cache=cache)
     if engine == "auto" and not cache.has_models():
@@ -725,13 +709,11 @@ def characterize_many(
 def _characterize_exact(
     requests: List[SweepRequest],
     *,
-    parallel: Optional[int] = None,
-    cache: Optional[CharacterizationCache] = None,
+    parallel: Optional[int],
+    cache: CharacterizationCache,
 ) -> List[SweepResult]:
-    """The exact-solve path: two-layer cache in front of the
+    """The exact-solve path: the cache in front of the
     :mod:`repro.exec` fan-out (the pre-1.6 ``characterize_many``)."""
-    if cache is None:
-        cache = default_cache()
     fps = [fingerprint(r) for r in requests]
     with OBS.tracer.span("spice.characterize_many", requests=len(requests)) as sp:
         results: List[Optional[SweepResult]] = [cache.get(fp) for fp in fps]

@@ -326,27 +326,42 @@ class SurrogateModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SurrogateModel":
+        """Rebuild a stored model; a payload whose axes, grids, tolerance
+        or structure could not answer a query raises instead."""
         if data.get("schema") != SURROGATE_SCHEMA_VERSION:
             raise ConfigurationError(
                 f"surrogate schema {data.get('schema')!r} != {SURROGATE_SCHEMA_VERSION}"
             )
-        return cls(
+        model = cls(
             kind=data["kind"],
             tech=TechnologyCard(**data["tech"]),
             structure=tuple((name, value) for name, value in data["structure"]),
-            temps=tuple(data["temps"]),
-            v_anchors=tuple(data["v_anchors"]),
+            temps=tuple(map(float, data["temps"])),
+            v_anchors=tuple(map(float, data["v_anchors"])),
             values={
-                q: tuple(tuple(row) for row in grid)
+                q: tuple(tuple(map(float, row)) for row in grid)
                 for q, grid in data["values"].items()
             },
             scales=dict(data["scales"]),
-            tolerance=data["tolerance"],
+            tolerance=float(data["tolerance"]),
             certified_error=data["certified_error"],
             cert_points=data["cert_points"],
             rounds=data["rounds"],
             fingerprint=data["fingerprint"],
         )
+        temps, anchors = list(model.temps), list(model.v_anchors)
+        shaped = set(model.values) == set(QUANTITIES.get(model.kind, ())) and all(
+            len(grid) == len(temps) and all(len(row) == len(anchors) for row in grid)
+            for grid in model.values.values()
+        )
+        hash(model.structure_key())  # TypeError for an unhashable structure
+        if not (
+            shaped and temps and temps == sorted(set(temps))
+            and len(anchors) >= 2 and anchors == sorted(set(anchors))
+            and model.tolerance > 0 and isinstance(model.fingerprint, str)
+        ):
+            raise ConfigurationError("surrogate payload does not describe a model")
+        return model
 
 
 # ----------------------------------------------------------------------

@@ -157,6 +157,7 @@ class TestRequestValidation:
             {"temp_k": 0},
             {"period_rtol": "nan"},
             {"periods": 2},
+            {"periods": 100, "points_per_period": 1001},
         ],
         ids=repr,
     )

@@ -14,6 +14,7 @@ from repro.spice.charlib import (
     PeriodProbe,
     RingSweep,
     SweepResult,
+    MAX_RING_STEPS,
     characterize_many,
     default_cache_dir,
     fingerprint,
@@ -33,7 +34,7 @@ def ring_sweep(**overrides):
 
 
 def no_cache():
-    return CharacterizationCache(enabled=False)
+    return CharacterizationCache()
 
 
 class TestRingSweep:
@@ -95,6 +96,8 @@ class TestRingSweep:
             {"periods": True},
             {"points_per_period": 7},
             {"points_per_period": "64"},
+            {"periods": MAX_RING_STEPS // 64 + 1},
+            {"points_per_period": MAX_RING_STEPS // 12 + 1},
         ],
         ids=repr,
     )
@@ -102,6 +105,11 @@ class TestRingSweep:
         with pytest.raises(ConfigurationError) as excinfo:
             ring_sweep(**overrides)
         assert "\n" not in str(excinfo.value)
+
+    def test_step_cap_is_inclusive(self):
+        # Construction only: a sweep at the cap is never run here.
+        sweep = ring_sweep(periods=MAX_RING_STEPS // 100, points_per_period=100)
+        assert sweep.periods * sweep.points_per_period == MAX_RING_STEPS
 
     def test_numbers_of_any_real_type_accepted(self):
         # Valid requests keep their fields (and so their fingerprints).
@@ -243,16 +251,40 @@ class TestCache:
         assert second.frequency == first.frequency
         assert second.current == first.current
 
-    def test_corrupt_disk_entry_recomputed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        ["{not json", "[]", "7", '"x"', "null", "[" * 100_000],
+        ids=["not-json", "list", "int", "string", "null", "deep-nesting"],
+    )
+    def test_corrupt_disk_entry_recomputed(self, tmp_path, content):
         d = str(tmp_path / "charlib")
         characterize_many([ring_sweep()], cache=CharacterizationCache(d))
         [path] = [os.path.join(d, f) for f in os.listdir(d)]
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{not json")
+            handle.write(content)
         fresh = CharacterizationCache(d)
         [result] = characterize_many([ring_sweep()], cache=fresh)
         assert fresh.stats.misses == 1 and fresh.stats.disk_hits == 0
         assert result.frequency[0] > 0
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"voltages": 7}, {"frequency": ["a", "b"]}, {"current": [1e-6]}, {"tap": None}],
+        ids=repr,
+    )
+    def test_malformed_entry_recomputed(self, tmp_path, fields):
+        d = str(tmp_path / "charlib")
+        characterize_many([ring_sweep()], cache=CharacterizationCache(d))
+        [path] = [os.path.join(d, f) for f in os.listdir(d)]
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        data.update(fields)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        fresh = CharacterizationCache(d)
+        [result] = characterize_many([ring_sweep()], cache=fresh)
+        assert fresh.stats.misses == 1 and fresh.stats.disk_hits == 0
+        assert len(result.current) == len(result.voltages)
 
     def test_schema_mismatch_ignored(self, tmp_path):
         d = str(tmp_path / "charlib")
@@ -275,11 +307,14 @@ class TestCache:
         [result] = characterize_many([ring_sweep()], cache=cache)
         assert result.frequency[0] > 0
 
-    def test_disabled_cache_always_cold(self):
-        cache = no_cache()
-        characterize_many([ring_sweep()], cache=cache)
-        characterize_many([ring_sweep()], cache=cache)
-        assert cache.stats.misses == 2 and cache.stats.hits == 0
+    def test_removed_arguments_refused(self, tmp_path):
+        """One door into one store: no off switch on the cache, and no
+        directory shortcut on the front door."""
+        with pytest.raises(TypeError):
+            CharacterizationCache(enabled=False)
+        with pytest.raises(TypeError):
+            characterize_many([ring_sweep()], cache_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
 
     def test_default_cache_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CHARLIB_CACHE", str(tmp_path))
@@ -342,11 +377,6 @@ class TestCharacterizeMany:
             obs.reset()
         assert serial_solves > 0
         assert parallel_solves == serial_solves
-
-    def test_cache_dir_shortcut(self, tmp_path):
-        d = str(tmp_path / "charlib")
-        characterize_many([ring_sweep()], cache_dir=d)
-        assert len(os.listdir(d)) == 1
 
     def test_hits_and_misses_metered(self):
         obs.configure(metrics=True)

@@ -226,7 +226,7 @@ class TestWholeSweeps:
     def test_characterize_many_bit_identical(self, name):
         sweep = self.SWEEPS[name]
         (banked, banked_counts), (legacy, legacy_counts) = _both_ways(
-            lambda: characterize_many([sweep], cache=CharacterizationCache(enabled=False))[0]
+            lambda: characterize_many([sweep], cache=CharacterizationCache())[0]
         )
         assert banked.to_dict() == legacy.to_dict()
         assert hexes(banked.frequency + banked.current + banked.tap) == hexes(

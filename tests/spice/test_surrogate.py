@@ -251,6 +251,21 @@ class TestModelIdentity:
         assert first == second
         assert second.source == "surrogate"
 
+    def test_malformed_model_files_skipped(self, tmp_path):
+        """Valid JSON that is not a model payload, or a model payload
+        with no voltage axis, sits beside a good model: the scan skips
+        it and the good model still answers."""
+        good = fit_surrogate(div_sweep(), cache=CharacterizationCache(cache_dir=str(tmp_path)))
+        no_anchors = dict(good.to_dict(), v_anchors=[], fingerprint="0" * 64)
+        for i, content in enumerate(("[]", "7", "{}", json.dumps(no_anchors))):
+            (tmp_path / f"surrogate-bad{i}.json").write_text(content, encoding="utf-8")
+        reloaded = CharacterizationCache(cache_dir=str(tmp_path))
+        q = div_sweep(voltages=(1.5, 2.0, 2.5))
+        [res] = characterize_many([q], engine="auto", cache=reloaded)
+        assert res.source == "surrogate"
+        assert res.fingerprint == good.fingerprint
+        assert list(reloaded._models) == [good.fingerprint]
+
 
 # ----------------------------------------------------------------------
 # The engine= front door
@@ -337,14 +352,14 @@ class TestEngineDispatch:
         ]
         parallel = characterize_many(
             batch, engine="auto", parallel=2,
-            cache=CharacterizationCache(enabled=False),
+            cache=CharacterizationCache(),
         )
         monkeypatch.setenv(BACKEND_ENV, "serial")
         serial = characterize_many(
             batch, engine="auto", parallel=2,
-            cache=CharacterizationCache(enabled=False),
+            cache=CharacterizationCache(),
         )
-        # Disabled caches carry no models: both runs are exact.  Models
+        # Fresh caches carry no models: both runs are exact.  Models
         # present: surrogate answers are computed in the parent either
         # way.  Compare the full payloads bit-for-bit.
         assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]

@@ -120,6 +120,20 @@ class TestCharacterizeCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_poisoned_cache_files_recomputed(self, capsys, tmp_path):
+        # Valid JSON that is not an object, under both file names the
+        # cache reads: the sweep is recomputed and the model skipped.
+        from repro.spice.charlib import DividerSweep, fingerprint
+        from repro.tech import TECH_90NM
+
+        fp = fingerprint(DividerSweep(tech=TECH_90NM, voltages=(2.0, 2.5)))
+        (tmp_path / f"charlib-{fp[:32]}.json").write_text("[]", encoding="utf-8")
+        (tmp_path / f"surrogate-{fp[:32]}.json").write_text("7", encoding="utf-8")
+        main(["characterize", "--kind", "divider", "--voltages", "2.0:2.5:2"])
+        out = capsys.readouterr().out
+        assert "divider @ 90nm" in out and "(exact)" in out
+        assert out.count("\n") == 4  # label, header, two voltage rows
+
     def test_bad_voltage_spec_exits_cleanly(self, capsys):
         for spec in ("nope", "1.0:3.5", "1.0:3.5:0"):
             with pytest.raises(SystemExit) as excinfo:
