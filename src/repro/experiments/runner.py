@@ -1,8 +1,8 @@
 """Regenerate the paper's entire evaluation in one command::
 
-    python -m repro.experiments.runner           # all experiments
-    python -m repro.experiments.runner fig8      # one experiment
-    python -m repro.experiments.runner --jobs 4  # across 4 processes
+    python -m repro experiments           # all experiments
+    python -m repro experiments fig8      # one experiment
+    python -m repro experiments --jobs 4  # across 4 processes
 
 Each experiment prints its regenerated rows plus notes comparing them
 to the paper's reported values.  Experiments are independent, so
@@ -13,7 +13,6 @@ canonical (paper) order either way.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from typing import Callable, Dict, List, Optional
@@ -163,21 +162,3 @@ def render_timing_summary(timings: List[tuple]) -> str:
         lines.append(f"  {name:<{width}s}  {elapsed:8.2f}s")
     lines.append(f"  {'total':<{width}s}  {total:8.2f}s")
     return "\n".join(lines)
-
-
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner",
-        description="Regenerate the paper's tables and figures.",
-    )
-    parser.add_argument("names", nargs="*", help="experiment ids (default: all)")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="run independent experiments across N worker processes",
-    )
-    args = parser.parse_args(argv)
-    run_all(args.names or None, parallel=args.jobs)
-
-
-if __name__ == "__main__":
-    main()

@@ -13,29 +13,10 @@ instrumentation stays inline in hot code.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional
 
 #: Histogram moment vector indices.
 _COUNT, _SUM, _MIN, _MAX = 0, 1, 2, 3
-
-
-class _Timer:
-    """Context manager observing a duration into a histogram."""
-
-    __slots__ = ("metrics", "name", "t0")
-
-    def __init__(self, metrics: "Metrics", name: str):
-        self.metrics = metrics
-        self.name = name
-
-    def __enter__(self) -> "_Timer":
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.metrics.observe(self.name, time.perf_counter() - self.t0)
-        return False
 
 
 class Metrics:
@@ -73,10 +54,6 @@ class Metrics:
             hist[_SUM] += value
             hist[_MIN] = min(hist[_MIN], value)
             hist[_MAX] = max(hist[_MAX], value)
-
-    def timer(self, name: str):
-        """``with metrics.timer("fleet.elapsed"): ...``"""
-        return _Timer(self, name)
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> float:

@@ -51,12 +51,18 @@ the experiment list or the :class:`~repro.trace.Recording`, and checks
 the ``parallel``, ``wave``, ``eval_engine`` and stream fields the job
 reads.
 
-Handlers fan heavy work out in waves — fleet jobs as the shards of
-the one fleet loop, :func:`~repro.fleet.runner.run_shards`, the others
-through :meth:`~repro.serve.jobs.JobContext.wave_run` or per-wave
-calls — so every job type honors cancellation at wave granularity and
-streams as waves complete.  A request may set ``"wave": n`` to tighten
-that granularity (tests use ``wave=1`` to stream/cancel per item).
+Handlers that fan work out do it in shards through one cancellable
+loop, :meth:`~repro.serve.jobs.JobContext.shards`: run-mode fleet
+jobs iterate the shards of the one fleet loop,
+:func:`~repro.fleet.runner.run_shards`; ``experiments`` and
+``characterize`` iterate per-wave ``run_tasks`` / ``characterize_many``
+calls.  So every job type honors cancellation at shard granularity and
+streams as shards complete.  A shard holds ``"wave": n`` items, by
+default ``parallel * WAVE_FACTOR`` (resolved once, in the validator);
+tests use ``wave=1`` to stream/cancel per item.  The streamed fleet
+and ``dse`` jobs check from callbacks instead (``stream_fleet``'s
+``on_shard``, ``NSGA2``'s ``on_generation``), because those library
+calls fold their shards and generations internally.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ from repro.dse.objectives import PerformanceModel
 from repro.dse.pareto import non_dominated_sort
 from repro.dse.space import DesignSpace
 from repro.errors import ConfigurationError
+from repro.exec import run_tasks
 from repro.fleet.report import FleetReport
 from repro.fleet.runner import record_fleet_run, run_shards
 from repro.fleet.spec import FleetSpec
@@ -84,6 +91,7 @@ from repro.trace.replayer import check_riscv
 from repro.spice.charlib import (
     CHAR_ENGINES,
     JACOBIAN_ID,
+    MAX_SWEEP_POINTS,
     DividerSweep,
     RingSweep,
     SweepRequest,
@@ -118,8 +126,9 @@ def _parallel(request: Dict) -> int:
     return _count(request, "parallel") or 1
 
 
-def _wave(request: Dict) -> Optional[int]:
-    return _count(request, "wave")
+def _wave(request: Dict) -> int:
+    """Items per fan-out shard: ``wave``, else ``parallel * WAVE_FACTOR``."""
+    return _count(request, "wave") or _parallel(request) * WAVE_FACTOR
 
 
 # ----------------------------------------------------------------------
@@ -174,20 +183,19 @@ def handle_fleet(context: JobContext, request: Dict) -> Dict:
         return _handle_fleet_stream(context, fleet, request, parallel, eval_engine, stream)
     context.emit("fleet", name=fleet.name, devices=len(fleet))
     results = []
-    for _shard, shard_results in run_shards(
-        fleet.devices,
-        context.manager.calibration_cache,
-        parallel=parallel,
-        shard_size=wave or parallel * WAVE_FACTOR,
-        eval_engine=eval_engine,
-        label="serve.fleet",
+    for _shard, shard_results in context.shards(
+        run_shards(
+            fleet.devices,
+            context.manager.calibration_cache,
+            parallel=parallel,
+            shard_size=wave,
+            eval_engine=eval_engine,
+            label="serve.fleet",
+        )
     ):
-        # The shard's pool is joined: cancelling here strands nothing.
-        context.check_cancelled()
         for result in shard_results:
             context.emit("device", index=len(results), result=result.to_dict())
             results.append(result)
-        context.emit_metrics()
     # Device order, as in FleetRunner.run(), so this payload is
     # byte-identical to the direct run's report.
     report = FleetReport(fleet_name=fleet.name, results=results)
@@ -242,7 +250,6 @@ def _handle_fleet_stream(
         record=recorder,
         **stream,
     )
-    context.check_cancelled()
     if recorder is not None:
         context.emit("trace", recording=recorder.recording.to_dict())
     return outcome.report.to_dict()
@@ -381,22 +388,16 @@ def handle_experiments(context: JobContext, request: Dict) -> Dict:
     from repro.experiments.runner import _run_one
 
     names, parallel, wave = experiments_request(request)
-
-    def on_item(index: int, outcome) -> None:
-        result, elapsed = outcome
-        context.emit(
-            "experiment", name=names[index], seconds=elapsed, result=result.to_dict()
-        )
-
-    outcomes = context.wave_run(
-        _run_one,
-        names,
-        parallel=parallel,
-        on_item=on_item,
-        wave=wave,
-        label="serve.experiments",
-    )
-    return {"results": [result.to_dict() for result, _elapsed in outcomes]}
+    results = []
+    for outcomes in context.shards(
+        run_tasks(_run_one, names[s : s + wave], parallel=parallel, label="serve.experiments")
+        for s in range(0, len(names), wave)
+    ):
+        for result, elapsed in outcomes:
+            payload = result.to_dict()
+            context.emit("experiment", name=names[len(results)], seconds=elapsed, result=payload)
+            results.append(payload)
+    return {"results": results}
 
 
 handle_experiments.validate = experiments_request
@@ -459,6 +460,11 @@ def characterize_request(request: Dict):
     :class:`ConfigurationError`."""
     tolerance = request.get("tolerance")
     try:
+        points = sum(len(s.get("voltages", ())) for s in request.get("sweeps", []))
+        if points > MAX_SWEEP_POINTS:
+            raise ConfigurationError(
+                f"characterize job asks for {points} voltage points; at most {MAX_SWEEP_POINTS}"
+            )
         sweeps = [sweep_from_dict(s) for s in request.get("sweeps", [])]
         tolerance = None if tolerance is None else float(tolerance)
     except (AttributeError, TypeError, ValueError) as exc:
@@ -481,29 +487,23 @@ def handle_characterize(context: JobContext, request: Dict) -> Dict:
     """
     sweeps, engine, tolerance, parallel, wave = characterize_request(request)
     cache = context.manager.characterization_cache
-    wave = wave or parallel * WAVE_FACTOR
     results = []
     hits0, misses0 = cache.stats.hits, cache.stats.misses
     surrogate0 = cache.stats.surrogate_hits
-    for start in range(0, len(sweeps), wave):
-        context.check_cancelled()
-        # Per-wave characterize_many keeps the parent the sole cache
-        # writer while letting cancellation land between waves.
-        for offset, result in enumerate(
-            characterize_many(
-                sweeps[start : start + wave],
-                engine=engine,
-                parallel=parallel,
-                cache=cache,
-                tolerance=tolerance,
-            )
-        ):
-            context.emit("sweep", index=start + offset, result=result.to_dict())
-            results.append(result)
-        context.emit_metrics()
-    context.check_cancelled()
+    # Per-wave characterize_many keeps the parent the sole cache writer
+    # while letting cancellation land between waves.
+    for shard in context.shards(
+        characterize_many(
+            sweeps[s : s + wave], engine=engine, parallel=parallel, cache=cache, tolerance=tolerance
+        )
+        for s in range(0, len(sweeps), wave)
+    ):
+        for result in shard:
+            payload = result.to_dict()
+            context.emit("sweep", index=len(results), result=payload)
+            results.append(payload)
     return {
-        "results": [r.to_dict() for r in results],
+        "results": results,
         "cache": {
             "hits": cache.stats.hits - hits0,
             "misses": cache.stats.misses - misses0,

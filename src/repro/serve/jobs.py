@@ -19,12 +19,13 @@ A :class:`JobManager` owns everything long-lived in the service:
 
 Job states move ``queued -> running -> done | failed | cancelled``
 (queued jobs may go straight to ``cancelled``).  Cancellation is
-cooperative but prompt: handlers run their fan-outs in bounded *waves*
-through :meth:`JobContext.wave_run`, which checks the cancel flag
-between waves and inside every ``on_result`` callback, raising
-:class:`JobCancelled`.  Each wave's process pool is joined before the
-next starts, so a cancelled job leaves no orphan worker processes
-behind.
+cooperative but prompt: handlers fan out in bounded *shards* (waves)
+through one loop, :meth:`JobContext.shards`, which checks the cancel
+flag before each shard's work starts and after the last one, raising
+:class:`JobCancelled` (the streamed fleet and ``dse`` jobs check from
+the per-shard / per-generation callbacks their library calls take).
+Each shard's process pool is joined before it is handled, so a
+cancelled job leaves no orphan worker processes behind.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
-from repro.exec import run_tasks
 from repro.fleet.cache import CalibrationCache
 from repro.obs import OBS
 from repro.spice.charlib import CharacterizationCache
@@ -193,60 +193,23 @@ class JobContext:
         if self.job.cancel_event.is_set():
             raise JobCancelled(f"job {self.job.job_id} cancelled")
 
-    # ------------------------------------------------------------------
-    def wave_run(
-        self,
-        fn: Callable,
-        items: Sequence,
-        *,
-        parallel: Optional[int] = None,
-        on_item: Optional[Callable[[int, object], None]] = None,
-        wave: Optional[int] = None,
-        label: Optional[str] = None,
-    ) -> List:
-        """A cancellable :func:`repro.exec.run_tasks` — the handler fan-out.
+    def shards(self, shards: Iterable) -> Iterator:
+        """Yield ``shards`` one at a time, cancellably — the handler fan-out.
 
-        Slices ``items`` into waves of ``wave`` (default ``max(parallel,
-        1) * WAVE_FACTOR``) and runs each wave through ``run_tasks``.
-        The cancel flag is checked before every wave and inside every
-        ``on_result`` callback; each wave's process pool is joined
-        before the next wave starts, so cancellation never strands
-        worker processes.  ``on_item(index, outcome)`` fires in item
-        order with *global* indices as stitched results arrive — this is
-        where handlers stream incremental results from.
-
-        Results are identical to one big ``run_tasks`` call (the
-        backbone's chunking-invariance contract), so serve-path numbers
-        match the direct ``repro.api`` call byte for byte.
+        The cancel flag is checked before each shard is pulled from
+        ``shards`` (so a lazy iterable — a generator of per-wave
+        ``run_tasks`` calls, :func:`~repro.fleet.runner.run_shards` —
+        starts no further work once the job is cancelled) and so once
+        more after the last shard.  After the handler has handled each
+        shard, a live metrics event streams.  Every caller's shard has
+        joined its process pool before it is yielded, so cancelling
+        between shards never strands worker processes.
         """
-        items = list(items)
-        if wave is None:
-            wave = max(1, (parallel or 1)) * WAVE_FACTOR
-        if wave < 1:
-            raise ConfigurationError(f"wave must be >= 1, got {wave}")
-        results: List = []
-
-        def _on_result(offset_base: int):
-            def _cb(index: int, outcome) -> None:
-                self.check_cancelled()
-                if on_item is not None:
-                    on_item(offset_base + index, outcome)
-            return _cb
-
-        for start in range(0, len(items), wave):
-            self.check_cancelled()
-            results.extend(
-                run_tasks(
-                    fn,
-                    items[start : start + wave],
-                    parallel=parallel,
-                    label=label,
-                    on_result=_on_result(start),
-                )
-            )
-            self.emit_metrics()
         self.check_cancelled()
-        return results
+        for shard in shards:
+            yield shard
+            self.emit_metrics()
+            self.check_cancelled()
 
 
 class JobManager:

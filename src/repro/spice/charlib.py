@@ -101,6 +101,11 @@ CHAR_ENGINES = ("auto", "exact", "surrogate")
 #: 12 x 64 = 768.
 MAX_RING_STEPS = 100_000
 
+#: Bound on the voltage points of one sweep, and of one serve
+#: ``characterize`` job over all its sweeps.  At ``MAX_RING_STEPS`` one
+#: ring point costs ~15.3 s, so a full job is at most ~16 min of SPICE.
+MAX_SWEEP_POINTS = 64
+
 #: Rising edges discarded before measuring frequency/current — the
 #: staggered start needs a couple of periods to settle into the limit
 #: cycle.
@@ -183,6 +188,14 @@ def _check_voltages(request) -> None:
     them dead); a NaN, infinite or non-positive supply has no meaning.
     """
     name = type(request).__name__
+    try:
+        count = len(request.voltages)
+    except TypeError:
+        count = 0
+    if count > MAX_SWEEP_POINTS:
+        raise ConfigurationError(
+            f"{name}: at most {MAX_SWEEP_POINTS} voltage points, got {count}"
+        )
     try:
         voltages = tuple(float(v) for v in request.voltages)
     except (TypeError, ValueError):

@@ -144,17 +144,6 @@ class TraceRecorder(TraceSink):
             result_digest=self.result_digest,
         )
 
-    def rng(self, seed: int, site: str) -> "CountingRandom":
-        """A seeded RNG whose consumption lands in the event stream.
-
-        Call :meth:`note_rng` (or let the caller emit) after the draws;
-        the returned stream is bit-identical to ``random.Random(seed)``.
-        """
-        return CountingRandom(seed, site=site, sink=self)
-
-    def note_rng(self, site: str, seed: int, draws: int) -> None:
-        self.event("rng", site=site, seed=seed, draws=draws)
-
 
 class LaneSink(TraceSink):
     """Forward events to a recording someone else opened.

@@ -68,11 +68,6 @@ class TestParallelRunner:
             runner.run_all(["not_an_experiment"], parallel=2)
         assert excinfo.value.code == 2
 
-    def test_runner_main_jobs_flag(self, process_backend, capsys):
-        runner.main(["table3", "--jobs", "2"])
-        out = capsys.readouterr().out
-        assert "regenerated in" in out
-
 
 def _diverge():
     raise ValueError("experiment diverged")

@@ -180,6 +180,20 @@ class TestRequestValidation:
         with pytest.raises(ConfigurationError):
             HANDLERS["characterize"].validate({"sweeps": [payload]})
 
+    def test_characterize_job_voltage_points_capped(self):
+        from repro.spice.charlib import MAX_SWEEP_POINTS
+
+        half = MAX_SWEEP_POINTS // 2
+        sweeps = [
+            {"kind": "divider", "voltages": [2.0] * half},
+            {"kind": "divider", "voltages": [2.0] * (MAX_SWEEP_POINTS - half)},
+        ]
+        HANDLERS["characterize"].validate({"sweeps": sweeps})
+        sweeps[1]["voltages"].append(2.0)
+        with pytest.raises(ConfigurationError, match="at most") as excinfo:
+            HANDLERS["characterize"].validate({"sweeps": sweeps})
+        assert "\n" not in str(excinfo.value)
+
     def test_parallel_must_be_positive(self):
         context, _ = _context()
         with pytest.raises(ConfigurationError, match="parallel"):
@@ -277,6 +291,53 @@ class TestCharacterizeWaves:
         context, _job = _context()
         HANDLERS["characterize"](context, {"sweeps": [sweep] * count, "parallel": 2})
         assert waves == [2 * WAVE_FACTOR, 1]
+
+
+class TestShardCancellation:
+    """``experiments`` and ``characterize`` jobs fan out through
+    ``JobContext.shards``: a cancel seen after the first wave's events
+    ends the job before the second wave starts."""
+
+    def _cancel_after_first(self, job, kind):
+        publish = job.publish
+
+        def cancelling_publish(event):
+            if event["event"] == kind:
+                job.cancel_event.set()
+            return publish(event)
+
+        job.publish = cancelling_publish
+
+    def test_experiments_job_cancelled_after_first_wave(self):
+        context, job = _context()
+        self._cancel_after_first(job, "experiment")
+        with pytest.raises(JobCancelled):
+            HANDLERS["experiments"](
+                context, {"names": ["table1", "table2", "table3"], "wave": 1}
+            )
+        assert [e["name"] for e in job.published if e["event"] == "experiment"] == ["table1"]
+
+    def test_characterize_job_cancelled_after_first_wave(self, monkeypatch):
+        from repro.serve import handlers
+
+        calls = []
+        real = handlers.characterize_many
+
+        def counting_characterize_many(sweeps, **kwargs):
+            calls.append(len(sweeps))
+            return real(sweeps, **kwargs)
+
+        monkeypatch.setattr(handlers, "characterize_many", counting_characterize_many)
+        sweeps = [
+            sweep_to_dict(DividerSweep(tech=TECH_90NM, voltages=(1.5 + 0.1 * i,)))
+            for i in range(6)
+        ]
+        context, job = _context()
+        self._cancel_after_first(job, "sweep")
+        with pytest.raises(JobCancelled):
+            HANDLERS["characterize"](context, {"sweeps": sweeps, "wave": 1})
+        assert [e["index"] for e in job.published if e["event"] == "sweep"] == [0]
+        assert calls == [1]
 
 
 class TestFleetStreaming:

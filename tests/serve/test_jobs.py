@@ -190,62 +190,113 @@ class TestCancellation:
             manager.stop()
 
 
-class TestWaveRun:
-    def test_wave_results_match_plain_map(self):
-        outputs = {}
+class TestShards:
+    """``JobContext.shards`` — the one cancellable loop handlers fan out
+    through: a cancel check before each shard's work is pulled and after
+    the last, a metrics event after each handled shard."""
+
+    def test_results_and_global_indices_in_order_across_shards(self):
+        from repro.exec import run_tasks
+
+        items = list(range(23))
+        streamed = []
 
         def handler(ctx, req):
-            results = ctx.wave_run(
-                lambda x: x * x, list(range(23)), parallel=1, wave=5,
-                on_item=lambda i, out: outputs.setdefault(i, out),
-            )
+            results = []
+            for outcomes in ctx.shards(
+                run_tasks(_square, items[s : s + 5], parallel=1) for s in range(0, len(items), 5)
+            ):
+                for out in outcomes:
+                    streamed.append((len(results), out))
+                    results.append(out)
             return {"results": results}
 
         manager = _manager({"squares": handler})
         try:
             job = manager.submit("squares", {})
             assert _wait_state(job, TERMINAL_STATES) == "done"
-            assert job.result["results"] == [x * x for x in range(23)]
-            # on_item fired once per item with global indices.
-            assert outputs == {i: i * i for i in range(23)}
+            assert job.result["results"] == [x * x for x in items]
+            assert streamed == [(i, i * i) for i in items]
         finally:
             manager.stop()
 
-    def test_wave_cancellation_stops_between_waves(self):
-        seen = []
-        cancel_at = 3
+    def test_no_shard_work_starts_after_a_cancel(self):
+        started = []
+
+        def shard(index):
+            started.append(index)
+            return [index]
 
         def handler(ctx, req):
-            def on_item(i, out):
-                seen.append(i)
-                if i == cancel_at:
+            for values in ctx.shards(shard(i) for i in range(100)):
+                if values == [2]:
                     ctx.manager.cancel(ctx.job.job_id)
-            ctx.wave_run(
-                lambda x: x, list(range(100)), parallel=1, wave=1, on_item=on_item
-            )
             return {}
 
         manager = _manager({"cancelme": handler})
         try:
             job = manager.submit("cancelme", {})
             assert _wait_state(job, TERMINAL_STATES) == "cancelled"
-            # Well short of the 100 items: the next wave never launched.
-            assert len(seen) <= cancel_at + 1
+            # Shard 3's work was never pulled from the generator.
+            assert started == [0, 1, 2]
         finally:
             manager.stop()
 
-    def test_wave_must_be_positive(self):
+    def test_cancel_checked_after_the_last_shard(self):
         def handler(ctx, req):
-            ctx.wave_run(lambda x: x, [1], wave=0)
+            for values in ctx.shards([[1], [2]]):
+                if values == [2]:
+                    ctx.manager.cancel(ctx.job.job_id)
+            return {"finished": True}
+
+        manager = _manager({"late": handler})
+        try:
+            job = manager.submit("late", {})
+            assert _wait_state(job, TERMINAL_STATES) == "cancelled"
+            assert job.result is None
+        finally:
+            manager.stop()
+
+    def test_cancel_before_the_first_shard_starts_none(self):
+        started = []
+
+        def handler(ctx, req):
+            ctx.manager.cancel(ctx.job.job_id)
+            for _ in ctx.shards(started.append(i) for i in range(3)):
+                pass
             return {}
 
-        manager = _manager({"bad": handler})
+        manager = _manager({"early": handler})
         try:
-            job = manager.submit("bad", {})
-            assert _wait_state(job, TERMINAL_STATES) == "failed"
-            assert "wave" in job.error
+            job = manager.submit("early", {})
+            assert _wait_state(job, TERMINAL_STATES) == "cancelled"
+            assert started == []
         finally:
             manager.stop()
+
+    def test_metrics_event_after_each_handled_shard(self):
+        from repro import obs
+
+        def handler(ctx, req):
+            for values in ctx.shards([[0, 1], [2]]):
+                for value in values:
+                    ctx.emit("item", value=value)
+            return {}
+
+        obs.configure(metrics=True)
+        manager = _manager({"metered": handler})
+        try:
+            job = manager.submit("metered", {})
+            assert _wait_state(job, TERMINAL_STATES) == "done"
+            kinds = [e["event"] for e in job.events() if e["event"] in ("item", "metrics")]
+            assert kinds == ["item", "item", "metrics", "item", "metrics"]
+        finally:
+            manager.stop()
+            obs.reset()
+
+
+def _square(x):
+    return x * x
 
 
 class TestSubscriptions:

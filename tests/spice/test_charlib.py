@@ -15,6 +15,7 @@ from repro.spice.charlib import (
     RingSweep,
     SweepResult,
     MAX_RING_STEPS,
+    MAX_SWEEP_POINTS,
     characterize_many,
     default_cache_dir,
     fingerprint,
@@ -105,6 +106,13 @@ class TestRingSweep:
         with pytest.raises(ConfigurationError) as excinfo:
             ring_sweep(**overrides)
         assert "\n" not in str(excinfo.value)
+
+    def test_voltage_point_cap(self):
+        ring_sweep(voltages=(1.0,) * MAX_SWEEP_POINTS)
+        for make in (ring_sweep, lambda **kw: DividerSweep(tech=TECH_90NM, **kw)):
+            with pytest.raises(ConfigurationError, match="at most") as excinfo:
+                make(voltages=(1.0,) * (MAX_SWEEP_POINTS + 1))
+            assert "\n" not in str(excinfo.value)
 
     def test_step_cap_is_inclusive(self):
         # Construction only: a sweep at the cap is never run here.

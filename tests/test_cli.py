@@ -84,6 +84,20 @@ class TestCharacterizeCLI:
         assert "(exact)" in out  # auto with no fitted models solves exactly
         assert "tap (V)" in out
 
+    def test_voltage_point_cap(self, capsys):
+        from repro.spice.charlib import MAX_SWEEP_POINTS
+
+        n = MAX_SWEEP_POINTS + 1
+        for spec in (f"1.0:3.5:{n}", ",".join(["2.0"] * n)):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["characterize", "--voltages", spec])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+        with pytest.raises(SystemExit):
+            main(["characterize", "--help"])
+        assert f"at most {MAX_SWEEP_POINTS} points" in capsys.readouterr().out
+
     def test_json_output(self, capsys):
         import json
 
