@@ -373,8 +373,11 @@ def cmd_replay(args) -> None:
 
 def cmd_monitor(args) -> None:
     from repro.core import FailureSentinels, FSConfig
+    from repro.harvest.capacitor import BufferCapacitor
     from repro.tech import get_technology
 
+    if not 0.0 <= args.voltage <= BufferCapacitor.v_max:  # refuses NaN too
+        raise ConfigurationError(f"--voltage must be in [0, {BufferCapacitor.v_max}] V, got {args.voltage}")
     config = FSConfig(tech=get_technology(args.tech))
     fs = FailureSentinels(config)
     fs.enroll()
@@ -418,7 +421,9 @@ def main(argv=None) -> None:
                      help="run independent experiments across N worker processes")
     mon = sub.add_parser("monitor", help="one-shot monitor demo", parents=[obs_parent])
     mon.add_argument("--tech", default="90nm", choices=["130nm", "90nm", "65nm"])
-    mon.add_argument("--voltage", type=float, default=2.7)
+    mon.add_argument("--voltage", type=float, default=2.7, metavar="V",
+                     help="supply to sample (default 2.7); outside [0, 3.6] V, the "
+                          "buffer capacitor's v_max, or NaN exits 2")
     chz = sub.add_parser(
         "characterize", help="cached SPICE characterization curves",
         parents=[obs_parent],

@@ -36,7 +36,7 @@ from repro.core.calibration import (
 )
 from repro.core.config import FSConfig
 from repro.core.sensitivity import (
-    monitor_frequency,
+    compiled_chain,
     monitor_frequency_array,
     supply_relative_sensitivity,
     supply_sensitivity,
@@ -133,11 +133,10 @@ def max_count(config: FSConfig, temp_k: float = ROOM_TEMP_K) -> int:
     maximum exceeds the peak voltage; scanning the endpoints plus a few
     interior points covers both cases.
     """
-    ro = RingOscillator(config.tech, config.ro_length)
-    divider = config.divider
+    chain = compiled_chain(RingOscillator(config.tech, config.ro_length), config.divider, temp_k)
     v_lo, v_hi = config.v_supply_range
     best = 0.0
     for i in range(9):
         v = v_lo + i * (v_hi - v_lo) / 8
-        best = max(best, monitor_frequency(ro, divider, v, temp_k))
+        best = max(best, chain(v)[1])
     return int(best * config.t_enable)

@@ -27,7 +27,7 @@ from repro.core.calibration import (
 from repro.core.config import FSConfig
 from repro.core.counter import EdgeCounter
 from repro.core.errors_model import ErrorBudget, evaluate_error_budget, max_count
-from repro.core.sensitivity import monitor_frequency
+from repro.core.sensitivity import compiled_chain, monitor_frequency
 from repro.errors import CalibrationError, ConfigurationError
 from repro.units import ROOM_TEMP_K
 
@@ -65,6 +65,7 @@ class FailureSentinels:
         self.temp_k = temp_k
         self.ro = RingOscillator(config.tech, config.ro_length)
         self.divider: VoltageDivider = config.divider
+        self._chain = compiled_chain(self.ro, self.divider, temp_k)
         self.level_shifter = LevelShifter(config.tech)
         self.counter = EdgeCounter(config.counter_bits)
         self.table: Optional[EnrollmentTable] = None
@@ -103,15 +104,13 @@ class FailureSentinels:
     # ------------------------------------------------------------------
     def ring_voltage(self, v_supply: float) -> float:
         """Divider tap voltage under RO load."""
-        from repro.core.sensitivity import loaded_ring_voltage
-
-        return loaded_ring_voltage(self.ro, self.divider, v_supply, self.temp_k)
+        return self._chain(v_supply)[0]
 
     def frequency_at(self, v_supply: float, temp_k: Optional[float] = None) -> float:
         """RO frequency for a given supply voltage (Hz)."""
-        return monitor_frequency(
-            self.ro, self.divider, v_supply, self.temp_k if temp_k is None else temp_k
-        )
+        if temp_k is None:
+            return self._chain(v_supply)[1]
+        return monitor_frequency(self.ro, self.divider, v_supply, temp_k)
 
     def count_at(self, v_supply: float, temp_k: Optional[float] = None) -> int:
         """Deterministic counter value for a supply voltage.

@@ -5,6 +5,12 @@ for resolution is ``df/dV_supply = (df/dV_ro) * (tap/total)``.  These
 helpers centralize that chain rule so the error budget, the DSE and the
 experiments agree on it.
 
+The scalar chain (rung gm, the loaded tap's fixed point, Equation 1) is
+compiled once per ring, divider and temperature into a plain-float
+closure (:func:`compiled_chain`, one bounded process-wide table) with
+its constants hoisted: same IEEE operations in the same order as the
+analog blocks' methods, ``math`` transcendentals, bit for bit.
+
 Each voltage-grid helper has an array twin (``*_array``): a numpy array
 of supplies in, an array of the same shape out.  It agrees with the
 scalar form within 1e-11 relative, not bit for bit (see
@@ -15,16 +21,94 @@ to a counter value stay on the scalar form.
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+import threading
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from repro.analog.divider import VoltageDivider
 from repro.analog.ring_oscillator import RingOscillator
-from repro.units import ROOM_TEMP_K
+from repro.tech.ptm import MIN_OSCILLATION_VOLTAGE, TechnologyCard
+from repro.units import ROOM_TEMP_K, thermal_voltage
 
 #: Damped fixed-point steps resolving the ring's droop on the divider tap.
 FIXED_POINT_ITERATIONS = 12
+
+#: A compiled chain: supply (V) -> (loaded tap voltage (V), frequency (Hz)).
+Chain = Callable[[float], Tuple[float, float]]
+
+#: Most entries the process-wide chain table holds; past the bound the
+#: oldest entry is evicted first.
+CHAIN_TABLE_SIZE = 1024
+
+_CHAINS: Dict[tuple, Chain] = {}
+_CHAINS_LOCK = threading.Lock()
+
+
+def compiled_chain(ro: RingOscillator, divider: VoltageDivider, temp_k: float = ROOM_TEMP_K) -> Chain:
+    """The chain of one ring, divider and temperature, from the shared
+    table; callers that evaluate many supplies bind it once."""
+    key = (ro.tech, ro.n_stages, ro.drive_width, divider, temp_k)
+    chain = _CHAINS.get(key)
+    if chain is None:
+        chain = _compile_chain(ro, divider, temp_k)
+        with _CHAINS_LOCK:
+            if len(_CHAINS) >= CHAIN_TABLE_SIZE:
+                del _CHAINS[next(iter(_CHAINS))]
+            chain = _CHAINS.setdefault(key, chain)
+    return chain
+
+
+def _gate_delay(tech: TechnologyCard, temp_k: float) -> Callable[[float], float]:
+    """:meth:`TechnologyCard.gate_delay` at ``temp_k`` on plain floats."""
+    vth, mobility = tech.vth_at(temp_k), tech.mobility_factor(temp_k)
+    n_vt = tech.subthreshold_slope_factor * thermal_voltage(temp_k)
+    alpha, theta, k_delay, exp, log1p = tech.alpha, tech.theta, tech.k_delay, math.exp, math.log1p
+
+    def gate_delay(vdd: float) -> float:
+        if vdd < MIN_OSCILLATION_VOLTAGE:
+            return math.inf
+        x = (vdd - vth) / n_vt
+        v_od = vdd - vth if x > 40.0 else n_vt * log1p(exp(x))
+        if v_od <= 0:
+            return math.inf
+        drive = v_od**alpha / (1.0 + theta * v_od)
+        drive *= mobility
+        return k_delay * vdd / drive
+
+    return gate_delay
+
+
+def _compile_chain(ro: RingOscillator, divider: VoltageDivider, temp_k: float) -> Chain:
+    ring_delay, rung_delay = _gate_delay(ro.tech, temp_k), _gate_delay(divider.tech, temp_k)
+    c_switch, c_rung = ro.tech.c_switch, divider.tech.c_switch
+    drive_width, two_n = ro.drive_width, 2.0 * ro.n_stages
+    ratio, total, upper = divider.ratio, divider.total, divider.total - divider.tap
+    upper_width, steps = divider.upper_width, range(FIXED_POINT_ITERATIONS)
+    isfinite, isinf, v_cut = math.isfinite, math.isinf, MIN_OSCILLATION_VOLTAGE
+
+    def chain(v_supply: float) -> Tuple[float, float]:
+        v_nominal = v_supply * ratio
+        v_rung = v_supply / total
+        v_up, v_down = v_rung + 1e-3, v_rung - 1e-3
+        tau = rung_delay(v_up)
+        i_up = 0.0 if isinf(tau) else c_rung * v_up / tau
+        tau = rung_delay(v_down)
+        gm = (i_up - (0.0 if isinf(tau) else c_rung * v_down / tau)) / (2 * 1e-3)
+        r_upper = upper / (gm * upper_width) if gm > 0 else None
+        v_ro = v_nominal
+        for _ in steps:
+            target = 0.0
+            if r_upper is not None:
+                tau = ring_delay(v_ro) / drive_width  # ro.dynamic_current(v_ro)
+                current = 0.0 if not isfinite(tau) or v_ro < v_cut else c_switch * v_ro / tau
+                target = v_nominal - current * r_upper
+            v_ro = 0.5 * (v_ro + (target if target > 0.0 else 0.0))  # max(0.0, target)
+        tau = ring_delay(v_ro) / drive_width
+        return v_ro, (0.0 if not isfinite(tau) or v_ro < v_cut else 1.0 / (two_n * tau))
+
+    return chain
 
 
 def loaded_ring_voltage(
@@ -32,28 +116,11 @@ def loaded_ring_voltage(
     divider: VoltageDivider,
     v_supply: float,
     temp_k: float = ROOM_TEMP_K,
-    iterations: int = FIXED_POINT_ITERATIONS,
 ) -> float:
-    """Divider tap voltage under the ring's own load.
-
-    The implicit V_ro is resolved by damped fixed-point iteration
-    (half-step averaging); the droop is 10-15% so the undamped map
-    converges slowly.  Each step's target is
-    :meth:`VoltageDivider.loaded_output` with its iterate-independent
-    parts (rung gm, upper-chain resistance, nominal tap) computed once,
-    by the same float operations.
-    """
-    v_nominal = divider.nominal_output(v_supply)
-    gm = divider.rung_gm(v_supply, temp_k)
-    r_upper = (divider.total - divider.tap) / (gm * divider.upper_width) if gm > 0 else None
-    v_ro = v_nominal
-    for _ in range(iterations):
-        if r_upper is None:
-            target = 0.0
-        else:
-            target = max(0.0, v_nominal - ro.dynamic_current(v_ro, temp_k) * r_upper)
-        v_ro = 0.5 * (v_ro + target)
-    return v_ro
+    """Divider tap voltage under the ring's own load: the damped
+    (half-step) fixed point of :meth:`VoltageDivider.loaded_output`,
+    its iterate-independent parts computed once per call."""
+    return compiled_chain(ro, divider, temp_k)(v_supply)[0]
 
 
 def loaded_ring_voltage_array(
@@ -82,17 +149,10 @@ def monitor_frequency(
     divider: VoltageDivider,
     v_supply: float,
     temp_k: float = ROOM_TEMP_K,
-    load_aware: bool = True,
-    iterations: int = FIXED_POINT_ITERATIONS,
 ) -> float:
-    """RO frequency as seen from the supply rail (Hz).
-
-    With ``load_aware`` the ring's own draw droops the divider tap.
-    """
-    if not load_aware:
-        return ro.frequency(divider.nominal_output(v_supply), temp_k)
-    v_ro = loaded_ring_voltage(ro, divider, v_supply, temp_k, iterations)
-    return ro.frequency(v_ro, temp_k)
+    """RO frequency as seen from the supply rail (Hz); the ring's own
+    draw droops the divider tap."""
+    return compiled_chain(ro, divider, temp_k)(v_supply)[1]
 
 
 def monitor_frequency_array(
@@ -139,8 +199,5 @@ def frequency_function(
 ) -> Callable[[float], float]:
     """Close over (ro, divider) as a plain V_supply -> frequency callable
     for the calibration error-bound machinery."""
-
-    def f(v_supply: float) -> float:
-        return monitor_frequency(ro, divider, v_supply, temp_k)
-
-    return f
+    chain = compiled_chain(ro, divider, temp_k)
+    return lambda v_supply: chain(v_supply)[1]

@@ -11,6 +11,7 @@ from repro.core.sensitivity import (
 )
 from repro.tech import TECH_90NM
 from repro.units import frange
+from tests.oracles import physics as oracle
 
 
 @pytest.fixture
@@ -25,17 +26,18 @@ def divider():
 
 class TestMonitorFrequency:
     def test_load_aware_below_nominal(self, ro, divider):
-        loaded = monitor_frequency(ro, divider, 3.0, load_aware=True)
-        unloaded = monitor_frequency(ro, divider, 3.0, load_aware=False)
-        assert loaded < unloaded
+        loaded = monitor_frequency(ro, divider, 3.0)
+        assert loaded == oracle.monitor_frequency(ro, divider, 3.0, load_aware=True)
+        assert loaded < oracle.monitor_frequency(ro, divider, 3.0, load_aware=False)
 
     def test_monotonic_over_supply_range(self, ro, divider):
         freqs = [monitor_frequency(ro, divider, v) for v in frange(1.8, 3.6, 0.1)]
         assert all(a < b for a, b in zip(freqs, freqs[1:]))
 
     def test_fixed_point_converges(self, ro, divider):
-        f12 = monitor_frequency(ro, divider, 3.0, iterations=12)
-        f40 = monitor_frequency(ro, divider, 3.0, iterations=40)
+        f12 = monitor_frequency(ro, divider, 3.0)
+        assert f12 == oracle.monitor_frequency(ro, divider, 3.0, iterations=12)
+        f40 = oracle.monitor_frequency(ro, divider, 3.0, iterations=40)
         assert f12 == pytest.approx(f40, rel=1e-3)
 
 

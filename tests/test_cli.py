@@ -66,6 +66,29 @@ class TestCLI:
         assert "ext_fleet" in out
 
 
+class TestMonitorCLI:
+    @pytest.mark.parametrize("voltage", ["nan", "inf", "-inf", "-1", "1e308"])
+    def test_hostile_voltage_exits_cleanly(self, capsys, voltage):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["monitor", f"--voltage={voltage}"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("voltage", ["0", "3.6"])
+    def test_range_ends_accepted(self, capsys, voltage):
+        main(["monitor", "--voltage", voltage])
+        assert "count" in capsys.readouterr().out
+
+    def test_help_states_the_range(self, capsys):
+        from repro.harvest.capacitor import BufferCapacitor
+
+        with pytest.raises(SystemExit):
+            main(["monitor", "--help"])
+        assert f"[0, {BufferCapacitor.v_max}] V" in " ".join(capsys.readouterr().out.split())
+
+
 class TestCharacterizeCLI:
     @pytest.fixture(autouse=True)
     def _isolated_cache(self, monkeypatch, tmp_path):
